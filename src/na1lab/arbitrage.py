@@ -16,7 +16,6 @@ generated by the allowed polyhedron.
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,8 @@ from scipy.linalg import null_space
 from scipy.special import logsumexp
 
 from .errors import NumericError, InvalidParameterError, PreconditionError
-from .lp import OPTIMAL, UNBOUNDED, require_optimal, solve_lp
-from .market import Cone, DiscreteMarket, generated_cone, recession_cone
+from .lp import INFEASIBLE, UNBOUNDED, require_optimal, solve_lp
+from .market import Cone, DiscreteMarket, generated_cone
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +45,11 @@ SUPERMARTINGALE_TOL = 1e-8
 
 #: Anything below this offset counts as a zero right-hand side.
 ZERO_OFFSET_TOL = 1e-12
+
+#: Most multiplier columns stacked into one NA1 LP.  Every direction block of
+#: a small or tree-node market fits in one LP; larger markets are split into
+#: several, because HiGHS memory grows with the stacked size.
+NA1_STACK_COLUMNS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,15 +90,19 @@ class Na1Certificate:
     """Outcome of a scalable-arbitrage search.
 
     When the verdict is ``na1_holds``, ``bound_radius`` is the sup-norm radius
-    of the allowed polyhedron intersected with the return span.  When it is
-    ``na1_fails``, ``witness_ray`` is a recession direction with nonnegative
-    gains, positive somewhere.
+    of the allowed polyhedron intersected with the return span, and
+    ``multipliers`` (one row per direction ``basis[0], ..., basis[d-1],
+    -basis[0], ..., -basis[d-1]``, one column per allowed halfspace) express
+    every direction as a nonnegative combination of the allowed normals in
+    span coordinates.  When it is ``na1_fails``, ``witness_ray`` is a
+    recession direction with nonnegative gains, positive somewhere.
     """
 
     verdict: str
     witness_ray: np.ndarray | None = None
     bound_radius: float | None = None
     threshold: float = GAIN_TOL
+    multipliers: np.ndarray | None = None
 
     @property
     def holds(self) -> bool:
@@ -135,11 +143,6 @@ class Esmm:
             "slack": float(self.slack),
             "threshold": float(self.threshold),
         }
-
-
-_na1_cache: "weakref.WeakKeyDictionary[DiscreteMarket, Na1Certificate]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def _arbitrage_search(market: DiscreteMarket, offsets: np.ndarray, tol: float):
@@ -190,13 +193,32 @@ def _verify_gain_certificate(market, strategy, gains, offsets):
         raise NumericError("arbitrage certificate has no strictly positive gain")
 
 
+def _cached(market: DiscreteMarket, notion: str, tol: float, compute):
+    """Certificate of ``notion`` at ``tol`` for ``market``, computed once.
+
+    Markets are immutable, so a certificate stays valid for the market's
+    lifetime; it is held in ``market.certificates`` keyed by notion and
+    tolerance.
+    """
+    key = (notion, float(tol))
+    cert = market.certificates.get(key)
+    if cert is None:
+        cert = market.certificates[key] = compute(market, tol)
+    return cert
+
+
 def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> ArbitrageCertificate:
     """Search the allowed polyhedron for a classical arbitrage.
 
     Maximizes the expected gain over strategies in the allowed set (within
     the return span) whose gains are nonnegative in every state; an optimum
-    above ``tol`` certifies an arbitrage.
+    above ``tol`` certifies an arbitrage.  The certificate is cached on the
+    market, one per tolerance.
     """
+    return _cached(market, "classical", tol, _search_classical)
+
+
+def _search_classical(market: DiscreteMarket, tol: float) -> ArbitrageCertificate:
     objective, strategy = _arbitrage_search(market, market.allowed.offsets, tol)
     if strategy is None:
         return ArbitrageCertificate("no_arbitrage", None, None, objective, threshold=tol)
@@ -240,61 +262,103 @@ def relative_arbitrage(market: DiscreteMarket, reference, tol: float = GAIN_TOL)
 def check_na1(market: DiscreteMarket, tol: float = GAIN_TOL) -> Na1Certificate:
     """Decide whether scalable arbitrage is absent.
 
-    The recession cone of the allowed polyhedron, intersected with the return
-    span, must be the origin alone.  Nontrivial directions are hunted with
-    one LP per signed basis direction of the span, each capped at unit
-    sup-norm; any optimum above ``tol`` produces a witness ray.  When none is
-    found, the sup-norm radius of the allowed set inside the span is computed
-    as the boundedness certificate.
+    The allowed set ``{C theta <= b}`` (``C`` the allowed normals in span
+    coordinates, ``b >= 0``) is bounded in the return span exactly when every
+    signed coordinate direction ``c_k = +-basis[i]`` is a nonnegative
+    combination ``C^T lambda_k`` of its rows (Farkas).  One LP, minimizing
+    ``max_k b . lambda_k`` over those multipliers, decides this and by LP
+    duality its optimum is the sup-norm radius of the set.  The multipliers
+    are re-verified with numpy: residuals below ``1 / sqrt(d)`` already rule
+    out any nonzero recession direction in the span.  When the LP is
+    infeasible, one more LP finds the witness ray.
+
+    The certificate is cached on the market, one per tolerance.
     """
-    cached = _na1_cache.get(market) if tol == GAIN_TOL else None
-    if cached is not None:
-        return cached
-    theta = market.allowed
-    cone = recession_cone(theta)
+    return _cached(market, "na1", tol, _decide_na1)
+
+
+def _decide_na1(market: DiscreteMarket, tol: float) -> Na1Certificate:
     basis = market.span.basis
     d, r = basis.shape
     if r == 0:
-        cert = Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol)
-    else:
-        cert = None
-        cone_rows = cone.normals @ basis
-        box_rows = np.vstack([basis, -basis])
-        a_rows = np.vstack([cone_rows, box_rows])
-        b_rows = np.concatenate([np.zeros(cone_rows.shape[0]), np.ones(2 * d)])
-        for j in range(r):
-            for sign in (1.0, -1.0):
-                cost = np.zeros(r)
-                cost[j] = sign
-                res = solve_lp(cost, a_ub=a_rows, b_ub=b_rows, maximize=True)
-                require_optimal(res, "scalable arbitrage search")
-                if res.value > tol:
-                    ray = basis @ res.x
-                    ray = ray / np.max(np.abs(ray))
-                    gains = market.returns @ ray
-                    if not cone.contains(ray) or np.any(gains < -1e-12):
-                        raise NumericError("witness ray failed re-verification")
-                    cert = Na1Certificate("na1_fails", witness_ray=ray, threshold=tol)
-                    break
-            if cert is not None:
-                break
-        if cert is None:
-            a_theta = theta.normals @ basis
-            radius = 0.0
-            for i in range(d):
-                for sign in (1.0, -1.0):
-                    res = solve_lp(sign * basis[i], a_ub=a_theta, b_ub=theta.offsets, maximize=True)
-                    if res.status == UNBOUNDED:
-                        raise NumericError(
-                            "allowed polyhedron is unbounded in the return span although "
-                            "no scalable direction was found; tolerance boundary case"
-                        )
-                    require_optimal(res, "boundedness certificate")
-                    radius = max(radius, float(res.value))
-            cert = Na1Certificate("na1_holds", bound_radius=radius, threshold=tol)
-    if tol == GAIN_TOL:
-        _na1_cache[market] = cert
-    return cert
+        return Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol)
+    theta = market.allowed
+    c_rows = theta.normals @ basis
+    directions = np.vstack([basis, -basis])
+    multipliers = _boundedness_multipliers(c_rows, theta.offsets, directions)
+    if multipliers is None:
+        ray = _witness_ray(market, c_rows, tol)
+        return Na1Certificate("na1_fails", witness_ray=ray, threshold=tol)
+    residual = multipliers @ c_rows - directions
+    if not float(np.max(np.linalg.norm(residual, axis=1))) < 1.0 / np.sqrt(d):
+        raise NumericError("boundedness multipliers failed re-verification")
+    radius = float(np.max(multipliers @ theta.offsets))
+    return Na1Certificate(
+        "na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol
+    )
+
+
+def _boundedness_multipliers(c_rows, offsets, directions):
+    """Rows ``lambda_k >= 0`` with ``c_rows.T @ lambda_k = directions[k]``
+    minimizing ``max_k offsets . lambda_k``, or None when some direction has
+    no such combination.
+
+    The per-direction blocks are stacked into one LP of at most
+    ``NA1_STACK_COLUMNS`` multiplier columns (at least one block per LP).
+    """
+    m, r = c_rows.shape
+    per_lp = max(1, NA1_STACK_COLUMNS // m)
+    chunks = []
+    for start in range(0, len(directions), per_lp):
+        chunk = directions[start : start + per_lp]
+        k = len(chunk)
+        # variables: lambda_1, ..., lambda_k (m each), then the radius rho
+        eye = np.eye(k)
+        a_eq = np.hstack([np.kron(eye, c_rows.T), np.zeros((k * r, 1))])
+        a_ub = np.hstack([np.kron(eye, offsets[None, :]), -np.ones((k, 1))])
+        cost = np.zeros(k * m + 1)
+        cost[-1] = 1.0
+        res = solve_lp(
+            cost,
+            a_ub=a_ub,
+            b_ub=np.zeros(k),
+            a_eq=a_eq,
+            b_eq=chunk.reshape(-1),
+            bounds=(0.0, None),
+        )
+        if res.status == INFEASIBLE:
+            return None
+        require_optimal(res, "boundedness certificate")
+        chunks.append(np.maximum(res.x[:-1].reshape(k, m), 0.0))
+    return np.vstack(chunks)
+
+
+def _witness_ray(market: DiscreteMarket, c_rows, tol: float) -> np.ndarray:
+    """Recession direction of the allowed set in the span with the largest
+    total gain inside the unit sup-norm box, scaled to sup-norm one.
+
+    Recession directions already have nonnegative gains (the admissibility
+    rows are among the normals), and a nonzero one in the span gains
+    somewhere, so a positive optimum is a scalable arbitrage.
+    """
+    basis = market.span.basis
+    d = basis.shape[0]
+    a_rows = np.vstack([c_rows, basis, -basis])
+    b_rows = np.concatenate([np.zeros(c_rows.shape[0]), np.ones(2 * d)])
+    cost = market.returns.sum(axis=0) @ basis
+    res = solve_lp(cost, a_ub=a_rows, b_ub=b_rows, maximize=True)
+    require_optimal(res, "scalable arbitrage search")
+    if not res.value > tol:
+        raise NumericError(
+            "allowed polyhedron is unbounded in the return span although "
+            "no scalable direction was found; tolerance boundary case"
+        )
+    ray = basis @ res.x
+    ray = ray / np.max(np.abs(ray))
+    gains = market.returns @ ray
+    if not Cone(d, market.allowed.normals).contains(ray) or np.any(gains < -1e-12):
+        raise NumericError("witness ray failed re-verification")
+    return ray
 
 
 def _minimize_exponential_moment(weights, returns_r, cone_rows, grad_tol=1e-10):

@@ -59,7 +59,6 @@ from .portfolio import (
     deflator_from_numeraire,
     maximize_utility,
     numeraire_portfolio,
-    verify_numeraire,
 )
 from .tree import (
     backward_induction,
@@ -126,7 +125,9 @@ def _run_analyze(config: RunConfig) -> dict:
     report["market"] = _market_summary(market)
     report["classical_arbitrage"] = classical.to_dict()
     report["na1"] = na1.to_dict()
-    report["esmm"] = construct_esmm(market).to_dict() if na1.holds else None
+    # A supermartingale measure exists exactly when there is no classical
+    # arbitrage; a bounded arbitrage leaves NA1 intact but the section null.
+    report["esmm"] = None if classical.found else construct_esmm(market).to_dict()
     # Super-hedging prices are finite only without scalable arbitrage, so the
     # claim section stays null when the verdict above already failed.
     report["hedge"] = None
@@ -141,12 +142,11 @@ def _run_numeraire(config: RunConfig) -> dict:
         opt = numeraire_portfolio(market)
     else:
         opt = maximize_utility(market, UtilitySpec.log(), tol=config.tol_opt)
-    lp_value = verify_numeraire(market, opt.strategy)
     deflator = deflator_from_numeraire(market, opt.strategy)
     report = _config_echo(config)
     report["market"] = _market_summary(market)
     report["portfolio"] = opt.to_dict()
-    report["wealth_ratio_certificate"] = lp_value
+    report["wealth_ratio_certificate"] = deflator.certificate
     report["deflator"] = deflator.to_dict()
     return report
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special, stats
+from scipy import integrate, special
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidParameterError, NumericError, PreconditionError
@@ -132,17 +132,18 @@ class FactorDistribution:
     def uniform(cls, lo: float, hi: float) -> "FactorDistribution":
         return cls("uniform", args=(float(lo), float(hi)))
 
-    def _frozen(self):
+    def _pdf(self, y: float) -> float:
         if self.kind == "exponential":
             rate, shift = self.args
-            return stats.expon(loc=shift, scale=1.0 / rate)
+            return rate * math.exp(-rate * (y - shift)) if y >= shift else 0.0
         if self.kind == "lognormal":
             mu, sigma = self.args
-            return stats.lognorm(s=sigma, scale=math.exp(mu))
-        if self.kind == "uniform":
-            lo, hi = self.args
-            return stats.uniform(loc=lo, scale=hi - lo)
-        raise InvalidParameterError("point_mass has no continuous representation")
+            if not y > 0.0:
+                return 0.0
+            z = (math.log(y) - mu) / sigma
+            return math.exp(-0.5 * z * z) / (y * sigma * math.sqrt(2.0 * math.pi))
+        lo, hi = self.args
+        return 1.0 / (hi - lo) if lo <= y <= hi else 0.0
 
     @property
     def values(self) -> np.ndarray:
@@ -166,7 +167,14 @@ class FactorDistribution:
     def mean(self) -> float:
         if self.kind == "point_mass":
             return float(self.weights @ self.values)
-        return float(self._frozen().mean())
+        if self.kind == "exponential":
+            rate, shift = self.args
+            return shift + 1.0 / rate
+        if self.kind == "lognormal":
+            mu, sigma = self.args
+            return math.exp(mu + 0.5 * sigma * sigma)
+        lo, hi = self.args
+        return 0.5 * (lo + hi)
 
     def quantile(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -178,13 +186,31 @@ class FactorDistribution:
             cum = np.cumsum(self.weights[order])
             idx = np.minimum(np.searchsorted(cum, u, side="left"), values.size - 1)
             return values[idx]
-        return np.asarray(self._frozen().ppf(u), dtype=float)
+        if self.kind == "exponential":
+            rate, shift = self.args
+            with np.errstate(divide="ignore"):
+                return shift - np.log1p(-u) / rate
+        if self.kind == "lognormal":
+            mu, sigma = self.args
+            return np.exp(mu + sigma * special.ndtri(u))
+        lo, hi = self.args
+        return lo + u * (hi - lo)
 
     def expectation(self, func) -> float:
-        """E[func(Y)] by exact summation (atoms) or adaptive quadrature."""
+        """E[func(Y)] by exact summation (atoms) or adaptive quadrature.
+
+        The quadrature runs over the support, split at the 5 % and 95 %
+        quantiles so that the integrator sees the body and each tail apart.
+        """
         if self.kind == "point_mass":
             return float(sum(w * func(v) for v, w in self.atoms))
-        return float(self._frozen().expect(func))
+        lo, hi = self.support()
+        inner = [float(q) for q in self.quantile(np.array([0.05, 0.95]))]
+        edges = [lo, *inner, hi]
+        return float(sum(
+            integrate.quad(lambda y: func(y) * self._pdf(y), left, right)[0]
+            for left, right in zip(edges[:-1], edges[1:])
+        ))
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,15 @@ class DiscreteMarket:
         """The full strategy polyhedron: admissibility plus user constraints."""
         return self.admissible.intersect(self.constraints)
 
+    @cached_property
+    def certificates(self) -> dict:
+        """Certificates computed for this market, keyed by (notion, tolerance).
+
+        The market is immutable, so each is computed once; the functions of
+        :mod:`na1lab.arbitrage` fill this in.
+        """
+        return {}
+
 
 def support(market: DiscreteMarket) -> np.ndarray:
     """Distinct return rows of the market (the support of the return vector).

@@ -697,16 +697,18 @@ def verify_deflator(market: DiscreteMarket, values) -> float:
 
 
 def deflator_from_numeraire(market: DiscreteMarket, rho) -> Deflator:
-    """Deflator Z = 1 / (1 + <rho, R>) for a certified numeraire candidate."""
+    """Deflator Z = 1 / (1 + <rho, R>) for a certified numeraire candidate.
+
+    The wealth-ratio LP of ``rho`` is the deflator LP of Z, so one solve both
+    certifies the candidate and gives the deflator's certificate.
+    """
     lp_value = verify_numeraire(market, rho)
     if lp_value > 1.0 + NUMERAIRE_TOL:
         raise PreconditionError(
             f"wealth-ratio LP value {lp_value:.12g} exceeds 1 + {NUMERAIRE_TOL:g}; "
             "the candidate is not a numeraire"
         )
-    values = 1.0 / wealth(market, rho)
-    certificate = verify_deflator(market, values)
-    return Deflator(values=values, certificate=float(certificate))
+    return Deflator(values=1.0 / wealth(market, rho), certificate=float(lp_value))
 
 
 def relative_log_optimality_gap(market: DiscreteMarket, rho, pi) -> float:

@@ -171,14 +171,68 @@ class TestCheckNa1:
             basis = m.span.basis
             a = m.allowed.normals @ basis
             unbounded = False
+            radius = 0.0
             for i in range(m.n_assets):
                 for sign in (1.0, -1.0):
                     res = solve_lp(sign * basis[i], a_ub=a, b_ub=m.allowed.offsets, maximize=True)
                     if res.status == UNBOUNDED:
                         unbounded = True
+                    else:
+                        radius = max(radius, res.value)
             assert cert.holds == (not unbounded)
+            if cert.holds:
+                assert abs(cert.bound_radius - radius) <= 1e-9 * (1.0 + radius)
             both.add(cert.holds)
         assert both == {True, False}
+
+    def test_multipliers_certify_boundedness(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(60):
+            m = random_market_any(rng)
+            cert = check_na1(m)
+            if not cert.holds:
+                continue
+            basis = m.span.basis
+            lam = cert.multipliers
+            directions = np.vstack([basis, -basis])
+            assert lam.shape == (2 * m.n_assets, m.allowed.offsets.size)
+            assert np.all(lam >= 0.0)
+            assert np.max(np.abs(lam @ (m.allowed.normals @ basis) - directions)) <= 1e-7
+            assert cert.bound_radius == pytest.approx(np.max(lam @ m.allowed.offsets))
+            checked += 1
+        assert checked >= 20
+
+    def test_lp_count_and_cache(self, monkeypatch):
+        import na1lab.lp
+
+        calls = []
+        original = na1lab.lp.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(na1lab.lp, "linprog", counted)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = random_market_any(rng)
+            calls.clear()
+            cert = check_na1(m)
+            assert len(calls) <= 2
+            calls.clear()
+            assert check_na1(m) is cert
+            assert not calls
+            loose = check_na1(m, tol=1e-6)
+            assert loose is not cert and loose.threshold == 1e-6
+            assert loose.holds == cert.holds
+            assert 1 <= len(calls) <= 2
+            calls.clear()
+            assert check_na1(m, tol=1e-6) is loose
+            classical = find_classical_arbitrage(m)
+            assert len(calls) == 1
+            assert find_classical_arbitrage(m) is classical
+            assert len(calls) == 1
 
     def test_conic_constraints_collapse_to_classical(self):
         rng = np.random.default_rng(29)

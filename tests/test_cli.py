@@ -309,6 +309,25 @@ class TestAnalyzeCommand:
         assert report["esmm"] is None
         assert report["hedge"] is None
 
+    def test_bounded_arbitrage_keeps_na1_and_nulls_the_esmm(self, tmp_path):
+        # The asset never loses, but the box caps the position: a classical
+        # arbitrage that does not scale, so NA1 holds and no ESMM exists.
+        doc = {
+            "probs": [0.5, 0.5],
+            "returns": [[0.5], [0.0]],
+            "constraints": {
+                "halfspaces": [{"a": [-1.0], "b": 1.0}, {"a": [1.0], "b": 1.0}]
+            },
+            "claim": [1.0, 0.0],
+        }
+        rc, out = run_command(tmp_path, "analyze", doc)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["classical_arbitrage"]["verdict"] == "arbitrage_found"
+        assert report["na1"]["verdict"] == "na1_holds"
+        assert report["esmm"] is None
+        assert report["hedge"] is not None
+
     def test_tolerance_override_reaches_the_certificates(self, tmp_path):
         rc, out = run_command(
             tmp_path, "analyze", market_doc(), "--tol-lp", "5e-9"

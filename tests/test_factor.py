@@ -130,6 +130,41 @@ class TestFactorDistribution:
         )
         assert FactorDistribution.uniform(-1.0, 3.0).mean() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "dist, frozen",
+        [
+            (FactorDistribution.exponential(2.0, shift=-1.0), ("expon", {"loc": -1.0, "scale": 0.5})),
+            (FactorDistribution.lognormal(0.1, 0.4), ("lognorm", {"s": 0.4, "scale": math.exp(0.1)})),
+            (FactorDistribution.uniform(-1.0, 3.0), ("uniform", {"loc": -1.0, "scale": 4.0})),
+        ],
+    )
+    def test_closed_forms_match_scipy_stats(self, dist, frozen):
+        from scipy import stats
+
+        name, params = frozen
+        ref = getattr(stats, name)(**params)
+        levels = np.array([0.0, 1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0])
+        np.testing.assert_allclose(dist.quantile(levels), ref.ppf(levels), rtol=1e-12)
+        assert dist.mean() == pytest.approx(ref.mean(), rel=1e-12)
+        func = lambda y: 1.0 / (1.0 + 0.3 * abs(y))  # noqa: E731
+        assert dist.expectation(func) == pytest.approx(ref.expect(func), rel=1e-10)
+
+    def test_import_does_not_load_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+
+        import na1lab
+
+        src = os.path.dirname(os.path.dirname(na1lab.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, na1lab; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameterError):
             FactorDistribution.exponential(0.0)

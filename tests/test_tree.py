@@ -62,7 +62,35 @@ def path_to_root(tree, node_id):
 
 def enumerate_policies(tree, candidate_sets, u):
     """Best expected terminal utility over every combination of candidate
-    strategies, one pick per non-leaf node, by direct leaf-path simulation."""
+    strategies, one pick per non-leaf node, by direct leaf-path simulation.
+
+    All combinations are simulated at once: axis ``i`` of the wealth arrays
+    indexes the pick at the ``i``-th non-leaf node, and each leaf's wealth is
+    the product of its path's one-period growth factors, broadcast along the
+    axis of the node that chose each factor.
+    """
+    internal = tree.internal_ids()
+    menus = [np.atleast_2d(np.asarray(candidate_sets[n], dtype=float)) for n in internal]
+    axis = {n: i for i, n in enumerate(internal)}
+    shape = tuple(len(m) for m in menus)
+
+    def growth(parent, child):
+        factor = 1.0 + menus[axis[parent]] @ tree.edge_returns(child)
+        index = [1] * len(shape)
+        index[axis[parent]] = shape[axis[parent]]
+        return factor.reshape(index)
+
+    total = np.zeros(shape)
+    for leaf in tree.leaf_ids:
+        x = np.ones(shape)
+        for parent, child in path_to_root(tree, leaf):
+            x = x * growth(parent, child)
+        total = total + tree.path_probability(leaf) * u.value(x)
+    return float(total.max())
+
+
+def enumerate_policies_loop(tree, candidate_sets, u):
+    """One combination at a time; the reference for :func:`enumerate_policies`."""
     internal = tree.internal_ids()
     menus = [np.atleast_2d(np.asarray(candidate_sets[n], dtype=float)) for n in internal]
     best = -np.inf
@@ -377,6 +405,14 @@ class TestBackwardInductionSeparable:
             res = backward_induction(tree, u, candidates=menu)
             oracle = enumerate_policies(tree, menus, u)
             assert res.value == pytest.approx(oracle, abs=1e-10)
+
+    def test_vectorized_enumeration_matches_loop(self):
+        tree = iid_tree(two_state_market(), horizon=2)
+        rng = np.random.default_rng(5)
+        menus = {n: rng.uniform(-1.0, 1.0, size=(5, 1)) for n in tree.internal_ids()}
+        piecewise = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4, 1.0])
+        for u in (UtilitySpec.log(), UtilitySpec.power(-1.0), piecewise):
+            assert enumerate_policies(tree, menus, u) == enumerate_policies_loop(tree, menus, u)
 
     def test_enumeration_with_per_node_menus(self):
         tree = iid_tree(two_state_market(), horizon=2)
