@@ -19,11 +19,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.special import logsumexp
 
 from .errors import NumericError, InvalidParameterError, PreconditionError
-from .lp import INFEASIBLE, UNBOUNDED, require_optimal, solve_lp
+from .lp import INFEASIBLE, UNBOUNDED, cone_span, minimize_convex, require_optimal, solve_lp
 from .market import Cone, DiscreteMarket, generated_cone
 
 logger = logging.getLogger(__name__)
@@ -42,6 +41,10 @@ CERTIFICATE_SCALE = 100.0
 
 #: Expected-gain slack allowed for a supermartingale measure.
 SUPERMARTINGALE_TOL = 1e-8
+
+#: Residual at which the exponential-moment minimization stops; it bounds
+#: the expected-gain slack, with room for the certifying LP's own noise.
+MOMENT_TOL = 1e-2 * SUPERMARTINGALE_TOL
 
 #: Anything below this offset counts as a zero right-hand side.
 ZERO_OFFSET_TOL = 1e-12
@@ -361,128 +364,14 @@ def _witness_ray(market: DiscreteMarket, c_rows, tol: float) -> np.ndarray:
     return ray
 
 
-def _minimize_exponential_moment(weights, returns_r, cone_rows, grad_tol=1e-10):
-    """Minimize ``sum_w weights * exp(-1 - returns_r @ u)`` over the cone
-    ``{u : cone_rows @ u <= 0}`` by a log-barrier interior-point method.
-
-    Rows that the cone forces to equality are removed by restricting to their
-    common null space first, so the barrier always has a strictly feasible
-    region to work in.  Returns the minimizer ``u``.
-    """
-    n, r = returns_r.shape
-    m = cone_rows.shape[0]
-    if r == 0:
-        return np.zeros(0)
-    # split implicit equality rows from genuine inequality rows
-    eq_idx, ineq_idx = [], []
-    if m:
-        eye = np.eye(r)
-        a_rows = np.vstack([cone_rows, eye, -eye])
-        b_rows = np.concatenate([np.zeros(m), np.ones(2 * r)])
-        for i in range(m):
-            res = solve_lp(cone_rows[i], a_ub=a_rows, b_ub=b_rows)
-            require_optimal(res, "cone facet classification")
-            (eq_idx if res.value > -1e-9 else ineq_idx).append(i)
-    if eq_idx:
-        reduce_basis = null_space(cone_rows[eq_idx])
-        if reduce_basis.shape[1] == 0:
-            return np.zeros(r)
-    else:
-        reduce_basis = np.eye(r)
-    a = cone_rows[ineq_idx] @ reduce_basis if ineq_idx else np.zeros((0, reduce_basis.shape[1]))
-    mat = returns_r @ reduce_basis
-    s_dim = reduce_basis.shape[1]
-
-    def moment(w):
-        with np.errstate(over="ignore"):
-            e = weights * np.exp(-1.0 - mat @ w)
-        return e
-
-    def objective(w):
-        resid = a @ w
-        if np.any(resid >= 0) and a.shape[0]:
-            return np.inf, None
-        e = moment(w)
-        val = float(np.sum(e))
-        if not np.isfinite(val):
-            return np.inf, None
-        return val, -resid
-
-    # strictly feasible start
-    if a.shape[0]:
-        cost = np.zeros(s_dim + 1)
-        cost[-1] = 1.0
-        rows = np.hstack([a, np.ones((a.shape[0], 1))])
-        eye = np.eye(s_dim)
-        pad = np.zeros((2 * s_dim, 1))
-        rows = np.vstack([rows, np.hstack([eye, pad[:s_dim]]), np.hstack([-eye, pad[s_dim:]])])
-        rhs = np.concatenate([np.zeros(a.shape[0]), np.ones(2 * s_dim)])
-        res = solve_lp(cost, a_ub=rows, b_ub=rhs, bounds=[(None, None)] * s_dim + [(0, 2)], maximize=True)
-        require_optimal(res, "interior start for the exponential-moment problem")
-        if res.value <= 0:
-            raise NumericError("cone has no strict interior after facet reduction")
-        w = res.x[:-1]
-    else:
-        w = np.zeros(s_dim)
-
-    mu_schedule = [1.0 / 10**k for k in range(13)]
-    eps = float(np.finfo(float).eps)
-    for round_idx, mu in enumerate(mu_schedule):
-        if a.shape[0] == 0 and round_idx > 0:
-            break
-        inner_tol = grad_tol if round_idx == len(mu_schedule) - 1 or a.shape[0] == 0 else max(
-            grad_tol, mu * 1e-2
-        )
-        # A stalled inner loop falls through to the next barrier weight; the
-        # measure built from the final iterate is certified by an LP anyway.
-        for _ in range(200):
-            e = moment(w)
-            grad = -mat.T @ e
-            hess = mat.T @ (e[:, None] * mat)
-            if a.shape[0]:
-                slack = -(a @ w)
-                grad = grad + mu * (a / slack[:, None]).sum(axis=0)
-                hess = hess + mu * a.T @ (a / slack[:, None] ** 2)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= inner_tol:
-                break
-            ridge = 1e-13 * max(1.0, float(np.trace(hess)))
-            step = -np.linalg.solve(hess + ridge * np.eye(s_dim), grad)
-            descent = float(grad @ step)
-            if descent >= 0.0:
-                step = -grad
-                descent = -float(grad @ grad)
-            val0, _ = objective(w)
-            if a.shape[0]:
-                val0 -= mu * float(np.sum(np.log(slack)))
-            if abs(descent) <= 8.0 * eps * (1.0 + abs(val0)):
-                break  # predicted progress is below float resolution
-            t = 1.0
-            if a.shape[0]:
-                along = a @ step
-                hit = along > 1e-16
-                if np.any(hit):
-                    t = min(1.0, 0.99 * float(np.min(slack[hit] / along[hit])))
-            accepted = False
-            for _ in range(60):
-                cand = w + t * step
-                val, slack_cand = objective(cand)
-                if np.isfinite(val) and (a.shape[0] == 0 or slack_cand is not None):
-                    if a.shape[0]:
-                        val -= mu * float(np.sum(np.log(slack_cand)))
-                    if val <= val0 + 1e-4 * t * descent:
-                        w = cand
-                        accepted = True
-                        break
-                t *= 0.5
-            if not accepted:
-                break
-    return reduce_basis @ w
-
-
 def max_expected_gain(market: DiscreteMarket, probs) -> float:
-    """LP optimum of the expected gain under ``probs`` over the allowed
-    polyhedron intersected with the return span."""
+    """LP optimum of the weighted expected gain ``probs @ (R pi)`` over the
+    allowed polyhedron intersected with the return span; +inf when it is
+    unbounded.
+
+    The weights need not sum to one: the wealth-ratio and deflator checks
+    of :mod:`na1lab.portfolio` are this LP under deflated probabilities.
+    """
     basis = market.span.basis
     if basis.shape[1] == 0:
         return 0.0
@@ -491,39 +380,39 @@ def max_expected_gain(market: DiscreteMarket, probs) -> float:
     res = solve_lp(cost, a_ub=a_theta, b_ub=market.allowed.offsets, maximize=True)
     if res.status == UNBOUNDED:
         return float("inf")
-    require_optimal(res, "expected-gain verification")
+    require_optimal(res, "expected-gain LP")
     return float(res.value)
 
 
-def construct_esmm(market: DiscreteMarket, tol: float = SUPERMARTINGALE_TOL) -> Esmm:
+def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
     """Build an equivalent supermartingale measure for an arbitrage-free market.
 
-    The construction reweights states by ``exp(-|R|^2)``, minimizes the
+    ``tol`` is the gain tolerance of the classical-arbitrage search that
+    runs first, as in :func:`find_classical_arbitrage`.  The construction
+    reweights states by ``exp(-|R|^2)``, minimizes the logarithm of the
     exponential moment of wealth over the cone generated by the allowed
-    polyhedron, and normalizes ``p * exp(-wealth - |R|^2)`` at the minimizer.
-    The result is certified by an LP bounding the expected gain under the new
-    measure.
+    polyhedron with :func:`~na1lab.lp.minimize_convex`, and normalizes
+    ``p * exp(-wealth - |R|^2)`` at the minimizer.  The gradient of that
+    objective is minus the expected return under the new measure, so the
+    solver's residual bounds the expected-gain slack, which an LP then
+    certifies to be at most ``SUPERMARTINGALE_TOL``.
     """
-    cert = find_classical_arbitrage(market)
-    if cert.found:
+    if find_classical_arbitrage(market, tol).found:
         raise PreconditionError(
             "market admits a classical arbitrage; no supermartingale measure exists"
         )
     returns = market.returns
-    sq_norms = np.sum(returns * returns, axis=1)
-    log_aux = np.log(market.probs) - sq_norms
-    with np.errstate(under="ignore"):
-        weights = np.exp(log_aux - logsumexp(log_aux))
+    log_aux = np.log(market.probs) - np.sum(returns * returns, axis=1)
     basis = market.span.basis
-    if basis.shape[1] == 0:
-        strategy = np.zeros(market.n_assets)
-    else:
-        cone = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL)
-        cone_rows = cone.normals @ basis
-        u = _minimize_exponential_moment(weights, returns @ basis, cone_rows)
-        strategy = basis @ u
-    wealth_at_min = 1.0 + returns @ strategy
-    log_q = np.log(market.probs) - wealth_at_min - sq_norms
+    strategy = np.zeros(market.n_assets)
+    if basis.shape[1]:
+        na1 = check_na1(market, tol)
+        if not na1.holds:
+            raise NumericError("no classical arbitrage was found, but NA1 fails")
+        cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
+        diameter = 2.0 * np.sqrt(market.n_assets) * na1.bound_radius
+        strategy = basis @ _minimize_log_moment(log_aux, returns @ basis, cone_rows, diameter)
+    log_q = log_aux - returns @ strategy
     with np.errstate(under="ignore"):
         q = np.exp(log_q - logsumexp(log_q))
     # extreme states can underflow to exactly zero in double precision; the
@@ -531,10 +420,35 @@ def construct_esmm(market: DiscreteMarket, tol: float = SUPERMARTINGALE_TOL) -> 
     q = np.maximum(q, 1e-300)
     q = q / q.sum()
     slack = max_expected_gain(market, q)
-    if not slack <= tol:
+    if not slack <= SUPERMARTINGALE_TOL:
         raise NumericError(
             f"supermartingale verification failed: expected-gain slack {slack:.3e}"
         )
     logger.debug("esmm constructed: slack %.3e", slack)
-    return Esmm(measure=q, density=q / market.probs, strategy=strategy, slack=slack,
-                threshold=tol)
+    return Esmm(measure=q, density=q / market.probs, strategy=strategy, slack=slack)
+
+
+def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter):
+    """Minimize ``log sum exp(log_weights - returns_r @ u)`` over the cone
+    ``{u : cone_rows @ u <= 0}``.
+
+    The search runs in the span of the cone, where the rows that are not
+    implicit equalities have a strictly feasible point.
+    """
+    reduce_basis, start, strict = cone_span(cone_rows)
+    rows = cone_rows[strict] @ reduce_basis
+    mat = returns_r @ reduce_basis
+    # any positive multiple of a point inside a cone is inside; this one moves
+    # no state's wealth by more than one
+    start = start / max(float(np.max(np.abs(mat @ start), initial=0.0)), 1e-300)
+
+    def derivatives(z):
+        log_e = log_weights - mat @ z
+        q = np.exp(log_e - logsumexp(log_e))
+        mean = mat.T @ q
+        return -mean, mat.T @ (q[:, None] * mat) - np.outer(mean, mean)
+
+    result = minimize_convex(
+        derivatives, rows, np.zeros(rows.shape[0]), start, diameter, MOMENT_TOL
+    )
+    return reduce_basis @ result.x

@@ -127,7 +127,9 @@ def _run_analyze(config: RunConfig) -> dict:
     report["na1"] = na1.to_dict()
     # A supermartingale measure exists exactly when there is no classical
     # arbitrage; a bounded arbitrage leaves NA1 intact but the section null.
-    report["esmm"] = None if classical.found else construct_esmm(market).to_dict()
+    report["esmm"] = (
+        None if classical.found else construct_esmm(market, **_gain_tol(config)).to_dict()
+    )
     # Super-hedging prices are finite only without scalable arbitrage, so the
     # claim section stays null when the verdict above already failed.
     report["hedge"] = None
@@ -309,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-lp", type=float, default=None,
                         help="certificate gain tolerance override")
     parser.add_argument("--tol-opt", type=float, default=None,
-                        help="optimizer gradient tolerance override")
+                        help="optimizer stationarity-residual tolerance override")
     parser.add_argument("--seed", type=int, default=0,
                         help="recorded in the report for reproducibility")
     return parser

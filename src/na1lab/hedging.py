@@ -312,15 +312,13 @@ def indifference_price(
     def best_value(capital: float) -> float:
         specs = [u.compose_affine(capital, float(x)) for x in payoff]
         try:
-            return maximize_utility(market, specs, _skip_na1=True).value
+            return maximize_utility(market, specs).value
         except InfeasibleError:
             # No position keeps the utility argument positive at this
             # capital, so the achievable utility is minus infinity.
             return -math.inf
 
-    baseline = maximize_utility(
-        market, u.compose_affine(v, 0.0), _skip_na1=True
-    ).value
+    baseline = maximize_utility(market, u.compose_affine(v, 0.0)).value
     slack = PRICE_TOL * (1.0 + abs(baseline))
     lo, hi = 0.0, v * (1.0 - 1e-12)
     if best_value(v - lo) < baseline - slack:

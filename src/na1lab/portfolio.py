@@ -1,9 +1,10 @@
 """Expected-utility maximization, the growth-optimal strategy, and deflators.
 
-The optimizer is projected-gradient ascent over the allowed polyhedron
-intersected with the return span, with an active-set Newton polish once the
-optimal face has been identified.  Piecewise-linear utilities skip the
-gradient machinery entirely and go through one exact epigraph LP.
+Smooth utilities are maximized over the allowed polyhedron intersected with
+the return span by the package's one interior-point Newton method,
+:func:`~na1lab.lp.minimize_convex`, which stops on a bound for the
+certified quantity rather than on a step size.  Piecewise-linear utilities
+skip it entirely and go through one exact epigraph LP.
 """
 
 from __future__ import annotations
@@ -12,33 +13,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .arbitrage import check_na1
+from .arbitrage import ZERO_OFFSET_TOL, check_na1, max_expected_gain
 from .errors import (
     InfeasibleError,
     InvalidParameterError,
     NumericError,
     PreconditionError,
 )
-from .lp import UNBOUNDED, chebyshev_center, require_optimal, solve_lp
-from .market import DiscreteMarket, wealth
+from .lp import UNBOUNDED, chebyshev_center, cone_span, minimize_convex, require_optimal, solve_lp
+from .market import DiscreteMarket, generated_cone, wealth
 
-#: Wealth-argument floor used to keep log/power utilities finite during the
-#: search; the floor constraints that end up active are reported.
+#: The search starts with every utility argument at least this far above
+#: zero; states whose argument ends at or below it are reported.
 WEALTH_FLOOR = 1e-9
 
 #: Slack allowed by the wealth-ratio certification LP.
 NUMERAIRE_TOL = 1e-8
 
-#: Default projected-gradient termination tolerance.
+#: Default stationarity-residual tolerance of the optimizer.
 GRADIENT_TOL = 1e-8
 
-#: Hard cap on optimizer iterations.
-MAX_ITERATIONS = 10_000
-
-#: Projected-gradient norm below which the Newton polish is attempted.
-POLISH_TRIGGER = 1e-6
+#: A Chebyshev radius at or below this marks an allowed set that is flat
+#: within the coordinates searched (LP optima carry about this much noise).
+FLAT_RADIUS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,6 @@ class _UtilityEvaluator:
             )
         self.specs = specs
         self.piecewise = kinds == {"piecewise_linear"}
-        self.needs_positive_argument = not self.piecewise
         self.scales = np.array([s.scale for s in specs])
         self.shifts = np.array([s.shift for s in specs])
         self._homogeneous = all(s is specs[0] for s in specs)
@@ -229,10 +226,14 @@ class _UtilityEvaluator:
 class OptimalPortfolio:
     """Utility maximizer with solver telemetry.
 
-    ``gradient_norm`` is the final projected-gradient norm (zero by
-    convention when the exact LP path was used).  ``active_constraints`` are
-    indices of allowed-set rows tight at the solution, ``active_wealth_floors``
-    the states whose wealth argument sits at the search floor.
+    ``gradient_norm`` is the solver's final stationarity residual:
+    complementarity plus the KKT gradient residual times the diameter bound
+    of the allowed set (zero by convention when the exact LP path was used);
+    for log utility it bounds the wealth-ratio LP value minus one.
+    ``iterations`` counts Newton iterations.  ``active_constraints`` are
+    indices of allowed-set rows binding at the solution (multiplier above
+    slack), ``active_wealth_floors`` the states whose utility argument is at
+    most ``WEALTH_FLOOR``.
     """
 
     strategy: np.ndarray
@@ -269,279 +270,130 @@ class Deflator:
         }
 
 
-class _PolyhedronProjector:
-    """Euclidean projection onto ``{x : a x <= b}`` by primal active sets.
-
-    Keeps the last projection as a warm start; each call walks faces of the
-    polyhedron, so the per-call cost is a handful of tiny least-squares
-    solves plus vectorized ratio tests.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, interior_point: np.ndarray):
-        self.a = a
-        self.b = b
-        self.scale = 1.0 + np.abs(b)
-        self.last = interior_point
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        a, b = self.a, self.b
-        if a.shape[0] == 0 or np.all(a @ y - b <= 1e-13 * self.scale):
-            return y
-        x = self.last
-        work = set(np.nonzero(b - a @ x <= 1e-11 * self.scale)[0])
-        for _ in range(60 * (a.shape[0] + 1)):
-            rows = sorted(work)
-            if rows:
-                aw = a[rows]
-                mult, *_ = np.linalg.lstsq(aw @ aw.T, aw @ y - b[rows], rcond=None)
-                target = y - aw.T @ mult
-            else:
-                mult = np.zeros(0)
-                target = y
-            if np.linalg.norm(target - x) <= 1e-13 * (1.0 + np.linalg.norm(x)):
-                if mult.size == 0 or np.min(mult) >= -1e-11:
-                    self.last = target
-                    return target
-                work.discard(rows[int(np.argmin(mult))])
-                continue
-            d = target - x
-            along = a @ d
-            slack = b - a @ x
-            movable = along > 1e-14 * self.scale
-            if rows:
-                movable[rows] = False
-            t = 1.0
-            hit = None
-            if np.any(movable):
-                idx = np.nonzero(movable)[0]
-                ratios = slack[idx] / along[idx]
-                j = int(np.argmin(ratios))
-                if ratios[j] < t - 1e-15:
-                    t, hit = float(ratios[j]), int(idx[j])
-            x = x + max(t, 0.0) * d
-            if hit is None:
-                continue
-            work.add(hit)
-        raise NumericError("projection onto the constraint polyhedron did not converge")
-
-
-def _escalation_ray(market: DiscreteMarket):
-    """Unit recession direction of the allowed set (within the span) with
-    nonnegative gains, or None when no such direction exists."""
-    cert = check_na1(market)
-    return None if cert.holds else cert.witness_ray
-
-
 def maximize_utility(
     market: DiscreteMarket,
     u,
     tol: float = GRADIENT_TOL,
     *,
     x0=None,
-    max_iterations: int = MAX_ITERATIONS,
     divergence_bound: float | None = None,
-    _skip_na1: bool = False,
 ) -> OptimalPortfolio:
     """Maximize expected utility of final wealth over the allowed polyhedron.
 
     ``u`` is a single :class:`UtilitySpec` or one spec per state.  Smooth
-    utilities run projected-gradient ascent with Armijo backtracking and a
-    Newton polish on the active face, stopping when the projected-gradient
-    norm is at most ``tol`` times ``1 + |iterate|`` (optima far from the
-    origin carry proportional float noise); piecewise-linear utilities are
-    solved exactly by an epigraph LP.
+    utilities go through the interior-point Newton method of
+    :func:`~na1lab.lp.minimize_convex`, started at ``x0`` when it lies
+    strictly inside the allowed set and the utility's domain, else at the
+    Chebyshev center.  It stops once its stationarity residual (complementarity
+    plus the KKT gradient residual times the diameter of the allowed set,
+    ``2 sqrt(d)`` times the NA1 ``bound_radius``) is at most ``tol`` times
+    ``1 + |strategy|``; for log utility that residual bounds the wealth-ratio
+    LP value minus one.  Piecewise-linear utilities are solved exactly by an
+    epigraph LP.
 
     When scalable arbitrage exists the supremum is infinite, so the search
-    refuses to start; ``_skip_na1`` (tests only) disables that guard, and
-    ``divergence_bound`` then turns unboundedness into a
-    :class:`~na1lab.errors.NumericError` carrying the escalated objective
-    value and the best finite iterate.
+    refuses to start, unless ``divergence_bound`` is given: then the
+    objective is escalated along the NA1 certificate's witness ray, and a
+    :class:`~na1lab.errors.NumericError` carries the escalated value and the
+    best finite point.
     """
     evaluator = _UtilityEvaluator(u, market.n_states)
-    if not _skip_na1:
-        cert = check_na1(market)
-        if not cert.holds:
-            raise PreconditionError(
-                "scalable arbitrage exists, so expected utility has no maximizer; "
-                "remove the arbitrage or tighten the constraints"
-            )
-    basis = market.span.basis
+    cert = check_na1(market)
+    if not cert.holds and divergence_bound is None:
+        raise PreconditionError(
+            "scalable arbitrage exists, so expected utility has no maximizer; "
+            "remove the arbitrage or tighten the constraints"
+        )
     d = market.n_assets
-    r = basis.shape[1]
-    if r == 0:
+    if evaluator.piecewise and market.span.basis.shape[1]:
+        return _piecewise_optimum(market, evaluator, market.span.basis)
+    basis, start = _interior_start(market, evaluator, market.span.basis)
+    if basis.shape[1] == 0:
         value = float(market.probs @ evaluator.value(np.ones(market.n_states)))
         return OptimalPortfolio(np.zeros(d), value, 0.0, 0)
 
     returns_r = market.returns @ basis
-    rows = [market.allowed.normals @ basis]
-    rhs = [market.allowed.offsets]
-    n_theta = rows[0].shape[0]
-    if evaluator.needs_positive_argument:
-        # scale * (1 + gain) + shift >= floor, one row per state, divided by
-        # the positive scale so tiny scales cannot sink the coefficients
-        # below the LP solver's drop tolerance.
-        rows.append(-returns_r)
-        rhs.append(1.0 + (evaluator.shifts - WEALTH_FLOOR) / evaluator.scales)
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
+    normals = market.allowed.normals
+    # after a flat set is reduced, its implicit equalities vanish on the
+    # searched coordinates (0 <= 0) and hold everywhere there
+    rows = np.nonzero(
+        np.linalg.norm(normals @ basis, axis=1) > 1e-12 * np.linalg.norm(normals, axis=1)
+    )[0]
+    a = normals[rows] @ basis
+    b = market.allowed.offsets[rows]
+    g = -returns_r
+    h = 1.0 + evaluator.shifts / evaluator.scales
+    if x0 is not None:
+        v0 = basis.T @ np.asarray(x0, dtype=float)
+        if np.all(a @ v0 < b) and np.all(g @ v0 < h):
+            start = v0
+    if not cert.holds:
+        _escalate_along_ray(
+            market, basis, returns_r, evaluator, start, cert.witness_ray, divergence_bound
+        )
 
-    if evaluator.piecewise:
-        return _piecewise_optimum(market, evaluator, basis, returns_r, a, b)
+    probs = market.probs
 
+    def derivatives(v):
+        w = 1.0 + returns_r @ v
+        curvature = probs * evaluator.second_derivative(w)
+        return (
+            -(returns_r.T @ (probs * evaluator.derivative(w))),
+            -(returns_r.T @ (curvature[:, None] * returns_r)),
+        )
+
+    diameter = 2.0 * math.sqrt(d) * cert.bound_radius
+    result = minimize_convex(derivatives, a, b, start, diameter, tol, domain=(g, h))
+    u_opt = result.x
+    value = float(probs @ evaluator.value(1.0 + returns_r @ u_opt))
+    if result.residual > tol * (1.0 + float(np.linalg.norm(u_opt))):
+        raise NumericError(
+            f"utility maximization stalled at stationarity residual {result.residual:.3e}",
+            best=basis @ u_opt,
+            value=value,
+        )
+    active_theta = tuple(int(i) for i in rows[result.multipliers > b - a @ u_opt])
+    arguments = evaluator.scales * (1.0 + returns_r @ u_opt) + evaluator.shifts
+    active_floor = tuple(int(i) for i in np.nonzero(arguments <= WEALTH_FLOOR)[0])
+    return OptimalPortfolio(
+        basis @ u_opt, value, result.residual, result.iterations, active_theta, active_floor
+    )
+
+
+def _interior_start(market, evaluator, basis):
+    """Coordinates in which the allowed set has an interior, and its
+    Chebyshev center there with every utility argument at least
+    ``WEALTH_FLOOR``.
+
+    The utility argument ``scale * (1 + gain) + shift`` must stay positive:
+    ``g u < h`` with ``g = -R`` and ``h = 1 + shift / scale``, divided by the
+    positive scale so tiny scales cannot sink the coefficients below the LP
+    solver's drop tolerance.  When no strategy is strictly inside every
+    allowed row, the set is flat within ``basis``, and the coordinates shrink
+    to the span of its generated cone.  Returns ``(basis, center)``.
+    """
+    r = basis.shape[1]
+    if r == 0:
+        return basis, np.zeros(0)
+    a = market.allowed.normals @ basis
+    g = -(market.returns @ basis)
+    h = 1.0 + evaluator.shifts / evaluator.scales
     try:
-        center, _ = chebyshev_center(a, b, r)
+        center, radius = chebyshev_center(
+            np.vstack([a, g]),
+            np.concatenate([market.allowed.offsets, h - WEALTH_FLOOR / evaluator.scales]),
+            r,
+        )
     except InfeasibleError:
         raise InfeasibleError(
             "no allowed strategy keeps every state's utility argument positive"
         ) from None
-    project = _PolyhedronProjector(a, b, center)
-    u_cur = project(basis.T @ np.asarray(x0, dtype=float) if x0 is not None else center)
-
-    def value_at(v):
-        return float(market.probs @ evaluator.value(1.0 + returns_r @ v))
-
-    def gradient_at(v):
-        w = 1.0 + returns_r @ v
-        return returns_r.T @ (market.probs * evaluator.derivative(w))
-
-    val_cur = value_at(u_cur)
-    step = 1.0
-    iterations = 0
-    gm_norm = math.inf
-    stalled = False
-    for _ in range(max_iterations):
-        iterations += 1
-        if divergence_bound is not None and val_cur > divergence_bound:
-            raise NumericError(
-                "objective escalated past the divergence bound; the market "
-                "admits scalable arbitrage",
-                best=basis @ u_cur,
-                value=val_cur,
-            )
-        grad = gradient_at(u_cur)
-        gm = project(u_cur + grad) - u_cur
-        gm_norm = float(np.linalg.norm(gm))
-        stop_at = tol * (1.0 + float(np.linalg.norm(u_cur)))
-        if gm_norm <= max(stop_at, POLISH_TRIGGER):
-            u_cur, val_cur, polish_its = _polish_face(
-                u_cur, a, b, returns_r, market.probs, evaluator, value_at, gradient_at, tol
-            )
-            iterations += polish_its
-            grad = gradient_at(u_cur)
-            gm_norm = float(np.linalg.norm(project(u_cur + grad) - u_cur))
-            if gm_norm <= tol * (1.0 + float(np.linalg.norm(u_cur))):
-                break
-        step = min(step * 2.0, 1e12)
-        t = step
-        accepted = False
-        for _ in range(90):
-            cand = project(u_cur + t * grad)
-            predicted = float(grad @ (cand - u_cur))
-            val_cand = value_at(cand)
-            if predicted > 0 and val_cand >= val_cur + 1e-4 * predicted:
-                u_cur, val_cur, step = cand, val_cand, t
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            stalled = True
-            break
-        if iterations % 40 == 0:
-            # Gradient steps crawl along narrow feasible valleys (thousands of
-            # tiny accepted steps); a periodic active-set Newton pass crosses
-            # them in a few jumps and never hurts, being monotone.
-            u_cur, val_cur, polish_its = _polish_face(
-                u_cur, a, b, returns_r, market.probs, evaluator, value_at, gradient_at, tol
-            )
-            iterations += polish_its
-    if divergence_bound is not None:
-        # A vanishing projected gradient is not evidence of a maximizer when
-        # the allowed set is unbounded (log flattens along recession rays),
-        # so divergence detection always hunts for a scalable direction.
-        ray = _escalation_ray(market)
-        if ray is not None:
-            _escalate_along_ray(
-                market, basis, returns_r, evaluator, u_cur, ray, divergence_bound
-            )
-    if gm_norm > tol * (1.0 + float(np.linalg.norm(u_cur))):
-        reason = "stalled" if stalled else "hit the iteration cap"
-        raise NumericError(
-            f"utility maximization {reason} at projected-gradient norm {gm_norm:.3e}",
-            best=basis @ u_cur,
-            value=val_cur,
-        )
-    strategy = basis @ u_cur
-    resid = b - a @ u_cur
-    tight = np.nonzero(resid <= 1e-9 * (1.0 + np.abs(b)))[0]
-    active_theta = tuple(int(i) for i in tight if i < n_theta)
-    active_floor = tuple(int(i - n_theta) for i in tight if i >= n_theta)
-    return OptimalPortfolio(strategy, val_cur, gm_norm, iterations, active_theta, active_floor)
-
-
-def _polish_face(u_cur, a, b, returns_r, probs, evaluator, value_at, gradient_at, tol):
-    """Newton steps restricted to the face of active rows, with ratio-test
-    clipping; returns the improved point, its value, and the step count."""
-    val_cur = value_at(u_cur)
-    its = 0
-    for _ in range(40):
-        its += 1
-        resid = b - a @ u_cur
-        act = np.nonzero(resid <= 1e-9 * (1.0 + np.abs(b)))[0]
-        tangent = null_space(a[act]) if act.size else np.eye(u_cur.size)
-        if tangent.shape[1] == 0:
-            break
-        grad = gradient_at(u_cur)
-        w = 1.0 + returns_r @ u_cur
-        curv = probs * evaluator.second_derivative(w)
-        hess = returns_r.T @ (curv[:, None] * returns_r)
-        gz = tangent.T @ grad
-        hz = tangent.T @ hess @ tangent
-        try:
-            stepz = np.linalg.solve(hz, -gz)
-        except np.linalg.LinAlgError:
-            break
-        d = tangent @ stepz
-        if float(grad @ d) <= 0:
-            break
-        along = a @ d
-        slack = b - a @ u_cur
-        free = np.ones(a.shape[0], dtype=bool)
-        free[act] = False
-        blocking = free & (along > 1e-14)
-        t_max = 1.0
-        if np.any(blocking):
-            t_max = min(1.0, float(np.min(slack[blocking] / along[blocking])))
-        t = t_max
-        improved = False
-        full = u_cur + t_max * d
-        full_val = value_at(full)
-        if (
-            math.isfinite(full_val)
-            and full_val >= val_cur - 1e-12 * (1.0 + abs(val_cur))
-            and float(np.linalg.norm(tangent.T @ gradient_at(full)))
-            < 0.5 * float(np.linalg.norm(gz))
-        ):
-            # Near the optimum the value increments sink below float
-            # resolution while the gradient still has headroom, so value
-            # backtracking would crawl; take the full step on Newton's own
-            # criterion, a sharp drop of the tangent gradient, letting the
-            # value move within noise.
-            u_cur, val_cur = full, full_val
-            improved = True
-        else:
-            for _ in range(50):
-                cand = u_cur + t * d
-                val = value_at(cand)
-                if math.isfinite(val) and val >= val_cur:
-                    u_cur, val_cur = cand, val
-                    improved = True
-                    break
-                t *= 0.5
-        if not improved:
-            break
-        if np.linalg.norm(t * d) <= 1e-15 * (1.0 + np.linalg.norm(u_cur)):
-            break
-    return u_cur, val_cur, its
+    if radius <= FLAT_RADIUS:
+        cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
+        span = cone_span(cone_rows)[0]
+        if span.shape[1] < r:
+            return _interior_start(market, evaluator, basis @ span)
+    return basis, center
 
 
 def _escalate_along_ray(market, basis, returns_r, evaluator, u_cur, ray, bound):
@@ -583,8 +435,11 @@ def _escalate_along_ray(market, basis, returns_r, evaluator, u_cur, ray, bound):
     )
 
 
-def _piecewise_optimum(market, evaluator, basis, returns_r, a, b):
+def _piecewise_optimum(market, evaluator, basis):
     """Exact epigraph LP for concave piecewise-linear utilities."""
+    returns_r = market.returns @ basis
+    a = market.allowed.normals @ basis
+    b = market.allowed.offsets
     n, r = returns_r.shape
     rows = []
     rhs = []
@@ -657,21 +512,8 @@ def verify_numeraire(market: DiscreteMarket, rho) -> float:
     w_rho = wealth(market, rho)
     if np.any(w_rho <= 0):
         raise InvalidParameterError("candidate strategy has nonpositive wealth in some state")
-    basis = market.span.basis
-    if basis.shape[1] == 0:
-        return 1.0
     weights = market.probs / w_rho
-    cost = weights @ (market.returns @ basis)
-    res = solve_lp(
-        cost,
-        a_ub=market.allowed.normals @ basis,
-        b_ub=market.allowed.offsets,
-        maximize=True,
-    )
-    if res.status == UNBOUNDED:
-        return math.inf
-    require_optimal(res, "wealth-ratio verification")
-    return float(np.sum(weights) + res.value)
+    return float(np.sum(weights) + max_expected_gain(market, weights))
 
 
 def verify_deflator(market: DiscreteMarket, values) -> float:
@@ -679,21 +521,8 @@ def verify_deflator(market: DiscreteMarket, values) -> float:
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != market.n_states or np.any(values <= 0):
         raise InvalidParameterError("deflator values must be positive, one per state")
-    basis = market.span.basis
     weighted = market.probs * values
-    if basis.shape[1] == 0:
-        return float(np.sum(weighted))
-    cost = weighted @ (market.returns @ basis)
-    res = solve_lp(
-        cost,
-        a_ub=market.allowed.normals @ basis,
-        b_ub=market.allowed.offsets,
-        maximize=True,
-    )
-    if res.status == UNBOUNDED:
-        return math.inf
-    require_optimal(res, "deflator verification")
-    return float(np.sum(weighted) + res.value)
+    return float(np.sum(weighted) + max_expected_gain(market, weighted))
 
 
 def deflator_from_numeraire(market: DiscreteMarket, rho) -> Deflator:

@@ -338,6 +338,23 @@ class TestAnalyzeCommand:
         assert report["na1"]["threshold"] == pytest.approx(5e-9)
         assert report["tolerances"]["lp"] == pytest.approx(5e-9)
 
+    def test_gain_tolerance_reaches_the_esmm(self, tmp_path):
+        # The best expected gain, 5e-9, is an arbitrage at the default
+        # tolerance but not at --tol-lp 1e-8; the ESMM's own classical search
+        # must use the same tolerance as the reported one.
+        doc = {
+            "probs": [0.5, 0.5],
+            "returns": [[1e-8], [0.0]],
+            "constraints": {
+                "halfspaces": [{"a": [1.0], "b": 1.0}, {"a": [-1.0], "b": 1.0}]
+            },
+        }
+        rc, out = run_command(tmp_path, "analyze", doc, "--tol-lp", "1e-8")
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["classical_arbitrage"]["verdict"] == "no_arbitrage"
+        assert report["esmm"]["slack"] <= 1e-8
+
 
 class TestNumeraireCommand:
     def test_report_carries_certified_growth_portfolio(self, tmp_path):

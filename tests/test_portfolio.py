@@ -15,6 +15,7 @@ from na1lab.errors import (
     NumericError,
     PreconditionError,
 )
+from na1lab.market import ConstraintSet
 from na1lab.portfolio import (
     Deflator,
     UtilitySpec,
@@ -151,6 +152,23 @@ class TestMaximizeUtility:
         assert np.allclose(opt.strategy, 0.0)
         assert opt.gradient_norm == 0.0
 
+    def test_flat_allowed_set(self):
+        # Opposite halfspaces pin the first asset to zero, so the allowed set
+        # is a segment of the plane: the one-asset problem in the second.
+        returns, probs = [-0.5, 0.8], [0.4, 0.6]
+        oracle = one_asset_log_optimum(interval_market(returns, probs=probs), 0.0, 1.0)
+        pinned = make_market(
+            [[0.2, returns[0]], [-0.1, returns[1]]],
+            probs,
+            ConstraintSet(
+                2,
+                np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]]),
+                np.array([0.0, 0.0, 0.0, 1.0]),
+            ),
+        )
+        opt = maximize_utility(pinned, UtilitySpec.log(), tol=1e-10)
+        assert np.allclose(opt.strategy, [0.0, oracle], atol=1e-8)
+
     def test_strategy_stays_allowed_and_in_span(self):
         rng = np.random.default_rng(7)
         for _ in range(15):
@@ -223,9 +241,7 @@ class TestMaximizeUtility:
     def test_divergence_detection_log(self):
         m = two_factor_atom_market(1.5, 1.0)
         with pytest.raises(NumericError) as exc:
-            maximize_utility(
-                m, UtilitySpec.log(), _skip_na1=True, divergence_bound=1e3
-            )
+            maximize_utility(m, UtilitySpec.log(), divergence_bound=1e3)
         assert exc.value.value > 1e3
         assert exc.value.best is not None
         assert np.all(np.isfinite(exc.value.best))
@@ -233,9 +249,7 @@ class TestMaximizeUtility:
     def test_divergence_detection_power_crosses_finitely(self):
         m = two_factor_atom_market(1.5, 1.0)
         with pytest.raises(NumericError) as exc:
-            maximize_utility(
-                m, UtilitySpec.power(0.5), _skip_na1=True, divergence_bound=1e3
-            )
+            maximize_utility(m, UtilitySpec.power(0.5), divergence_bound=1e3)
         assert 1e3 < exc.value.value < np.inf
 
     def test_state_dependent_shifts_match_bisection(self):
