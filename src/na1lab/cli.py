@@ -62,7 +62,6 @@ from .portfolio import (
 )
 from .tree import (
     backward_induction,
-    default_wealth_grid,
     global_na1,
     numeraire_process,
     superhedge_tree,
@@ -142,9 +141,10 @@ def _run_numeraire(config: RunConfig) -> dict:
     market, _ = docio.parse_market(docio.load_document(config.input_path))
     if config.tol_opt is None:
         opt = numeraire_portfolio(market)
+        deflator = opt.deflator
     else:
         opt = maximize_utility(market, UtilitySpec.log(), tol=config.tol_opt)
-    deflator = deflator_from_numeraire(market, opt.strategy)
+        deflator = deflator_from_numeraire(market, opt.strategy)
     report = _config_echo(config)
     report["market"] = _market_summary(market)
     report["portfolio"] = opt.to_dict()
@@ -247,10 +247,7 @@ def _run_tree(config: RunConfig) -> dict:
     if claim is not None:
         report["hedge"] = superhedge_tree(tree, claim).to_dict()
     if utility is not None:
-        grid = None
-        if utility.kind == "piecewise_linear":
-            grid = default_wealth_grid(tree)
-        result = backward_induction(tree, utility, grid=grid)
+        result = backward_induction(tree, utility)
         report["optimal"] = {
             "value": result.value,
             "policy": _policy_section(result.policy),

@@ -96,6 +96,7 @@ def solve_lp(
     if res.status == 4:
         # HiGHS presolve occasionally gives up with "model_status Unknown" on
         # well-posed inputs; the plain solve handles those.
+        logger.debug("LP status 4 (%s); retrying with presolve off", res.message)
         res = linprog(
             sign * cost / scale,
             A_ub=a_ub,

@@ -10,7 +10,7 @@ skip it entirely and go through one exact epigraph LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,9 @@ NUMERAIRE_TOL = 1e-8
 
 #: Default stationarity-residual tolerance of the optimizer.
 GRADIENT_TOL = 1e-8
+
+#: Stationarity-residual tolerance of the growth-optimal (numeraire) solve.
+NUMERAIRE_GRADIENT_TOL = 1e-10
 
 #: A Chebyshev radius at or below this marks an allowed set that is flat
 #: within the coordinates searched (LP optima carry about this much noise).
@@ -233,7 +236,9 @@ class OptimalPortfolio:
     ``iterations`` counts Newton iterations.  ``active_constraints`` are
     indices of allowed-set rows binding at the solution (multiplier above
     slack), ``active_wealth_floors`` the states whose utility argument is at
-    most ``WEALTH_FLOOR``.
+    most ``WEALTH_FLOOR``.  ``deflator`` is set by ``numeraire_portfolio``:
+    the deflator the certified numeraire induces, with its wealth-ratio LP
+    optimum as certificate.
     """
 
     strategy: np.ndarray
@@ -242,6 +247,7 @@ class OptimalPortfolio:
     iterations: int
     active_constraints: tuple[int, ...] = ()
     active_wealth_floors: tuple[int, ...] = ()
+    deflator: Deflator | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -488,15 +494,15 @@ def numeraire_portfolio(market: DiscreteMarket) -> OptimalPortfolio:
 
     Maximizes expected log wealth to tolerance 1e-10, then checks that no
     allowed strategy's expected wealth ratio against it exceeds 1 + 1e-8.
+    That LP is also the certificate of the induced deflator, which the
+    result carries as ``deflator``.
     """
-    opt = maximize_utility(market, UtilitySpec.log(), tol=1e-10)
-    lp_value = verify_numeraire(market, opt.strategy)
-    if lp_value > 1.0 + NUMERAIRE_TOL:
-        raise NumericError(
-            f"wealth-ratio certification failed: LP optimum {lp_value:.12g} "
-            f"exceeds 1 + {NUMERAIRE_TOL:g}"
-        )
-    return opt
+    opt = maximize_utility(market, UtilitySpec.log(), tol=NUMERAIRE_GRADIENT_TOL)
+    try:
+        deflator = deflator_from_numeraire(market, opt.strategy)
+    except PreconditionError as exc:
+        raise NumericError(f"wealth-ratio certification failed: {exc}") from exc
+    return replace(opt, deflator=deflator)
 
 
 def verify_numeraire(market: DiscreteMarket, rho) -> float:

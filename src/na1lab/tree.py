@@ -8,11 +8,12 @@ node markets:
 
 * no-scalable-arbitrage holds globally exactly when it holds at every node
   (``global_na1``),
-* expected-utility maximization propagates backward through the tree; for
-  log and power utilities the value function separates into a per-node
-  constant plus (or times) the running wealth term, so the dynamic program
-  solves one wealth-independent problem per node and is exact
-  (``backward_induction``),
+* expected-utility maximization is exact (``backward_induction``): for log
+  and power utilities the value function separates into a per-node constant
+  plus (or times) the running wealth term, so a backward pass solves one
+  wealth-independent problem per node; for concave piecewise-linear
+  utilities the whole tree is one LP over node wealths and money positions
+  (the scenario-tree deterministic equivalent),
 * the wealth process of the per-node log optima prices everything: its
   reciprocal is a positive process that turns every allowed wealth process
   into a supermartingale, certified node-by-node with small LPs
@@ -20,9 +21,8 @@ node markets:
 * cheapest super-replication composes backward, one homogenized hedging LP
   per node (``superhedge_tree``).
 
-General concave utilities do not separate; for those the value function is
-tabulated on a caller-supplied wealth grid with a concave piecewise-linear
-interpolant (see ``backward_induction`` and ``default_wealth_grid``).
+Each node market is built once and held on the tree (``node_market``), so
+the certificates cached on it, NA1 first of all, serve every later question.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import numpy as np
 
 from .arbitrage import check_na1
 from .errors import InvalidParameterError, NumericError, PreconditionError
-from .hedging import Claim, superhedge
+from .hedging import Claim, _homogenized_rows, superhedge
 from .lp import require_optimal, solve_lp
 from .market import ConstraintSet, DiscreteMarket
-from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio, verify_deflator
+from .portfolio import NUMERAIRE_GRADIENT_TOL, UtilitySpec, maximize_utility, verify_deflator
 
 #: Membership slack for recorded strategies (constraints and span).
 POLICY_TOL = 1e-9
@@ -48,6 +48,10 @@ DEFLATOR_SLACK_TOL = 1e-8
 
 #: Children probabilities at a node must sum to one within this.
 PROB_TOL = 1e-9
+
+#: Allowed relative gap between the piecewise-utility tree LP optimum and the
+#: expected utility recomputed from its policy.
+VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,7 @@ class ScenarioTree:
         object.__setattr__(self, "_horizon", horizon)
         object.__setattr__(self, "_n_assets", n_assets)
         object.__setattr__(self, "_bfs", tuple(bfs))
+        object.__setattr__(self, "_markets", {})
 
     @property
     def root_id(self):
@@ -253,14 +258,21 @@ def node_market(tree: ScenarioTree, node_id) -> DiscreteMarket:
     """One-period market seen standing at a non-leaf node.
 
     States are the node's children with their branch probabilities and edge
-    returns; the constraint set is the node's own.
+    returns; the constraint set is the node's own.  The market is built once
+    per node and held on the tree, so the certificates cached on it are
+    shared by every tree operation.
     """
-    kids = tree.children(node_id)
-    if not kids:
-        raise InvalidParameterError(f"node {node_id!r} is a leaf; it has no market")
-    probs = np.array([float(tree.node(k).prob) for k in kids])
-    returns = np.vstack([tree.edge_returns(k) for k in kids])
-    return DiscreteMarket(probs, returns, tree.constraints[node_id])
+    market = tree._markets.get(node_id)
+    if market is None:
+        kids = tree.children(node_id)
+        if not kids:
+            raise InvalidParameterError(f"node {node_id!r} is a leaf; it has no market")
+        probs = np.array([float(tree.node(k).prob) for k in kids])
+        returns = np.vstack([tree.edge_returns(k) for k in kids])
+        market = tree._markets[node_id] = DiscreteMarket(
+            probs, returns, tree.constraints[node_id]
+        )
+    return market
 
 
 def iid_tree(market: DiscreteMarket, horizon: int, root_id: str = "root") -> ScenarioTree:
@@ -438,7 +450,9 @@ class BackwardInductionResult:
     For log utility ``node_values[n]`` is the additive continuation constant
     (the value at node ``n`` with unit wealth); for power utility it is the
     multiplicative one (``value = node_values[n] * x**gamma / gamma``); for
-    grid-based runs it is the value table on the wealth grid.
+    piecewise-linear utilities it is the conditional expected terminal
+    utility from node ``n`` at the wealth the optimal policy reaches there.
+    Every result is exact: ``diagnostics`` is ``{"utility_form", "exact"}``.
     """
 
     value: float
@@ -500,8 +514,10 @@ def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionRe
         chosen = _node_candidates(candidates, node_id)
         try:
             if chosen is None:
-                tilted = DiscreteMarket(weights, market.returns, market.constraints)
-                opt = maximize_utility(tilted, base)
+                target = market
+                if not is_log:
+                    target = DiscreteMarket(weights, market.returns, market.constraints)
+                opt = maximize_utility(target, base)
                 strategy, value = opt.strategy, opt.value
             else:
                 chosen = _feasible_candidates(market, chosen, node_id)
@@ -528,147 +544,98 @@ def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionRe
     )
 
 
-def _concave_hull_pieces(xs: np.ndarray, ys: np.ndarray):
-    """Upper concave hull of the points as (slope, intercept) pieces.
+def _piecewise_backward(tree, u: UtilitySpec) -> BackwardInductionResult:
+    """One exact LP over the whole tree for concave piecewise-linear utilities.
 
-    Also returns the largest upward adjustment the hull applies to any input
-    point (a measure of how non-concave the tabulated data was).
+    The scenario-tree deterministic equivalent (Birge & Louveaux,
+    *Introduction to Stochastic Programming*): node wealths ``X_n >= 0`` with
+    ``X_root = 1``, money positions ``y_n`` in span coordinates of each
+    non-leaf node's market and one epigraph variable ``t`` per leaf, subject
+    to ``X_child = X_parent + R_child . y_parent``, the homogenized
+    constraints ``A_n y_n <= X_n b_n`` and ``t <= c_j X_leaf + d_j`` for every
+    piece of ``u``; the objective is the path-probability-weighted sum of the
+    ``t``.  The strategy at a node is ``y_n / X_n``.  The policy is then
+    validated, its wealth recomputed, and its expected utility must match the
+    LP optimum.
     """
-    hull = [(xs[0], ys[0])]
-    for x, y in zip(xs[1:], ys[1:]):
-        hull.append((x, y))
-        while len(hull) >= 3:
-            (x0, y0), (x1, y1), (x2, y2) = hull[-3:]
-            if (y1 - y0) / (x1 - x0) < (y2 - y1) / (x2 - x1) - 1e-15:
-                del hull[-2]
-            else:
-                break
-    pieces = []
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        slope = (y1 - y0) / (x1 - x0)
-        pieces.append((slope, y0 - slope * x0))
-    hull_at = np.array([[m * x + b for m, b in pieces] for x in xs]).min(axis=1)
-    repair = float(np.max(hull_at - ys, initial=0.0))
-    return pieces, repair
+    bfs = tree.bfs_ids()
+    internal = tree.internal_ids()
+    leaves = tree.leaf_ids
+    bases = {n: node_market(tree, n).span.basis for n in internal}
+    x_col = {n: i for i, n in enumerate(bfs)}
+    y_cols, width = {}, len(bfs)
+    for n in internal:
+        y_cols[n] = slice(width, width + bases[n].shape[1])
+        width += bases[n].shape[1]
+    t_col = {leaf: width + i for i, leaf in enumerate(leaves)}
+    width += len(leaves)
 
-
-def _hull_value(pieces, x: float) -> float:
-    return min(m * x + b for m, b in pieces)
-
-
-def _grid_node_problem(market, x, child_pieces, probs):
-    """One epigraph LP: best expected continuation at entering wealth ``x``.
-
-    Variables are the strategy followed by one continuation value per child;
-    each continuation value is pushed down onto every hull piece of that
-    child's tabulated value function, evaluated at next-period wealth.
-    """
-    d = market.n_assets
-    n = len(child_pieces)
-    allowed = market.allowed
-    rows, rhs = [], []
-    for c, pieces in enumerate(child_pieces):
-        returns_c = market.returns[c]
-        for slope, intercept in pieces:
-            row = np.zeros(d + n)
-            row[:d] = -slope * x * returns_c
-            row[d + c] = 1.0
-            rows.append(row)
-            rhs.append(slope * x + intercept)
-    theta = np.zeros((allowed.normals.shape[0], d + n))
-    theta[:, :d] = allowed.normals
-    a_ub = np.vstack([np.vstack(rows), theta])
-    b_ub = np.concatenate([np.asarray(rhs, dtype=float), allowed.offsets])
-    cost = np.concatenate([np.zeros(d), probs])
-    res = require_optimal(
-        solve_lp(cost, a_ub=a_ub, b_ub=b_ub, maximize=True),
-        "wealth-grid step",
+    a_eq = np.zeros((len(bfs) - 1, width))
+    for row, n in enumerate(bfs[1:]):
+        parent = tree.node(n).parent
+        a_eq[row, x_col[n]] = 1.0
+        a_eq[row, x_col[parent]] = -1.0
+        a_eq[row, y_cols[parent]] = -(tree.edge_returns(n) @ bases[parent])
+    blocks, rhs = [], []
+    for n in internal:
+        homogenized = _homogenized_rows(node_market(tree, n), extra=0)[0]
+        block = np.zeros((len(homogenized), width))
+        block[:, x_col[n]] = homogenized[:, 0]
+        block[:, y_cols[n]] = homogenized[:, 1:] @ bases[n]
+        blocks.append(block)
+        rhs.append(np.zeros(len(block)))
+    pieces = u.pieces()
+    cost = np.zeros(width)
+    for leaf in leaves:
+        block = np.zeros((len(pieces), width))
+        block[:, t_col[leaf]] = 1.0
+        block[:, x_col[leaf]] = -pieces[:, 0]
+        blocks.append(block)
+        rhs.append(pieces[:, 1])
+        cost[t_col[leaf]] = tree.path_probability(leaf)
+    bounds = [(0.0, None)] * len(bfs) + [(None, None)] * (width - len(bfs))
+    bounds[x_col[tree.root_id]] = (1.0, 1.0)
+    res = solve_lp(
+        cost,
+        a_ub=np.vstack(blocks),
+        b_ub=np.concatenate(rhs),
+        a_eq=a_eq,
+        b_eq=np.zeros(len(bfs) - 1),
+        bounds=bounds,
+        maximize=True,
     )
-    return res.x[:d], float(res.value)
+    require_optimal(res, "piecewise-utility tree LP")
 
-
-def _grid_backward(tree, u: UtilitySpec, grid, candidates) -> BackwardInductionResult:
-    """Tabulated DP for utilities with no separable structure."""
-    grid = np.asarray(grid, dtype=float).reshape(-1)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise InvalidParameterError("the wealth grid must be increasing with >= 2 points")
-    leaf_table = np.asarray(u.value(grid), dtype=float)
-    if not np.all(np.isfinite(leaf_table)):
-        raise InvalidParameterError(
-            "the utility is not finite on the whole wealth grid; restrict the "
-            "grid to the utility's domain"
-        )
-    tables: dict = {leaf: leaf_table for leaf in tree.leaf_ids}
-    leaf_pieces, leaf_repair = _concave_hull_pieces(grid, leaf_table)
-    pieces: dict = {leaf: leaf_pieces for leaf in tree.leaf_ids}
-    repairs = [leaf_repair]
-    strategies_by_x: dict = {}
-    for node_id in reversed(tree.internal_ids()):
-        market = node_market(tree, node_id)
-        child_pieces = [pieces[k] for k in tree.children(node_id)]
-        chosen = _node_candidates(candidates, node_id)
-        if chosen is not None:
-            chosen = _feasible_candidates(market, chosen, node_id)
-        values = np.empty(grid.size)
-        best_pis = []
-        for i, x in enumerate(grid):
-            try:
-                if chosen is None:
-                    pi, value = _grid_node_problem(market, x, child_pieces, market.probs)
-                else:
-                    scores = [
-                        sum(
-                            market.probs[c]
-                            * _hull_value(child_pieces[c], x * (1.0 + market.returns[c] @ pi))
-                            for c in range(market.n_states)
-                        )
-                        for pi in chosen
-                    ]
-                    best = int(np.argmax(scores))
-                    pi, value = chosen[best], float(scores[best])
-            except NumericError as exc:
-                raise NumericError(
-                    f"wealth-grid step failed at node {node_id!r}, wealth {x:g}: {exc}"
-                ) from exc
-            best_pis.append(market.span.project(np.asarray(pi, dtype=float)))
-            values[i] = value
-        tables[node_id] = values
-        pieces[node_id], repair = _concave_hull_pieces(grid, values)
-        repairs.append(repair)
-        strategies_by_x[node_id] = best_pis
-    # Record the policy along realized wealth, starting from 1 at the root;
-    # each node uses the strategy tabulated at the nearest grid point.
     strategies: dict = {}
-    wealth = {tree.root_id: 1.0}
-    for node_id in tree.bfs_ids():
-        node = tree.node(node_id)
-        if node.parent is not None:
-            gain = float(tree.edge_returns(node_id) @ strategies[node.parent])
-            wealth[node_id] = wealth[node.parent] * (1.0 + gain)
-        if tree.is_leaf(node_id):
-            continue
-        nearest = int(np.argmin(np.abs(grid - wealth[node_id])))
-        strategies[node_id] = strategies_by_x[node_id][nearest]
-    root_value = float(np.interp(1.0, grid, tables[tree.root_id]))
-    policy = PolicyProcess(strategies, wealth)
+    for n in internal:
+        x_n = float(res.x[x_col[n]])
+        # At zero wealth the positions are zero too (NA1 bounds them by the
+        # wealth), and every strategy leads to the same zero wealth.
+        strategies[n] = (
+            bases[n] @ res.x[y_cols[n]] / x_n if x_n > 0.0 else np.zeros(tree.n_assets)
+        )
+    policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
     policy.validate(tree)
+    leaf_wealth = np.array([policy.wealth[leaf] for leaf in leaves])
+    node_values: dict = dict(zip(leaves, u.value(leaf_wealth).tolist()))
+    for n in reversed(internal):
+        node_values[n] = sum(
+            float(tree.node(k).prob) * node_values[k] for k in tree.children(n)
+        )
+    value = node_values[tree.root_id]
+    if abs(value - res.value) > VALUE_TOL * (1.0 + abs(res.value)):
+        raise NumericError(
+            f"the policy's expected utility {value!r} differs from the tree LP "
+            f"optimum {res.value!r}"
+        )
     return BackwardInductionResult(
-        root_value,
-        policy,
-        tables,
-        {
-            "utility_form": u.kind,
-            "exact": False,
-            "grid_points": int(grid.size),
-            "max_concavity_repair": float(max(repairs)),
-        },
+        value, policy, node_values, {"utility_form": u.kind, "exact": True}
     )
 
 
 def backward_induction(
     tree: ScenarioTree,
     u: UtilitySpec,
-    grid=None,
     candidates=None,
 ) -> BackwardInductionResult:
     """Maximize expected terminal utility of wealth over the tree.
@@ -678,20 +645,26 @@ def backward_induction(
     problem (solved by ``maximize_utility``, or by enumeration when a finite
     ``candidates`` set restricts the strategies; ``candidates`` is a strategy
     array applied at every node, or a dict keyed by non-leaf node id).
-    Other utilities require a wealth ``grid``; their value functions are
-    tabulated with concave piecewise-linear interpolation and the per-node
-    problems become small epigraph LPs.  Refuses trees with scalable
-    arbitrage.
+    Concave piecewise-linear utilities are solved exactly by one LP over the
+    whole tree; there ``node_values[n]`` is the conditional expected terminal
+    utility from node ``n`` at the wealth the optimal policy reaches there.
+    Candidate menus apply to log and power utilities only, and those
+    utilities must have no wealth shift (a shift breaks the separation).
+    Refuses trees with scalable arbitrage.
     """
-    _require_global_na1(tree, "backward induction")
-    if u.kind in ("log", "power") and u.shift == 0.0:
-        return _separable_backward(tree, u, candidates)
-    if grid is None:
+    if u.kind == "piecewise_linear":
+        if candidates is not None:
+            raise InvalidParameterError(
+                "candidate menus apply to log and power utilities only"
+            )
+    elif u.shift != 0.0:
         raise InvalidParameterError(
-            "this utility has no separable structure across periods; supply a "
-            "wealth grid (see default_wealth_grid)"
+            "a shifted log or power utility does not separate across periods"
         )
-    return _grid_backward(tree, u, grid, candidates)
+    _require_global_na1(tree, "backward induction")
+    if u.kind == "piecewise_linear":
+        return _piecewise_backward(tree, u)
+    return _separable_backward(tree, u, candidates)
 
 
 def default_wealth_grid(tree: ScenarioTree, points: int = 257) -> np.ndarray:
@@ -735,14 +708,17 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
 
     The log optimum at each node makes every allowed wealth ratio a one-step
     supermartingale; stitched along the tree, the inverse of its wealth
-    process deflates every allowed strategy's wealth.  Each node's
-    supermartingale property is re-certified by LP before returning.
+    process deflates every allowed strategy's wealth.  Each node's log
+    optimum is solved to the numeraire tolerance and certified once, by the
+    wealth-ratio LP of ``verify_deflator_process``.
     """
     _require_global_na1(tree, "the numeraire process")
     strategies: dict = {}
     for node_id in tree.internal_ids():
         try:
-            strategies[node_id] = numeraire_portfolio(node_market(tree, node_id)).strategy
+            strategies[node_id] = maximize_utility(
+                node_market(tree, node_id), UtilitySpec.log(), tol=NUMERAIRE_GRADIENT_TOL
+            ).strategy
         except NumericError as exc:
             raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
     wealth = _wealth_process(tree, strategies)

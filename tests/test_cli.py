@@ -368,6 +368,25 @@ class TestNumeraireCommand:
             report["deflator"]["values"], [4.0 / 3.0, 2.0 / 3.0], atol=1e-7
         )
 
+    def test_wealth_ratio_lp_is_solved_once(self, tmp_path, monkeypatch):
+        """NA1, the Chebyshev start and one wealth-ratio LP, which both
+        certifies the numeraire and gives the deflator's certificate."""
+        import na1lab.lp
+
+        calls = []
+        linprog = na1lab.lp.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(na1lab.lp, "linprog", counting)
+        rc, out = run_command(tmp_path, "numeraire", market_doc())
+        assert rc == 0
+        assert len(calls) == 3
+        report = json.loads(out.read_text())
+        assert report["deflator"]["certificate"] == report["wealth_ratio_certificate"]
+
     def test_optimizer_tolerance_override(self, tmp_path):
         rc, out = run_command(
             tmp_path, "numeraire", market_doc(), "--tol-opt", "1e-12"
@@ -496,7 +515,7 @@ class TestTreeCommand:
         assert report["deflator"] is None
         assert report["hedge"] is None
 
-    def test_piecewise_utility_uses_the_default_grid(self, tmp_path):
+    def test_piecewise_utility_is_solved_exactly(self, tmp_path):
         rc, out = run_command(
             tmp_path,
             "tree",
@@ -507,7 +526,39 @@ class TestTreeCommand:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["optimal"] is not None
-        assert report["optimal"]["diagnostics"]["exact"] is False
+        assert report["optimal"]["diagnostics"] == {
+            "utility_form": "piecewise_linear", "exact": True
+        }
+
+    def test_each_node_market_is_built_and_certified_once(self, tmp_path, monkeypatch):
+        """One run builds each internal node's market once and decides NA1
+        once per node, however many tree operations read it."""
+        import na1lab.arbitrage
+        from na1lab.market import DiscreteMarket
+
+        builds, decisions = [], []
+        post_init = DiscreteMarket.__post_init__
+        decide = na1lab.arbitrage._decide_na1
+
+        def counted_post_init(market):
+            builds.append(1)
+            post_init(market)
+
+        def counted_decide(market, tol):
+            decisions.append(1)
+            return decide(market, tol)
+
+        monkeypatch.setattr(DiscreteMarket, "__post_init__", counted_post_init)
+        monkeypatch.setattr(na1lab.arbitrage, "_decide_na1", counted_decide)
+        rc, _ = run_command(
+            tmp_path,
+            "tree",
+            tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
+                     utility={"kind": "log"}),
+        )
+        assert rc == 0
+        assert len(builds) == 3
+        assert len(decisions) == 3
 
 
 class TestRunPlumbing:

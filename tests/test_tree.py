@@ -516,41 +516,73 @@ class TestBackwardInductionSeparable:
         assert superhedge_tree(tree, [0.7]).value == pytest.approx(0.7, abs=1e-9)
 
 
-class TestBackwardInductionGrid:
-    def test_piecewise_requires_grid(self):
+class TestBackwardInductionPiecewise:
+    def test_non_separable_inputs_rejected(self):
         tree = iid_tree(two_state_market(), horizon=1)
         u = UtilitySpec.piecewise_linear([0.5, 1.0, 2.0], [-1.0, 0.0, 0.5])
-        with pytest.raises(InvalidParameterError, match="grid"):
-            backward_induction(tree, u)
+        with pytest.raises(InvalidParameterError, match="candidate"):
+            backward_induction(tree, u, candidates=np.array([[0.1]]))
+        for shifted in (UtilitySpec.log(), UtilitySpec.power(0.5)):
+            with pytest.raises(InvalidParameterError, match="shift"):
+                backward_induction(tree, shifted.compose_affine(1.0, 0.5))
 
-    def test_one_period_grid_matches_exact_lp(self):
+    def test_one_period_matches_maximize_utility(self):
         market = two_state_market()
         tree = iid_tree(market, horizon=1)
         u = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4, 1.0])
-        grid = np.unique(np.concatenate([np.linspace(0.1, 3.0, 40), [1.0], u.knots_x]))
-        res = backward_induction(tree, u, grid=grid)
+        res = backward_induction(tree, u)
         exact = maximize_utility(market, u)
-        assert res.value == pytest.approx(exact.value, abs=1e-8)
-        assert res.diagnostics["max_concavity_repair"] <= 1e-9
+        assert res.value == pytest.approx(exact.value, abs=1e-9)
+        assert res.diagnostics == {"utility_form": "piecewise_linear", "exact": True}
 
-    def test_two_period_grid_close_to_enumeration(self):
+    def test_two_period_bounds_enumeration(self):
         tree = iid_tree(two_state_market(), horizon=2)
         u = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4, 1.0])
-        grid = default_wealth_grid(tree, points=513)
-        res = backward_induction(tree, u, grid=grid)
+        res = backward_induction(tree, u)
         menu = np.linspace(-1.0, 1.0, 81).reshape(-1, 1)
         oracle = enumerate_policies(tree, {n: menu for n in tree.internal_ids()}, u)
-        # The tabulated value function is chordal between grid points, so the
-        # dynamic program may sit slightly below the true optimum; both sides
-        # converge as the grid and the menu refine.
+        # The LP optimizes over every allowed strategy, the oracle over a
+        # finite menu of them: the LP value is an upper bound, and close.
+        assert res.value >= oracle - 1e-9
         assert res.value == pytest.approx(oracle, abs=1e-3)
 
-    def test_grid_must_be_increasing(self):
-        tree = iid_tree(two_state_market(), horizon=1)
-        u = UtilitySpec.piecewise_linear([0.5, 1.0, 2.0], [-1.0, 0.0, 0.5])
-        with pytest.raises(InvalidParameterError, match="increasing"):
-            backward_induction(tree, u, grid=[1.0, 1.0, 2.0])
+    def test_node_values_are_conditional_expected_utility(self):
+        tree = iid_tree(two_state_market(), horizon=2)
+        u = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4, 1.0])
+        res = backward_induction(tree, u)
+        res.policy.validate(tree)
+        for leaf in tree.leaf_ids:
+            x = 1.0
+            for parent, child in path_to_root(tree, leaf):
+                x *= 1.0 + float(tree.edge_returns(child) @ res.policy.strategies[parent])
+            assert res.policy.wealth[leaf] == pytest.approx(x, rel=1e-12)
+            assert res.node_values[leaf] == pytest.approx(float(u.value(np.array([x]))[0]))
+        for n in tree.internal_ids():
+            expected = sum(
+                tree.node(k).prob * res.node_values[k] for k in tree.children(n)
+            )
+            assert res.node_values[n] == pytest.approx(expected, abs=1e-12)
+        assert res.value == res.node_values[tree.root_id]
 
+    def test_one_lp_per_tree(self, monkeypatch):
+        """Once the node certificates are cached, the whole tree is one LP."""
+        import na1lab.lp
+
+        tree = iid_tree(two_state_market(), horizon=3)
+        global_na1(tree)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(na1lab.lp, "linprog", counting)
+        u = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4, 1.0])
+        backward_induction(tree, u)
+        assert len(calls) == 1
+
+
+class TestBackwardInductionGrid:
     def test_default_wealth_grid_covers_reachable_wealth(self):
         tree = iid_tree(two_state_market(), horizon=2)
         grid = default_wealth_grid(tree, points=33)
