@@ -22,7 +22,16 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import NumericError, InvalidParameterError, PreconditionError
-from .lp import INFEASIBLE, UNBOUNDED, cone_span, minimize_convex, require_optimal, solve_lp
+from .lp import (
+    INFEASIBLE,
+    STACK_COLUMNS,
+    UNBOUNDED,
+    _solve_stacked,
+    cone_span,
+    minimize_convex,
+    require_optimal,
+    solve_lp,
+)
 from .market import Cone, DiscreteMarket, generated_cone
 
 logger = logging.getLogger(__name__)
@@ -48,11 +57,6 @@ MOMENT_TOL = 1e-2 * SUPERMARTINGALE_TOL
 
 #: Anything below this offset counts as a zero right-hand side.
 ZERO_OFFSET_TOL = 1e-12
-
-#: Most multiplier columns stacked into one NA1 LP.  Every direction block of
-#: a small or tree-node market fits in one LP; larger markets are split into
-#: several, because HiGHS memory grows with the stacked size.
-NA1_STACK_COLUMNS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,71 +273,94 @@ def check_na1(market: DiscreteMarket, tol: float = GAIN_TOL) -> Na1Certificate:
     coordinates, ``b >= 0``) is bounded in the return span exactly when every
     signed coordinate direction ``c_k = +-basis[i]`` is a nonnegative
     combination ``C^T lambda_k`` of its rows (Farkas).  One LP, minimizing
-    ``max_k b . lambda_k`` over those multipliers, decides this and by LP
-    duality its optimum is the sup-norm radius of the set.  The multipliers
-    are re-verified with numpy: residuals below ``1 / sqrt(d)`` already rule
-    out any nonzero recession direction in the span.  When the LP is
-    infeasible, one more LP finds the witness ray.
+    ``sum_k b . lambda_k`` over those multipliers, decides this; by LP
+    duality each ``b . lambda_k`` is then the support function of the set in
+    direction ``c_k``, and their maximum is its sup-norm radius.  The
+    multipliers are re-verified with numpy: residuals below ``1 / sqrt(d)``
+    already rule out any nonzero recession direction in the span.  When the
+    LP is infeasible, one more LP finds the witness ray.
 
-    The certificate is cached on the market, one per tolerance.
+    The certificate is cached on the market, one per tolerance;
+    :func:`_check_na1_all` decides several markets in stacked LPs.
     """
-    return _cached(market, "na1", tol, _decide_na1)
+    return _check_na1_all([market], tol)[0]
 
 
-def _decide_na1(market: DiscreteMarket, tol: float) -> Na1Certificate:
+def _check_na1_all(markets, tol: float = GAIN_TOL) -> list[Na1Certificate]:
+    """:func:`check_na1` for several markets.  Those without a cached
+    certificate are decided together, their multiplier LPs stacked by
+    :func:`~na1lab.lp._solve_stacked`, and the certificates are cached."""
+    key = ("na1", float(tol))
+    fresh = list({id(m): m for m in markets if key not in m.certificates}.values())
+    for market, cert in zip(fresh, _decide_na1(fresh, tol)):
+        market.certificates[key] = cert
+    return [market.certificates[key] for market in markets]
+
+
+def _decide_na1(markets, tol: float) -> list[Na1Certificate]:
+    certs: list = [None] * len(markets)
+    lps = {}
+    for i, market in enumerate(markets):
+        if market.span.basis.shape[1] == 0:
+            certs[i] = Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol)
+        else:
+            lps[i] = _multiplier_lps(market)
+    # Round k solves the k-th multiplier LP of every market still open; a
+    # market split over several LPs stops at its first infeasible one.
+    solved: dict = {i: [] for i in lps}
+    failing = set()
+    for k in range(max(map(len, lps.values()), default=0)):
+        pending = [i for i in lps if k < len(lps[i]) and i not in failing]
+        for i, result in zip(pending, _solve_stacked([lps[i][k] for i in pending])):
+            if result.status == INFEASIBLE:
+                failing.add(i)
+            else:
+                solved[i].append(require_optimal(result, "boundedness certificate").x)
+    for i in lps:
+        market = markets[i]
+        basis = market.span.basis
+        d = basis.shape[0]
+        theta = market.allowed
+        c_rows = theta.normals @ basis
+        if i in failing:
+            ray = _witness_ray(market, c_rows, tol)
+            certs[i] = Na1Certificate("na1_fails", witness_ray=ray, threshold=tol)
+            continue
+        multipliers = np.maximum(np.concatenate(solved[i]).reshape(2 * d, -1), 0.0)
+        residual = multipliers @ c_rows - np.vstack([basis, -basis])
+        if not float(np.max(np.linalg.norm(residual, axis=1))) < 1.0 / np.sqrt(d):
+            raise NumericError("boundedness multipliers failed re-verification")
+        radius = float(np.max(multipliers @ theta.offsets))
+        certs[i] = Na1Certificate(
+            "na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol
+        )
+    return certs
+
+
+def _multiplier_lps(market: DiscreteMarket) -> list[dict]:
+    """LPs of the boundedness multipliers: rows ``lambda_k >= 0`` with
+    ``C^T lambda_k = c_k`` for every signed coordinate direction
+    ``c_k = +-basis[i]``, minimizing ``sum_k b . lambda_k``; one is
+    infeasible exactly when some direction has no such combination.
+
+    Each LP holds as many directions as fit in ``STACK_COLUMNS`` multiplier
+    columns, at least one: a small or tree-node market is one LP, and the
+    directions of a market with thousands of states are split over several.
+    """
     basis = market.span.basis
-    d, r = basis.shape
-    if r == 0:
-        return Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol)
-    theta = market.allowed
-    c_rows = theta.normals @ basis
     directions = np.vstack([basis, -basis])
-    multipliers = _boundedness_multipliers(c_rows, theta.offsets, directions)
-    if multipliers is None:
-        ray = _witness_ray(market, c_rows, tol)
-        return Na1Certificate("na1_fails", witness_ray=ray, threshold=tol)
-    residual = multipliers @ c_rows - directions
-    if not float(np.max(np.linalg.norm(residual, axis=1))) < 1.0 / np.sqrt(d):
-        raise NumericError("boundedness multipliers failed re-verification")
-    radius = float(np.max(multipliers @ theta.offsets))
-    return Na1Certificate(
-        "na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol
-    )
-
-
-def _boundedness_multipliers(c_rows, offsets, directions):
-    """Rows ``lambda_k >= 0`` with ``c_rows.T @ lambda_k = directions[k]``
-    minimizing ``max_k offsets . lambda_k``, or None when some direction has
-    no such combination.
-
-    The per-direction blocks are stacked into one LP of at most
-    ``NA1_STACK_COLUMNS`` multiplier columns (at least one block per LP).
-    """
-    m, r = c_rows.shape
-    per_lp = max(1, NA1_STACK_COLUMNS // m)
-    chunks = []
+    c_rows = market.allowed.normals @ basis
+    per_lp = max(1, STACK_COLUMNS // c_rows.shape[0])
+    lps = []
     for start in range(0, len(directions), per_lp):
         chunk = directions[start : start + per_lp]
-        k = len(chunk)
-        # variables: lambda_1, ..., lambda_k (m each), then the radius rho
-        eye = np.eye(k)
-        a_eq = np.hstack([np.kron(eye, c_rows.T), np.zeros((k * r, 1))])
-        a_ub = np.hstack([np.kron(eye, offsets[None, :]), -np.ones((k, 1))])
-        cost = np.zeros(k * m + 1)
-        cost[-1] = 1.0
-        res = solve_lp(
-            cost,
-            a_ub=a_ub,
-            b_ub=np.zeros(k),
-            a_eq=a_eq,
+        lps.append(dict(
+            cost=np.tile(market.allowed.offsets, len(chunk)),
+            a_eq=np.kron(np.eye(len(chunk)), c_rows.T),
             b_eq=chunk.reshape(-1),
             bounds=(0.0, None),
-        )
-        if res.status == INFEASIBLE:
-            return None
-        require_optimal(res, "boundedness certificate")
-        chunks.append(np.maximum(res.x[:-1].reshape(k, m), 0.0))
-    return np.vstack(chunks)
+        ))
+    return lps
 
 
 def _witness_ray(market: DiscreteMarket, c_rows, tol: float) -> np.ndarray:
@@ -371,17 +398,33 @@ def max_expected_gain(market: DiscreteMarket, probs) -> float:
 
     The weights need not sum to one: the wealth-ratio and deflator checks
     of :mod:`na1lab.portfolio` are this LP under deflated probabilities.
+    :func:`_max_expected_gains` solves it for several markets at once.
     """
-    basis = market.span.basis
-    if basis.shape[1] == 0:
-        return 0.0
-    a_theta = market.allowed.normals @ basis
-    cost = np.asarray(probs, dtype=float) @ (market.returns @ basis)
-    res = solve_lp(cost, a_ub=a_theta, b_ub=market.allowed.offsets, maximize=True)
-    if res.status == UNBOUNDED:
-        return float("inf")
-    require_optimal(res, "expected-gain LP")
-    return float(res.value)
+    return _max_expected_gains([market], [probs])[0]
+
+
+def _max_expected_gains(markets, weights) -> list[float]:
+    """:func:`max_expected_gain` of each market under its weights, the LPs
+    stacked by :func:`~na1lab.lp._solve_stacked`."""
+    values = [0.0] * len(markets)
+    blocks, owners = [], []
+    for i, (market, probs) in enumerate(zip(markets, weights)):
+        basis = market.span.basis
+        if basis.shape[1] == 0:
+            continue
+        blocks.append(dict(
+            cost=np.asarray(probs, dtype=float) @ (market.returns @ basis),
+            a_ub=market.allowed.normals @ basis,
+            b_ub=market.allowed.offsets,
+            maximize=True,
+        ))
+        owners.append(i)
+    for i, result in zip(owners, _solve_stacked(blocks)):
+        if result.status == UNBOUNDED:
+            values[i] = float("inf")
+        else:
+            values[i] = float(require_optimal(result, "expected-gain LP").value)
+    return values
 
 
 def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,15 +26,10 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .lp import require_optimal, solve_lp
+from .lp import _solve_stacked, require_optimal, solve_lp
 from .market import DiscreteMarket
-from .arbitrage import check_na1
-from .portfolio import (
-    UtilitySpec,
-    maximize_utility,
-    numeraire_portfolio,
-    verify_deflator,
-)
+from .arbitrage import _max_expected_gains, check_na1
+from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
 
 logger = logging.getLogger(__name__)
 
@@ -192,60 +187,84 @@ def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
     """
     payoff = _check_claim(market, claim)
     _require_na1(market, "super-hedging")
-    n, d = market.returns.shape
+    return _recertified([market], _superhedge_reports([market], [payoff]))[0]
 
-    # Variables (v, y).  State rows: -v - <y, R> <= -payoff.
-    state_rows = np.hstack([-np.ones((n, 1)), -market.returns])
-    budget_rows, budget_rhs = _homogenized_rows(market, extra=0)
-    a_ub = np.vstack([state_rows, budget_rows])
-    b_ub = np.concatenate([-payoff, budget_rhs])
-    bounds = [(0.0, None)] + [(None, None)] * d
-    cost = np.zeros(1 + d)
-    cost[0] = 1.0
 
-    result = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
-    require_optimal(result, "super-hedging")
-    primal = float(result.value)
-    v_opt = float(result.x[0])
-    y_opt = result.x[1:]
-    strategy = y_opt / v_opt if v_opt > 0.0 else np.zeros(d)
+def _superhedge_reports(markets, payoffs) -> list[ValuationReport]:
+    """Super-hedging LPs of several markets and payoffs, stacked by
+    :func:`~na1lab.lp._solve_stacked`, each checked on its own: the position
+    must dominate its payoff and the lifted deflator's reading must match the
+    LP value.  ``attainable`` does not yet account for the re-certification
+    of the lifted deflators, which :func:`_recertified` adds."""
+    blocks = []
+    for market, payoff in zip(markets, payoffs):
+        n, d = market.returns.shape
+        # Variables (v, y).  State rows: -v - <y, R> <= -payoff.
+        state_rows = np.hstack([-np.ones((n, 1)), -market.returns])
+        budget_rows, budget_rhs = _homogenized_rows(market, extra=0)
+        cost = np.zeros(1 + d)
+        cost[0] = 1.0
+        blocks.append(dict(
+            cost=cost,
+            a_ub=np.vstack([state_rows, budget_rows]),
+            b_ub=np.concatenate([-payoff, budget_rhs]),
+            bounds=[(0.0, None)] + [(None, None)] * d,
+        ))
+    reports = []
+    for market, payoff, result in zip(markets, payoffs, _solve_stacked(blocks)):
+        require_optimal(result, "super-hedging")
+        n, d = market.returns.shape
+        primal = float(result.value)
+        v_opt = float(result.x[0])
+        y_opt = result.x[1:]
+        strategy = y_opt / v_opt if v_opt > 0.0 else np.zeros(d)
 
-    residuals = v_opt + market.returns @ y_opt - payoff
-    if float(np.min(residuals)) < -RESIDUAL_TOL:
-        raise NumericError(
-            "super-hedging LP returned a position that fails to dominate the "
-            f"claim (worst residual {float(np.min(residuals)):.3e})"
-        )
+        residuals = v_opt + market.returns @ y_opt - payoff
+        if float(np.min(residuals)) < -RESIDUAL_TOL:
+            raise NumericError(
+                "super-hedging LP returned a position that fails to dominate the "
+                f"claim (worst residual {float(np.min(residuals)):.3e})"
+            )
 
-    multipliers = -result.marginals_ub[:n]
-    multipliers = np.maximum(multipliers, 0.0)
-    deflator = multipliers / market.probs
-    lifted = np.maximum(deflator, DEFLATOR_BUMP)
-    dual_ok = verify_deflator(market, lifted) <= 1.0 + DEFLATOR_TOL
-    dual_value = float(market.probs @ (lifted * payoff))
-    gap = abs(primal - dual_value)
-    if gap > DUALITY_TOL * (1.0 + primal):
-        raise NumericError(
-            f"duality gap {gap:.3e} between the super-hedging value and its "
-            "deflator reading exceeds tolerance"
-        )
+        multipliers = np.maximum(-result.marginals_ub[:n], 0.0)
+        lifted = np.maximum(multipliers / market.probs, DEFLATOR_BUMP)
+        dual_value = float(market.probs @ (lifted * payoff))
+        gap = abs(primal - dual_value)
+        if gap > DUALITY_TOL * (1.0 + primal):
+            raise NumericError(
+                f"duality gap {gap:.3e} between the super-hedging value and its "
+                "deflator reading exceeds tolerance"
+            )
+        replicates = float(np.max(np.abs(residuals))) <= RESIDUAL_TOL
+        attains = dual_value >= primal - DUALITY_TOL * (1.0 + primal)
+        reports.append(ValuationReport(
+            primal_value=primal,
+            strategy=strategy,
+            dual_value=dual_value,
+            dual_deflator=lifted,
+            gap=gap,
+            attainable=bool(replicates and attains),
+            lp_status=result.status,
+        ))
+    return reports
 
-    replicates = float(np.max(np.abs(residuals))) <= RESIDUAL_TOL
-    attains = dual_ok and dual_value >= primal - DUALITY_TOL * (1.0 + primal)
-    if not dual_ok:
-        logger.warning(
-            "lifted dual deflator failed re-certification; reporting it anyway"
-        )
 
-    return ValuationReport(
-        primal_value=primal,
-        strategy=strategy,
-        dual_value=dual_value,
-        dual_deflator=lifted,
-        gap=gap,
-        attainable=bool(replicates and attains),
-        lp_status=result.status,
-    )
+def _recertified(markets, reports) -> list[ValuationReport]:
+    """Re-certify each report's lifted deflator, the deflator LPs stacked:
+    one that lets some allowed wealth ratio exceed ``1 + DEFLATOR_TOL`` is
+    logged and makes its report not attainable."""
+    weights = [m.probs * r.dual_deflator for m, r in zip(markets, reports)]
+    gains = _max_expected_gains(markets, weights)
+    out = []
+    for report, weight, gain in zip(reports, weights, gains):
+        dual_ok = float(np.sum(weight)) + gain <= 1.0 + DEFLATOR_TOL
+        if not dual_ok:
+            logger.warning(
+                "lifted dual deflator failed re-certification; reporting it anyway"
+            )
+            report = replace(report, attainable=False)
+        out.append(report)
+    return out
 
 
 def shortfall_hedge(

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import block_diag, null_space
 from scipy.optimize import linprog
 
 from .errors import InfeasibleError, NumericError
@@ -25,6 +25,14 @@ UNBOUNDED = "unbounded"
 
 #: Box used when a nominally unbounded variable needs a finite search range.
 BIG_BOUND = 1e6
+
+#: Most columns of one stacked LP: HiGHS memory grows with them (a market
+#: with thousands of states takes tens of MB per LP).
+STACK_COLUMNS = 4096
+
+#: Most entries (rows times columns) of the dense constraint matrix of one
+#: stacked LP, which grows with the square of the number of blocks.
+STACK_ENTRIES = 1 << 20
 
 #: Newton iterations allowed to :func:`minimize_convex`.
 NEWTON_ITERATIONS = 200
@@ -121,6 +129,95 @@ def solve_lp(
     raise NumericError(f"LP solver failure (status {res.status}): {res.message}")
 
 
+def _solve_stacked(blocks) -> list[LpResult]:
+    """Solve independent LPs, each a dict of :func:`solve_lp` arguments, as
+    dense block-diagonal LPs; one result per block, in order.
+
+    Blocks are stacked while the stacked LP keeps at most ``STACK_COLUMNS``
+    columns and its constraint matrix at most ``STACK_ENTRIES`` entries; a
+    block larger than that is solved on its own.  Each block's cost is scaled to unit sup-norm
+    (and negated when the block maximizes) and the objectives are summed.
+    The blocks share no variable and no row, so an optimum of the stacked LP
+    is an optimum of every block: each result carries its block's own
+    ``x``, its value under the block's cost and its multipliers, in the
+    conventions of :func:`solve_lp`.  A stacked LP that is infeasible or
+    unbounded does not say which block is, so that chunk is solved again
+    block by block.  A chunk of one block is :func:`solve_lp` itself.
+    """
+    results: list = [None] * len(blocks)
+    for chunk in _stack_chunks(blocks):
+        if len(chunk) > 1:
+            stacked = _solve_chunk([blocks[i] for i in chunk])
+            if stacked is not None:
+                for i, result in zip(chunk, stacked):
+                    results[i] = result
+                continue
+        for i in chunk:
+            results[i] = solve_lp(**blocks[i])
+    return results
+
+
+def _rows(block, a_key: str, b_key: str):
+    """A block's ``(A, b)`` pair for ``a_key``/``b_key``, with no rows when absent."""
+    n = np.asarray(block["cost"]).size
+    if block.get(a_key) is None:
+        return np.zeros((0, n)), np.zeros(0)
+    return (
+        np.asarray(block[a_key], dtype=float).reshape(-1, n),
+        np.asarray(block[b_key], dtype=float).reshape(-1),
+    )
+
+
+def _stack_chunks(blocks):
+    """Runs of consecutive block indices, each within the stacking budgets."""
+    chunk, rows, cols = [], 0, 0
+    for i, block in enumerate(blocks):
+        r = sum(len(block[k]) for k in ("a_ub", "a_eq") if block.get(k) is not None)
+        c = np.asarray(block["cost"]).size
+        if chunk and (cols + c > STACK_COLUMNS or (rows + r) * (cols + c) > STACK_ENTRIES):
+            yield chunk
+            chunk, rows, cols = [], 0, 0
+        chunk.append(i)
+        rows, cols = rows + r, cols + c
+    if chunk:
+        yield chunk
+
+
+def _solve_chunk(blocks) -> list[LpResult] | None:
+    """One block-diagonal LP for ``blocks``; None unless it is optimal."""
+    costs = [np.asarray(b["cost"], dtype=float) for b in blocks]
+    scales = [float(np.max(np.abs(c), initial=0.0)) or 1.0 for c in costs]
+    signs = [-1.0 if b.get("maximize", False) else 1.0 for b in blocks]
+    ub = [_rows(b, "a_ub", "b_ub") for b in blocks]
+    eq = [_rows(b, "a_eq", "b_eq") for b in blocks]
+    bounds = []
+    for b, c in zip(blocks, costs):
+        pairs = b.get("bounds")
+        if pairs is None or (len(pairs) == 2 and not isinstance(pairs[0], (tuple, list))):
+            pairs = [pairs or (None, None)] * c.size
+        bounds.extend(pairs)
+    result = solve_lp(
+        np.concatenate([s * c / scale for c, s, scale in zip(costs, signs, scales)]),
+        a_ub=block_diag(*(a for a, _ in ub)),
+        b_ub=np.concatenate([r for _, r in ub]),
+        a_eq=block_diag(*(a for a, _ in eq)),
+        b_eq=np.concatenate([r for _, r in eq]),
+        bounds=bounds,
+    )
+    if result.status != OPTIMAL:
+        return None
+    col = np.cumsum([0] + [c.size for c in costs])
+    row = np.cumsum([0] + [len(r) for _, r in ub])
+    out = []
+    for k, cost in enumerate(costs):
+        x = result.x[col[k] : col[k + 1]]
+        marginals = None
+        if blocks[k].get("a_ub") is not None:
+            marginals = scales[k] * result.marginals_ub[row[k] : row[k + 1]]
+        out.append(LpResult(OPTIMAL, x, float(cost @ x), marginals))
+    return out
+
+
 def require_optimal(result: LpResult, context: str) -> LpResult:
     """Raise with a descriptive message unless ``result`` is optimal."""
     if result.status == INFEASIBLE:
@@ -145,25 +242,31 @@ def chebyshev_center(a_ub: np.ndarray, b_ub: np.ndarray, dim: int, box: float = 
     bounded even when the input set is not.  Returns ``(center, radius)``;
     raises :class:`InfeasibleError` if the set is empty.
     """
-    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, dim)
     b_ub = np.asarray(b_ub, dtype=float)
     if dim == 0:
         if np.any(b_ub < 0):
             raise InfeasibleError("chebyshev_center: empty zero-dimensional set")
         return np.zeros(0), 0.0
-    eye = np.eye(dim)
-    rows = [a_ub, eye, -eye]
-    rhs = [b_ub, np.full(dim, box), np.full(dim, box)]
-    a_full = np.vstack(rows)
-    b_full = np.concatenate(rhs)
-    norms = np.linalg.norm(a_full, axis=1)
-    a_aug = np.hstack([a_full, norms[:, None]])
-    cost = np.zeros(dim + 1)
-    cost[-1] = 1.0
-    var_bounds = [(None, None)] * dim + [(0, 2 * box)]
-    res = solve_lp(cost, a_ub=a_aug, b_ub=b_full, bounds=var_bounds, maximize=True)
+    res = solve_lp(**_chebyshev_lp(a_ub, b_ub, dim, box))
     require_optimal(res, "chebyshev_center")
     return res.x[:-1], float(res.value)
+
+
+def _chebyshev_lp(a_ub, b_ub, dim: int, box: float = BIG_BOUND) -> dict:
+    """:func:`solve_lp` arguments of the Chebyshev-center LP for ``dim >= 1``:
+    variables ``(x, radius)``, maximizing the radius."""
+    a_full = np.vstack([np.asarray(a_ub, dtype=float).reshape(-1, dim), np.eye(dim), -np.eye(dim)])
+    b_full = np.concatenate([np.asarray(b_ub, dtype=float), np.full(2 * dim, box)])
+    norms = np.linalg.norm(a_full, axis=1)
+    cost = np.zeros(dim + 1)
+    cost[-1] = 1.0
+    return dict(
+        cost=cost,
+        a_ub=np.hstack([a_full, norms[:, None]]),
+        b_ub=b_full,
+        bounds=[(None, None)] * dim + [(0, 2 * box)],
+        maximize=True,
+    )
 
 
 def cone_span(rows: np.ndarray):

@@ -21,7 +21,17 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .lp import UNBOUNDED, chebyshev_center, cone_span, minimize_convex, require_optimal, solve_lp
+from .lp import (
+    OPTIMAL,
+    UNBOUNDED,
+    _chebyshev_lp,
+    _solve_stacked,
+    chebyshev_center,
+    cone_span,
+    minimize_convex,
+    require_optimal,
+    solve_lp,
+)
 from .market import DiscreteMarket, generated_cone, wealth
 
 #: The search starts with every utility argument at least this far above
@@ -289,13 +299,13 @@ def maximize_utility(
     ``u`` is a single :class:`UtilitySpec` or one spec per state.  Smooth
     utilities go through the interior-point Newton method of
     :func:`~na1lab.lp.minimize_convex`, started at ``x0`` when it lies
-    strictly inside the allowed set and the utility's domain, else at the
-    Chebyshev center.  It stops once its stationarity residual (complementarity
-    plus the KKT gradient residual times the diameter of the allowed set,
-    ``2 sqrt(d)`` times the NA1 ``bound_radius``) is at most ``tol`` times
-    ``1 + |strategy|``; for log utility that residual bounds the wealth-ratio
-    LP value minus one.  Piecewise-linear utilities are solved exactly by an
-    epigraph LP.
+    strictly inside the allowed set (in the return span) and the utility's
+    domain, else at the Chebyshev center.  It stops once its stationarity
+    residual (complementarity plus the KKT gradient residual times the
+    diameter of the allowed set, ``2 sqrt(d)`` times the NA1
+    ``bound_radius``) is at most ``tol`` times ``1 + |strategy|``; for log
+    utility that residual bounds the wealth-ratio LP value minus one.
+    Piecewise-linear utilities are solved exactly by an epigraph LP.
 
     When scalable arbitrage exists the supremum is infinite, so the search
     refuses to start, unless ``divergence_bound`` is given: then the
@@ -303,6 +313,14 @@ def maximize_utility(
     :class:`~na1lab.errors.NumericError` carries the escalated value and the
     best finite point.
     """
+    return _maximize(market, market.probs, u, tol, x0, divergence_bound)
+
+
+def _maximize(market, probs, u, tol, x0=None, divergence_bound=None):
+    """:func:`maximize_utility` with the expectation taken under the state
+    weights ``probs`` (positive, summing to one) in place of the market's
+    probabilities.  The allowed set and the NA1 certificate depend only on
+    the returns and the constraints, so they are the market's own."""
     evaluator = _UtilityEvaluator(u, market.n_states)
     cert = check_na1(market)
     if not cert.holds and divergence_bound is None:
@@ -311,34 +329,29 @@ def maximize_utility(
             "remove the arbitrage or tighten the constraints"
         )
     d = market.n_assets
-    if evaluator.piecewise and market.span.basis.shape[1]:
-        return _piecewise_optimum(market, evaluator, market.span.basis)
-    basis, start = _interior_start(market, evaluator, market.span.basis)
+    basis = market.span.basis
+    if evaluator.piecewise and basis.shape[1]:
+        return _piecewise_optimum(market, probs, evaluator, basis)
+    h = 1.0 + evaluator.shifts / evaluator.scales
+    start = None
+    if x0 is not None and basis.shape[1]:
+        v0 = basis.T @ np.asarray(x0, dtype=float)
+        _, a, b = _searched_rows(market, basis)
+        if np.all(a @ v0 < b) and np.all(-(market.returns @ basis) @ v0 < h):
+            start = v0
+    if start is None:
+        basis, start = _interior_start(market, evaluator, basis)
     if basis.shape[1] == 0:
-        value = float(market.probs @ evaluator.value(np.ones(market.n_states)))
+        value = float(probs @ evaluator.value(np.ones(market.n_states)))
         return OptimalPortfolio(np.zeros(d), value, 0.0, 0)
 
     returns_r = market.returns @ basis
-    normals = market.allowed.normals
-    # after a flat set is reduced, its implicit equalities vanish on the
-    # searched coordinates (0 <= 0) and hold everywhere there
-    rows = np.nonzero(
-        np.linalg.norm(normals @ basis, axis=1) > 1e-12 * np.linalg.norm(normals, axis=1)
-    )[0]
-    a = normals[rows] @ basis
-    b = market.allowed.offsets[rows]
+    rows, a, b = _searched_rows(market, basis)
     g = -returns_r
-    h = 1.0 + evaluator.shifts / evaluator.scales
-    if x0 is not None:
-        v0 = basis.T @ np.asarray(x0, dtype=float)
-        if np.all(a @ v0 < b) and np.all(g @ v0 < h):
-            start = v0
     if not cert.holds:
         _escalate_along_ray(
-            market, basis, returns_r, evaluator, start, cert.witness_ray, divergence_bound
+            probs, basis, returns_r, evaluator, start, cert.witness_ray, divergence_bound
         )
-
-    probs = market.probs
 
     def derivatives(v):
         w = 1.0 + returns_r @ v
@@ -366,30 +379,48 @@ def maximize_utility(
     )
 
 
-def _interior_start(market, evaluator, basis):
-    """Coordinates in which the allowed set has an interior, and its
-    Chebyshev center there with every utility argument at least
-    ``WEALTH_FLOOR``.
+def _searched_rows(market, basis):
+    """Allowed rows that do not vanish on the searched coordinates, with
+    their normals and offsets there.  After a flat set is reduced, its
+    implicit equalities vanish on the searched coordinates (0 <= 0) and hold
+    everywhere there."""
+    normals = market.allowed.normals
+    rows = np.nonzero(
+        np.linalg.norm(normals @ basis, axis=1) > 1e-12 * np.linalg.norm(normals, axis=1)
+    )[0]
+    return rows, normals[rows] @ basis, market.allowed.offsets[rows]
+
+
+def _start_rows(market, evaluator, basis):
+    """Rows ``(A, c)`` of the set whose Chebyshev center starts the search:
+    the allowed set, and every utility argument at least ``WEALTH_FLOOR``.
 
     The utility argument ``scale * (1 + gain) + shift`` must stay positive:
     ``g u < h`` with ``g = -R`` and ``h = 1 + shift / scale``, divided by the
     positive scale so tiny scales cannot sink the coefficients below the LP
-    solver's drop tolerance.  When no strategy is strictly inside every
-    allowed row, the set is flat within ``basis``, and the coordinates shrink
-    to the span of its generated cone.  Returns ``(basis, center)``.
+    solver's drop tolerance.
+    """
+    h = 1.0 + evaluator.shifts / evaluator.scales
+    return (
+        np.vstack([market.allowed.normals @ basis, -(market.returns @ basis)]),
+        np.concatenate([market.allowed.offsets, h - WEALTH_FLOOR / evaluator.scales]),
+    )
+
+
+def _interior_start(market, evaluator, basis):
+    """Coordinates in which the allowed set has an interior, and its
+    Chebyshev center there with every utility argument at least
+    ``WEALTH_FLOOR`` (see :func:`_start_rows`).
+
+    When no strategy is strictly inside every allowed row, the set is flat
+    within ``basis``, and the coordinates shrink to the span of its
+    generated cone.  Returns ``(basis, center)``.
     """
     r = basis.shape[1]
     if r == 0:
         return basis, np.zeros(0)
-    a = market.allowed.normals @ basis
-    g = -(market.returns @ basis)
-    h = 1.0 + evaluator.shifts / evaluator.scales
     try:
-        center, radius = chebyshev_center(
-            np.vstack([a, g]),
-            np.concatenate([market.allowed.offsets, h - WEALTH_FLOOR / evaluator.scales]),
-            r,
-        )
+        center, radius = chebyshev_center(*_start_rows(market, evaluator, basis), r)
     except InfeasibleError:
         raise InfeasibleError(
             "no allowed strategy keeps every state's utility argument positive"
@@ -402,7 +433,27 @@ def _interior_start(market, evaluator, basis):
     return basis, center
 
 
-def _escalate_along_ray(market, basis, returns_r, evaluator, u_cur, ray, bound):
+def _interior_starts(markets) -> list:
+    """Starting points of unit-scale log and power utilities (``x0`` of
+    :func:`maximize_utility`) for several markets, from one stacked
+    Chebyshev LP: each market's Chebyshev start in strategy coordinates, or
+    None where the allowed set is flat or keeps no wealth above
+    ``WEALTH_FLOOR``; there :func:`maximize_utility` finds its own start."""
+    blocks, owners = [], []
+    for i, market in enumerate(markets):
+        basis = market.span.basis
+        if basis.shape[1]:
+            unit = _UtilityEvaluator(UtilitySpec.log(), market.n_states)
+            blocks.append(_chebyshev_lp(*_start_rows(market, unit, basis), basis.shape[1]))
+            owners.append(i)
+    starts = [None] * len(markets)
+    for i, result in zip(owners, _solve_stacked(blocks)):
+        if result.status == OPTIMAL and result.value > FLAT_RADIUS:
+            starts[i] = markets[i].span.basis @ result.x[:-1]
+    return starts
+
+
+def _escalate_along_ray(probs, basis, returns_r, evaluator, u_cur, ray, bound):
     """Push the objective along a certified scalable-arbitrage direction.
 
     The gains along the ray are nonnegative and positive somewhere, so the
@@ -417,11 +468,11 @@ def _escalate_along_ray(market, basis, returns_r, evaluator, u_cur, ray, bound):
     w0 = 1.0 + returns_r @ u_cur
     s_cap = 1e306 if noise == 0.0 else min(1e306, 1e-3 * float(np.min(w0)) / noise)
     best = basis @ u_cur
-    best_val = float(market.probs @ evaluator.value(w0))
+    best_val = float(probs @ evaluator.value(w0))
     s = 1.0
     while s < s_cap:
         cand = u_cur + s * ray_u
-        val = float(market.probs @ evaluator.value(1.0 + returns_r @ cand))
+        val = float(probs @ evaluator.value(1.0 + returns_r @ cand))
         if val > bound:
             raise NumericError(
                 "objective escalated past the divergence bound along a "
@@ -441,7 +492,7 @@ def _escalate_along_ray(market, basis, returns_r, evaluator, u_cur, ray, bound):
     )
 
 
-def _piecewise_optimum(market, evaluator, basis):
+def _piecewise_optimum(market, probs, evaluator, basis):
     """Exact epigraph LP for concave piecewise-linear utilities."""
     returns_r = market.returns @ basis
     a = market.allowed.normals @ basis
@@ -459,7 +510,7 @@ def _piecewise_optimum(market, evaluator, basis):
             rhs.append(c + dd)
     a_full = np.vstack([np.hstack([a, np.zeros((a.shape[0], n))]), np.array(rows)])
     b_full = np.concatenate([b, np.array(rhs)])
-    cost = np.concatenate([np.zeros(r), market.probs])
+    cost = np.concatenate([np.zeros(r), probs])
     res = solve_lp(cost, a_ub=a_full, b_ub=b_full, maximize=True)
     if res.status == UNBOUNDED:
         raise NumericError(

@@ -16,13 +16,19 @@ node markets:
   (the scenario-tree deterministic equivalent),
 * the wealth process of the per-node log optima prices everything: its
   reciprocal is a positive process that turns every allowed wealth process
-  into a supermartingale, certified node-by-node with small LPs
-  (``numeraire_process``),
+  into a supermartingale, certified node by node (``numeraire_process``),
 * cheapest super-replication composes backward, one homogenized hedging LP
   per node (``superhedge_tree``).
 
 Each node market is built once and held on the tree (``node_market``), so
 the certificates cached on it, NA1 first of all, serve every later question.
+The per-node LPs of a pass are independent, so each pass solves them
+together as block-diagonal LPs (:func:`~na1lab.lp._solve_stacked`): the NA1
+multipliers of every node, the Chebyshev starts of the per-node utility
+problems, the deflator checks, and the super-hedging LPs of one tree level.
+Every node's result is still checked on its own.  The log optima are held
+on the tree, so the numeraire process and log-utility backward induction
+solve each node once.
 """
 
 from __future__ import annotations
@@ -33,12 +39,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import check_na1
+from .arbitrage import _check_na1_all, _max_expected_gains
 from .errors import InvalidParameterError, NumericError, PreconditionError
-from .hedging import Claim, _homogenized_rows, superhedge
+from .hedging import _homogenized_rows, _recertified, _superhedge_reports
 from .lp import require_optimal, solve_lp
 from .market import ConstraintSet, DiscreteMarket
-from .portfolio import NUMERAIRE_GRADIENT_TOL, UtilitySpec, maximize_utility, verify_deflator
+from .portfolio import (
+    GRADIENT_TOL,
+    NUMERAIRE_GRADIENT_TOL,
+    UtilitySpec,
+    _interior_starts,
+    _maximize,
+    maximize_utility,
+)
 
 #: Membership slack for recorded strategies (constraints and span).
 POLICY_TOL = 1e-9
@@ -195,6 +208,8 @@ class ScenarioTree:
         object.__setattr__(self, "_n_assets", n_assets)
         object.__setattr__(self, "_bfs", tuple(bfs))
         object.__setattr__(self, "_markets", {})
+        object.__setattr__(self, "_starts", {})
+        object.__setattr__(self, "_log_optima", {})
 
     @property
     def root_id(self):
@@ -371,9 +386,10 @@ def _wealth_process(tree: ScenarioTree, strategies: dict) -> dict:
 def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> float:
     """Worst relative supermartingale violation across nodes (<= 0 is clean).
 
-    Per node, a small LP maximizes the deflated expected one-step wealth over
-    the allowed polyhedron; the result should not exceed the node's own
-    deflator value.
+    At each non-leaf node, the deflated expected one-step wealth is
+    maximized over the allowed polyhedron, and the result should not exceed
+    the node's own deflator value.  These LPs of all nodes are solved
+    together as block-diagonal LPs.
     """
     values = process.values
     missing = [nid for nid in tree.bfs_ids() if nid not in values]
@@ -384,13 +400,15 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
     for node_id in tree.bfs_ids():
         if not float(values[node_id]) > 0.0:
             raise InvalidParameterError(f"deflator at node {node_id!r} is not positive")
-    worst = -math.inf
-    for node_id in tree.internal_ids():
-        z_here = float(values[node_id])
-        market = node_market(tree, node_id)
-        ratios = np.array([float(values[k]) / z_here for k in tree.children(node_id)])
-        worst = max(worst, verify_deflator(market, ratios) - 1.0)
-    return float(worst)
+    internal = tree.internal_ids()
+    markets = [node_market(tree, n) for n in internal]
+    weights = [
+        market.probs
+        * (np.array([float(values[k]) for k in tree.children(n)]) / float(values[n]))
+        for n, market in zip(internal, markets)
+    ]
+    gains = _max_expected_gains(markets, weights)
+    return float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
 
 
 # -- global no-scalable-arbitrage ---------------------------------------------
@@ -419,16 +437,15 @@ def global_na1(tree: ScenarioTree) -> TreeNa1Report:
 
     The tree admits no scalable arbitrage exactly when no single node does,
     so the verdict is the conjunction; failing nodes keep their witness rays
-    in the per-node certificates.
+    in the per-node certificates.  The node markets are decided together,
+    their multiplier LPs stacked, and each certificate is cached on its
+    market.
     """
-    certificates: dict = {}
-    failing = []
-    for node_id in tree.internal_ids():
-        cert = check_na1(node_market(tree, node_id))
-        certificates[node_id] = cert
-        if not cert.holds:
-            failing.append(node_id)
-    return TreeNa1Report(not failing, certificates, tuple(failing))
+    internal = tree.internal_ids()
+    certs = _check_na1_all([node_market(tree, n) for n in internal])
+    certificates = dict(zip(internal, certs))
+    failing = tuple(n for n, cert in certificates.items() if not cert.holds)
+    return TreeNa1Report(not failing, certificates, failing)
 
 
 def _require_global_na1(tree: ScenarioTree, context: str) -> None:
@@ -489,15 +506,52 @@ def _best_candidate(weights, returns, candidates, base: UtilitySpec):
     return candidates[best], float(values[best])
 
 
+def _node_starts(tree: ScenarioTree) -> dict:
+    """Every non-leaf node's start for unit log and power utilities, from
+    one stacked Chebyshev LP per tree, held on the tree."""
+    if not tree._starts:
+        internal = tree.internal_ids()
+        starts = _interior_starts([node_market(tree, n) for n in internal])
+        tree._starts.update(zip(internal, starts))
+    return tree._starts
+
+
+def _log_optimum(tree: ScenarioTree, node_id, tol: float):
+    """The node's log optimum at stationarity tolerance ``tol``, held on the
+    tree: one solved to a tolerance at most ``tol`` serves the request, so
+    the numeraire step (``NUMERAIRE_GRADIENT_TOL``) is also the log-utility
+    backward-induction step that follows it."""
+    cached = tree._log_optima.get(node_id)
+    if cached is None or cached[0] > tol:
+        cached = tree._log_optima[node_id] = (
+            tol, _node_optimum(tree, node_id, None, UtilitySpec.log(), tol)
+        )
+    return cached[1]
+
+
+def _node_optimum(tree, node_id, weights, u, tol):
+    """Optimum of ``u`` at one node under the child weights (the branch
+    probabilities when None), started at the node's stacked start."""
+    market = node_market(tree, node_id)
+    x0 = _node_starts(tree)[node_id]
+    try:
+        if weights is None:
+            return maximize_utility(market, u, tol, x0=x0)
+        return _maximize(market, weights, u, tol, x0)
+    except NumericError as exc:
+        raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
+
+
 def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionResult:
     """Exact DP for log and power utilities.
 
     Log values add a per-node constant; power values multiply one, so each
     node solves a single wealth-independent one-period problem (with child
-    weights tilted by the continuation constants in the power case).  The
-    utility's ``scale`` factor shifts (log) or rescales (power) the optimal
-    value without moving the optimizer, so the per-node problems use the
-    unit-scale utility and the root value is adjusted at the end.
+    weights tilted by the continuation constants in the power case, on the
+    node market itself).  The utility's ``scale`` factor shifts (log) or
+    rescales (power) the optimal value without moving the optimizer, so the
+    per-node problems use the unit-scale utility and the root value is
+    adjusted at the end.  Log nodes take the log optima held on the tree.
     """
     is_log = u.kind == "log"
     base = UtilitySpec.log() if is_log else UtilitySpec.power(u.gamma)
@@ -512,19 +566,19 @@ def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionRe
             tilt = market.probs * continuation
             weights = tilt / tilt.sum()
         chosen = _node_candidates(candidates, node_id)
-        try:
-            if chosen is None:
-                target = market
-                if not is_log:
-                    target = DiscreteMarket(weights, market.returns, market.constraints)
-                opt = maximize_utility(target, base)
-                strategy, value = opt.strategy, opt.value
+        if chosen is None:
+            if is_log:
+                opt = _log_optimum(tree, node_id, GRADIENT_TOL)
             else:
+                opt = _node_optimum(tree, node_id, weights, base, GRADIENT_TOL)
+            strategy, value = opt.strategy, opt.value
+        else:
+            try:
                 chosen = _feasible_candidates(market, chosen, node_id)
                 strategy, value = _best_candidate(weights, market.returns, chosen, base)
-                strategy = market.span.project(strategy)
-        except NumericError as exc:
-            raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
+            except NumericError as exc:
+                raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
+            strategy = market.span.project(strategy)
         strategies[node_id] = np.asarray(strategy, dtype=float)
         if is_log:
             node_values[node_id] = float(market.probs @ continuation) + value
@@ -709,18 +763,15 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
     The log optimum at each node makes every allowed wealth ratio a one-step
     supermartingale; stitched along the tree, the inverse of its wealth
     process deflates every allowed strategy's wealth.  Each node's log
-    optimum is solved to the numeraire tolerance and certified once, by the
-    wealth-ratio LP of ``verify_deflator_process``.
+    optimum is solved to the numeraire tolerance, from the node's start in one
+    stacked Chebyshev LP, and certified once, by the wealth-ratio LPs of
+    ``verify_deflator_process``.
     """
     _require_global_na1(tree, "the numeraire process")
-    strategies: dict = {}
-    for node_id in tree.internal_ids():
-        try:
-            strategies[node_id] = maximize_utility(
-                node_market(tree, node_id), UtilitySpec.log(), tol=NUMERAIRE_GRADIENT_TOL
-            ).strategy
-        except NumericError as exc:
-            raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
+    strategies = {
+        node_id: _log_optimum(tree, node_id, NUMERAIRE_GRADIENT_TOL).strategy
+        for node_id in tree.internal_ids()
+    }
     wealth = _wealth_process(tree, strategies)
     policy = PolicyProcess(strategies, wealth)
     policy.validate(tree, require_positive_wealth=True)
@@ -786,18 +837,24 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
     """Cheapest capital covering a nonnegative terminal claim from the root.
 
     Works backward: each node's cost is the one-period super-replication
-    price of the vector of its children's costs.  ``claim`` maps leaf id to
-    payoff, or is a sequence in ``leaf_ids`` order.
+    price of the vector of its children's costs, the LPs of one tree level
+    solved together.  Every node's hedge is checked as
+    :func:`~na1lab.hedging.superhedge` checks it: dominance and duality gap
+    per level, then one stacked re-certification of all lifted deflators.
+    ``claim`` maps leaf id to payoff, or is a sequence in ``leaf_ids`` order.
     """
     _require_global_na1(tree, "tree super-replication")
     node_values = _leaf_payoffs(tree, claim)
-    strategies: dict = {}
-    for node_id in reversed(tree.internal_ids()):
-        market = node_market(tree, node_id)
-        payoff = np.array([node_values[k] for k in tree.children(node_id)])
-        report = superhedge(market, Claim(payoff))
-        # The cost of a nonnegative claim is nonnegative; clip LP noise so the
-        # next level's Claim constructor accepts it.
-        node_values[node_id] = max(float(report.primal_value), 0.0)
-        strategies[node_id] = report.strategy
+    order = tuple(reversed(tree.internal_ids()))
+    reports: dict = {}
+    for depth in reversed(range(tree.horizon)):
+        level = [n for n in order if tree.depth(n) == depth]
+        markets = [node_market(tree, n) for n in level]
+        payoffs = [np.array([node_values[k] for k in tree.children(n)]) for n in level]
+        for node_id, report in zip(level, _superhedge_reports(markets, payoffs)):
+            # The cost of a nonnegative claim is nonnegative; clip LP noise.
+            node_values[node_id] = max(float(report.primal_value), 0.0)
+            reports[node_id] = report
+    _recertified([node_market(tree, n) for n in order], [reports[n] for n in order])
+    strategies = {n: reports[n].strategy for n in order}
     return TreeHedge(float(node_values[tree.root_id]), node_values, strategies)

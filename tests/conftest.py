@@ -5,9 +5,26 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
+import na1lab.lp
 from na1lab.lp import chebyshev_center
 from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Keyword arguments of every call through ``na1lab.lp.linprog``, in
+    order; clear it to count from a later point."""
+    calls = []
+    linprog = na1lab.lp.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(na1lab.lp, "linprog", counted)
+    return calls
 
 
 def make_market(returns, probs=None, constraints=None) -> DiscreteMarket:

@@ -203,36 +203,43 @@ class TestCheckNa1:
             checked += 1
         assert checked >= 20
 
-    def test_lp_count_and_cache(self, monkeypatch):
-        import na1lab.lp
-
-        calls = []
-        original = na1lab.lp.linprog
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(na1lab.lp, "linprog", counted)
+    def test_lp_count_and_cache(self, linprog_calls):
         rng = np.random.default_rng(5)
         for _ in range(20):
             m = random_market_any(rng)
-            calls.clear()
+            linprog_calls.clear()
             cert = check_na1(m)
-            assert len(calls) <= 2
-            calls.clear()
+            assert len(linprog_calls) <= 2
+            linprog_calls.clear()
             assert check_na1(m) is cert
-            assert not calls
+            assert not linprog_calls
             loose = check_na1(m, tol=1e-6)
             assert loose is not cert and loose.threshold == 1e-6
             assert loose.holds == cert.holds
-            assert 1 <= len(calls) <= 2
-            calls.clear()
+            assert 1 <= len(linprog_calls) <= 2
+            linprog_calls.clear()
             assert check_na1(m, tol=1e-6) is loose
             classical = find_classical_arbitrage(m)
-            assert len(calls) == 1
+            assert len(linprog_calls) == 1
             assert find_classical_arbitrage(m) is classical
-            assert len(calls) == 1
+            assert len(linprog_calls) == 1
+
+    def test_wide_market_splits_its_directions(self, linprog_calls):
+        """With thousands of states every direction is its own multiplier
+        LP; without NA1 the check stops at the first infeasible one."""
+        rng = np.random.default_rng(12)
+        returns = rng.uniform(-0.5, 1.0, size=(5000, 2))
+        probs = np.full(5000, 1.0 / 5000)
+        box = preset_constraints("box", 2, lower=[1.0, 1.0], upper=[1.0, 1.0])
+        cert = check_na1(make_market(returns, probs, box))
+        assert cert.holds and cert.multipliers.shape == (4, 5004)
+        assert len(linprog_calls) == 4
+        # the first asset never loses and may be bought without limit
+        returns = np.column_stack([np.abs(returns[:, 0]), returns[:, 1]])
+        linprog_calls.clear()
+        cert = check_na1(make_market(returns, probs, preset_constraints("no_short", 2)))
+        assert not cert.holds
+        assert len(linprog_calls) == 2  # the first multiplier LP, then the ray
 
     def test_conic_constraints_collapse_to_classical(self):
         rng = np.random.default_rng(29)

@@ -368,22 +368,12 @@ class TestNumeraireCommand:
             report["deflator"]["values"], [4.0 / 3.0, 2.0 / 3.0], atol=1e-7
         )
 
-    def test_wealth_ratio_lp_is_solved_once(self, tmp_path, monkeypatch):
+    def test_wealth_ratio_lp_is_solved_once(self, tmp_path, linprog_calls):
         """NA1, the Chebyshev start and one wealth-ratio LP, which both
         certifies the numeraire and gives the deflator's certificate."""
-        import na1lab.lp
-
-        calls = []
-        linprog = na1lab.lp.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(na1lab.lp, "linprog", counting)
         rc, out = run_command(tmp_path, "numeraire", market_doc())
         assert rc == 0
-        assert len(calls) == 3
+        assert len(linprog_calls) == 3
         report = json.loads(out.read_text())
         assert report["deflator"]["certificate"] == report["wealth_ratio_certificate"]
 
@@ -532,7 +522,8 @@ class TestTreeCommand:
 
     def test_each_node_market_is_built_and_certified_once(self, tmp_path, monkeypatch):
         """One run builds each internal node's market once and decides NA1
-        once per node, however many tree operations read it."""
+        once per node, however many tree operations read it.  Power
+        utilities tilt the node weights on the node market itself."""
         import na1lab.arbitrage
         from na1lab.market import DiscreteMarket
 
@@ -544,21 +535,82 @@ class TestTreeCommand:
             builds.append(1)
             post_init(market)
 
-        def counted_decide(market, tol):
-            decisions.append(1)
-            return decide(market, tol)
+        def counted_decide(markets, tol):
+            decisions.extend(markets)
+            return decide(markets, tol)
 
         monkeypatch.setattr(DiscreteMarket, "__post_init__", counted_post_init)
         monkeypatch.setattr(na1lab.arbitrage, "_decide_na1", counted_decide)
-        rc, _ = run_command(
-            tmp_path,
-            "tree",
-            tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
-                     utility={"kind": "log"}),
-        )
+        for utility in ({"kind": "log"}, {"kind": "power", "gamma": 0.5}):
+            builds.clear()
+            decisions.clear()
+            rc, _ = run_command(
+                tmp_path,
+                "tree",
+                tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
+                         utility=utility),
+            )
+            assert rc == 0
+            assert len(builds) == 3
+            assert len(decisions) == 3
+
+    def test_each_log_optimum_is_solved_once(self, tmp_path, monkeypatch):
+        """The numeraire process and log-utility backward induction share
+        each node's log optimum."""
+        import na1lab.tree
+
+        solves = []
+        maximize = na1lab.tree.maximize_utility
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return maximize(*args, **kwargs)
+
+        monkeypatch.setattr(na1lab.tree, "maximize_utility", counted)
+        rc, _ = run_command(tmp_path, "tree", tree_doc(utility={"kind": "log"}))
         assert rc == 0
-        assert len(builds) == 3
-        assert len(decisions) == 3
+        assert len(solves) == 3
+
+    def test_stacked_passes_need_few_lps(self, tmp_path, linprog_calls):
+        """A 255-node binary tree with its own market at every node: every
+        pass stacks its per-node LPs, so the whole run takes at most one LP
+        per two internal nodes."""
+        rng = np.random.default_rng(17)
+        sets, nodes, frontier = {}, [{"id": "n", "constraints": "c_n"}], ["n"]
+        horizon = 7
+        for depth in range(horizon):
+            next_frontier = []
+            for parent in frontier:
+                sets[f"c_{parent}"] = {"halfspaces": [
+                    {"a": a, "b": float(b)}
+                    for a, b in zip([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
+                                    rng.uniform(0.2, 1.5, 4))
+                ]}
+                p = float(rng.uniform(0.3, 0.7))
+                # one state where both assets gain, one where both lose
+                up, down = rng.uniform(0.1, 0.9, 2), rng.uniform(-0.6, -0.1, 2)
+                for k, (prob, returns) in enumerate(((p, up), (1.0 - p, down))):
+                    child = f"{parent}{k}"
+                    node = {"id": child, "parent": parent, "prob": prob,
+                            "returns": [float(x) for x in returns]}
+                    if depth < horizon - 1:
+                        node["constraints"] = f"c_{child}"
+                    nodes.append(node)
+                    next_frontier.append(child)
+            frontier = next_frontier
+        doc = {
+            "constraint_sets": sets,
+            "nodes": nodes,
+            "claim": {leaf: float(x) for leaf, x in zip(frontier, rng.uniform(0.0, 1.5, 128))},
+            "utility": {"kind": "power", "gamma": 0.5},
+        }
+        rc, out = run_command(tmp_path, "tree", doc)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["tree"]["n_nodes"] == 255
+        assert report["na1"]["holds"]
+        assert report["hedge"] is not None and report["optimal"] is not None
+        assert len(linprog_calls) <= 0.5 * 127
 
 
 class TestRunPlumbing:

@@ -233,6 +233,20 @@ class TestMaximizeUtility:
             assert np.linalg.norm(diff) <= 1e-6
             done += 1
 
+    def test_interior_start_needs_no_lp(self, linprog_calls):
+        """A start strictly inside the allowed set is taken before any LP
+        looks for one: with the certificates cached, no LP runs."""
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            m = random_bounded_market(rng)
+            reference = maximize_utility(m, UtilitySpec.log())
+            # halfway to a strictly feasible point from the origin, which is
+            # allowed, is strictly inside every row and the log domain
+            linprog_calls.clear()
+            opt = maximize_utility(m, UtilitySpec.log(), x0=0.5 * reference.strategy)
+            assert not linprog_calls
+            assert opt.value == pytest.approx(reference.value, abs=1e-8)
+
     def test_na1_failure_refused(self):
         m = two_factor_atom_market(1.5, 1.0)
         with pytest.raises(PreconditionError):

@@ -57,23 +57,14 @@ def test_numeraire_and_esmm_are_certified_on_the_fuzz_corpus():
     assert measures == 43
 
 
-def test_esmm_classifies_the_cone_rows_in_one_lp(monkeypatch):
-    import na1lab.lp
-
+def test_esmm_classifies_the_cone_rows_in_one_lp(linprog_calls):
     rng = np.random.default_rng(3)
     # every asset loses in the last state, so no long position is an arbitrage
     returns = np.vstack([rng.uniform(-0.9, 1.5, size=(11, 4)), np.full((1, 4), -0.5)])
     market = DiscreteMarket(np.full(12, 1.0 / 12), returns, preset_constraints("no_short", 4))
     assert not find_classical_arbitrage(market).found
     check_na1(market)
-    calls = []
-    original = na1lab.lp.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(na1lab.lp, "linprog", counted)
+    linprog_calls.clear()
     construct_esmm(market)
     # one LP for the cone's implicit equalities, one certifying the slack
-    assert len(calls) == 2
+    assert len(linprog_calls) == 2

@@ -13,16 +13,18 @@ Oracles, written before the code they check:
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from conftest import make_market, sample_feasible
+from na1lab.arbitrage import check_na1
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.hedging import Claim, superhedge
 from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
-from na1lab.portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
+from na1lab.portfolio import UtilitySpec, maximize_utility, numeraire_portfolio, verify_deflator
 from na1lab.tree import (
     DeflatorProcess,
     PolicyProcess,
@@ -564,22 +566,14 @@ class TestBackwardInductionPiecewise:
             assert res.node_values[n] == pytest.approx(expected, abs=1e-12)
         assert res.value == res.node_values[tree.root_id]
 
-    def test_one_lp_per_tree(self, monkeypatch):
+    def test_one_lp_per_tree(self, linprog_calls):
         """Once the node certificates are cached, the whole tree is one LP."""
-        import na1lab.lp
-
         tree = iid_tree(two_state_market(), horizon=3)
         global_na1(tree)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(na1lab.lp, "linprog", counting)
+        linprog_calls.clear()
         u = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4, 1.0])
         backward_induction(tree, u)
-        assert len(calls) == 1
+        assert len(linprog_calls) == 1
 
 
 class TestBackwardInductionGrid:
@@ -740,3 +734,81 @@ class TestSuperhedgeTree:
             superhedge_tree(tree, [1.0, 2.0, 3.0])
         with pytest.raises(InvalidParameterError, match="nonnegative"):
             superhedge_tree(tree, [1.0, -0.5])
+
+
+def fresh_market(tree, node_id):
+    """The node's one-period market built anew, so no certificate cached on
+    the tree's own market reaches it."""
+    kids = tree.children(node_id)
+    return DiscreteMarket(
+        np.array([float(tree.node(k).prob) for k in kids]),
+        np.vstack([tree.edge_returns(k) for k in kids]),
+        tree.constraints[node_id],
+    )
+
+
+class TestStackedPasses:
+    """Every tree pass solves its per-node LPs stacked; each node must get
+    what a per-node call on a freshly built node market gives."""
+
+    def test_na1_matches_per_node_checks(self):
+        rng = np.random.default_rng(20261018)
+        mixed = 0
+        for _ in range(60):
+            tree = random_tree(rng)
+            report = global_na1(tree)
+            failing = []
+            for n in tree.internal_ids():
+                alone = check_na1(fresh_market(tree, n))
+                stacked = report.certificates[n]
+                assert stacked.verdict == alone.verdict
+                if alone.holds:
+                    radius = alone.bound_radius
+                    assert abs(stacked.bound_radius - radius) <= 1e-9 * (1.0 + radius)
+                else:
+                    failing.append(n)
+                    np.testing.assert_allclose(stacked.witness_ray, alone.witness_ray, atol=1e-12)
+            assert report.failing == tuple(failing)
+            mixed += 0 < len(failing) < len(tree.internal_ids())
+        assert mixed >= 5
+
+    def test_deflator_check_matches_per_node_checks(self):
+        rng = np.random.default_rng(31)
+        unbounded = 0
+        for _ in range(40):
+            tree = random_tree(rng)
+            values = {n: float(rng.uniform(0.5, 1.5)) for n in tree.bfs_ids()}
+            values[tree.root_id] = 1.0
+            expected = max(
+                verify_deflator(
+                    fresh_market(tree, n),
+                    np.array([values[k] for k in tree.children(n)]) / values[n],
+                )
+                - 1.0
+                for n in tree.internal_ids()
+            )
+            worst = verify_deflator_process(tree, DeflatorProcess(values))
+            if math.isinf(expected):
+                assert worst == expected
+                unbounded += 1
+            else:
+                assert worst == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert unbounded >= 5
+
+    def test_superhedge_matches_per_node_loop(self):
+        rng = np.random.default_rng(47)
+        checked = 0
+        while checked < 25:
+            tree = random_tree(rng)
+            if not global_na1(tree).holds:
+                continue
+            claim = rng.uniform(0.0, 1.5, len(tree.leaf_ids))
+            hedge = superhedge_tree(tree, claim)
+            values = dict(zip(tree.leaf_ids, claim.tolist()))
+            for n in reversed(tree.internal_ids()):
+                payoff = np.array([values[k] for k in tree.children(n)])
+                report = superhedge(fresh_market(tree, n), Claim(payoff))
+                values[n] = max(report.primal_value, 0.0)
+                assert hedge.node_values[n] == pytest.approx(values[n], rel=1e-9, abs=1e-9)
+                np.testing.assert_allclose(hedge.strategies[n], report.strategy, atol=1e-7)
+            checked += 1
