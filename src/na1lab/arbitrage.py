@@ -23,14 +23,12 @@ from scipy.special import logsumexp
 
 from .errors import NumericError, InvalidParameterError, PreconditionError
 from .lp import (
-    INFEASIBLE,
-    STACK_COLUMNS,
-    UNBOUNDED,
+    BIG_BOUND,
+    OPTIMAL,
     _solve_stacked,
     cone_span,
     minimize_convex,
     require_optimal,
-    solve_lp,
 )
 from .market import Cone, DiscreteMarket, generated_cone
 
@@ -152,10 +150,40 @@ class Esmm:
         }
 
 
+def _state_rows(market: DiscreteMarket) -> np.ndarray:
+    """Mask of the admissibility rows among the allowed rows, one per
+    distinct state; LPs over the allowed set generate them on demand."""
+    mask = np.zeros(market.allowed.offsets.size, dtype=bool)
+    mask[: market.support_points.shape[0]] = True
+    return mask
+
+
+def _allowed_lp(market: DiscreteMarket, cost, boxed: bool = True) -> dict:
+    """:func:`~na1lab.lp._solve_stacked` block of ``max cost . theta`` over
+    the allowed set in span coordinates, within ``|theta_j| <= BIG_BOUND``
+    and with the state rows generated on demand; unboxed, one LP with every
+    row, for an allowed set that is bounded but reaches past the box."""
+    block = dict(
+        cost=cost,
+        a_ub=market.allowed.normals @ market.span.basis,
+        b_ub=market.allowed.offsets,
+        maximize=True,
+    )
+    if boxed:
+        block.update(bounds=(-BIG_BOUND, BIG_BOUND), lazy=_state_rows(market))
+    return block
+
+
+def _on_box(result) -> bool:
+    """Whether an optimum reaches the box of :func:`_allowed_lp`."""
+    return np.max(np.abs(result.x)) >= (1.0 - 1e-9) * BIG_BOUND
+
+
 def _arbitrage_search(market: DiscreteMarket, offsets: np.ndarray, tol: float):
     """Shared LP core: maximize expected gain subject to nonnegative gains,
     membership in ``{A pi <= offsets}`` within the return span, and a large
-    box keeping the LP bounded.  Returns (objective, strategy | None)."""
+    box keeping the LP bounded.  The gain and admissibility rows, one per
+    state, are generated on demand.  Returns (objective, strategy | None)."""
     basis = market.span.basis
     r = basis.shape[1]
     if r == 0:
@@ -164,11 +192,11 @@ def _arbitrage_search(market: DiscreteMarket, offsets: np.ndarray, tol: float):
     a_theta = market.allowed.normals @ basis
     a_rows = np.vstack([a_theta, -returns_r, basis, -basis])
     d = market.n_assets
-    b_rows = np.concatenate(
-        [offsets, np.zeros(market.n_states), np.full(2 * d, STRATEGY_BOX)]
-    )
+    n = market.n_states
+    b_rows = np.concatenate([offsets, np.zeros(n), np.full(2 * d, STRATEGY_BOX)])
+    lazy = np.concatenate([_state_rows(market), np.ones(n, dtype=bool), np.zeros(2 * d, dtype=bool)])
     cost = market.probs @ returns_r
-    res = solve_lp(cost, a_ub=a_rows, b_ub=b_rows, maximize=True)
+    [res] = _solve_stacked([dict(cost=cost, a_ub=a_rows, b_ub=b_rows, maximize=True, lazy=lazy)])
     require_optimal(res, "arbitrage search")
     if res.value <= tol:
         return float(res.value), None
@@ -272,23 +300,27 @@ def check_na1(market: DiscreteMarket, tol: float = GAIN_TOL) -> Na1Certificate:
     The allowed set ``{C theta <= b}`` (``C`` the allowed normals in span
     coordinates, ``b >= 0``) is bounded in the return span exactly when every
     signed coordinate direction ``c_k = +-basis[i]`` is a nonnegative
-    combination ``C^T lambda_k`` of its rows (Farkas).  One LP, minimizing
-    ``sum_k b . lambda_k`` over those multipliers, decides this; by LP
-    duality each ``b . lambda_k`` is then the support function of the set in
-    direction ``c_k``, and their maximum is its sup-norm radius.  The
-    multipliers are re-verified with numpy: residuals below ``1 / sqrt(d)``
-    already rule out any nonzero recession direction in the span.  When the
-    LP is infeasible, one more LP finds the witness ray.
+    combination ``C^T lambda_k`` of its rows (Farkas).  The support LP
+    ``max c_k . theta`` over the allowed set, within ``|theta_j| <=
+    BIG_BOUND`` and with the state rows generated on demand, gives
+    ``lambda_k`` as its row multipliers (zero on rows never generated).
+    Numpy re-verifies them: residuals ``|C^T lambda_k - c_k|`` below
+    ``1 / sqrt(d)`` rule out any nonzero recession direction in the span.
+    With every optimum inside the box, each ``b . lambda_k`` is the support
+    value, and their maximum the sup-norm radius.  When the multipliers
+    fail or an optimum reaches the box, one more LP looks for the witness
+    ray; without one, the set is bounded but larger than the box, and its
+    support LPs are solved again whole, without the box.
 
     The certificate is cached on the market, one per tolerance;
-    :func:`_check_na1_all` decides several markets in stacked LPs.
+    :func:`_check_na1_all` decides several markets in one stacked call.
     """
     return _check_na1_all([market], tol)[0]
 
 
 def _check_na1_all(markets, tol: float = GAIN_TOL) -> list[Na1Certificate]:
     """:func:`check_na1` for several markets.  Those without a cached
-    certificate are decided together, their multiplier LPs stacked by
+    certificate are decided together, their support LPs stacked by
     :func:`~na1lab.lp._solve_stacked`, and the certificates are cached."""
     key = ("na1", float(tol))
     fresh = list({id(m): m for m in markets if key not in m.certificates}.values())
@@ -298,95 +330,92 @@ def _check_na1_all(markets, tol: float = GAIN_TOL) -> list[Na1Certificate]:
 
 
 def _decide_na1(markets, tol: float) -> list[Na1Certificate]:
-    certs: list = [None] * len(markets)
-    lps = {}
-    for i, market in enumerate(markets):
-        if market.span.basis.shape[1] == 0:
-            certs[i] = Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol)
+    certs: list = [
+        None if m.span.basis.shape[1] else Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol)
+        for m in markets
+    ]
+    owners = [i for i, cert in enumerate(certs) if cert is None]
+    unsettled = _settle_na1(markets, owners, certs, tol, boxed=True)
+    # The support LPs failed or reached the box: the set is unbounded in the
+    # span, or bounded but larger than the box.
+    rays = _best_rays([markets[i] for i in unsettled], [np.ones(markets[i].n_states) for i in unsettled])
+    large = []
+    for i, ray in zip(unsettled, rays):
+        if ray.value > tol:
+            witness = _witness_ray(markets[i], ray)
+            certs[i] = Na1Certificate("na1_fails", witness_ray=witness, threshold=tol)
         else:
-            lps[i] = _multiplier_lps(market)
-    # Round k solves the k-th multiplier LP of every market still open; a
-    # market split over several LPs stops at its first infeasible one.
-    solved: dict = {i: [] for i in lps}
-    failing = set()
-    for k in range(max(map(len, lps.values()), default=0)):
-        pending = [i for i in lps if k < len(lps[i]) and i not in failing]
-        for i, result in zip(pending, _solve_stacked([lps[i][k] for i in pending])):
-            if result.status == INFEASIBLE:
-                failing.add(i)
-            else:
-                solved[i].append(require_optimal(result, "boundedness certificate").x)
-    for i in lps:
-        market = markets[i]
-        basis = market.span.basis
-        d = basis.shape[0]
-        theta = market.allowed
-        c_rows = theta.normals @ basis
-        if i in failing:
-            ray = _witness_ray(market, c_rows, tol)
-            certs[i] = Na1Certificate("na1_fails", witness_ray=ray, threshold=tol)
-            continue
-        multipliers = np.maximum(np.concatenate(solved[i]).reshape(2 * d, -1), 0.0)
-        residual = multipliers @ c_rows - np.vstack([basis, -basis])
-        if not float(np.max(np.linalg.norm(residual, axis=1))) < 1.0 / np.sqrt(d):
-            raise NumericError("boundedness multipliers failed re-verification")
-        radius = float(np.max(multipliers @ theta.offsets))
-        certs[i] = Na1Certificate(
-            "na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol
+            large.append(i)
+    if _settle_na1(markets, large, certs, tol, boxed=False):
+        raise NumericError(
+            "allowed polyhedron is unbounded in the return span although "
+            "no scalable direction was found; tolerance boundary case"
         )
     return certs
 
 
-def _multiplier_lps(market: DiscreteMarket) -> list[dict]:
-    """LPs of the boundedness multipliers: rows ``lambda_k >= 0`` with
-    ``C^T lambda_k = c_k`` for every signed coordinate direction
-    ``c_k = +-basis[i]``, minimizing ``sum_k b . lambda_k``; one is
-    infeasible exactly when some direction has no such combination.
+def _settle_na1(markets, owners, certs, tol: float, boxed: bool) -> list:
+    """Solve the support LPs :func:`_allowed_lp` of ``+-basis[i]`` of the
+    markets ``owners``, all in one stacked call, and fill ``certs`` with
+    those whose re-verified multipliers prove NA1 and whose optima do not
+    reach the box; returns the others."""
+    blocks = []
+    for i in owners:
+        shared = _allowed_lp(markets[i], None, boxed)  # one constraint matrix for all directions
+        basis = markets[i].span.basis
+        blocks += [dict(shared, cost=direction) for direction in np.vstack([basis, -basis])]
+    results = iter(_solve_stacked(blocks))
+    unsettled = []
+    for i in owners:
+        market = markets[i]
+        basis, d = market.span.basis, market.n_assets
+        support = [next(results) for _ in range(2 * d)]
+        if any(lp.status != OPTIMAL or (boxed and _on_box(lp)) for lp in support):
+            unsettled.append(i)
+            continue
+        multipliers = np.maximum(-np.array([lp.marginals_ub for lp in support]), 0.0)
+        residual = multipliers @ (market.allowed.normals @ basis) - np.vstack([basis, -basis])
+        if not float(np.max(np.linalg.norm(residual, axis=1))) < 1.0 / np.sqrt(d):
+            unsettled.append(i)
+            continue
+        radius = float(np.max(multipliers @ market.allowed.offsets))
+        certs[i] = Na1Certificate(
+            "na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol
+        )
+    return unsettled
 
-    Each LP holds as many directions as fit in ``STACK_COLUMNS`` multiplier
-    columns, at least one: a small or tree-node market is one LP, and the
-    directions of a market with thousands of states are split over several.
-    """
-    basis = market.span.basis
-    directions = np.vstack([basis, -basis])
-    c_rows = market.allowed.normals @ basis
-    per_lp = max(1, STACK_COLUMNS // c_rows.shape[0])
-    lps = []
-    for start in range(0, len(directions), per_lp):
-        chunk = directions[start : start + per_lp]
-        lps.append(dict(
-            cost=np.tile(market.allowed.offsets, len(chunk)),
-            a_eq=np.kron(np.eye(len(chunk)), c_rows.T),
-            b_eq=chunk.reshape(-1),
-            bounds=(0.0, None),
+
+def _best_rays(markets, weights) -> list:
+    """Per market, the stacked LP result of the largest weighted gain
+    ``weights @ (R basis theta)`` over the recession cone of the allowed set
+    in the span, within the unit sup-norm box, state rows on demand."""
+    blocks = []
+    for market, w in zip(markets, weights):
+        basis = market.span.basis
+        d = basis.shape[0]
+        c_rows = market.allowed.normals @ basis
+        blocks.append(dict(
+            cost=np.asarray(w, dtype=float) @ (market.returns @ basis),
+            a_ub=np.vstack([c_rows, basis, -basis]),
+            b_ub=np.concatenate([np.zeros(c_rows.shape[0]), np.ones(2 * d)]),
+            maximize=True,
+            lazy=np.concatenate([_state_rows(market), np.zeros(2 * d, dtype=bool)]),
         ))
-    return lps
+    return [require_optimal(res, "recession-ray LP") for res in _solve_stacked(blocks)]
 
 
-def _witness_ray(market: DiscreteMarket, c_rows, tol: float) -> np.ndarray:
-    """Recession direction of the allowed set in the span with the largest
-    total gain inside the unit sup-norm box, scaled to sup-norm one.
+def _witness_ray(market: DiscreteMarket, result) -> np.ndarray:
+    """The scalable arbitrage in ``result``, the recession direction of
+    :func:`_best_rays` with the largest total gain, scaled to sup-norm one.
 
     Recession directions already have nonnegative gains (the admissibility
     rows are among the normals), and a nonzero one in the span gains
     somewhere, so a positive optimum is a scalable arbitrage.
     """
-    basis = market.span.basis
-    d = basis.shape[0]
-    a_rows = np.vstack([c_rows, basis, -basis])
-    b_rows = np.concatenate([np.zeros(c_rows.shape[0]), np.ones(2 * d)])
-    cost = market.returns.sum(axis=0) @ basis
-    res = solve_lp(cost, a_ub=a_rows, b_ub=b_rows, maximize=True)
-    require_optimal(res, "scalable arbitrage search")
-    if not res.value > tol:
-        raise NumericError(
-            "allowed polyhedron is unbounded in the return span although "
-            "no scalable direction was found; tolerance boundary case"
-        )
-    ray = basis @ res.x
+    ray = market.span.basis @ result.x
     ray = ray / np.max(np.abs(ray))
     gains = market.returns @ ray
-    if not Cone(d, market.allowed.normals).contains(ray) or np.any(gains < -1e-12):
+    if not Cone(market.n_assets, market.allowed.normals).contains(ray) or np.any(gains < -1e-12):
         raise NumericError("witness ray failed re-verification")
     return ray
 
@@ -398,7 +427,10 @@ def max_expected_gain(market: DiscreteMarket, probs) -> float:
 
     The weights need not sum to one: the wealth-ratio and deflator checks
     of :mod:`na1lab.portfolio` are this LP under deflated probabilities.
-    :func:`_max_expected_gains` solves it for several markets at once.
+    It runs within ``|theta_j| <= BIG_BOUND``; an optimum on that box is
+    +inf only along a recession direction of positive weighted gain,
+    checked with numpy, and is otherwise solved again without the box.
+    :func:`_max_expected_gains` solves several LPs.
     """
     return _max_expected_gains([market], [probs])[0]
 
@@ -407,23 +439,41 @@ def _max_expected_gains(markets, weights) -> list[float]:
     """:func:`max_expected_gain` of each market under its weights, the LPs
     stacked by :func:`~na1lab.lp._solve_stacked`."""
     values = [0.0] * len(markets)
-    blocks, owners = [], []
-    for i, (market, probs) in enumerate(zip(markets, weights)):
-        basis = market.span.basis
-        if basis.shape[1] == 0:
-            continue
-        blocks.append(dict(
-            cost=np.asarray(probs, dtype=float) @ (market.returns @ basis),
-            a_ub=market.allowed.normals @ basis,
-            b_ub=market.allowed.offsets,
-            maximize=True,
-        ))
-        owners.append(i)
-    for i, result in zip(owners, _solve_stacked(blocks)):
-        if result.status == UNBOUNDED:
+    owners = [i for i, m in enumerate(markets) if m.span.basis.shape[1]]
+
+    def gain_lps(owners, boxed):
+        blocks = []
+        for i in owners:
+            cost = np.asarray(weights[i], dtype=float) @ (markets[i].returns @ markets[i].span.basis)
+            blocks.append(_allowed_lp(markets[i], cost, boxed))
+        return zip(owners, _solve_stacked(blocks))
+
+    boxed = []
+    for i, result in gain_lps(owners, True):
+        values[i] = float(require_optimal(result, "expected-gain LP").value)
+        if _on_box(result):
+            boxed.append(i)
+    rays = _best_rays([markets[i] for i in boxed], [weights[i] for i in boxed])
+    large = []
+    for i, ray in zip(boxed, rays):
+        market = markets[i]
+        direction = market.span.basis @ ray.x
+        gain = float(np.asarray(weights[i], dtype=float) @ (market.returns @ direction))
+        if ray.value > GAIN_TOL and gain > 0.0 and Cone(
+            market.n_assets, market.allowed.normals
+        ).contains(direction):
             values[i] = float("inf")
         else:
-            values[i] = float(require_optimal(result, "expected-gain LP").value)
+            large.append(i)
+    # without such a ray the LP is bounded, and its optimum lies past the box
+    # or the box only cut off a flat direction
+    for i, result in gain_lps(large, False):
+        if result.status != OPTIMAL:
+            raise NumericError(
+                "expected-gain LP is unbounded although no gaining ray was "
+                "found; tolerance boundary case"
+            )
+        values[i] = float(result.value)
     return values
 
 

@@ -192,7 +192,8 @@ def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
 
 def _superhedge_reports(markets, payoffs) -> list[ValuationReport]:
     """Super-hedging LPs of several markets and payoffs, stacked by
-    :func:`~na1lab.lp._solve_stacked`, each checked on its own: the position
+    :func:`~na1lab.lp._solve_stacked` with the state rows generated on
+    demand, each checked on its own: the position
     must dominate its payoff and the lifted deflator's reading must match the
     LP value.  ``attainable`` does not yet account for the re-certification
     of the lifted deflators, which :func:`_recertified` adds."""
@@ -209,6 +210,7 @@ def _superhedge_reports(markets, payoffs) -> list[ValuationReport]:
             a_ub=np.vstack([state_rows, budget_rows]),
             b_ub=np.concatenate([-payoff, budget_rhs]),
             bounds=[(0.0, None)] + [(None, None)] * d,
+            lazy=np.arange(n + len(budget_rhs)) < n,
         ))
     reports = []
     for market, payoff, result in zip(markets, payoffs, _solve_stacked(blocks)):

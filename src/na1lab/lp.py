@@ -4,15 +4,19 @@ Every LP in the package goes through :func:`solve_lp` so that status handling
 and dual-multiplier conventions live in one place.  Problems are always passed
 to scipy in minimization form; ``maximize=True`` negates the cost and the
 reported optimum, nothing else.
+
+LPs carry one row per state, yet only the few states on the boundary of the
+allowed set shape their optima, so :func:`_solve_stacked` generates the
+state rows of large LPs on demand, and solves independent LPs together.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag, null_space
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .errors import InfeasibleError, NumericError
@@ -33,6 +37,19 @@ STACK_COLUMNS = 4096
 #: Most entries (rows times columns) of the dense constraint matrix of one
 #: stacked LP, which grows with the square of the number of blocks.
 STACK_ENTRIES = 1 << 20
+
+#: Blocks with more lazy rows than this generate them; smaller blocks are
+#: solved whole, since below it extra rounds cost more than the rows saved
+#: (crossover measured on seeded random box markets, see CHANGES.md).
+LAZY_ROWS = 256
+
+#: Row generation: rows gained per round and column, fixed seed directions
+#: per column besides the signed axes (mid-range picks of a sweep in which
+#: no setting stood out, see CHANGES.md), and the violation ``a . x - b``
+#: that counts, relative to ``1 + |b|``.
+ROWS_PER_COLUMN = 8
+SEED_DIRECTIONS = 4
+VIOLATION_TOL = 1e-9
 
 #: Newton iterations allowed to :func:`minimize_convex`.
 NEWTON_ITERATIONS = 200
@@ -130,6 +147,85 @@ def solve_lp(
 
 
 def _solve_stacked(blocks) -> list[LpResult]:
+    """Solve independent LPs, each a dict of :func:`solve_lp` arguments; one
+    result per block, in order, each round solving all open blocks together.
+
+    A block may mark ``lazy`` rows of ``a_ub`` (a boolean mask, one per
+    state).  With more than ``LAZY_ROWS`` of them it is solved by row
+    generation (Kelley's cutting-plane method): from the rows of
+    :func:`_seed_rows` it gains violated lazy rows (:func:`_grown`) until
+    none is violated.  An optimum of a relaxation that satisfies every row
+    is an optimum of the whole LP, and its multipliers, padded with zeros,
+    are the whole LP's.  Such a block must stay bounded without its lazy
+    rows, by box rows or variable bounds.
+    """
+    seeds: dict = {}  # blocks sharing one matrix and mask share their seeds
+    kept = [_seed_rows(block, seeds) for block in blocks]
+    results: list = [None] * len(blocks)
+    pending = list(range(len(blocks)))
+    while pending:
+        reduced = [{k: v for k, v in blocks[i].items() if k != "lazy"} for i in pending]
+        for block, i in zip(reduced, pending):
+            if kept[i] is not None:
+                a, b = _rows(block, "a_ub", "b_ub")
+                block.update(a_ub=a[kept[i]], b_ub=b[kept[i]])
+        still_open = []
+        for i, result in zip(pending, _solve_together(reduced)):
+            grown = _grown(blocks[i], kept[i], result)
+            if grown is not None:
+                kept[i] = grown
+                still_open.append(i)
+            elif kept[i] is not None and result.marginals_ub is not None:
+                marginals = np.zeros(kept[i].size)
+                marginals[kept[i]] = result.marginals_ub
+                results[i] = replace(result, marginals_ub=marginals)
+            else:
+                results[i] = result
+        pending = still_open
+    return results
+
+
+def _seed_rows(block, seeds):
+    """Mask of the ``a_ub`` rows that start row generation, or None when the
+    block is solved whole: the rows that are not lazy, and the lazy rows
+    extreme (largest ``a . u``) along the signed axes ``u`` and along
+    ``SEED_DIRECTIONS`` fixed directions per column.  ``seeds`` holds the
+    masks already built, by matrix and lazy mask."""
+    lazy = block.get("lazy")
+    if lazy is None or np.count_nonzero(lazy) <= LAZY_ROWS:
+        return None
+    key = (id(block["a_ub"]), id(lazy))
+    if key not in seeds:
+        a, _ = _rows(block, "a_ub", "b_ub")
+        n = a.shape[1]
+        fixed = np.random.default_rng(0).standard_normal((SEED_DIRECTIONS * n, n))
+        rows, kept = np.flatnonzero(lazy), ~np.asarray(lazy)
+        kept[rows[np.argmax(a[rows] @ np.vstack([np.eye(n), -np.eye(n), fixed]).T, axis=0)]] = True
+        seeds[key] = kept
+    return seeds[key]
+
+
+def _grown(block, kept, result):
+    """Row mask of the block's next round, or None when ``result`` is final
+    (the block was solved whole, or no lazy row is violated); the deepest
+    violated rows join, ``ROWS_PER_COLUMN`` per column.  A relaxation that
+    is not optimal gets every row: HiGHS may call an unbounded LP infeasible."""
+    if kept is None or (result.status != OPTIMAL and np.all(kept)):
+        return None
+    if result.status != OPTIMAL:
+        return np.ones_like(kept)
+    a, b = _rows(block, "a_ub", "b_ub")
+    excess = a @ result.x - b
+    rows = np.flatnonzero(block["lazy"] & ~kept & (excess > VIOLATION_TOL * (1.0 + np.abs(b))))
+    if not rows.size:
+        return None
+    depth = excess[rows] / np.linalg.norm(a[rows], axis=1)
+    grown = kept.copy()
+    grown[rows[np.argsort(-depth, kind="stable")[: ROWS_PER_COLUMN * a.shape[1]]]] = True
+    return grown
+
+
+def _solve_together(blocks) -> list[LpResult]:
     """Solve independent LPs, each a dict of :func:`solve_lp` arguments, as
     dense block-diagonal LPs; one result per block, in order.
 
@@ -190,6 +286,13 @@ def _solve_chunk(blocks) -> list[LpResult] | None:
     signs = [-1.0 if b.get("maximize", False) else 1.0 for b in blocks]
     ub = [_rows(b, "a_ub", "b_ub") for b in blocks]
     eq = [_rows(b, "a_eq", "b_eq") for b in blocks]
+    # filled by slices: scipy's block_diag costs about 0.1 ms per block
+    col = np.cumsum([0] + [c.size for c in costs])
+    row, eq_row = (np.cumsum([0] + [len(r) for _, r in pairs]) for pairs in (ub, eq))
+    a_ub, a_eq = np.zeros((row[-1], col[-1])), np.zeros((eq_row[-1], col[-1]))
+    for k in range(len(blocks)):
+        a_ub[row[k] : row[k + 1], col[k] : col[k + 1]] = ub[k][0]
+        a_eq[eq_row[k] : eq_row[k + 1], col[k] : col[k + 1]] = eq[k][0]
     bounds = []
     for b, c in zip(blocks, costs):
         pairs = b.get("bounds")
@@ -198,16 +301,14 @@ def _solve_chunk(blocks) -> list[LpResult] | None:
         bounds.extend(pairs)
     result = solve_lp(
         np.concatenate([s * c / scale for c, s, scale in zip(costs, signs, scales)]),
-        a_ub=block_diag(*(a for a, _ in ub)),
+        a_ub=a_ub,
         b_ub=np.concatenate([r for _, r in ub]),
-        a_eq=block_diag(*(a for a, _ in eq)),
+        a_eq=a_eq,
         b_eq=np.concatenate([r for _, r in eq]),
         bounds=bounds,
     )
     if result.status != OPTIMAL:
         return None
-    col = np.cumsum([0] + [c.size for c in costs])
-    row = np.cumsum([0] + [len(r) for _, r in ub])
     out = []
     for k, cost in enumerate(costs):
         x = result.x[col[k] : col[k + 1]]
@@ -235,38 +336,25 @@ def is_feasible(a_ub: np.ndarray, b_ub: np.ndarray, dim: int) -> bool:
     return res.status == OPTIMAL
 
 
-def chebyshev_center(a_ub: np.ndarray, b_ub: np.ndarray, dim: int, box: float = BIG_BOUND):
-    """Center of the largest ball inside ``{x : a_ub x <= b_ub}``.
-
-    The polyhedron is intersected with ``|x_i| <= box`` so the LP stays
-    bounded even when the input set is not.  Returns ``(center, radius)``;
-    raises :class:`InfeasibleError` if the set is empty.
-    """
-    b_ub = np.asarray(b_ub, dtype=float)
-    if dim == 0:
-        if np.any(b_ub < 0):
-            raise InfeasibleError("chebyshev_center: empty zero-dimensional set")
-        return np.zeros(0), 0.0
-    res = solve_lp(**_chebyshev_lp(a_ub, b_ub, dim, box))
-    require_optimal(res, "chebyshev_center")
-    return res.x[:-1], float(res.value)
-
-
-def _chebyshev_lp(a_ub, b_ub, dim: int, box: float = BIG_BOUND) -> dict:
-    """:func:`solve_lp` arguments of the Chebyshev-center LP for ``dim >= 1``:
-    variables ``(x, radius)``, maximizing the radius."""
+def _chebyshev_lp(a_ub, b_ub, dim: int, box: float = BIG_BOUND, lazy=None) -> dict:
+    """:func:`_solve_stacked` block of the Chebyshev-center LP of ``{x : a_ub x
+    <= b_ub, |x_i| <= box}`` for ``dim >= 1``: variables ``(x, radius)``,
+    maximizing the radius; ``lazy`` marks rows of ``a_ub`` generated on demand."""
     a_full = np.vstack([np.asarray(a_ub, dtype=float).reshape(-1, dim), np.eye(dim), -np.eye(dim)])
     b_full = np.concatenate([np.asarray(b_ub, dtype=float), np.full(2 * dim, box)])
     norms = np.linalg.norm(a_full, axis=1)
     cost = np.zeros(dim + 1)
     cost[-1] = 1.0
-    return dict(
+    block = dict(
         cost=cost,
         a_ub=np.hstack([a_full, norms[:, None]]),
         b_ub=b_full,
         bounds=[(None, None)] * dim + [(0, 2 * box)],
         maximize=True,
     )
+    if lazy is not None:
+        block["lazy"] = np.concatenate([lazy, np.zeros(2 * dim, dtype=bool)])
+    return block
 
 
 def cone_span(rows: np.ndarray):

@@ -52,10 +52,10 @@ class ConstraintSet:
     preset: str | None = None
 
     def __post_init__(self):
-        normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
+        normals = np.atleast_2d(np.array(self.normals, dtype=float))
         if normals.size == 0:
             normals = normals.reshape(0, self.dim)
-        offsets = np.asarray(self.offsets, dtype=float).reshape(-1)
+        offsets = np.array(self.offsets, dtype=float).reshape(-1)
         if normals.shape != (offsets.size, self.dim):
             raise InvalidParameterError(
                 f"constraint shapes disagree: normals {normals.shape}, "
@@ -89,10 +89,6 @@ class ConstraintSet:
             np.vstack([self.normals, other.normals]),
             np.concatenate([self.offsets, other.offsets]),
         )
-
-    def is_conic(self, tol: float = 0.0) -> bool:
-        """True when every offset is zero, i.e. the set is a cone."""
-        return bool(np.all(np.abs(self.offsets) <= tol))
 
 
 def preset_constraints(
@@ -204,8 +200,9 @@ class DiscreteMarket:
     note: object | None = None
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
-        returns = np.asarray(self.returns, dtype=float)
+        # copies, so freezing them below leaves the caller's arrays alone
+        probs = np.array(self.probs, dtype=float).reshape(-1)
+        returns = np.array(self.returns, dtype=float)
         if returns.ndim != 2:
             raise InvalidParameterError("returns must be a 2-D array (states x assets)")
         if returns.shape[0] != probs.size:

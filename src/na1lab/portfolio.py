@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import ZERO_OFFSET_TOL, check_na1, max_expected_gain
+from .arbitrage import ZERO_OFFSET_TOL, _state_rows, check_na1, max_expected_gain
 from .errors import (
     InfeasibleError,
     InvalidParameterError,
@@ -22,11 +22,11 @@ from .errors import (
     PreconditionError,
 )
 from .lp import (
+    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     _chebyshev_lp,
     _solve_stacked,
-    chebyshev_center,
     cone_span,
     minimize_convex,
     require_optimal,
@@ -112,10 +112,6 @@ class UtilitySpec:
             scale=self.scale * scale,
             shift=self.scale * shift + self.shift,
         )
-
-    @property
-    def needs_positive_argument(self) -> bool:
-        return self.kind in ("log", "power")
 
     def _argument(self, x):
         return self.scale * np.asarray(x, dtype=float) + self.shift
@@ -391,9 +387,11 @@ def _searched_rows(market, basis):
     return rows, normals[rows] @ basis, market.allowed.offsets[rows]
 
 
-def _start_rows(market, evaluator, basis):
-    """Rows ``(A, c)`` of the set whose Chebyshev center starts the search:
-    the allowed set, and every utility argument at least ``WEALTH_FLOOR``.
+def _start_lp(market, evaluator, basis):
+    """Chebyshev-center LP (a :func:`~na1lab.lp._solve_stacked` block) of the
+    set that starts the search: the allowed set, and every utility argument
+    at least ``WEALTH_FLOOR``; the rows of the states are generated on
+    demand.
 
     The utility argument ``scale * (1 + gain) + shift`` must stay positive:
     ``g u < h`` with ``g = -R`` and ``h = 1 + shift / scale``, divided by the
@@ -401,16 +399,18 @@ def _start_rows(market, evaluator, basis):
     solver's drop tolerance.
     """
     h = 1.0 + evaluator.shifts / evaluator.scales
-    return (
+    return _chebyshev_lp(
         np.vstack([market.allowed.normals @ basis, -(market.returns @ basis)]),
         np.concatenate([market.allowed.offsets, h - WEALTH_FLOOR / evaluator.scales]),
+        basis.shape[1],
+        lazy=np.concatenate([_state_rows(market), np.ones(market.n_states, dtype=bool)]),
     )
 
 
 def _interior_start(market, evaluator, basis):
     """Coordinates in which the allowed set has an interior, and its
     Chebyshev center there with every utility argument at least
-    ``WEALTH_FLOOR`` (see :func:`_start_rows`).
+    ``WEALTH_FLOOR`` (see :func:`_start_lp`).
 
     When no strategy is strictly inside every allowed row, the set is flat
     within ``basis``, and the coordinates shrink to the span of its
@@ -419,12 +419,11 @@ def _interior_start(market, evaluator, basis):
     r = basis.shape[1]
     if r == 0:
         return basis, np.zeros(0)
-    try:
-        center, radius = chebyshev_center(*_start_rows(market, evaluator, basis), r)
-    except InfeasibleError:
-        raise InfeasibleError(
-            "no allowed strategy keeps every state's utility argument positive"
-        ) from None
+    [result] = _solve_stacked([_start_lp(market, evaluator, basis)])
+    if result.status == INFEASIBLE:
+        raise InfeasibleError("no allowed strategy keeps every state's utility argument positive")
+    require_optimal(result, "chebyshev_center")
+    center, radius = result.x[:-1], float(result.value)
     if radius <= FLAT_RADIUS:
         cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
         span = cone_span(cone_rows)[0]
@@ -444,7 +443,7 @@ def _interior_starts(markets) -> list:
         basis = market.span.basis
         if basis.shape[1]:
             unit = _UtilityEvaluator(UtilitySpec.log(), market.n_states)
-            blocks.append(_chebyshev_lp(*_start_rows(market, unit, basis), basis.shape[1]))
+            blocks.append(_start_lp(market, unit, basis))
             owners.append(i)
     starts = [None] * len(markets)
     for i, result in zip(owners, _solve_stacked(blocks)):

@@ -24,7 +24,7 @@ Each node market is built once and held on the tree (``node_market``), so
 the certificates cached on it, NA1 first of all, serve every later question.
 The per-node LPs of a pass are independent, so each pass solves them
 together as block-diagonal LPs (:func:`~na1lab.lp._solve_stacked`): the NA1
-multipliers of every node, the Chebyshev starts of the per-node utility
+support LPs of every node, the Chebyshev starts of the per-node utility
 problems, the deflator checks, and the super-hedging LPs of one tree level.
 Every node's result is still checked on its own.  The log optima are held
 on the tree, so the numeraire process and log-utility backward induction
@@ -438,7 +438,7 @@ def global_na1(tree: ScenarioTree) -> TreeNa1Report:
     The tree admits no scalable arbitrage exactly when no single node does,
     so the verdict is the conjunction; failing nodes keep their witness rays
     in the per-node certificates.  The node markets are decided together,
-    their multiplier LPs stacked, and each certificate is cached on its
+    their support LPs stacked, and each certificate is cached on its
     market.
     """
     internal = tree.internal_ids()

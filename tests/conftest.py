@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import na1lab.lp
-from na1lab.lp import chebyshev_center
+from na1lab.lp import _chebyshev_lp, solve_lp
 from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
 
 
@@ -89,7 +89,7 @@ def sample_feasible(rng, normals, offsets, dim, n_samples=1, cap=50.0):
     """Sample points of ``{x : normals @ x <= offsets}`` by shooting rays from
     an interior point (Chebyshev center) and stepping a random fraction of the
     way to the boundary (capped for unbounded sets)."""
-    center, _ = chebyshev_center(normals, offsets, dim)
+    center = solve_lp(**_chebyshev_lp(normals, offsets, dim)).x[:-1]
     out = []
     for _ in range(n_samples):
         direction = rng.standard_normal(dim)

@@ -224,22 +224,27 @@ class TestCheckNa1:
             assert find_classical_arbitrage(m) is classical
             assert len(linprog_calls) == 1
 
-    def test_wide_market_splits_its_directions(self, linprog_calls):
-        """With thousands of states every direction is its own multiplier
-        LP; without NA1 the check stops at the first infeasible one."""
+    def test_wide_market_generates_its_state_rows(self, linprog_calls):
+        """With thousands of states the support LPs of all four directions
+        are stacked and gain their state rows round by round; without NA1
+        the recession-ray LP follows and finds the witness."""
         rng = np.random.default_rng(12)
         returns = rng.uniform(-0.5, 1.0, size=(5000, 2))
         probs = np.full(5000, 1.0 / 5000)
         box = preset_constraints("box", 2, lower=[1.0, 1.0], upper=[1.0, 1.0])
         cert = check_na1(make_market(returns, probs, box))
         assert cert.holds and cert.multipliers.shape == (4, 5004)
-        assert len(linprog_calls) == 4
+        # the first round stacks the four directions, two columns each
+        assert linprog_calls[0]["A_ub"].shape[1] == 4 * 2
+        assert 1 < len(linprog_calls) <= 4
+        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 500
         # the first asset never loses and may be bought without limit
         returns = np.column_stack([np.abs(returns[:, 0]), returns[:, 1]])
         linprog_calls.clear()
         cert = check_na1(make_market(returns, probs, preset_constraints("no_short", 2)))
-        assert not cert.holds
-        assert len(linprog_calls) == 2  # the first multiplier LP, then the ray
+        assert not cert.holds and cert.witness_ray[0] > 0
+        assert len(linprog_calls) <= 6
+        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 500
 
     def test_conic_constraints_collapse_to_classical(self):
         rng = np.random.default_rng(29)
@@ -255,6 +260,28 @@ class TestCheckNa1:
             assert na1.holds == (not classical.found)
             both.add(na1.holds)
         assert both == {True, False}
+
+
+class TestMaxExpectedGain:
+    @pytest.mark.parametrize("draw", [172, 330])
+    def test_unbounded_gain_is_infinite(self, draw):
+        """Draws without NA1 on which HiGHS reported the unbounded LP as
+        infeasible."""
+        rng = np.random.default_rng(0)
+        for _ in range(draw + 1):
+            m = random_market_any(rng, d_max=6, n_max=40)
+        assert not check_na1(m).holds
+        assert max_expected_gain(m, m.probs) == np.inf
+
+    def test_infinite_only_along_a_gaining_ray(self):
+        # one asset that never loses and no constraint: the allowed set is
+        # [-1, inf), unbounded, but the gain is bounded for some weights
+        m = make_market([[0.5], [1.0]])
+        assert not check_na1(m).holds
+        assert max_expected_gain(m, [1.0, 1.0]) == np.inf
+        assert max_expected_gain(m, [1.0, -1.0]) == pytest.approx(0.5, rel=1e-12)
+        # a gain that is flat along the ray is bounded: zero everywhere
+        assert max_expected_gain(m, [1.0, -0.5]) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEsmm:

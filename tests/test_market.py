@@ -195,6 +195,20 @@ class TestMarketValidation:
         with pytest.raises(InvalidParameterError):
             make_market([[0.1, 0.2], [0.0, -0.1], [0.3, 0.1]], constraints=cs)
 
+    def test_callers_arrays_stay_their_own(self):
+        probs = np.array([0.5, 0.5])
+        returns = np.array([[0.5], [-0.5]])
+        normals, offsets = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        market = DiscreteMarket(probs, returns, ConstraintSet(1, normals, offsets))
+        # the market holds frozen copies; the caller may still write
+        for array in (probs, returns, normals, offsets):
+            array *= 0.5
+        assert market.probs.tolist() == [0.5, 0.5]
+        assert market.returns.tolist() == [[0.5], [-0.5]]
+        assert market.constraints.normals.tolist() == [[1.0], [-1.0]]
+        assert market.constraints.offsets.tolist() == [1.0, 1.0]
+        assert not market.returns.flags.writeable
+
 
 class TestWealth:
     def test_zero_strategy_gives_ones(self):
