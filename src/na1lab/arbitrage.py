@@ -37,9 +37,6 @@ logger = logging.getLogger(__name__)
 #: An LP optimum above this value certifies a positive expected gain.
 GAIN_TOL = 1e-9
 
-#: Search box for arbitrage strategies (the LP must stay bounded).
-STRATEGY_BOX = 1e6
-
 #: Certificates are rescaled to at most this sup-norm before re-verification.
 #: Scaling an arbitrage down keeps it one (the allowed set is convex and
 #: contains the origin) and keeps float noise in the recomputed gains below
@@ -193,7 +190,7 @@ def _arbitrage_search(market: DiscreteMarket, offsets: np.ndarray, tol: float):
     a_rows = np.vstack([a_theta, -returns_r, basis, -basis])
     d = market.n_assets
     n = market.n_states
-    b_rows = np.concatenate([offsets, np.zeros(n), np.full(2 * d, STRATEGY_BOX)])
+    b_rows = np.concatenate([offsets, np.zeros(n), np.full(2 * d, BIG_BOUND)])
     lazy = np.concatenate([_state_rows(market), np.ones(n, dtype=bool), np.zeros(2 * d, dtype=bool)])
     cost = market.probs @ returns_r
     [res] = _solve_stacked([dict(cost=cost, a_ub=a_rows, b_ub=b_rows, maximize=True, lazy=lazy)])
@@ -310,7 +307,9 @@ def check_na1(market: DiscreteMarket, tol: float = GAIN_TOL) -> Na1Certificate:
     value, and their maximum the sup-norm radius.  When the multipliers
     fail or an optimum reaches the box, one more LP looks for the witness
     ray; without one, the set is bounded but larger than the box, and its
-    support LPs are solved again whole, without the box.
+    support LPs are solved again whole, without the box.  This is
+    :func:`_settle`, with the market as group, the ``2d`` signed axes as
+    costs and unit ray weights; :func:`max_expected_gain` shares it.
 
     The certificate is cached on the market, one per tolerance;
     :func:`_check_na1_all` decides several markets in one stacked call.
@@ -330,59 +329,66 @@ def _check_na1_all(markets, tol: float = GAIN_TOL) -> list[Na1Certificate]:
 
 
 def _decide_na1(markets, tol: float) -> list[Na1Certificate]:
-    certs: list = [
-        None if m.span.basis.shape[1] else Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol)
-        for m in markets
-    ]
-    owners = [i for i, cert in enumerate(certs) if cert is None]
-    unsettled = _settle_na1(markets, owners, certs, tol, boxed=True)
-    # The support LPs failed or reached the box: the set is unbounded in the
-    # span, or bounded but larger than the box.
-    rays = _best_rays([markets[i] for i in unsettled], [np.ones(markets[i].n_states) for i in unsettled])
-    large = []
-    for i, ray in zip(unsettled, rays):
-        if ray.value > tol:
-            witness = _witness_ray(markets[i], ray)
-            certs[i] = Na1Certificate("na1_fails", witness_ray=witness, threshold=tol)
-        else:
-            large.append(i)
-    if _settle_na1(markets, large, certs, tol, boxed=False):
-        raise NumericError(
-            "allowed polyhedron is unbounded in the return span although "
-            "no scalable direction was found; tolerance boundary case"
-        )
-    return certs
-
-
-def _settle_na1(markets, owners, certs, tol: float, boxed: bool) -> list:
-    """Solve the support LPs :func:`_allowed_lp` of ``+-basis[i]`` of the
-    markets ``owners``, all in one stacked call, and fill ``certs`` with
-    those whose re-verified multipliers prove NA1 and whose optima do not
-    reach the box; returns the others."""
-    blocks = []
-    for i in owners:
-        shared = _allowed_lp(markets[i], None, boxed)  # one constraint matrix for all directions
-        basis = markets[i].span.basis
-        blocks += [dict(shared, cost=direction) for direction in np.vstack([basis, -basis])]
-    results = iter(_solve_stacked(blocks))
-    unsettled = []
-    for i in owners:
-        market = markets[i]
+    def holds(market, support):
         basis, d = market.span.basis, market.n_assets
-        support = [next(results) for _ in range(2 * d)]
-        if any(lp.status != OPTIMAL or (boxed and _on_box(lp)) for lp in support):
-            unsettled.append(i)
-            continue
         multipliers = np.maximum(-np.array([lp.marginals_ub for lp in support]), 0.0)
         residual = multipliers @ (market.allowed.normals @ basis) - np.vstack([basis, -basis])
         if not float(np.max(np.linalg.norm(residual, axis=1))) < 1.0 / np.sqrt(d):
-            unsettled.append(i)
-            continue
+            return None
         radius = float(np.max(multipliers @ market.allowed.offsets))
-        certs[i] = Na1Certificate(
-            "na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol
+        return Na1Certificate("na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol)
+
+    certs = _settle(
+        [(m, np.vstack([m.span.basis, -m.span.basis]), np.ones(m.n_states)) for m in markets],
+        tol,
+        holds,
+        lambda market, ray: Na1Certificate("na1_fails", witness_ray=ray, threshold=tol),
+    )
+    return [cert or Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol) for cert in certs]
+
+
+def _settle(groups, tol: float, settled, unbounded) -> list:
+    """Sup of linear functionals over the allowed set, for groups of them.
+
+    A group ``(market, costs, weights)`` has one LP :func:`_allowed_lp` per
+    row of ``costs``, a functional in span coordinates; the boxed LPs of all
+    groups are solved in one stacked call.  With every optimum inside the
+    box, ``settled(market, results)`` re-verifies them and returns the
+    group's answer, or None.  Any other group gets one recession-ray LP
+    (:func:`_best_rays`) with ``weights`` on the state gains: a gaining ray
+    (:func:`_witness_ray`) makes its answer ``unbounded(market, ray)``, and
+    without one the set is bounded, maybe past the box, so its LPs are
+    solved again whole, and ``settled`` must accept them.  A market whose
+    span is ``{0}`` has nothing to solve; its answer is None.
+    """
+    answers: list = [None] * len(groups)
+
+    def solve(owners, boxed):
+        blocks = []
+        for k in owners:
+            market, costs, _ = groups[k]
+            shared = _allowed_lp(market, None, boxed)  # one constraint matrix per group
+            blocks += [dict(shared, cost=cost) for cost in costs]
+        results = iter(_solve_stacked(blocks))
+        for k in owners:
+            support = [next(results) for _ in groups[k][1]]
+            if all(lp.status == OPTIMAL and not (boxed and _on_box(lp)) for lp in support):
+                answers[k] = settled(groups[k][0], support)
+        return [k for k in owners if answers[k] is None]
+
+    open_ = solve([k for k, group in enumerate(groups) if group[0].span.basis.shape[1]], True)
+    rays = _best_rays([groups[k][0] for k in open_], [groups[k][2] for k in open_])
+    for k, result in zip(open_, rays):
+        market, _, weights = groups[k]
+        ray = _witness_ray(market, weights, result, tol)
+        if ray is not None:
+            answers[k] = unbounded(market, ray)
+    if solve([k for k in open_ if answers[k] is None], False):
+        raise NumericError(
+            "allowed polyhedron is unbounded in the return span although "
+            "no gaining ray was found; tolerance boundary case"
         )
-    return unsettled
+    return answers
 
 
 def _best_rays(markets, weights) -> list:
@@ -404,20 +410,20 @@ def _best_rays(markets, weights) -> list:
     return [require_optimal(res, "recession-ray LP") for res in _solve_stacked(blocks)]
 
 
-def _witness_ray(market: DiscreteMarket, result) -> np.ndarray:
-    """The scalable arbitrage in ``result``, the recession direction of
-    :func:`_best_rays` with the largest total gain, scaled to sup-norm one.
-
-    Recession directions already have nonnegative gains (the admissibility
-    rows are among the normals), and a nonzero one in the span gains
-    somewhere, so a positive optimum is a scalable arbitrage.
-    """
+def _witness_ray(market: DiscreteMarket, weights, result, tol: float):
+    """The recession direction of :func:`_best_rays` in ``result``, scaled to
+    sup-norm one, if its optimum exceeds ``tol`` and numpy finds it in the
+    recession cone with nonnegative gains and a positive weighted gain: a
+    scalable arbitrage.  Else None."""
+    if not result.value > tol:
+        return None
     ray = market.span.basis @ result.x
     ray = ray / np.max(np.abs(ray))
     gains = market.returns @ ray
-    if not Cone(market.n_assets, market.allowed.normals).contains(ray) or np.any(gains < -1e-12):
-        raise NumericError("witness ray failed re-verification")
-    return ray
+    cone = Cone(market.n_assets, market.allowed.normals)
+    if cone.contains(ray) and np.all(gains >= -1e-12) and float(weights @ gains) > 0.0:
+        return ray
+    return None
 
 
 def max_expected_gain(market: DiscreteMarket, probs) -> float:
@@ -427,9 +433,10 @@ def max_expected_gain(market: DiscreteMarket, probs) -> float:
 
     The weights need not sum to one: the wealth-ratio and deflator checks
     of :mod:`na1lab.portfolio` are this LP under deflated probabilities.
-    It runs within ``|theta_j| <= BIG_BOUND``; an optimum on that box is
-    +inf only along a recession direction of positive weighted gain,
-    checked with numpy, and is otherwise solved again without the box.
+    It is one group of :func:`_settle`, which :func:`check_na1` shares: the
+    LP runs within ``|theta_j| <= BIG_BOUND``, and an optimum on that box is
+    +inf only along a recession ray of positive weighted gain, checked with
+    numpy, and is otherwise solved again without the box.
     :func:`_max_expected_gains` solves several LPs.
     """
     return _max_expected_gains([market], [probs])[0]
@@ -438,43 +445,14 @@ def max_expected_gain(market: DiscreteMarket, probs) -> float:
 def _max_expected_gains(markets, weights) -> list[float]:
     """:func:`max_expected_gain` of each market under its weights, the LPs
     stacked by :func:`~na1lab.lp._solve_stacked`."""
-    values = [0.0] * len(markets)
-    owners = [i for i, m in enumerate(markets) if m.span.basis.shape[1]]
-
-    def gain_lps(owners, boxed):
-        blocks = []
-        for i in owners:
-            cost = np.asarray(weights[i], dtype=float) @ (markets[i].returns @ markets[i].span.basis)
-            blocks.append(_allowed_lp(markets[i], cost, boxed))
-        return zip(owners, _solve_stacked(blocks))
-
-    boxed = []
-    for i, result in gain_lps(owners, True):
-        values[i] = float(require_optimal(result, "expected-gain LP").value)
-        if _on_box(result):
-            boxed.append(i)
-    rays = _best_rays([markets[i] for i in boxed], [weights[i] for i in boxed])
-    large = []
-    for i, ray in zip(boxed, rays):
-        market = markets[i]
-        direction = market.span.basis @ ray.x
-        gain = float(np.asarray(weights[i], dtype=float) @ (market.returns @ direction))
-        if ray.value > GAIN_TOL and gain > 0.0 and Cone(
-            market.n_assets, market.allowed.normals
-        ).contains(direction):
-            values[i] = float("inf")
-        else:
-            large.append(i)
-    # without such a ray the LP is bounded, and its optimum lies past the box
-    # or the box only cut off a flat direction
-    for i, result in gain_lps(large, False):
-        if result.status != OPTIMAL:
-            raise NumericError(
-                "expected-gain LP is unbounded although no gaining ray was "
-                "found; tolerance boundary case"
-            )
-        values[i] = float(result.value)
-    return values
+    weights = [np.asarray(w, dtype=float) for w in weights]
+    values = _settle(
+        [(m, [w @ (m.returns @ m.span.basis)], w) for m, w in zip(markets, weights)],
+        GAIN_TOL,
+        lambda market, results: float(results[0].value),
+        lambda market, ray: float("inf"),
+    )
+    return [0.0 if value is None else value for value in values]
 
 
 def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:

@@ -13,8 +13,12 @@ a surprising amount is decidable by pure linear algebra:
 * whether arbitrage scaling is capped by the borrowing bound, which is
   exactly the line between NA1 holding and failing (``na1_factor``),
 * the best-scaled arbitrage under the cap (``max_arbitrage_strategy``),
-* for unit upper-triangular loadings, the arbitrage ray coefficients by a
-  short recursion with two independent cross-checks (``alpha_recursion``).
+* for unit upper-triangular loadings, the arbitrage ray coefficients by one
+  triangular solve (``alpha_recursion``) and the scalability verdict from
+  their sum (``na1_triangular``).
+
+Each quantity has one runtime route; the paper's other derivations (the
+signed-chain expansion, back-substitution, quadrature) are test oracles.
 
 ``discretize`` bridges to the LP machinery: factor laws are replaced by
 quadrature atoms, the tensor product becomes a finite-state market, and the
@@ -46,7 +50,8 @@ RAY_RESIDUAL_TOL = 1e-10
 #: Strictness threshold for sign tests on the ray's coefficient sum.
 SIGN_TOL = 1e-12
 
-#: Agreement tolerance between independent computation routes.
+#: Tolerance of the numpy checks that the maximal arbitrage sits on the
+#: borrowing boundary and loads on the first factor only.
 CROSS_CHECK_TOL = 1e-10
 
 #: Discretized returns are clipped to this floor (just above total loss).
@@ -377,9 +382,9 @@ def validate_positivity(model: FactorModel) -> PositivityReport:
 
     Asset ``i`` passes when its loading on the nonnegative factor is itself
     nonnegative and the worst realization of the remaining factor terms stays
-    above total loss.  For unit upper-triangular loadings the same condition
-    is re-derived by back-substitution from the last asset; the two routes
-    must agree, otherwise a ``NumericError`` is raised.
+    above total loss.  The worst case is one direct sum over the factors; the
+    back-substituted form for unit upper-triangular loadings is its test
+    oracle.
     """
     q = model.loadings
     ok, worst, notes = [], [], []
@@ -397,28 +402,6 @@ def validate_positivity(model: FactorModel) -> PositivityReport:
             notes.append(
                 f"asset {i + 1}: worst-case factor terms sum to {tail:.6g} < -1"
             )
-    if _is_unit_upper_triangular(q):
-        # Back-substituted form: asset i needs its own factor's lower endpoint
-        # to stay above -1 minus the worst case of the later columns.
-        for i in range(model.n_assets):
-            own_lo = model.supports[i][0] if i > 0 else 0.0
-            later = 0.0
-            for k in range(max(i + 1, 1), model.n_factors):
-                coeff = float(q[i, k])
-                lo, hi = model.supports[k]
-                later += _bounded_product(max(coeff, 0.0), lo)
-                later -= _bounded_product(max(-coeff, 0.0), hi)
-            recursive = own_lo + later
-            direct = worst[i]
-            if math.isinf(recursive) or math.isinf(direct):
-                agree = recursive == direct
-            else:
-                agree = abs(recursive - direct) <= CROSS_CHECK_TOL * (1.0 + abs(direct))
-            if not agree:
-                raise NumericError(
-                    f"triangular positivity cross-check disagreed on asset {i + 1}: "
-                    f"{direct!r} vs {recursive!r}"
-                )
     return PositivityReport(tuple(ok), tuple(worst), tuple(notes))
 
 
@@ -511,85 +494,30 @@ def _require_unit_upper_triangular(q) -> np.ndarray:
     return q
 
 
-def _chain_weight(q: np.ndarray, path: tuple[int, ...]) -> float:
-    sign = -1.0 if len(path) % 2 == 0 else 1.0
-    prod = 1.0
-    for a, b in zip(path, path[1:]):
-        prod *= q[a, b]
-    return sign * prod
-
-
-def _alpha_via_chains(q: np.ndarray) -> np.ndarray:
-    """Ray coefficients as signed sums over increasing index chains.
-
-    Coefficient ``k`` sums, over all chains ``1 = j_1 < ... < j_r = k``, the
-    product of loadings along consecutive pairs, with sign ``(-1)**(r-1)``.
-    Cost grows like ``2**d``; intended for the modest dimensions where
-    triangular models are used.
-    """
-    d = q.shape[0]
-    out = np.zeros(d)
-    out[0] = 1.0
-    for k in range(1, d):
-        total = 0.0
-        for r in range(k):
-            for mids in itertools.combinations(range(1, k), r):
-                total += _chain_weight(q, (0, *mids, k))
-        out[k] = total
-    return out
-
-
-def _alpha_via_inverse(q: np.ndarray) -> np.ndarray:
-    e1 = np.zeros(q.shape[0])
-    e1[0] = 1.0
-    return solve_triangular(q, e1, trans="T", lower=False)
-
-
 def alpha_recursion(q) -> np.ndarray:
     """First row of the inverse of a unit upper-triangular loading matrix.
 
     These coefficients span the arbitrage ray: a portfolio proportional to
-    them cancels every factor except the nonnegative first one.  Computed by
-    forward recursion (coefficient ``k`` is minus the earlier coefficients
-    dotted with column ``k``) and cross-checked against a direct triangular
-    solve and the signed-chain expansion; disagreement raises
-    ``NumericError``.
+    them cancels every factor except the nonnegative first one.  One
+    triangular solve ``q^T alpha = e1``, which is the forward recursion
+    (coefficient ``k`` is minus the earlier coefficients dotted with column
+    ``k``); the signed-chain expansion of the paper is its test oracle.
     """
     q = _require_unit_upper_triangular(q)
-    d = q.shape[0]
-    alpha = np.zeros(d)
-    alpha[0] = 1.0
-    for k in range(1, d):
-        alpha[k] = -float(alpha[:k] @ q[:k, k])
-    scale = 1.0 + float(np.max(np.abs(alpha)))
-    for other in (_alpha_via_inverse(q), _alpha_via_chains(q)):
-        if float(np.max(np.abs(alpha - other))) > CROSS_CHECK_TOL * scale:
-            raise NumericError(
-                "triangular ray coefficients disagree between computation routes"
-            )
-    return alpha
+    e1 = np.zeros(q.shape[0])
+    e1[0] = 1.0
+    return solve_triangular(q, e1, trans="T", lower=False, unit_diagonal=True)
 
 
 def na1_triangular(q) -> bool:
     """Scalability verdict for unit upper-triangular loadings.
 
-    Evaluates ``1 + sum over chains from index 1`` of signed loading
-    products; the verdict is positivity of that total.  The total must equal
-    the coefficient sum from ``alpha_recursion`` (same chains grouped by
-    endpoint), which is asserted.  Cost grows like ``2**d``.
+    The paper's criterion, ``1 +`` the signed loading products over all
+    chains from index 1, groups those chains by endpoint into the
+    coefficient sum of :func:`alpha_recursion`; the verdict is positivity
+    of that sum, at cost ``O(d^2)``.
     """
-    q = _require_unit_upper_triangular(q)
-    d = q.shape[0]
-    total = 1.0
-    for r in range(1, d):
-        for tail in itertools.combinations(range(1, d), r):
-            total += _chain_weight(q, (0, *tail))
-    reference = float(alpha_recursion(q).sum())
-    if abs(total - reference) > CROSS_CHECK_TOL * (1.0 + abs(total)):
-        raise NumericError(
-            f"chain-sum criterion {total!r} disagrees with coefficient sum {reference!r}"
-        )
-    return bool(total > SIGN_TOL)
+    return bool(float(alpha_recursion(q).sum()) > SIGN_TOL)
 
 
 # -- the two-asset worked case ----------------------------------------------
@@ -770,22 +698,13 @@ def example_3_7_ratio(beta: float) -> float:
     In the two-asset model with cross-loading one half, unit borrowing cap,
     a unit-rate exponential first factor and a second factor whose gross
     value is exponential with rate ``beta``, the expectation reduces to
-    ``sqrt(e)/(2 beta)`` times an exponential-tail integral.  Evaluated by
-    adaptive quadrature and cross-checked against the exponential-integral
-    special function.
+    ``sqrt(e)/(2 beta)`` times the exponential-tail integral
+    ``E1(1/2) = int_{1/2}^inf exp(-x)/x dx``, taken from ``special.exp1``;
+    adaptive quadrature of the integral is its test oracle.
     """
     if not beta > 0:
         raise InvalidParameterError("beta must be positive")
-    tail, _err = integrate.quad(
-        lambda x: math.exp(-x) / x, 0.5, math.inf, epsabs=1e-12, epsrel=1e-12
-    )
-    reference = float(special.exp1(0.5))
-    if abs(tail - reference) > 1e-10:
-        raise NumericError(
-            f"tail integral {tail!r} disagrees with the special-function value "
-            f"{reference!r}"
-        )
-    return math.sqrt(math.e) / (2.0 * beta) * tail
+    return math.sqrt(math.e) / (2.0 * beta) * float(special.exp1(0.5))
 
 
 def example_3_8_condition(model: FactorModel) -> float:

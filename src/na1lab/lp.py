@@ -30,10 +30,6 @@ UNBOUNDED = "unbounded"
 #: Box used when a nominally unbounded variable needs a finite search range.
 BIG_BOUND = 1e6
 
-#: Most columns of one stacked LP: HiGHS memory grows with them (a market
-#: with thousands of states takes tens of MB per LP).
-STACK_COLUMNS = 4096
-
 #: Most entries (rows times columns) of the dense constraint matrix of one
 #: stacked LP, which grows with the square of the number of blocks.
 STACK_ENTRIES = 1 << 20
@@ -229,10 +225,10 @@ def _solve_together(blocks) -> list[LpResult]:
     """Solve independent LPs, each a dict of :func:`solve_lp` arguments, as
     dense block-diagonal LPs; one result per block, in order.
 
-    Blocks are stacked while the stacked LP keeps at most ``STACK_COLUMNS``
-    columns and its constraint matrix at most ``STACK_ENTRIES`` entries; a
-    block larger than that is solved on its own.  Each block's cost is scaled to unit sup-norm
-    (and negated when the block maximizes) and the objectives are summed.
+    Blocks are stacked while the constraint matrix of the stacked LP keeps
+    at most ``STACK_ENTRIES`` entries; a block larger than that is solved on
+    its own.  Each block's cost is scaled to unit sup-norm (and negated when
+    the block maximizes) and the objectives are summed.
     The blocks share no variable and no row, so an optimum of the stacked LP
     is an optimum of every block: each result carries its block's own
     ``x``, its value under the block's cost and its multipliers, in the
@@ -265,12 +261,12 @@ def _rows(block, a_key: str, b_key: str):
 
 
 def _stack_chunks(blocks):
-    """Runs of consecutive block indices, each within the stacking budgets."""
+    """Runs of consecutive block indices, each within the entry budget."""
     chunk, rows, cols = [], 0, 0
     for i, block in enumerate(blocks):
         r = sum(len(block[k]) for k in ("a_ub", "a_eq") if block.get(k) is not None)
         c = np.asarray(block["cost"]).size
-        if chunk and (cols + c > STACK_COLUMNS or (rows + r) * (cols + c) > STACK_ENTRIES):
+        if chunk and (rows + r) * (cols + c) > STACK_ENTRIES:
             yield chunk
             chunk, rows, cols = [], 0, 0
         chunk.append(i)

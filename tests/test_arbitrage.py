@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import na1lab.arbitrage
 from conftest import (
     interval_market,
     make_market,
@@ -16,7 +19,7 @@ from na1lab.arbitrage import (
     max_expected_gain,
     relative_arbitrage,
 )
-from na1lab.errors import InvalidParameterError, PreconditionError
+from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.lp import UNBOUNDED, solve_lp
 from na1lab.market import generated_cone, preset_constraints, wealth
 
@@ -202,6 +205,40 @@ class TestCheckNa1:
             assert cert.bound_radius == pytest.approx(np.max(lam @ m.allowed.offsets))
             checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("failing_rounds", [1, 3])
+    def test_failed_multipliers_take_the_ray_then_the_whole_lps(
+        self, monkeypatch, failing_rounds
+    ):
+        """Support-LP multipliers that fail their numpy re-check do not end
+        the decision: the recession-ray LP runs, and without a gaining ray
+        the support LPs are solved again whole.  Their multipliers certify
+        NA1; when they fail too, the tolerance-boundary error is raised."""
+        solve = na1lab.arbitrage._solve_stacked
+        sizes = []
+
+        def zero_multipliers(blocks):
+            results = solve(blocks)
+            sizes.append(len(blocks))
+            if len(sizes) > failing_rounds:
+                return results
+            return [replace(r, marginals_ub=0.0 * r.marginals_ub) for r in results]
+
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            m = random_bounded_market(rng)
+            expected = check_na1(make_market(m.returns, m.probs, m.constraints))
+            sizes.clear()
+            monkeypatch.setattr(na1lab.arbitrage, "_solve_stacked", zero_multipliers)
+            if failing_rounds == 1:
+                cert = check_na1(m)
+                assert cert.holds
+                assert cert.bound_radius == pytest.approx(expected.bound_radius, rel=1e-9)
+            else:
+                with pytest.raises(NumericError, match="tolerance boundary"):
+                    check_na1(m)
+            monkeypatch.undo()
+            assert sizes == [2 * m.n_assets, 1, 2 * m.n_assets]
 
     def test_lp_count_and_cache(self, linprog_calls):
         rng = np.random.default_rng(5)

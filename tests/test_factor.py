@@ -7,17 +7,25 @@ Oracles used here:
   normal equations give the ray (1, -gamma); the capped arbitrage is then
   borrow_limit / (1 - gamma) times it),
 * first-row-of-inverse coefficients are recomputed with numpy's generic
-  inverse, independently of the module's triangular solve,
+  inverse, by the forward recursion and by the signed-chain expansion over
+  increasing index chains (cost 2**d), independently of the module's
+  triangular solve; the chain total over chains from index 1 is the
+  oracle of the scalability verdict,
+* worst-case positivity of unit upper-triangular loadings is re-derived by
+  back-substitution, independently of the module's direct sum,
 * expectation identities for exponential factors reduce to the exponential
-  integral, evaluated through scipy.special.exp1,
+  integral, evaluated by adaptive quadrature and through scipy.special.exp1,
 * admissibility halfspaces are compared point-by-point against the explicit
   two-asset case split.
 """
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import exp1
 
 from na1lab.arbitrage import check_na1, find_classical_arbitrage, relative_arbitrage
@@ -64,6 +72,63 @@ def displayed_d4_alpha(q):
             - q[0, 1] * q[1, 2] * q[2, 3],
         ]
     )
+
+
+def alpha_forward_recursion(q):
+    # Coefficient k is minus the earlier coefficients dotted with column k.
+    alpha = np.zeros(q.shape[0])
+    alpha[0] = 1.0
+    for k in range(1, q.shape[0]):
+        alpha[k] = -float(alpha[:k] @ q[:k, k])
+    return alpha
+
+
+def chain_weight(q, path):
+    sign = -1.0 if len(path) % 2 == 0 else 1.0
+    return sign * math.prod(q[a, b] for a, b in zip(path, path[1:]))
+
+
+def alpha_via_chains(q):
+    # Coefficient k sums, over all chains 1 = j_1 < ... < j_r = k, the
+    # product of loadings along consecutive pairs, with sign (-1)**(r-1).
+    d = q.shape[0]
+    out = np.zeros(d)
+    out[0] = 1.0
+    for k in range(1, d):
+        out[k] = sum(
+            chain_weight(q, (0, *mids, k))
+            for r in range(k)
+            for mids in itertools.combinations(range(1, k), r)
+        )
+    return out
+
+
+def na1_chain_total(q):
+    # 1 plus the signed loading products over every chain from index 1.
+    d = q.shape[0]
+    return 1.0 + sum(
+        chain_weight(q, (0, *tail))
+        for r in range(1, d)
+        for tail in itertools.combinations(range(1, d), r)
+    )
+
+
+def back_substituted_worst_cases(model):
+    # Unit upper-triangular loadings: asset i's factor terms beyond the first
+    # are its own factor (loading one) plus the later columns, so the worst
+    # case is that factor's lower endpoint plus the later columns' worst case.
+    q = model.loadings
+    out = []
+    for i in range(model.n_assets):
+        total = model.supports[i][0] if i > 0 else 0.0
+        for k in range(max(i + 1, 1), model.n_factors):
+            lo, hi = model.supports[k]
+            if q[i, k] > 0.0:
+                total += q[i, k] * lo
+            elif q[i, k] < 0.0:
+                total += q[i, k] * hi
+        out.append(total)
+    return out
 
 
 def random_unit_triangular(rng, d, spread=1.0):
@@ -263,11 +328,19 @@ class TestValidatePositivity:
         assert "negative" in report.violations[0]
 
     def test_triangular_cross_check_runs_clean(self):
+        """The back-substituted worst cases agree with the direct sum."""
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            model = straddling_point_mass_model(rng, int(rng.integers(2, 5)))
+        models = [straddling_point_mass_model(rng, int(rng.integers(2, 5))) for _ in range(25)]
+        models += [two_dim_model(gamma, 1.0) for gamma in (-2.0, -0.5, 0.0, 0.5, 2.0)]
+        models.append(two_dim_model(2.0, 1.0, supports=((0.0, math.inf), (-1.0, math.inf))))
+        for model in models:
             report = validate_positivity(model)
             assert len(report.asset_ok) == model.n_assets
+            for direct, oracle in zip(report.worst_case, back_substituted_worst_cases(model)):
+                if math.isinf(oracle):
+                    assert direct == oracle
+                else:
+                    assert abs(direct - oracle) <= 1e-10 * (1.0 + abs(oracle))
 
 
 class TestArbitrageRay:
@@ -385,6 +458,33 @@ class TestAlphaRecursion:
             q = random_unit_triangular(rng, d, spread=1.5)
             assert np.max(np.abs(alpha_recursion(q) - np.linalg.inv(q)[0])) <= 1e-9
 
+    def test_matches_recursion_and_chain_oracles(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            q = random_unit_triangular(rng, d, spread=1.5)
+            alpha = alpha_recursion(q)
+            scale = 1.0 + float(np.max(np.abs(alpha)))
+            assert np.max(np.abs(alpha - alpha_forward_recursion(q))) <= 1e-12 * scale
+            assert np.max(np.abs(alpha - alpha_via_chains(q))) <= 1e-10 * scale
+
+    def test_forty_assets_match_the_inverse_quickly(self):
+        """At 40 assets the chain expansion would sum 2**39 chains; the
+        triangular solve and the verdict each take well under 0.1 s."""
+        rng = np.random.default_rng(37)
+        for spread in (0.3, 0.6):
+            q = random_unit_triangular(rng, 40, spread=spread)
+            row = np.linalg.inv(q)[0]
+            start = time.perf_counter()
+            alpha = alpha_recursion(q)
+            assert time.perf_counter() - start < 0.1
+            assert np.max(np.abs(alpha - row)) <= 1e-9 * (1.0 + np.max(np.abs(row)))
+            start = time.perf_counter()
+            verdict = na1_triangular(q)
+            assert time.perf_counter() - start < 0.1
+            assert abs(row.sum()) > 1e-6 * (1.0 + np.max(np.abs(row)))
+            assert verdict is bool(row.sum() > 0.0)
+
     def test_rejects_non_triangular(self):
         with pytest.raises(InvalidParameterError):
             alpha_recursion(np.array([[1.0, 0.2], [0.1, 1.0]]))
@@ -423,6 +523,16 @@ class TestNa1Triangular:
             d = int(rng.integers(2, 6))
             q = random_unit_triangular(rng, d, spread=2.0)
             assert na1_triangular(q) is bool(alpha_recursion(q).sum() > 1e-12)
+
+    def test_chain_total_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            q = random_unit_triangular(rng, d, spread=2.0)
+            total = na1_chain_total(q)
+            assert abs(total - alpha_recursion(q).sum()) <= 1e-10 * (1.0 + abs(total))
+            if abs(total) > 1e-9:
+                assert na1_triangular(q) is bool(total > 1e-12)
 
     def test_agrees_with_model_and_lp_routes(self):
         rng = np.random.default_rng(29)
@@ -572,6 +682,14 @@ class TestExpectationIdentities:
         assert example_3_7_ratio(1.0) == pytest.approx(
             math.sqrt(math.e) / 2.0 * exp1(0.5), abs=1e-10
         )
+
+    def test_ratio_matches_quadrature(self):
+        tail, _err = quad(
+            lambda x: math.exp(-x) / x, 0.5, math.inf, epsabs=1e-12, epsrel=1e-12
+        )
+        for beta in (0.3, 1.0, 4.0):
+            expected = math.sqrt(math.e) / (2.0 * beta) * tail
+            assert example_3_7_ratio(beta) == pytest.approx(expected, rel=1e-10)
 
     def test_ratio_rejects_nonpositive_beta(self):
         with pytest.raises(InvalidParameterError):
