@@ -444,15 +444,19 @@ def max_expected_gain(market: DiscreteMarket, probs) -> float:
 
 def _max_expected_gains(markets, weights) -> list[float]:
     """:func:`max_expected_gain` of each market under its weights, the LPs
-    stacked by :func:`~na1lab.lp._solve_stacked`."""
+    stacked by :func:`~na1lab.lp._solve_stacked`; a (market, weights) pair
+    met again, by market identity and weight bytes, is solved once."""
     weights = [np.asarray(w, dtype=float) for w in weights]
+    keys = [(id(m), w.tobytes()) for m, w in zip(markets, weights)]
+    groups = {key: (m, w) for key, m, w in zip(keys, markets, weights)}
     values = _settle(
-        [(m, [w @ (m.returns @ m.span.basis)], w) for m, w in zip(markets, weights)],
+        [(m, [w @ (m.returns @ m.span.basis)], w) for m, w in groups.values()],
         GAIN_TOL,
         lambda market, results: float(results[0].value),
         lambda market, ray: float("inf"),
     )
-    return [0.0 if value is None else value for value in values]
+    value_of = dict(zip(groups, values))
+    return [0.0 if value_of[key] is None else value_of[key] for key in keys]
 
 
 def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
@@ -513,13 +517,13 @@ def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter):
     # no state's wealth by more than one
     start = start / max(float(np.max(np.abs(mat @ start), initial=0.0)), 1e-300)
 
-    def derivatives(z):
-        log_e = log_weights - mat @ z
+    def derivatives(z, live):  # a batch of one
+        log_e = log_weights - mat @ z[0, :, 0]
         q = np.exp(log_e - logsumexp(log_e))
         mean = mat.T @ q
-        return -mean, mat.T @ (q[:, None] * mat) - np.outer(mean, mean)
+        return -mean[None, :, None], (mat.T @ (q[:, None] * mat) - np.outer(mean, mean))[None]
 
-    result = minimize_convex(
-        derivatives, rows, np.zeros(rows.shape[0]), start, diameter, MOMENT_TOL
+    [result] = minimize_convex(
+        derivatives, rows[None], np.zeros((1, rows.shape[0])), start[None], diameter, MOMENT_TOL
     )
     return reduce_basis @ result.x

@@ -8,6 +8,9 @@ reported optimum, nothing else.
 LPs carry one row per state, yet only the few states on the boundary of the
 allowed set shape their optima, so :func:`_solve_stacked` generates the
 state rows of large LPs on demand, and solves independent LPs together.
+
+The one smooth convex solver, :func:`minimize_convex`, runs a batch of
+independent problems through one interior-point loop.
 """
 
 from __future__ import annotations
@@ -391,81 +394,173 @@ class ConvexResult:
 
 
 def minimize_convex(
-    derivatives, a_ub, b_ub, start, diameter: float, tol: float, domain=None
-) -> ConvexResult:
-    """Minimize a smooth convex ``f`` over ``{x : a_ub x <= b_ub}``.
+    derivatives, a_ub, b_ub, start, diameter, tol, domain=None
+) -> list[ConvexResult]:
+    """Minimize smooth convex ``f_k`` over ``{x : a_ub[k] x <= b_ub[k]}`` for
+    a batch of problems; one result per problem, in order.
 
     A primal-dual interior-point Newton method (Boyd & Vandenberghe,
     *Convex Optimization*, sec. 11.7) on the slacks ``s = b - a x`` and the
-    multipliers ``lam``.  ``derivatives(x)`` returns the gradient and the
-    Hessian of ``f``; ``start`` must satisfy every row strictly.  ``domain``,
-    a pair ``(g, h)``, is the open set ``{g x < h}`` on which ``f`` is
-    defined; steps stay inside it, and inside the constraints, by the
-    fraction-to-boundary rule.
+    multipliers ``lam``, one loop for the whole batch.  ``a_ub`` is ``(B, m,
+    n)`` and ``b_ub`` ``(B, m)``; a row with offset ``+inf`` is padding, with
+    no multiplier and no share of the complementarity term.  ``start`` ``(B,
+    n)`` satisfies every row strictly.  ``derivatives(x, live)`` returns the
+    gradients ``(k, n, 1)`` and Hessians ``(k, n, n)`` at the points ``x``
+    ``(k, n, 1)`` of the problems ``live`` (indices, or ``slice(None)`` for
+    all).  ``domain``, a pair ``(g, h)`` of shapes ``(B, S, n)`` and ``(B,
+    S)`` (``+inf`` pads ``h``), is the open set ``{g x < h}`` where ``f_k``
+    is defined; steps stay inside it, and inside the constraints, by the
+    fraction-to-boundary rule.  ``diameter`` and ``tol`` are one per problem
+    or shared.
 
     The residual is ``lam . s + diameter * |grad f + a^T lam|``.  For every
     feasible ``y`` within ``diameter`` of ``x`` it bounds the first-order
     gain ``grad f(x) . (x - y)``, hence also ``f(x) - min f`` when
-    ``diameter`` bounds the feasible set.  The method stops once the residual
-    is at most ``tol * (1 + |x|)``, or when a Newton step no longer reduces
-    the KKT residual (float resolution) or after ``NEWTON_ITERATIONS``; the
-    caller compares the returned residual with its own threshold.
+    ``diameter`` bounds the feasible set.  Each problem has its own step
+    length and leaves the batch once its residual is at most ``tol * (1 +
+    |x|)``, when its Newton system is singular or a step no longer reduces
+    its KKT residual (float resolution), or after ``NEWTON_ITERATIONS``; the
+    caller compares the returned residual with its own threshold.  Vectors
+    are columns, so a batch of one does the arithmetic of a single problem.
     """
-    x = np.asarray(start, dtype=float)
-    m = len(b_ub)
-    slack = b_ub - a_ub @ x
-    if np.any(slack <= 0.0):
+    padded = ~np.isfinite(b_ub)[..., None]
+    real, a = np.where(padded, 0.0, 1.0), np.where(padded, 0.0, a_ub)
+    b = np.where(padded, 1.0, np.asarray(b_ub, dtype=float)[..., None])  # padding: 0 <= 1
+    x = np.array(start, dtype=float)[..., None]
+    batch, n, _ = x.shape
+    g, h = (np.zeros((batch, 0, n)), np.zeros((batch, 0))) if domain is None else domain
+    h, a_t = np.asarray(h, dtype=float)[..., None], _t(a)
+    slack = b - a @ x
+    if (slack <= 0.0).any():
         raise NumericError("interior-point start is not strictly feasible")
-    grad, hess = derivatives(x)
+    grad, hess = derivatives(x, slice(None))
     # Start with multipliers mu / s whose pull balances the gradient.
-    pull = float(np.linalg.norm(a_ub.T @ (1.0 / slack)))
-    mu = float(np.linalg.norm(grad)) / pull if pull > 0.0 else 1.0
-    lam = min(max(mu, 1e-8), 1.0) / slack
-
-    def step_limit(value, change):
-        shrinking = change < 0.0
-        if not np.any(shrinking):
-            return 1.0
-        return min(1.0, BOUNDARY_FRACTION * float(np.min(-value[shrinking] / change[shrinking])))
-
-    iterations, t = 0, 0.0
+    pull = _norms(a_t @ (1.0 / slack))
+    mu = np.divide(_norms(grad), pull, out=np.ones_like(pull), where=pull > 0.0)
+    lam = np.minimum(np.maximum(mu, 1e-8), 1.0) / slack * real
+    rows = np.maximum(real.sum(axis=1, keepdims=True), 1.0)
+    # Each iteration, every problem in the batch steps or leaves it.
+    index, iterations, whole, t = np.arange(batch), 0, True, np.zeros((batch, 1, 1))
+    results: list = [None] * batch
+    diameter, tol = (t + np.array(v, dtype=float).reshape(-1, 1, 1) for v in (diameter, tol))
+    dual = grad + a_t @ lam
     while True:
-        dual = grad + a_ub.T @ lam
-        residual = float(lam @ slack) + diameter * float(np.linalg.norm(dual))
-        if residual <= tol * (1.0 + float(np.linalg.norm(x))) or iterations == NEWTON_ITERATIONS:
-            break
+        comp = _t(lam) @ slack
+        residual = comp + diameter * _norms(dual)
+        done = (residual <= tol * (1.0 + _norms(x)))[:, 0, 0]
+        if not whole:
+            done |= halted
+        if iterations == NEWTON_ITERATIONS:
+            done[:] = True
+        if done.any():
+            for j in np.flatnonzero(done):
+                results[index[j]] = ConvexResult(
+                    x[j, :, 0].copy(), lam[j, real[j, :, 0] > 0.0, 0], float(residual[j, 0, 0]),
+                    iterations - int(not whole and halted[j]),
+                )
+            if done.all():
+                return results
+            keep = ~done
+            index, x, slack, lam, grad, hess, dual, comp, residual, t, a, b, real, rows, g, h = (
+                v[keep] for v in (index, x, slack, lam, grad, hess, dual, comp, residual, t,
+                                  a, b, real, rows, g, h)
+            )
+            diameter, tol, a_t = diameter[keep], tol[keep], _t(a)
+        live = slice(None) if len(index) == batch else index
         # after a full step the iterate is near the central path, so the
         # target may drop faster
-        sigma = CENTERING**2 if t == 1.0 else CENTERING
-        target = sigma * float(lam @ slack) / m if m else 0.0
-        kkt = hess + a_ub.T @ ((lam / slack)[:, None] * a_ub)
-        try:
-            dx = np.linalg.solve(kkt, -(grad + a_ub.T @ (target / slack)))
-        except np.linalg.LinAlgError:
-            logger.debug("interior-point Newton system is singular at residual %.3e", residual)
-            break
-        ds = -(a_ub @ dx)
+        target = np.where(t == 1.0, CENTERING**2, CENTERING) * comp / rows
+        kkt = hess + a_t @ (lam / slack * a)
+        dx, singular = _newton_steps(kkt, -(grad + a_t @ (target / slack)))
+        ds = -(a @ dx)
+        target = target * real
         dlam = (target - lam * slack - lam * ds) / slack
-        t = min(step_limit(slack, ds), step_limit(lam, dlam))
+        value, change = [slack, lam], [ds, dlam]
         if domain is not None:
-            g, h = domain
-            t = min(t, step_limit(h - g @ x, -(g @ dx)))
-        before = np.linalg.norm(np.concatenate([dual, lam * slack - target]))
-        while t > 1e-12:
-            x_new = x + t * dx
-            slack_new = b_ub - a_ub @ x_new
-            lam_new = lam + t * dlam
-            if np.all(slack_new > 0.0):
-                grad_new, hess_new = derivatives(x_new)
-                after = np.linalg.norm(
-                    np.concatenate([grad_new + a_ub.T @ lam_new, lam_new * slack_new - target])
-                )
-                if after <= (1.0 - 0.01 * t) * before:
-                    break
-            t *= 0.5
-        else:
-            logger.debug("interior-point method stalled at residual %.3e", residual)
-            break
-        x, slack, lam, grad, hess = x_new, slack_new, lam_new, grad_new, hess_new
+            value.append(h - g @ x)
+            change.append(-(g @ dx))
+        t = _step_limits(np.concatenate(value, axis=1), np.concatenate(change, axis=1))
+        if singular:
+            t[singular] = 0.0
+        before = _norms(np.concatenate([dual, lam * slack - target], axis=1))
         iterations += 1
-    return ConvexResult(x, lam, residual, iterations)
+        halted = t[:, 0, 0] <= 1e-12
+        whole = not halted.any()  # step the whole batch at once, or the open problems
+        trying = ~halted
+        while whole or trying.any():
+            pick = slice(None) if whole else np.flatnonzero(trying)
+            x_new = x[pick] + t[pick] * dx[pick]
+            slack_new = b[pick] - a[pick] @ x_new
+            lam_new = lam[pick] + t[pick] * dlam[pick]
+            if not (slack_new > 0.0).all():
+                inside = (slack_new > 0.0).all(axis=(1, 2))
+                whole, pick = False, np.flatnonzero(trying)[inside]
+                x_new, slack_new, lam_new = x_new[inside], slack_new[inside], lam_new[inside]
+            if len(x_new):
+                grad_new, hess_new = derivatives(x_new, live if whole else index[pick])
+                dual_new = grad_new + a_t[pick] @ lam_new
+                after = _norms(np.concatenate([dual_new, lam_new * slack_new - target[pick]], 1))
+                ok = (after <= (1.0 - 0.01 * t[pick]) * before[pick])[:, 0, 0]
+                new = x_new, slack_new, lam_new, grad_new, hess_new, dual_new
+                if whole and ok.all():
+                    x, slack, lam, grad, hess, dual = new
+                    break
+                if ok.any():
+                    accepted = np.flatnonzero(ok) if whole else pick[ok]
+                    for old, fresh in zip((x, slack, lam, grad, hess, dual), new):
+                        old[accepted] = fresh[ok]
+                    trying[accepted], whole = False, False
+            if whole:  # no problem took its step: all shorten it
+                t *= 0.5
+                halted = t[:, 0, 0] <= 1e-12
+                whole, trying = not halted.any(), ~halted
+                continue
+            rest = np.flatnonzero(trying)
+            t[rest] *= 0.5
+            halted[rest] = t[rest, 0, 0] <= 1e-12
+            trying[rest] = ~halted[rest]
+        if not whole:
+            for j in np.flatnonzero(halted):
+                problem = "Newton system is singular" if j in singular else "method stalled"
+                logger.debug("interior-point %s at residual %.3e", problem, residual[j, 0, 0])
+
+
+def _t(v):
+    return v.transpose(0, 2, 1)
+
+
+def _norms(v):
+    """Norms of a stack of columns; of one column, the very vector norm."""
+    return np.sqrt(_t(v) @ v)
+
+
+def _step_limits(value, change):
+    """Per problem, the step up to 1 that covers ``BOUNDARY_FRACTION`` of
+    the distance ``-v / c`` to the nearest zero of ``v + t * c``."""
+    shrinking = change < 0.0
+    ratio = np.where(shrinking, value, -np.inf) / np.where(shrinking, change, 1.0)
+    return np.minimum(1.0, -BOUNDARY_FRACTION * ratio.max(axis=1, keepdims=True, initial=-np.inf))
+
+
+def _newton_steps(kkt, rhs):
+    """Solutions of the Newton systems ``kkt[k] dx = rhs[k]``, and the list
+    of the singular ones, whose step is zero."""
+    try:
+        return np.linalg.solve(kkt, rhs), []
+    except np.linalg.LinAlgError:
+        steps, singular = np.zeros_like(rhs), []
+        for k in range(len(rhs)):
+            try:
+                steps[k] = np.linalg.solve(kkt[k], rhs[k])
+            except np.linalg.LinAlgError:
+                singular.append(k)
+        return steps, singular
+
+
+def _pad(arrays, fill: float) -> np.ndarray:
+    """Arrays stacked on a new first axis, their first lengths padded with ``fill``."""
+    arrays = [np.asarray(v, dtype=float) for v in arrays]
+    out = np.full((len(arrays), max(len(v) for v in arrays), *arrays[0].shape[1:]), fill)
+    for k, v in enumerate(arrays):
+        out[k, : len(v)] = v
+    return out

@@ -4,17 +4,19 @@ Smooth utilities are maximized over the allowed polyhedron intersected with
 the return span by the package's one interior-point Newton method,
 :func:`~na1lab.lp.minimize_convex`, which stops on a bound for the
 certified quantity rather than on a step size.  Piecewise-linear utilities
-skip it entirely and go through one exact epigraph LP.
+skip it entirely and go through one exact epigraph LP.  Several markets
+are maximized together (:func:`_maximize_all`), as one solver batch.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import ZERO_OFFSET_TOL, _state_rows, check_na1, max_expected_gain
+from .arbitrage import ZERO_OFFSET_TOL, _check_na1_all, _state_rows, max_expected_gain
 from .errors import (
     InfeasibleError,
     InvalidParameterError,
@@ -26,6 +28,7 @@ from .lp import (
     OPTIMAL,
     UNBOUNDED,
     _chebyshev_lp,
+    _pad,
     _solve_stacked,
     cone_span,
     minimize_convex,
@@ -143,14 +146,6 @@ class UtilitySpec:
         idx = np.clip(np.searchsorted(xs, arg, side="right") - 1, 0, slopes.size - 1)
         return self.scale * slopes[idx]
 
-    def second_derivative(self, x):
-        arg = self._argument(x)
-        if self.kind == "log":
-            return -self.scale**2 / arg**2
-        if self.kind == "power":
-            return self.scale**2 * (self.gamma - 1.0) * arg ** (self.gamma - 2.0)
-        return np.zeros_like(arg)
-
     def lower_bound_at(self, x: float) -> float:
         """Finite value at a positive wealth level."""
         if x <= 0:
@@ -211,6 +206,8 @@ class _UtilityEvaluator:
         self.piecewise = kinds == {"piecewise_linear"}
         self.scales = np.array([s.scale for s in specs])
         self.shifts = np.array([s.shift for s in specs])
+        # power exponents; a log state's derivatives are those of gamma = 0
+        self.gammas = np.array([s.gamma if s.kind == "power" else 0.0 for s in specs])
         self._homogeneous = all(s is specs[0] for s in specs)
 
     def value(self, w) -> np.ndarray:
@@ -222,13 +219,6 @@ class _UtilityEvaluator:
         if self._homogeneous:
             return self.specs[0].derivative(w)
         return np.array([s.derivative(np.array([wi]))[0] for s, wi in zip(self.specs, w)])
-
-    def second_derivative(self, w) -> np.ndarray:
-        if self._homogeneous:
-            return self.specs[0].second_derivative(w)
-        return np.array(
-            [s.second_derivative(np.array([wi]))[0] for s, wi in zip(self.specs, w)]
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,16 +299,57 @@ def maximize_utility(
     :class:`~na1lab.errors.NumericError` carries the escalated value and the
     best finite point.
     """
-    return _maximize(market, market.probs, u, tol, x0, divergence_bound)
+    return _maximize_all([market], [market.probs], u, tol, [x0], divergence_bound)[0]
 
 
-def _maximize(market, probs, u, tol, x0=None, divergence_bound=None):
-    """:func:`maximize_utility` with the expectation taken under the state
-    weights ``probs`` (positive, summing to one) in place of the market's
-    probabilities.  The allowed set and the NA1 certificate depend only on
-    the returns and the constraints, so they are the market's own."""
+def _maximize_all(markets, weights, u, tol, starts, divergence_bound=None, labels=None):
+    """:func:`maximize_utility` for several markets, each from its start
+    (None to find one) under its state weights (positive, summing to one)
+    in place of its probabilities; ``labels`` name the markets in errors.
+    Each market is set up on its own (:func:`_newton_problem`), the Newton
+    problems of one span dimension are one batch, and each residual is
+    checked on its own."""
+    out, batches = [None] * len(markets), {}
+    for i, (market, cert) in enumerate(zip(markets, _check_na1_all(markets))):
+        with _named(labels, i):
+            out[i] = _newton_problem(market, weights[i], u, starts[i], cert, divergence_bound)
+        if isinstance(out[i], tuple):
+            batches.setdefault(out[i][0].shape[1], []).append(i)
+    for batch in batches.values():
+        results = _solve_batch([out[i] for i in batch], [weights[i] for i in batch], tol)
+        for i, result in zip(batch, results):
+            basis, returns_r, evaluator, rows, a, b = out[i][:6]
+            u_opt = result.x
+            value = float(weights[i] @ evaluator.value(1.0 + returns_r @ u_opt))
+            if result.residual > tol * (1.0 + float(np.linalg.norm(u_opt))):
+                with _named(labels, i):
+                    raise NumericError(f"utility maximization stalled at stationarity residual "
+                                       f"{result.residual:.3e}", best=basis @ u_opt, value=value)
+            active_theta = tuple(int(k) for k in rows[result.multipliers > b - a @ u_opt])
+            arguments = evaluator.scales * (1.0 + returns_r @ u_opt) + evaluator.shifts
+            active_floor = tuple(int(k) for k in np.nonzero(arguments <= WEALTH_FLOOR)[0])
+            out[i] = OptimalPortfolio(basis @ u_opt, value, result.residual, result.iterations,
+                                      active_theta, active_floor)
+    return out
+
+
+@contextmanager
+def _named(labels, i):
+    """Prefix a ``NumericError`` of market ``i`` with its label."""
+    try:
+        yield
+    except NumericError as exc:
+        if labels is None:
+            raise
+        raise NumericError(f"optimization failed at {labels[i]}: {exc}") from exc
+
+
+def _newton_problem(market, probs, u, x0, cert, divergence_bound):
+    """The optimum itself where no Newton search is needed (piecewise-linear
+    utilities, a span of ``{0}``), else ``(basis, returns_r, evaluator,
+    rows, a, b, start, diameter)``: the searched coordinates and allowed
+    rows ``a u <= b`` there, a strictly feasible start and the diameter."""
     evaluator = _UtilityEvaluator(u, market.n_states)
-    cert = check_na1(market)
     if not cert.holds and divergence_bound is None:
         raise PreconditionError(
             "scalable arbitrage exists, so expected utility has no maximizer; "
@@ -340,39 +371,44 @@ def _maximize(market, probs, u, tol, x0=None, divergence_bound=None):
     if basis.shape[1] == 0:
         value = float(probs @ evaluator.value(np.ones(market.n_states)))
         return OptimalPortfolio(np.zeros(d), value, 0.0, 0)
-
     returns_r = market.returns @ basis
-    rows, a, b = _searched_rows(market, basis)
-    g = -returns_r
     if not cert.holds:
         _escalate_along_ray(
             probs, basis, returns_r, evaluator, start, cert.witness_ray, divergence_bound
         )
+    rows, a, b = _searched_rows(market, basis)
+    return basis, returns_r, evaluator, rows, a, b, start, 2.0 * math.sqrt(d) * cert.bound_radius
 
-    def derivatives(v):
-        w = 1.0 + returns_r @ v
-        curvature = probs * evaluator.second_derivative(w)
-        return (
-            -(returns_r.T @ (probs * evaluator.derivative(w))),
-            -(returns_r.T @ (curvature[:, None] * returns_r)),
-        )
 
-    diameter = 2.0 * math.sqrt(d) * cert.bound_radius
-    result = minimize_convex(derivatives, a, b, start, diameter, tol, domain=(g, h))
-    u_opt = result.x
-    value = float(probs @ evaluator.value(1.0 + returns_r @ u_opt))
-    if result.residual > tol * (1.0 + float(np.linalg.norm(u_opt))):
-        raise NumericError(
-            f"utility maximization stalled at stationarity residual {result.residual:.3e}",
-            best=basis @ u_opt,
-            value=value,
-        )
-    active_theta = tuple(int(i) for i in rows[result.multipliers > b - a @ u_opt])
-    arguments = evaluator.scales * (1.0 + returns_r @ u_opt) + evaluator.shifts
-    active_floor = tuple(int(i) for i in np.nonzero(arguments <= WEALTH_FLOOR)[0])
-    return OptimalPortfolio(
-        basis @ u_opt, value, result.residual, result.iterations, active_theta, active_floor
+def _solve_batch(problems, weights, tol):
+    """One :func:`~na1lab.lp.minimize_convex` batch of ``-E[U(1 + R u)]``
+    for :func:`_newton_problem` tuples of one span dimension, inside the
+    domain ``-R u < 1 + shift / scale``; padded states have zero weight."""
+    _, returns_r, evaluators, _, a, b, starts, diameters = zip(*problems)
+    returns_r = _pad(returns_r, 0.0)
+    returns_t = returns_r.transpose(0, 2, 1)
+    probs = _pad(weights, 0.0)[..., None]
+    scales, shifts, gammas = (
+        _pad([getattr(e, name) for e in evaluators], fill)[..., None]
+        for name, fill in (("scales", 1.0), ("shifts", 0.0), ("gammas", 0.0))
     )
+    logs, squares = not np.any(gammas), scales**2
+
+    def derivatives(v, live):
+        r, scale = returns_r[live], scales[live]
+        arg = scale * (1.0 + r @ v) + shifts[live]
+        if logs:
+            first, second = scale / arg, -squares[live] / arg**2
+        else:
+            gamma = gammas[live]
+            first = scale * arg ** (gamma - 1.0)
+            second = squares[live] * (gamma - 1.0) * arg ** (gamma - 2.0)
+        r_t, p = returns_t[live], probs[live]
+        return -(r_t @ (p * first)), -(r_t @ (p * second * r))
+
+    h = _pad([1.0 + e.shifts / e.scales for e in evaluators], np.inf)
+    return minimize_convex(derivatives, _pad(a, 0.0), _pad(b, np.inf), np.array(starts),
+                           np.array(diameters), tol, domain=(-returns_r, h))
 
 
 def _searched_rows(market, basis):

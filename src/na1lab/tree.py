@@ -20,15 +20,17 @@ node markets:
 * cheapest super-replication composes backward, one homogenized hedging LP
   per node (``superhedge_tree``).
 
-Each node market is built once and held on the tree (``node_market``), so
-the certificates cached on it, NA1 first of all, serve every later question.
-The per-node LPs of a pass are independent, so each pass solves them
-together as block-diagonal LPs (:func:`~na1lab.lp._solve_stacked`): the NA1
-support LPs of every node, the Chebyshev starts of the per-node utility
-problems, the deflator checks, and the super-hedging LPs of one tree level.
-Every node's result is still checked on its own.  The log optima are held
-on the tree, so the numeraire process and log-utility backward induction
-solve each node once.
+Node markets are keyed by content (``node_market``): each distinct one is
+built once and held on the tree, and nodes with equal content share it, so
+its cached certificates, NA1 first of all, its interior start and its log
+optimum serve every such node and later question.  Each pass solves its
+independent per-node LPs together as block-diagonal LPs
+(:func:`~na1lab.lp._solve_stacked`): the NA1 support LPs, the Chebyshev
+starts, the deflator checks and the super-hedging LPs of one tree level;
+and its utility problems as one solver batch
+(:func:`~na1lab.portfolio._maximize_all`): the log optima of all distinct
+markets, or the power problems of one level, one per distinct market and
+tilt.  Every node's result is still checked on its own.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ from .portfolio import (
     NUMERAIRE_GRADIENT_TOL,
     UtilitySpec,
     _interior_starts,
-    _maximize,
-    maximize_utility,
+    _maximize_all,
 )
 
 #: Membership slack for recorded strategies (constraints and span).
@@ -207,8 +208,9 @@ class ScenarioTree:
         object.__setattr__(self, "_horizon", horizon)
         object.__setattr__(self, "_n_assets", n_assets)
         object.__setattr__(self, "_bfs", tuple(bfs))
-        object.__setattr__(self, "_markets", {})
-        object.__setattr__(self, "_starts", {})
+        object.__setattr__(self, "_markets", {})  # by node id
+        object.__setattr__(self, "_contents", {})  # by node content
+        object.__setattr__(self, "_starts", {})  # by market id, as below
         object.__setattr__(self, "_log_optima", {})
 
     @property
@@ -273,9 +275,10 @@ def node_market(tree: ScenarioTree, node_id) -> DiscreteMarket:
     """One-period market seen standing at a non-leaf node.
 
     States are the node's children with their branch probabilities and edge
-    returns; the constraint set is the node's own.  The market is built once
-    per node and held on the tree, so the certificates cached on it are
-    shared by every tree operation.
+    returns; the constraint set is the node's own.  The market is built
+    once per content (the bytes of the probabilities, the returns and the
+    constraint normals and offsets) and held on the tree, so nodes with
+    equal content share it and the certificates cached on it.
     """
     market = tree._markets.get(node_id)
     if market is None:
@@ -284,10 +287,21 @@ def node_market(tree: ScenarioTree, node_id) -> DiscreteMarket:
             raise InvalidParameterError(f"node {node_id!r} is a leaf; it has no market")
         probs = np.array([float(tree.node(k).prob) for k in kids])
         returns = np.vstack([tree.edge_returns(k) for k in kids])
-        market = tree._markets[node_id] = DiscreteMarket(
-            probs, returns, tree.constraints[node_id]
-        )
+        cs = tree.constraints[node_id]
+        key = (probs.tobytes(), returns.tobytes(), cs.normals.tobytes(), cs.offsets.tobytes())
+        market = tree._contents.get(key)
+        if market is None:
+            market = tree._contents[key] = DiscreteMarket(probs, returns, cs)
+        tree._markets[node_id] = market
     return market
+
+
+def _distinct(tree: ScenarioTree, nodes, key=lambda node_id: None) -> dict:
+    """The first of ``nodes`` for each distinct ``(market id, key(node))``."""
+    first: dict = {}
+    for node_id in nodes:
+        first.setdefault((id(node_market(tree, node_id)), key(node_id)), node_id)
+    return first
 
 
 def iid_tree(market: DiscreteMarket, horizon: int, root_id: str = "root") -> ScenarioTree:
@@ -507,39 +521,40 @@ def _best_candidate(weights, returns, candidates, base: UtilitySpec):
 
 
 def _node_starts(tree: ScenarioTree) -> dict:
-    """Every non-leaf node's start for unit log and power utilities, from
-    one stacked Chebyshev LP per tree, held on the tree."""
+    """Each distinct node market's start for unit log and power utilities,
+    by market id, from one stacked Chebyshev LP, held on the tree."""
     if not tree._starts:
-        internal = tree.internal_ids()
-        starts = _interior_starts([node_market(tree, n) for n in internal])
-        tree._starts.update(zip(internal, starts))
+        markets = [node_market(tree, n) for n in _distinct(tree, tree.internal_ids()).values()]
+        tree._starts.update(zip(map(id, markets), _interior_starts(markets)))
     return tree._starts
 
 
-def _log_optimum(tree: ScenarioTree, node_id, tol: float):
-    """The node's log optimum at stationarity tolerance ``tol``, held on the
-    tree: one solved to a tolerance at most ``tol`` serves the request, so
-    the numeraire step (``NUMERAIRE_GRADIENT_TOL``) is also the log-utility
-    backward-induction step that follows it."""
-    cached = tree._log_optima.get(node_id)
-    if cached is None or cached[0] > tol:
-        cached = tree._log_optima[node_id] = (
-            tol, _node_optimum(tree, node_id, None, UtilitySpec.log(), tol)
-        )
-    return cached[1]
+def _node_optima(tree, nodes, weights: dict, u, tol) -> dict:
+    """Optima of ``u`` at ``nodes`` under their child ``weights``, by node:
+    one batch, a problem per distinct market and weights, from the markets'
+    starts; an error names its node."""
+    first = _distinct(tree, nodes, lambda n: weights[n].tobytes())
+    chosen = list(first.values())
+    markets = [node_market(tree, n) for n in chosen]
+    starts = [_node_starts(tree)[id(m)] for m in markets]
+    labels = [f"node {n!r}" for n in chosen]
+    solved = _maximize_all(markets, [weights[n] for n in chosen], u, tol, starts, labels=labels)
+    optima = dict(zip(first, solved))
+    return {n: optima[id(node_market(tree, n)), weights[n].tobytes()] for n in nodes}
 
 
-def _node_optimum(tree, node_id, weights, u, tol):
-    """Optimum of ``u`` at one node under the child weights (the branch
-    probabilities when None), started at the node's stacked start."""
-    market = node_market(tree, node_id)
-    x0 = _node_starts(tree)[node_id]
-    try:
-        if weights is None:
-            return maximize_utility(market, u, tol, x0=x0)
-        return _maximize(market, weights, u, tol, x0)
-    except NumericError as exc:
-        raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
+def _log_optima(tree: ScenarioTree, tol: float) -> dict:
+    """Each distinct node market's log optimum at stationarity tolerance
+    ``tol``, by market id, held on the tree: one solved to a tolerance at
+    most ``tol`` serves, so the numeraire step (``NUMERAIRE_GRADIENT_TOL``)
+    is also the log-utility backward-induction step that follows it."""
+    held = tree._log_optima
+    stale = [n for (m, _), n in _distinct(tree, tree.internal_ids()).items()
+             if held.get(m, (math.inf,))[0] > tol]
+    optima = _node_optima(tree, stale, {n: node_market(tree, n).probs for n in stale},
+                          UtilitySpec.log(), tol) if stale else {}
+    held.update((id(node_market(tree, n)), (tol, opt)) for n, opt in optima.items())
+    return {m: opt for m, (_, opt) in held.items()}
 
 
 def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionResult:
@@ -551,39 +566,42 @@ def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionRe
     node market itself).  The utility's ``scale`` factor shifts (log) or
     rescales (power) the optimal value without moving the optimizer, so the
     per-node problems use the unit-scale utility and the root value is
-    adjusted at the end.  Log nodes take the log optima held on the tree.
+    adjusted at the end.  Log nodes take the log optima held on the tree;
+    the power problems of a tree level are one batch.
     """
     is_log = u.kind == "log"
     base = UtilitySpec.log() if is_log else UtilitySpec.power(u.gamma)
     node_values: dict = {leaf: (0.0 if is_log else 1.0) for leaf in tree.leaf_ids}
     strategies: dict = {}
-    for node_id in reversed(tree.internal_ids()):
-        market = node_market(tree, node_id)
-        continuation = np.array([node_values[k] for k in tree.children(node_id)])
+    log_optima = _log_optima(tree, GRADIENT_TOL) if is_log and candidates is None else {}
+    backward = tuple(reversed(tree.internal_ids()))
+    for depth in reversed(range(tree.horizon)):
+        level = [n for n in backward if tree.depth(n) == depth]
+        markets = {n: node_market(tree, n) for n in level}
+        continuation = {n: np.array([node_values[k] for k in tree.children(n)]) for n in level}
+        tilts = {n: markets[n].probs * continuation[n] for n in level}
+        weights = {n: markets[n].probs if is_log else tilts[n] / tilts[n].sum() for n in level}
         if is_log:
-            weights = market.probs
-        else:
-            tilt = market.probs * continuation
-            weights = tilt / tilt.sum()
-        chosen = _node_candidates(candidates, node_id)
-        if chosen is None:
-            if is_log:
-                opt = _log_optimum(tree, node_id, GRADIENT_TOL)
+            optima = {n: log_optima.get(id(markets[n])) for n in level}
+        elif candidates is None:
+            optima = _node_optima(tree, level, weights, base, GRADIENT_TOL)
+        for node_id in level:
+            market = markets[node_id]
+            chosen = _node_candidates(candidates, node_id)
+            if chosen is None:
+                strategy, value = optima[node_id].strategy, optima[node_id].value
             else:
-                opt = _node_optimum(tree, node_id, weights, base, GRADIENT_TOL)
-            strategy, value = opt.strategy, opt.value
-        else:
-            try:
-                chosen = _feasible_candidates(market, chosen, node_id)
-                strategy, value = _best_candidate(weights, market.returns, chosen, base)
-            except NumericError as exc:
-                raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
-            strategy = market.span.project(strategy)
-        strategies[node_id] = np.asarray(strategy, dtype=float)
-        if is_log:
-            node_values[node_id] = float(market.probs @ continuation) + value
-        else:
-            node_values[node_id] = float(market.probs @ continuation) * u.gamma * value
+                try:
+                    chosen = _feasible_candidates(market, chosen, node_id)
+                    strategy, value = _best_candidate(
+                        weights[node_id], market.returns, chosen, base
+                    )
+                except NumericError as exc:
+                    raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
+                strategy = market.span.project(strategy)
+            strategies[node_id] = np.asarray(strategy, dtype=float)
+            expected = float(market.probs @ continuation[node_id])
+            node_values[node_id] = expected + value if is_log else expected * u.gamma * value
     if is_log:
         root_value = node_values[tree.root_id] + math.log(u.scale)
     else:
@@ -696,7 +714,7 @@ def backward_induction(
 
     Log and power utilities separate across periods, so the dynamic program
     is exact: each node contributes one wealth-independent one-period
-    problem (solved by ``maximize_utility``, or by enumeration when a finite
+    problem (as ``maximize_utility`` solves it, or by enumeration when a finite
     ``candidates`` set restricts the strategies; ``candidates`` is a strategy
     array applied at every node, or a dict keyed by non-leaf node id).
     Concave piecewise-linear utilities are solved exactly by one LP over the
@@ -762,14 +780,15 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
 
     The log optimum at each node makes every allowed wealth ratio a one-step
     supermartingale; stitched along the tree, the inverse of its wealth
-    process deflates every allowed strategy's wealth.  Each node's log
-    optimum is solved to the numeraire tolerance, from the node's start in one
-    stacked Chebyshev LP, and certified once, by the wealth-ratio LPs of
-    ``verify_deflator_process``.
+    process deflates every allowed strategy's wealth.  The log optima of all
+    distinct node markets are one solver batch at the numeraire tolerance,
+    from their starts in one stacked Chebyshev LP, and every node is
+    certified by the wealth-ratio LPs of ``verify_deflator_process``.
     """
     _require_global_na1(tree, "the numeraire process")
+    optima = _log_optima(tree, NUMERAIRE_GRADIENT_TOL)
     strategies = {
-        node_id: _log_optimum(tree, node_id, NUMERAIRE_GRADIENT_TOL).strategy
+        node_id: optima[id(node_market(tree, node_id))].strategy
         for node_id in tree.internal_ids()
     }
     wealth = _wealth_process(tree, strategies)

@@ -65,22 +65,26 @@ def factor_doc(gamma=0.5, borrow_limit=2.5):
     }
 
 
-def tree_doc(claim=None, utility=None, bad_middle=False):
+def tree_doc(claim=None, utility=None, bad_middle=False, distinct=False):
+    """Two-period binomial tree, the same market at every node; ``distinct``
+    perturbs node ``d``'s returns (on the edge into ``d`` and the one into
+    ``dd``) so that the three node markets differ."""
     box = {"halfspaces": [{"a": [-1.0], "b": 1.0}, {"a": [1.0], "b": 1.0}]}
     free_long = {"halfspaces": [{"a": [-1.0], "b": 0.0}]}
+    down, down_down = (-0.3, -0.2) if distinct else (-0.4, -0.4)
     doc = {
         "constraint_sets": {"box": box, "free_long": free_long},
         "nodes": [
             {"id": "root", "constraints": "box"},
             {"id": "u", "parent": "root", "prob": 0.5, "returns": [0.8],
              "constraints": "free_long" if bad_middle else "box"},
-            {"id": "d", "parent": "root", "prob": 0.5, "returns": [-0.4],
+            {"id": "d", "parent": "root", "prob": 0.5, "returns": [down],
              "constraints": "box"},
             {"id": "uu", "parent": "u", "prob": 0.5, "returns": [0.8]},
             {"id": "ud", "parent": "u", "prob": 0.5,
              "returns": [0.0 if bad_middle else -0.4]},
             {"id": "du", "parent": "d", "prob": 0.5, "returns": [0.8]},
-            {"id": "dd", "parent": "d", "prob": 0.5, "returns": [-0.4]},
+            {"id": "dd", "parent": "d", "prob": 0.5, "returns": [down_down]},
         ],
     }
     if claim is not None:
@@ -521,9 +525,21 @@ class TestTreeCommand:
         }
 
     def test_each_node_market_is_built_and_certified_once(self, tmp_path, monkeypatch):
-        """One run builds each internal node's market once and decides NA1
-        once per node, however many tree operations read it.  Power
-        utilities tilt the node weights on the node market itself."""
+        """One run builds each distinct node market once and decides NA1
+        once per market, however many nodes and tree operations read it:
+        the three nodes of this tree share one market.  Power utilities tilt
+        the node weights on the node market itself."""
+        assert self.builds_and_decisions(tmp_path, monkeypatch, distinct=False) == [(1, 1)] * 2
+
+    def test_each_distinct_node_market_is_built_and_certified_once(self, tmp_path, monkeypatch):
+        """The twin tree with three different node markets builds and
+        certifies each of them once."""
+        assert self.builds_and_decisions(tmp_path, monkeypatch, distinct=True) == [(3, 3)] * 2
+
+    @staticmethod
+    def builds_and_decisions(tmp_path, monkeypatch, distinct):
+        """Market builds and markets decided for NA1 in one run of the tree
+        command, with a log and with a power utility."""
         import na1lab.arbitrage
         from na1lab.market import DiscreteMarket
 
@@ -541,6 +557,7 @@ class TestTreeCommand:
 
         monkeypatch.setattr(DiscreteMarket, "__post_init__", counted_post_init)
         monkeypatch.setattr(na1lab.arbitrage, "_decide_na1", counted_decide)
+        counts = []
         for utility in ({"kind": "log"}, {"kind": "power", "gamma": 0.5}):
             builds.clear()
             decisions.clear()
@@ -548,28 +565,40 @@ class TestTreeCommand:
                 tmp_path,
                 "tree",
                 tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
-                         utility=utility),
+                         utility=utility, distinct=distinct),
             )
             assert rc == 0
-            assert len(builds) == 3
-            assert len(decisions) == 3
+            counts.append((len(builds), len(decisions)))
+        return counts
 
     def test_each_log_optimum_is_solved_once(self, tmp_path, monkeypatch):
         """The numeraire process and log-utility backward induction share
-        each node's log optimum."""
-        import na1lab.tree
+        each distinct node market's log optimum: one solver call with one
+        problem for the one market of this tree."""
+        assert self.solver_batches(tmp_path, monkeypatch, distinct=False) == [1]
 
-        solves = []
-        maximize = na1lab.tree.maximize_utility
+    def test_each_distinct_log_optimum_is_solved_once(self, tmp_path, monkeypatch):
+        """Three node markets: one solver call with three problems."""
+        assert self.solver_batches(tmp_path, monkeypatch, distinct=True) == [3]
 
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return maximize(*args, **kwargs)
+    @staticmethod
+    def solver_batches(tmp_path, monkeypatch, distinct):
+        """Problems in each smooth-solver call of a log-utility tree run."""
+        import na1lab.portfolio
 
-        monkeypatch.setattr(na1lab.tree, "maximize_utility", counted)
-        rc, _ = run_command(tmp_path, "tree", tree_doc(utility={"kind": "log"}))
+        batches = []
+        minimize = na1lab.portfolio.minimize_convex
+
+        def counted(derivatives, a_ub, b_ub, start, *args, **kwargs):
+            batches.append(len(start))
+            return minimize(derivatives, a_ub, b_ub, start, *args, **kwargs)
+
+        monkeypatch.setattr(na1lab.portfolio, "minimize_convex", counted)
+        rc, _ = run_command(
+            tmp_path, "tree", tree_doc(utility={"kind": "log"}, distinct=distinct)
+        )
         assert rc == 0
-        assert len(solves) == 3
+        return batches
 
     def test_stacked_passes_need_few_lps(self, tmp_path, linprog_calls):
         """A 255-node binary tree with its own market at every node: every

@@ -18,6 +18,7 @@ from na1lab.arbitrage import (
     construct_esmm,
     find_classical_arbitrage,
 )
+from na1lab.lp import minimize_convex
 from na1lab.market import DiscreteMarket, preset_constraints
 from na1lab.portfolio import NUMERAIRE_TOL, numeraire_portfolio, verify_numeraire
 
@@ -68,3 +69,74 @@ def test_esmm_classifies_the_cone_rows_in_one_lp(linprog_calls):
     construct_esmm(market)
     # one LP for the cone's implicit equalities, one certifying the slack
     assert len(linprog_calls) == 2
+
+
+def expected_utility_batch(problems, starts, tols, diameter=10.0):
+    """:func:`minimize_convex` on a batch of ``-E[U_k(1 + R_k x)]`` over
+    ``a_k x <= b_k``, with ``U_k`` log (gamma 0) or ``x**gamma / gamma``.
+    Each problem is ``(probs, returns, gamma, a, b)`` in two variables; the
+    batch pads states with zero weight and rows with offset +inf."""
+    states = max(len(p[0]) for p in problems)
+    rows = max(len(p[4]) for p in problems)
+    weights, gammas = np.zeros((len(problems), states, 1)), np.zeros((len(problems), states, 1))
+    returns = np.zeros((len(problems), states, 2))
+    a_ub, b_ub = np.zeros((len(problems), rows, 2)), np.full((len(problems), rows), np.inf)
+    h = np.full((len(problems), states), np.inf)
+    for k, (probs, r, gamma, a, b) in enumerate(problems):
+        weights[k, : len(probs), 0], gammas[k, : len(probs), 0] = probs, gamma
+        returns[k, : len(probs)], h[k, : len(probs)] = r, 1.0
+        a_ub[k, : len(b)], b_ub[k, : len(b)] = a, b
+
+    def derivatives(x, live):
+        r, gamma, p = returns[live], gammas[live], weights[live]
+        w = 1.0 + r @ x
+        first, second = w ** (gamma - 1.0), (gamma - 1.0) * w ** (gamma - 2.0)
+        r_t = r.transpose(0, 2, 1)
+        return -(r_t @ (p * first)), -(r_t @ (p * second * r))
+
+    return minimize_convex(
+        derivatives, a_ub, b_ub, np.array(starts), diameter, np.array(tols), domain=(-returns, h)
+    )
+
+
+def test_heterogeneous_batch_matches_solo_solves(caplog):
+    """Problems of different state and row counts, log and power utilities
+    (both signs of gamma) and tolerances, one converged at its start and one
+    whose Newton system is singular, solved as one batch: each problem
+    gets what it gets alone, and the singular one leaves the batch alone."""
+    rng = np.random.default_rng(5)
+    box = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 0.8))
+    problems, starts, tols = [], [], []
+    for states, gamma, rows, tol in [
+        (3, 0.0, 4, 1e-10), (7, 0.5, 2, 1e-8), (12, -1.0, 0, 1e-12),
+        (5, 0.0, 4, 1e-9), (9, -1.0, 4, 1e3), (4, 0.5, 4, 1e-10),
+    ]:
+        probs = rng.uniform(0.5, 1.5, states)
+        returns = rng.uniform(-0.6, 0.9, size=(states, 2))
+        returns[0], returns[1] = [0.5, 0.4], [-0.4, -0.5]  # every direction loses somewhere
+        problems.append((probs / probs.sum(), returns, gamma, box[0][:rows], box[1][:rows]))
+        starts.append(rng.uniform(-0.1, 0.1, 2))
+        tols.append(tol)
+    # the first asset alone moves wealth and nothing bounds the second: the
+    # Hessian is singular and the problem has no rows
+    problems.insert(2, (np.array([0.5, 0.5]), np.array([[0.5, 0.0], [-0.4, 0.0]]), 0.0,
+                        np.zeros((0, 2)), np.zeros(0)))
+    starts.insert(2, np.zeros(2))
+    tols.insert(2, 1e-10)
+    with caplog.at_level("DEBUG", logger="na1lab.lp"):
+        batch = expected_utility_batch(problems, starts, tols)
+    assert "Newton system is singular" in caplog.text
+    for k, result in enumerate(batch):
+        [alone] = expected_utility_batch([problems[k]], [starts[k]], [tols[k]])
+        scale = 1.0 + np.max(np.abs(alone.x))
+        assert np.max(np.abs(result.x - alone.x)) <= 1e-10 * scale
+        assert result.iterations == alone.iterations
+        assert abs(result.residual - alone.residual) <= 1e-10 * (1.0 + alone.residual)
+        np.testing.assert_allclose(result.multipliers, alone.multipliers, rtol=1e-10, atol=1e-14)
+        assert result.multipliers.shape == (len(problems[k][4]),)
+    singular, converged = batch[2], batch[5]
+    assert singular.iterations == 0 and np.array_equal(singular.x, starts[2])
+    assert converged.iterations == 0
+    assert all(r.iterations > 3 for k, r in enumerate(batch) if k not in (2, 5))
+    assert all(r.residual <= tols[k] * (1.0 + np.linalg.norm(r.x))
+               for k, r in enumerate(batch) if k != 2)

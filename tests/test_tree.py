@@ -24,7 +24,13 @@ from na1lab.arbitrage import check_na1
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.hedging import Claim, superhedge
 from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
-from na1lab.portfolio import UtilitySpec, maximize_utility, numeraire_portfolio, verify_deflator
+from na1lab.portfolio import (
+    NUMERAIRE_GRADIENT_TOL,
+    UtilitySpec,
+    maximize_utility,
+    numeraire_portfolio,
+    verify_deflator,
+)
 from na1lab.tree import (
     DeflatorProcess,
     PolicyProcess,
@@ -176,6 +182,46 @@ def random_tree(rng, d_max=2, t_max=3, kid_max=3):
                 nxt.append(nid)
             constraints[parent] = span_combination_constraints(rng, returns)
         frontier = nxt
+    return ScenarioTree(tuple(nodes), constraints)
+
+
+def tree_with_repeats(rng, d_max=2, t_max=3, kid_max=3):
+    """Random tree like :func:`random_tree`, of horizon 2 or more, except
+    that with probability one half a node repeats the whole subtree of an
+    earlier node at its depth, markets and constraints all the way down: node
+    contents repeat, and below a repeated subtree the continuation values
+    repeat too."""
+    d = int(rng.integers(1, d_max + 1))
+    horizon = int(rng.integers(2, t_max + 1))
+    drawn = [[] for _ in range(horizon)]
+
+    def subtree(depth):
+        if depth == horizon:
+            return None
+        if drawn[depth] and rng.random() < 0.5:
+            return drawn[depth][int(rng.integers(len(drawn[depth])))]
+        k = int(rng.integers(2, kid_max + 1))
+        probs = rng.uniform(0.2, 1.0, k)
+        returns = rng.uniform(-0.9, 1.4, size=(k, d))
+        spec = (probs / probs.sum(), returns, span_combination_constraints(rng, returns),
+                [subtree(depth + 1) for _ in range(k)])
+        drawn[depth].append(spec)
+        return spec
+
+    counter = itertools.count(1)
+    nodes, constraints = [TreeNode("n0")], {}
+
+    def place(node_id, spec):
+        if spec is None:
+            return
+        probs, returns, cs, kids = spec
+        constraints[node_id] = cs
+        for j, kid in enumerate(kids):
+            child = f"n{next(counter)}"
+            nodes.append(TreeNode(child, parent=node_id, prob=float(probs[j]), returns=returns[j]))
+            place(child, kid)
+
+    place("n0", subtree(0))
     return ScenarioTree(tuple(nodes), constraints)
 
 
@@ -812,3 +858,111 @@ class TestStackedPasses:
                 assert hedge.node_values[n] == pytest.approx(values[n], rel=1e-9, abs=1e-9)
                 np.testing.assert_allclose(hedge.strategies[n], report.strategy, atol=1e-7)
             checked += 1
+
+    @staticmethod
+    def trees_with_repeats(seed, count):
+        """``count`` draws of :func:`tree_with_repeats` without scalable
+        arbitrage; at least half of them share a node market."""
+        rng = np.random.default_rng(seed)
+        trees = []
+        while len(trees) < count:
+            tree = tree_with_repeats(rng)
+            if global_na1(tree).holds:
+                trees.append(tree)
+        shared = sum(
+            len({id(node_market(tree, n)) for n in tree.internal_ids()})
+            < len(tree.internal_ids())
+            for tree in trees
+        )
+        assert 2 * shared >= count
+        return trees
+
+    def test_numeraire_matches_per_node_solves_with_repeated_subtrees(self):
+        for tree in self.trees_with_repeats(8, 12):
+            policy, _ = numeraire_process(tree)
+            for n in tree.internal_ids():
+                alone = maximize_utility(
+                    fresh_market(tree, n), UtilitySpec.log(), tol=NUMERAIRE_GRADIENT_TOL
+                )
+                scale = 1.0 + np.max(np.abs(alone.strategy))
+                assert np.max(np.abs(policy.strategies[n] - alone.strategy)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("gamma", [0.5, -1.0])
+    def test_power_backward_induction_matches_per_node_solves_with_repeated_subtrees(self, gamma):
+        for tree in self.trees_with_repeats(9, 10):
+            result = backward_induction(tree, UtilitySpec.power(gamma))
+            values = {leaf: 1.0 for leaf in tree.leaf_ids}
+            for n in reversed(tree.internal_ids()):
+                market = fresh_market(tree, n)
+                continuation = np.array([values[k] for k in tree.children(n)])
+                tilt = market.probs * continuation
+                tilted = DiscreteMarket(tilt / tilt.sum(), market.returns, market.constraints)
+                alone = maximize_utility(tilted, UtilitySpec.power(gamma))
+                values[n] = float(market.probs @ continuation) * gamma * alone.value
+                scale = 1.0 + np.max(np.abs(alone.strategy))
+                strategy = result.policy.strategies[n]
+                assert np.max(np.abs(strategy - alone.strategy)) <= 1e-8 * scale
+                assert result.node_values[n] == pytest.approx(values[n], rel=1e-8)
+
+
+class TestDistinctNodeContent:
+    """Nodes with equal content share one market, so each pass builds,
+    certifies and solves once per distinct market (and power tilt)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Market builds, markets decided for NA1, and the problems in each
+        smooth-solver call, from the moment the fixture is set up."""
+        import na1lab.arbitrage
+        import na1lab.portfolio
+
+        counts = {"builds": 0, "decided": 0, "batches": []}
+        post_init = DiscreteMarket.__post_init__
+        decide = na1lab.arbitrage._decide_na1
+        minimize = na1lab.portfolio.minimize_convex
+
+        def counted_post_init(market):
+            counts["builds"] += 1
+            post_init(market)
+
+        def counted_decide(markets, tol):
+            counts["decided"] += len(markets)
+            return decide(markets, tol)
+
+        def counted_minimize(derivatives, a_ub, b_ub, start, *args, **kwargs):
+            counts["batches"].append(len(start))
+            return minimize(derivatives, a_ub, b_ub, start, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteMarket, "__post_init__", counted_post_init)
+        monkeypatch.setattr(na1lab.arbitrage, "_decide_na1", counted_decide)
+        monkeypatch.setattr(na1lab.portfolio, "minimize_convex", counted_minimize)
+        return counts
+
+    @pytest.fixture
+    def iid_h6(self):
+        market = DiscreteMarket(
+            np.array([0.3, 0.3, 0.4]),
+            np.array([[0.5, -0.2], [-0.3, 0.4], [0.1, 0.1]]),
+            preset_constraints("box", 2, lower=[1.0, 1.0], upper=[1.0, 1.0]),
+        )
+        return iid_tree(market, 6)
+
+    def test_iid_tree_is_one_market(self, iid_h6, counts):
+        assert global_na1(iid_h6).holds
+        assert (counts["builds"], counts["decided"]) == (1, 1)
+        numeraire_process(iid_h6)
+        assert counts["batches"] == [1]
+        counts["batches"].clear()
+        backward_induction(iid_h6, UtilitySpec.power(0.5))
+        assert counts["batches"] == [1] * 6  # one call per level
+        assert (counts["builds"], counts["decided"]) == (1, 1)
+
+    def test_numeraire_process_of_a_large_tree_is_one_solver_call(self, counts):
+        from test_cli_fuzz import random_tree_doc
+        from na1lab.io import parse_tree
+
+        doc = random_tree_doc(np.random.default_rng(1), True, branching=3, horizon=6)
+        tree = parse_tree(doc)[0]
+        numeraire_process(tree)
+        assert len(tree.nodes) == 1093
+        assert counts["batches"] == [len(tree.internal_ids())]
