@@ -19,17 +19,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericError, InvalidParameterError, PreconditionError
-from .lp import (
-    BIG_BOUND,
-    OPTIMAL,
-    _solve_stacked,
-    cone_span,
-    minimize_convex,
-    require_optimal,
-)
+from .lp import BIG_BOUND, OPTIMAL, cone_span, gather, minimize_convex, read, require_optimal, run
 from .market import Cone, DiscreteMarket, generated_cone
 
 logger = logging.getLogger(__name__)
@@ -177,7 +169,7 @@ def _on_box(result) -> bool:
 
 
 def _arbitrage_search(market: DiscreteMarket, offsets: np.ndarray, tol: float):
-    """Shared LP core: maximize expected gain subject to nonnegative gains,
+    """Task, the shared LP core: maximize expected gain subject to nonnegative gains,
     membership in ``{A pi <= offsets}`` within the return span, and a large
     box keeping the LP bounded.  The gain and admissibility rows, one per
     state, are generated on demand.  Returns (objective, strategy | None)."""
@@ -193,7 +185,7 @@ def _arbitrage_search(market: DiscreteMarket, offsets: np.ndarray, tol: float):
     b_rows = np.concatenate([offsets, np.zeros(n), np.full(2 * d, BIG_BOUND)])
     lazy = np.concatenate([_state_rows(market), np.ones(n, dtype=bool), np.zeros(2 * d, dtype=bool)])
     cost = market.probs @ returns_r
-    [res] = _solve_stacked([dict(cost=cost, a_ub=a_rows, b_ub=b_rows, maximize=True, lazy=lazy)])
+    [res] = yield [dict(cost=cost, a_ub=a_rows, b_ub=b_rows, maximize=True, lazy=lazy)]
     require_optimal(res, "arbitrage search")
     if res.value <= tol:
         return float(res.value), None
@@ -225,18 +217,33 @@ def _verify_gain_certificate(market, strategy, gains, offsets):
         raise NumericError("arbitrage certificate has no strictly positive gain")
 
 
-def _cached(market: DiscreteMarket, notion: str, tol: float, compute):
-    """Certificate of ``notion`` at ``tol`` for ``market``, computed once.
-
-    Markets are immutable, so a certificate stays valid for the market's
-    lifetime; it is held in ``market.certificates`` keyed by notion and
-    tolerance.
-    """
+def _cached(markets, notion: str, tol: float, decide):
+    """Task: certificates of ``notion`` at ``tol`` for ``markets``, decided
+    once per market by the task ``decide(markets, tol)`` and held in
+    ``market.certificates`` (markets are immutable).  An entry is None while
+    a task decides it: a task needing it waits, yielding no blocks, and one
+    that ends undecided clears it."""
     key = (notion, float(tol))
-    cert = market.certificates.get(key)
-    if cert is None:
-        cert = market.certificates[key] = compute(market, tol)
-    return cert
+    while True:
+        fresh = list({id(m): m for m in markets if key not in m.certificates}.values())
+        for market in fresh:
+            market.certificates[key] = None
+        try:
+            for market, cert in zip(fresh, (yield from decide(fresh, tol)) if fresh else []):
+                market.certificates[key] = cert
+        finally:
+            for market in fresh:
+                if market.certificates[key] is None:
+                    del market.certificates[key]
+        if all(market.certificates.get(key) is not None for market in markets):
+            return [market.certificates[key] for market in markets]
+        yield []
+
+
+def _decided(markets, tol: float, *notions) -> bool:
+    """Whether ``markets`` hold certificates of ``notions`` at ``tol``: work
+    they gate is then done where they pass, not with their LPs, speculatively."""
+    return all(m.certificates.get((n, float(tol))) is not None for m in markets for n in notions)
 
 
 def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> ArbitrageCertificate:
@@ -245,21 +252,26 @@ def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> A
     Maximizes the expected gain over strategies in the allowed set (within
     the return span) whose gains are nonnegative in every state; an optimum
     above ``tol`` certifies an arbitrage.  The certificate is cached on the
-    market, one per tolerance.
+    market, one per tolerance; :func:`_classical` is the task.
     """
-    return _cached(market, "classical", tol, _search_classical)
+    return run(_classical(market, tol))[0]
 
 
-def _search_classical(market: DiscreteMarket, tol: float) -> ArbitrageCertificate:
-    objective, strategy = _arbitrage_search(market, market.allowed.offsets, tol)
+def _classical(market: DiscreteMarket, tol: float = GAIN_TOL):
+    return _cached([market], "classical", tol, _search_classical)
+
+
+def _search_classical(markets, tol: float):
+    [market] = markets
+    objective, strategy = yield from _arbitrage_search(market, market.allowed.offsets, tol)
     if strategy is None:
-        return ArbitrageCertificate("no_arbitrage", None, None, objective, threshold=tol)
+        return [ArbitrageCertificate("no_arbitrage", None, None, objective, threshold=tol)]
     strategy = strategy * _tame_scale(strategy)
     gains = market.returns @ strategy
     _verify_gain_certificate(market, strategy, gains, market.allowed.offsets)
-    return ArbitrageCertificate(
+    return [ArbitrageCertificate(
         "arbitrage_found", strategy, gains, float(market.probs @ gains), threshold=tol
-    )
+    )]
 
 
 def relative_arbitrage(market: DiscreteMarket, reference, tol: float = GAIN_TOL) -> ArbitrageCertificate:
@@ -276,7 +288,7 @@ def relative_arbitrage(market: DiscreteMarket, reference, tol: float = GAIN_TOL)
     if not theta.contains(reference):
         raise InvalidParameterError("reference strategy is not in the allowed polyhedron")
     shifted = theta.offsets - theta.normals @ reference
-    objective, delta = _arbitrage_search(market, shifted, tol)
+    objective, delta = run(_arbitrage_search(market, shifted, tol))
     if delta is None:
         return ArbitrageCertificate(
             "no_arbitrage", None, None, objective, reference=reference, threshold=tol
@@ -308,27 +320,21 @@ def check_na1(market: DiscreteMarket, tol: float = GAIN_TOL) -> Na1Certificate:
     fail or an optimum reaches the box, one more LP looks for the witness
     ray; without one, the set is bounded but larger than the box, and its
     support LPs are solved again whole, without the box.  This is
-    :func:`_settle`, with the market as group, the ``2d`` signed axes as
-    costs and unit ray weights; :func:`max_expected_gain` shares it.
+    :func:`_settle`, with the ``2d`` signed axes as costs and unit ray
+    weights; :func:`max_expected_gain` shares it.
 
     The certificate is cached on the market, one per tolerance;
-    :func:`_check_na1_all` decides several markets in one stacked call.
+    :func:`_check_na1_all` is the task deciding several markets, their
+    support LPs stacked.
     """
-    return _check_na1_all([market], tol)[0]
+    return run(_check_na1_all([market], tol))[0]
 
 
-def _check_na1_all(markets, tol: float = GAIN_TOL) -> list[Na1Certificate]:
-    """:func:`check_na1` for several markets.  Those without a cached
-    certificate are decided together, their support LPs stacked by
-    :func:`~na1lab.lp._solve_stacked`, and the certificates are cached."""
-    key = ("na1", float(tol))
-    fresh = list({id(m): m for m in markets if key not in m.certificates}.values())
-    for market, cert in zip(fresh, _decide_na1(fresh, tol)):
-        market.certificates[key] = cert
-    return [market.certificates[key] for market in markets]
+def _check_na1_all(markets, tol: float = GAIN_TOL):
+    return _cached(markets, "na1", tol, _decide_na1)
 
 
-def _decide_na1(markets, tol: float) -> list[Na1Certificate]:
+def _decide_na1(markets, tol: float):
     def holds(market, support):
         basis, d = market.span.basis, market.n_assets
         multipliers = np.maximum(-np.array([lp.marginals_ub for lp in support]), 0.0)
@@ -338,86 +344,61 @@ def _decide_na1(markets, tol: float) -> list[Na1Certificate]:
         radius = float(np.max(multipliers @ market.allowed.offsets))
         return Na1Certificate("na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol)
 
-    certs = _settle(
-        [(m, np.vstack([m.span.basis, -m.span.basis]), np.ones(m.n_states)) for m in markets],
-        tol,
-        holds,
+    certs = yield from gather(*(_settle(
+        m, np.vstack([m.span.basis, -m.span.basis]), np.ones(m.n_states), tol, holds,
         lambda market, ray: Na1Certificate("na1_fails", witness_ray=ray, threshold=tol),
-    )
-    return [cert or Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol) for cert in certs]
+    ) for m in markets))
+    return [read(c) or Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol) for c in certs]
 
 
-def _settle(groups, tol: float, settled, unbounded) -> list:
-    """Sup of linear functionals over the allowed set, for groups of them.
-
-    A group ``(market, costs, weights)`` has one LP :func:`_allowed_lp` per
-    row of ``costs``, a functional in span coordinates; the boxed LPs of all
-    groups are solved in one stacked call.  With every optimum inside the
-    box, ``settled(market, results)`` re-verifies them and returns the
-    group's answer, or None.  Any other group gets one recession-ray LP
-    (:func:`_best_rays`) with ``weights`` on the state gains: a gaining ray
-    (:func:`_witness_ray`) makes its answer ``unbounded(market, ray)``, and
-    without one the set is bounded, maybe past the box, so its LPs are
-    solved again whole, and ``settled`` must accept them.  A market whose
-    span is ``{0}`` has nothing to solve; its answer is None.
-    """
-    answers: list = [None] * len(groups)
-
-    def solve(owners, boxed):
-        blocks = []
-        for k in owners:
-            market, costs, _ = groups[k]
-            shared = _allowed_lp(market, None, boxed)  # one constraint matrix per group
-            blocks += [dict(shared, cost=cost) for cost in costs]
-        results = iter(_solve_stacked(blocks))
-        for k in owners:
-            support = [next(results) for _ in groups[k][1]]
-            if all(lp.status == OPTIMAL and not (boxed and _on_box(lp)) for lp in support):
-                answers[k] = settled(groups[k][0], support)
-        return [k for k in owners if answers[k] is None]
-
-    open_ = solve([k for k, group in enumerate(groups) if group[0].span.basis.shape[1]], True)
-    rays = _best_rays([groups[k][0] for k in open_], [groups[k][2] for k in open_])
-    for k, result in zip(open_, rays):
-        market, _, weights = groups[k]
-        ray = _witness_ray(market, weights, result, tol)
-        if ray is not None:
-            answers[k] = unbounded(market, ray)
-    if solve([k for k in open_ if answers[k] is None], False):
-        raise NumericError(
-            "allowed polyhedron is unbounded in the return span although "
-            "no gaining ray was found; tolerance boundary case"
-        )
-    return answers
-
-
-def _best_rays(markets, weights) -> list:
-    """Per market, the stacked LP result of the largest weighted gain
-    ``weights @ (R basis theta)`` over the recession cone of the allowed set
-    in the span, within the unit sup-norm box, state rows on demand."""
-    blocks = []
-    for market, w in zip(markets, weights):
-        basis = market.span.basis
-        d = basis.shape[0]
-        c_rows = market.allowed.normals @ basis
-        blocks.append(dict(
-            cost=np.asarray(w, dtype=float) @ (market.returns @ basis),
-            a_ub=np.vstack([c_rows, basis, -basis]),
-            b_ub=np.concatenate([np.zeros(c_rows.shape[0]), np.ones(2 * d)]),
-            maximize=True,
-            lazy=np.concatenate([_state_rows(market), np.zeros(2 * d, dtype=bool)]),
-        ))
-    return [require_optimal(res, "recession-ray LP") for res in _solve_stacked(blocks)]
-
-
-def _witness_ray(market: DiscreteMarket, weights, result, tol: float):
-    """The recession direction of :func:`_best_rays` in ``result``, scaled to
-    sup-norm one, if its optimum exceeds ``tol`` and numpy finds it in the
-    recession cone with nonnegative gains and a positive weighted gain: a
-    scalable arbitrage.  Else None."""
-    if not result.value > tol:
+def _settle(market, costs, weights, tol: float, settled, unbounded):
+    """Task: sup of linear functionals over the allowed set: one LP
+    :func:`_allowed_lp` per row of ``costs``, a functional in span
+    coordinates.  With every optimum inside the box, ``settled(market,
+    results)`` re-verifies them and returns the answer, or None.  Else one
+    recession-ray LP (:func:`_witness_ray`) with ``weights`` on the state
+    gains: a gaining ray makes the answer ``unbounded(market, ray)``, and
+    without one the set is bounded, maybe past the box, so the LPs are
+    solved again whole, and ``settled`` must accept them.  A span of
+    ``{0}`` has nothing to solve; its answer is None."""
+    if not market.span.basis.shape[1]:
         return None
-    ray = market.span.basis @ result.x
+    for boxed in (True, False):
+        shared = _allowed_lp(market, None, boxed)  # one constraint matrix for all costs
+        support = yield [dict(shared, cost=cost) for cost in costs]
+        if all(lp.status == OPTIMAL and not (boxed and _on_box(lp)) for lp in support):
+            answer = settled(market, support)
+            if answer is not None:
+                return answer
+        if boxed:
+            ray = yield from _witness_ray(market, weights, tol)
+            if ray is not None:
+                return unbounded(market, ray)
+    raise NumericError(
+        "allowed polyhedron is unbounded in the return span although "
+        "no gaining ray was found; tolerance boundary case"
+    )
+
+
+def _witness_ray(market: DiscreteMarket, weights, tol: float):
+    """Task: a scalable arbitrage, or None.  One LP maximizes the gain
+    ``weights @ (R basis theta)`` over the recession cone of the allowed set
+    in the span, in the unit sup-norm box; its direction, scaled to sup-norm
+    one, is the answer if the optimum exceeds ``tol`` and numpy finds it in
+    the recession cone with nonnegative gains and a positive weighted gain."""
+    basis = market.span.basis
+    d = basis.shape[0]
+    c_rows = market.allowed.normals @ basis
+    [result] = yield [dict(
+        cost=np.asarray(weights, dtype=float) @ (market.returns @ basis),
+        a_ub=np.vstack([c_rows, basis, -basis]),
+        b_ub=np.concatenate([np.zeros(c_rows.shape[0]), np.ones(2 * d)]),
+        maximize=True,
+        lazy=np.concatenate([_state_rows(market), np.zeros(2 * d, dtype=bool)]),
+    )]
+    if not require_optimal(result, "recession-ray LP").value > tol:
+        return None
+    ray = basis @ result.x
     ray = ray / np.max(np.abs(ray))
     gains = market.returns @ ray
     cone = Cone(market.n_assets, market.allowed.normals)
@@ -433,29 +414,28 @@ def max_expected_gain(market: DiscreteMarket, probs) -> float:
 
     The weights need not sum to one: the wealth-ratio and deflator checks
     of :mod:`na1lab.portfolio` are this LP under deflated probabilities.
-    It is one group of :func:`_settle`, which :func:`check_na1` shares: the
+    It is one cost of :func:`_settle`, which :func:`check_na1` shares: the
     LP runs within ``|theta_j| <= BIG_BOUND``, and an optimum on that box is
     +inf only along a recession ray of positive weighted gain, checked with
     numpy, and is otherwise solved again without the box.
-    :func:`_max_expected_gains` solves several LPs.
+    :func:`_max_expected_gains` is the task solving several LPs.
     """
-    return _max_expected_gains([market], [probs])[0]
+    return run(_max_expected_gains([market], [probs]))[0]
 
 
-def _max_expected_gains(markets, weights) -> list[float]:
-    """:func:`max_expected_gain` of each market under its weights, the LPs
-    stacked by :func:`~na1lab.lp._solve_stacked`; a (market, weights) pair
-    met again, by market identity and weight bytes, is solved once."""
+def _max_expected_gains(markets, weights):
+    """Task: :func:`max_expected_gain` of each market under its weights, the
+    LPs stacked; a (market, weights) pair met again, by market identity and
+    weight bytes, is solved once."""
     weights = [np.asarray(w, dtype=float) for w in weights]
     keys = [(id(m), w.tobytes()) for m, w in zip(markets, weights)]
     groups = {key: (m, w) for key, m, w in zip(keys, markets, weights)}
-    values = _settle(
-        [(m, [w @ (m.returns @ m.span.basis)], w) for m, w in groups.values()],
-        GAIN_TOL,
-        lambda market, results: float(results[0].value),
-        lambda market, ray: float("inf"),
-    )
-    value_of = dict(zip(groups, values))
+    values = yield from gather(*(
+        _settle(m, [w @ (m.returns @ m.span.basis)], w, GAIN_TOL,
+                lambda market, results: float(results[0].value), lambda market, ray: float("inf"))
+        for m, w in groups.values()
+    ))
+    value_of = dict(zip(groups, map(read, values)))
     return [0.0 if value_of[key] is None else value_of[key] for key in keys]
 
 
@@ -470,31 +450,40 @@ def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
     ``p * exp(-wealth - |R|^2)`` at the minimizer.  The gradient of that
     objective is minus the expected return under the new measure, so the
     solver's residual bounds the expected-gain slack, which an LP then
-    certifies to be at most ``SUPERMARTINGALE_TOL``.
+    certifies to be at most ``SUPERMARTINGALE_TOL``.  The classical search,
+    NA1 and the cone's span are :func:`_esmm`'s first round of LPs.
     """
-    if find_classical_arbitrage(market, tol).found:
+    return run(_esmm(market, tol))
+
+
+def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
+    basis, early = market.span.basis, []
+    gates = [_classical(market, tol)]
+    if basis.shape[1]:
+        cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
+        span = cone_span(cone_rows)
+        gates.append(_check_na1_all([market], tol))
+        early = [] if _decided([market], tol, "classical", "na1") else [span]
+    classical, *answers = yield from gather(*gates, *early)
+    if read(classical)[0].found:
         raise PreconditionError(
             "market admits a classical arbitrage; no supermartingale measure exists"
         )
     returns = market.returns
     log_aux = np.log(market.probs) - np.sum(returns * returns, axis=1)
-    basis = market.span.basis
     strategy = np.zeros(market.n_assets)
     if basis.shape[1]:
-        na1 = check_na1(market, tol)
+        [na1] = read(answers[0])
         if not na1.holds:
             raise NumericError("no classical arbitrage was found, but NA1 fails")
-        cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
         diameter = 2.0 * np.sqrt(market.n_assets) * na1.bound_radius
-        strategy = basis @ _minimize_log_moment(log_aux, returns @ basis, cone_rows, diameter)
-    log_q = log_aux - returns @ strategy
-    with np.errstate(under="ignore"):
-        q = np.exp(log_q - logsumexp(log_q))
+        span = read(answers[1]) if early else (yield from span)
+        strategy = basis @ _minimize_log_moment(log_aux, returns @ basis, cone_rows, diameter, span)
     # extreme states can underflow to exactly zero in double precision; the
     # true mass is positive, so floor it at the smallest safe normal value
-    q = np.maximum(q, 1e-300)
+    q = np.maximum(_normalized(log_aux - returns @ strategy), 1e-300)
     q = q / q.sum()
-    slack = max_expected_gain(market, q)
+    [slack] = yield from _max_expected_gains([market], [q])
     if not slack <= SUPERMARTINGALE_TOL:
         raise NumericError(
             f"supermartingale verification failed: expected-gain slack {slack:.3e}"
@@ -503,14 +492,23 @@ def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
     return Esmm(measure=q, density=q / market.probs, strategy=strategy, slack=slack)
 
 
-def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter):
+def _normalized(log_weights) -> np.ndarray:
+    """``exp(log_weights)`` scaled to sum one, shifted by its largest entry
+    so that nothing overflows (a tenth of the cost of ``logsumexp``)."""
+    with np.errstate(under="ignore"):
+        weights = np.exp(log_weights - np.max(log_weights))
+    return weights / weights.sum()
+
+
+def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter, span):
     """Minimize ``log sum exp(log_weights - returns_r @ u)`` over the cone
     ``{u : cone_rows @ u <= 0}``.
 
-    The search runs in the span of the cone, where the rows that are not
-    implicit equalities have a strictly feasible point.
+    The search runs in the span of the cone (``span``, from
+    :func:`~na1lab.lp.cone_span`), where the rows that are not implicit
+    equalities have a strictly feasible point.
     """
-    reduce_basis, start, strict = cone_span(cone_rows)
+    reduce_basis, start, strict = span
     rows = cone_rows[strict] @ reduce_basis
     mat = returns_r @ reduce_basis
     # any positive multiple of a point inside a cone is inside; this one moves
@@ -518,8 +516,7 @@ def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter):
     start = start / max(float(np.max(np.abs(mat @ start), initial=0.0)), 1e-300)
 
     def derivatives(z, live):  # a batch of one
-        log_e = log_weights - mat @ z[0, :, 0]
-        q = np.exp(log_e - logsumexp(log_e))
+        q = _normalized(log_weights - mat @ z[0, :, 0])
         mean = mat.T @ q
         return -mean[None, :, None], (mat.T @ (q[:, None] * mat) - np.outer(mean, mean))[None]
 

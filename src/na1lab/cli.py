@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as docio
-from .arbitrage import check_na1, construct_esmm, find_classical_arbitrage
+from . import lp
+from .arbitrage import GAIN_TOL, _check_na1_all, _classical, _esmm
 from .errors import (
     InfeasibleError,
     InvalidParameterError,
@@ -53,7 +54,7 @@ from .factor import (
     na1_factor,
     validate_positivity,
 )
-from .hedging import Claim, superhedge
+from .hedging import Claim, _hedged, superhedge
 from .portfolio import (
     UtilitySpec,
     deflator_from_numeraire,
@@ -104,10 +105,6 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _gain_tol(config: RunConfig) -> dict:
-    return {} if config.tol_lp is None else {"tol": config.tol_lp}
-
-
 def _market_summary(market) -> dict:
     return {
         "n_states": market.n_states,
@@ -118,22 +115,25 @@ def _market_summary(market) -> dict:
 
 def _run_analyze(config: RunConfig) -> dict:
     market, claim = docio.parse_market(docio.load_document(config.input_path))
-    classical = find_classical_arbitrage(market, **_gain_tol(config))
-    na1 = check_na1(market, **_gain_tol(config))
+    tol = GAIN_TOL if config.tol_lp is None else config.tol_lp
+    # solved together; the ESMM and the hedge are read only where defined
+    tasks = [_classical(market, tol), _check_na1_all([market], tol), _esmm(market, tol)]
+    if claim is not None:
+        tasks.append(_hedged(market, claim))
+    classical, na1, esmm, *hedge = lp.run(lp.gather(*tasks))
+    [classical], [na1] = lp.read(classical), lp.read(na1)
     report = _config_echo(config)
     report["market"] = _market_summary(market)
     report["classical_arbitrage"] = classical.to_dict()
     report["na1"] = na1.to_dict()
     # A supermartingale measure exists exactly when there is no classical
     # arbitrage; a bounded arbitrage leaves NA1 intact but the section null.
-    report["esmm"] = (
-        None if classical.found else construct_esmm(market, **_gain_tol(config)).to_dict()
-    )
+    report["esmm"] = None if classical.found else lp.read(esmm).to_dict()
     # Super-hedging prices are finite only without scalable arbitrage, so the
     # claim section stays null when the verdict above already failed.
     report["hedge"] = None
     if claim is not None and na1.holds:
-        report["hedge"] = superhedge(market, Claim(claim)).to_dict()
+        report["hedge"] = lp.read(hedge[0]).to_dict()
     return report
 
 

@@ -26,9 +26,9 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .lp import _solve_stacked, require_optimal, solve_lp
+from .lp import gather, read, require_optimal, run, solve_lp
 from .market import DiscreteMarket
-from .arbitrage import _max_expected_gains, check_na1
+from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, check_na1
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
 
 logger = logging.getLogger(__name__)
@@ -157,8 +157,8 @@ def _check_claim(market: DiscreteMarket, claim: Claim) -> np.ndarray:
     return claim.payoff
 
 
-def _require_na1(market: DiscreteMarket, what: str) -> None:
-    if check_na1(market).verdict != "na1_holds":
+def _require_na1(cert, what: str) -> None:
+    if cert.verdict != "na1_holds":
         raise PreconditionError(
             f"{what} requires the no-scalable-arbitrage condition; this market "
             "admits an unboundedly leverageable strategy"
@@ -183,17 +183,25 @@ def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
     for every state and ``A y <= v b``; the returned strategy is ``y / v``.
     The state multipliers, divided by the probabilities, form a deflator
     whose expected claim value matches the primal optimum (LP duality), and
-    both readings plus their gap are reported.
+    both readings plus their gap are reported.  NA1 and the super-hedging
+    LP are :func:`_hedged`'s first round of LPs.
     """
-    payoff = _check_claim(market, claim)
-    _require_na1(market, "super-hedging")
-    return _recertified([market], _superhedge_reports([market], [payoff]))[0]
+    return run(_hedged(market, claim.payoff))
 
 
-def _superhedge_reports(markets, payoffs) -> list[ValuationReport]:
-    """Super-hedging LPs of several markets and payoffs, stacked by
-    :func:`~na1lab.lp._solve_stacked` with the state rows generated on
-    demand, each checked on its own: the position
+def _hedged(market: DiscreteMarket, payoff):
+    payoff = _check_claim(market, Claim(payoff))
+    hedging = _superhedge_reports([market], [payoff])
+    early = [] if _decided([market], GAIN_TOL, "na1") else [hedging]
+    na1, *answers = yield from gather(_check_na1_all([market]), *early)
+    _require_na1(read(na1)[0], "super-hedging")
+    reports = read(answers[0]) if early else (yield from hedging)
+    return (yield from _recertified([market], reports))[0]
+
+
+def _superhedge_reports(markets, payoffs):
+    """Task: super-hedging LPs of several markets and payoffs, stacked with
+    the state rows generated on demand, each checked on its own: the position
     must dominate its payoff and the lifted deflator's reading must match the
     LP value.  ``attainable`` does not yet account for the re-certification
     of the lifted deflators, which :func:`_recertified` adds."""
@@ -213,7 +221,7 @@ def _superhedge_reports(markets, payoffs) -> list[ValuationReport]:
             lazy=np.arange(n + len(budget_rhs)) < n,
         ))
     reports = []
-    for market, payoff, result in zip(markets, payoffs, _solve_stacked(blocks)):
+    for market, payoff, result in zip(markets, payoffs, (yield blocks)):
         require_optimal(result, "super-hedging")
         n, d = market.returns.shape
         primal = float(result.value)
@@ -251,12 +259,12 @@ def _superhedge_reports(markets, payoffs) -> list[ValuationReport]:
     return reports
 
 
-def _recertified(markets, reports) -> list[ValuationReport]:
-    """Re-certify each report's lifted deflator, the deflator LPs stacked:
+def _recertified(markets, reports):
+    """Task: re-certify each report's lifted deflator, the deflator LPs stacked:
     one that lets some allowed wealth ratio exceed ``1 + DEFLATOR_TOL`` is
     logged and makes its report not attainable."""
     weights = [m.probs * r.dual_deflator for m, r in zip(markets, reports)]
-    gains = _max_expected_gains(markets, weights)
+    gains = yield from _max_expected_gains(markets, weights)
     out = []
     for report, weight, gain in zip(reports, weights, gains):
         dual_ok = float(np.sum(weight)) + gain <= 1.0 + DEFLATOR_TOL
@@ -283,7 +291,7 @@ def shortfall_hedge(
     zero (returned, not an error).
     """
     payoff = _check_claim(market, claim)
-    _require_na1(market, "shortfall hedging")
+    _require_na1(check_na1(market), "shortfall hedging")
     if not (math.isfinite(v0) and v0 > 0.0):
         raise InvalidParameterError("the capital budget must be a positive number")
     n, d = market.returns.shape
@@ -328,7 +336,7 @@ def indifference_price(
     payoff = _check_claim(market, claim)
     if not (math.isfinite(v) and v > 0.0):
         raise InvalidParameterError("initial capital must be a positive number")
-    _require_na1(market, "indifference pricing")
+    _require_na1(check_na1(market), "indifference pricing")
 
     def best_value(capital: float) -> float:
         specs = [u.compose_affine(capital, float(x)) for x in payoff]
@@ -370,7 +378,7 @@ def real_world_price(market: DiscreteMarket, claim: Claim) -> float:
     positive payoff prices at +inf.
     """
     payoff = _check_claim(market, claim)
-    _require_na1(market, "numeraire pricing")
+    _require_na1(check_na1(market), "numeraire pricing")
     rho = numeraire_portfolio(market).strategy
     wealth = 1.0 + market.returns @ rho
     degenerate = wealth <= 0.0

@@ -9,6 +9,13 @@ LPs carry one row per state, yet only the few states on the boundary of the
 allowed set shape their optima, so :func:`_solve_stacked` generates the
 state rows of large LPs on demand, and solves independent LPs together.
 
+A kernel that needs LPs is a *task*, a generator that yields its blocks
+(``results = yield blocks``) and returns its answer.  :func:`gather` runs
+tasks in lockstep, so each *round* solves the blocks of all of them in one
+:func:`_solve_stacked` call, and :func:`run` drives a top-level task.  A
+gathered task's :class:`~na1lab.errors.Na1LabError` is held until its
+answer is :func:`read`; any other exception ends every task at once.
+
 The one smooth convex solver, :func:`minimize_convex`, runs a batch of
 independent problems through one interior-point loop.
 """
@@ -22,7 +29,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .errors import InfeasibleError, NumericError
+from .errors import InfeasibleError, Na1LabError, NumericError
 
 logger = logging.getLogger(__name__)
 
@@ -182,6 +189,49 @@ def _solve_stacked(blocks) -> list[LpResult]:
                 results[i] = result
         pending = still_open
     return results
+
+
+def run(task):
+    """Drive ``task`` to its answer; it is closed when anything raises."""
+    try:
+        blocks = next(task)
+        while True:
+            blocks = task.send(_solve_stacked(blocks) if blocks else [])
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        task.close()
+
+
+def gather(*tasks):
+    """Task: the answers of ``tasks``, each round yielding all their blocks;
+    a task's :class:`~na1lab.errors.Na1LabError` stands as its answer."""
+    answers, sent, open_ = [None] * len(tasks), [None] * len(tasks), range(len(tasks))
+    try:
+        while open_:
+            asked = []
+            for i in open_:
+                try:
+                    asked.append((i, tasks[i].send(sent[i])))
+                except StopIteration as stop:
+                    answers[i] = stop.value
+                except Na1LabError as exc:
+                    answers[i] = exc
+            results = (yield [block for _, blocks in asked for block in blocks]) if asked else []
+            for i, blocks in asked:
+                sent[i], results = results[: len(blocks)], results[len(blocks) :]
+            open_ = [i for i, _ in asked]
+        return answers
+    finally:
+        for task in tasks:
+            task.close()
+
+
+def read(answer):
+    """A gathered answer, raising the error it holds."""
+    if isinstance(answer, Na1LabError):
+        raise answer
+    return answer
 
 
 def _seed_rows(block, seeds):
@@ -357,7 +407,7 @@ def _chebyshev_lp(a_ub, b_ub, dim: int, box: float = BIG_BOUND, lazy=None) -> di
 
 
 def cone_span(rows: np.ndarray):
-    """Linear span of the cone ``{x : rows x <= 0}`` and a point inside it.
+    """Task: linear span of the cone ``{x : rows x <= 0}`` and a point inside it.
 
     One LP maximizes ``sum(t)`` subject to ``rows x + t <= 0`` and
     ``0 <= t <= 1``.  Scaling ``x`` up shows that every ``t`` is 0 or 1 at the
@@ -372,9 +422,8 @@ def cone_span(rows: np.ndarray):
         return np.eye(dim), np.zeros(dim), np.zeros(0, dtype=bool)
     cost = np.concatenate([np.zeros(dim), np.ones(m)])
     bounds = [(None, None)] * dim + [(0.0, 1.0)] * m
-    res = solve_lp(
-        cost, a_ub=np.hstack([rows, np.eye(m)]), b_ub=np.zeros(m), bounds=bounds, maximize=True
-    )
+    [res] = yield [dict(cost=cost, a_ub=np.hstack([rows, np.eye(m)]), b_ub=np.zeros(m),
+                        bounds=bounds, maximize=True)]
     require_optimal(res, "cone span")
     strict = res.x[dim:] > 0.5
     basis = null_space(rows[~strict]) if not np.all(strict) else np.eye(dim)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import ZERO_OFFSET_TOL, _check_na1_all, _state_rows, max_expected_gain
+from .arbitrage import GAIN_TOL, ZERO_OFFSET_TOL, _check_na1_all, _decided, _state_rows
+from .arbitrage import max_expected_gain
 from .errors import (
     InfeasibleError,
     InvalidParameterError,
@@ -25,14 +26,15 @@ from .errors import (
 )
 from .lp import (
     INFEASIBLE,
-    OPTIMAL,
     UNBOUNDED,
     _chebyshev_lp,
     _pad,
-    _solve_stacked,
     cone_span,
+    gather,
     minimize_convex,
+    read,
     require_optimal,
+    run,
     solve_lp,
 )
 from .market import DiscreteMarket, generated_cone, wealth
@@ -297,22 +299,25 @@ def maximize_utility(
     refuses to start, unless ``divergence_bound`` is given: then the
     objective is escalated along the NA1 certificate's witness ray, and a
     :class:`~na1lab.errors.NumericError` carries the escalated value and the
-    best finite point.
+    best finite point.  NA1 and the start are one round of LPs.
     """
-    return _maximize_all([market], [market.probs], u, tol, [x0], divergence_bound)[0]
+    return run(_maximize_all([market], [market.probs], u, tol, [x0], divergence_bound))[0]
 
 
 def _maximize_all(markets, weights, u, tol, starts, divergence_bound=None, labels=None):
-    """:func:`maximize_utility` for several markets, each from its start
-    (None to find one) under its state weights (positive, summing to one)
-    in place of its probabilities; ``labels`` name the markets in errors.
-    Each market is set up on its own (:func:`_newton_problem`), the Newton
-    problems of one span dimension are one batch, and each residual is
-    checked on its own."""
+    """Task: :func:`maximize_utility` for several markets, each from its
+    start (None to find one) under its state weights (positive, summing to
+    one) in place of its probabilities; ``labels`` name the markets in
+    errors.  Each market is set up by its own task (:func:`_newton_problem`),
+    all gathered, the Newton problems of one span dimension are one batch,
+    and each residual is checked on its own."""
+    problems = yield from gather(*(
+        _newton_problem(m, w, u, x0, divergence_bound) for m, w, x0 in zip(markets, weights, starts)
+    ))
     out, batches = [None] * len(markets), {}
-    for i, (market, cert) in enumerate(zip(markets, _check_na1_all(markets))):
+    for i, problem in enumerate(problems):
         with _named(labels, i):
-            out[i] = _newton_problem(market, weights[i], u, starts[i], cert, divergence_bound)
+            out[i] = read(problem)
         if isinstance(out[i], tuple):
             batches.setdefault(out[i][0].shape[1], []).append(i)
     for batch in batches.values():
@@ -344,12 +349,32 @@ def _named(labels, i):
         raise NumericError(f"optimization failed at {labels[i]}: {exc}") from exc
 
 
-def _newton_problem(market, probs, u, x0, cert, divergence_bound):
-    """The optimum itself where no Newton search is needed (piecewise-linear
-    utilities, a span of ``{0}``), else ``(basis, returns_r, evaluator,
-    rows, a, b, start, diameter)``: the searched coordinates and allowed
-    rows ``a u <= b`` there, a strictly feasible start and the diameter."""
+def _search_start(market, evaluator, x0):
+    """Task: ``(basis, start)``, ``x0`` when it lies strictly inside the
+    allowed set and the utility's domain, else :func:`_interior_start`;
+    None for piecewise-linear utilities, which need no start."""
+    basis = market.span.basis
+    if evaluator.piecewise and basis.shape[1]:
+        return None
+    if x0 is not None and basis.shape[1]:
+        v0 = basis.T @ np.asarray(x0, dtype=float)
+        _, a, b = _searched_rows(market, basis)
+        h = 1.0 + evaluator.shifts / evaluator.scales
+        if np.all(a @ v0 < b) and np.all(-(market.returns @ basis) @ v0 < h):
+            return basis, v0
+    return (yield from _interior_start(market, evaluator, basis))
+
+
+def _newton_problem(market, probs, u, x0, divergence_bound):
+    """Task: the optimum itself where no Newton search is needed, else
+    ``(basis, returns_r, evaluator, rows, a, b, start, diameter)``: the
+    searched coordinates and allowed rows ``a u <= b`` there, a strictly
+    feasible start (:func:`_search_start`, with NA1's LPs) and the diameter."""
     evaluator = _UtilityEvaluator(u, market.n_states)
+    start = _search_start(market, evaluator, x0)
+    early = [] if _decided([market], GAIN_TOL, "na1") else [start]
+    certs, *answers = yield from gather(_check_na1_all([market]), *early)
+    [cert] = read(certs)
     if not cert.holds and divergence_bound is None:
         raise PreconditionError(
             "scalable arbitrage exists, so expected utility has no maximizer; "
@@ -359,15 +384,7 @@ def _newton_problem(market, probs, u, x0, cert, divergence_bound):
     basis = market.span.basis
     if evaluator.piecewise and basis.shape[1]:
         return _piecewise_optimum(market, probs, evaluator, basis)
-    h = 1.0 + evaluator.shifts / evaluator.scales
-    start = None
-    if x0 is not None and basis.shape[1]:
-        v0 = basis.T @ np.asarray(x0, dtype=float)
-        _, a, b = _searched_rows(market, basis)
-        if np.all(a @ v0 < b) and np.all(-(market.returns @ basis) @ v0 < h):
-            start = v0
-    if start is None:
-        basis, start = _interior_start(market, evaluator, basis)
+    basis, start = read(answers[0]) if early else (yield from start)
     if basis.shape[1] == 0:
         value = float(probs @ evaluator.value(np.ones(market.n_states)))
         return OptimalPortfolio(np.zeros(d), value, 0.0, 0)
@@ -444,7 +461,7 @@ def _start_lp(market, evaluator, basis):
 
 
 def _interior_start(market, evaluator, basis):
-    """Coordinates in which the allowed set has an interior, and its
+    """Task: coordinates in which the allowed set has an interior, and its
     Chebyshev center there with every utility argument at least
     ``WEALTH_FLOOR`` (see :func:`_start_lp`).
 
@@ -455,37 +472,17 @@ def _interior_start(market, evaluator, basis):
     r = basis.shape[1]
     if r == 0:
         return basis, np.zeros(0)
-    [result] = _solve_stacked([_start_lp(market, evaluator, basis)])
+    [result] = yield [_start_lp(market, evaluator, basis)]
     if result.status == INFEASIBLE:
         raise InfeasibleError("no allowed strategy keeps every state's utility argument positive")
     require_optimal(result, "chebyshev_center")
     center, radius = result.x[:-1], float(result.value)
     if radius <= FLAT_RADIUS:
         cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
-        span = cone_span(cone_rows)[0]
+        span = (yield from cone_span(cone_rows))[0]
         if span.shape[1] < r:
-            return _interior_start(market, evaluator, basis @ span)
+            return (yield from _interior_start(market, evaluator, basis @ span))
     return basis, center
-
-
-def _interior_starts(markets) -> list:
-    """Starting points of unit-scale log and power utilities (``x0`` of
-    :func:`maximize_utility`) for several markets, from one stacked
-    Chebyshev LP: each market's Chebyshev start in strategy coordinates, or
-    None where the allowed set is flat or keeps no wealth above
-    ``WEALTH_FLOOR``; there :func:`maximize_utility` finds its own start."""
-    blocks, owners = [], []
-    for i, market in enumerate(markets):
-        basis = market.span.basis
-        if basis.shape[1]:
-            unit = _UtilityEvaluator(UtilitySpec.log(), market.n_states)
-            blocks.append(_start_lp(market, unit, basis))
-            owners.append(i)
-    starts = [None] * len(markets)
-    for i, result in zip(owners, _solve_stacked(blocks)):
-        if result.status == OPTIMAL and result.value > FLAT_RADIUS:
-            starts[i] = markets[i].span.basis @ result.x[:-1]
-    return starts
 
 
 def _escalate_along_ray(probs, basis, returns_r, evaluator, u_cur, ray, bound):

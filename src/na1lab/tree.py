@@ -42,15 +42,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arbitrage import _check_na1_all, _max_expected_gains
-from .errors import InvalidParameterError, NumericError, PreconditionError
+from .errors import InvalidParameterError, Na1LabError, NumericError, PreconditionError
 from .hedging import _homogenized_rows, _recertified, _superhedge_reports
-from .lp import require_optimal, solve_lp
+from .lp import gather, require_optimal, run, solve_lp
 from .market import ConstraintSet, DiscreteMarket
 from .portfolio import (
     GRADIENT_TOL,
     NUMERAIRE_GRADIENT_TOL,
     UtilitySpec,
-    _interior_starts,
+    _UtilityEvaluator,
+    _interior_start,
     _maximize_all,
 )
 
@@ -421,7 +422,7 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
         * (np.array([float(values[k]) for k in tree.children(n)]) / float(values[n]))
         for n, market in zip(internal, markets)
     ]
-    gains = _max_expected_gains(markets, weights)
+    gains = run(_max_expected_gains(markets, weights))
     return float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
 
 
@@ -456,7 +457,7 @@ def global_na1(tree: ScenarioTree) -> TreeNa1Report:
     market.
     """
     internal = tree.internal_ids()
-    certs = _check_na1_all([node_market(tree, n) for n in internal])
+    certs = run(_check_na1_all([node_market(tree, n) for n in internal]))
     certificates = dict(zip(internal, certs))
     failing = tuple(n for n, cert in certificates.items() if not cert.holds)
     return TreeNa1Report(not failing, certificates, failing)
@@ -522,10 +523,15 @@ def _best_candidate(weights, returns, candidates, base: UtilitySpec):
 
 def _node_starts(tree: ScenarioTree) -> dict:
     """Each distinct node market's start for unit log and power utilities,
-    by market id, from one stacked Chebyshev LP, held on the tree."""
+    by market id, from one stacked Chebyshev LP, held on the tree; None
+    where the allowed set is flat or keeps no wealth above the floor."""
     if not tree._starts:
         markets = [node_market(tree, n) for n in _distinct(tree, tree.internal_ids()).values()]
-        tree._starts.update(zip(map(id, markets), _interior_starts(markets)))
+        found = run(gather(*(_interior_start(m, _UtilityEvaluator(UtilitySpec.log(), m.n_states),
+                                             m.span.basis) for m in markets)))
+        for market, start in zip(markets, found):
+            whole = not isinstance(start, Na1LabError) and start[0] is market.span.basis
+            tree._starts[id(market)] = start[0] @ start[1] if whole else None
     return tree._starts
 
 
@@ -538,7 +544,8 @@ def _node_optima(tree, nodes, weights: dict, u, tol) -> dict:
     markets = [node_market(tree, n) for n in chosen]
     starts = [_node_starts(tree)[id(m)] for m in markets]
     labels = [f"node {n!r}" for n in chosen]
-    solved = _maximize_all(markets, [weights[n] for n in chosen], u, tol, starts, labels=labels)
+    chosen_weights = [weights[n] for n in chosen]
+    solved = run(_maximize_all(markets, chosen_weights, u, tol, starts, labels=labels))
     optima = dict(zip(first, solved))
     return {n: optima[id(node_market(tree, n)), weights[n].tobytes()] for n in nodes}
 
@@ -870,10 +877,10 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
         level = [n for n in order if tree.depth(n) == depth]
         markets = [node_market(tree, n) for n in level]
         payoffs = [np.array([node_values[k] for k in tree.children(n)]) for n in level]
-        for node_id, report in zip(level, _superhedge_reports(markets, payoffs)):
+        for node_id, report in zip(level, run(_superhedge_reports(markets, payoffs))):
             # The cost of a nonnegative claim is nonnegative; clip LP noise.
             node_values[node_id] = max(float(report.primal_value), 0.0)
             reports[node_id] = report
-    _recertified([node_market(tree, n) for n in order], [reports[n] for n in order])
+    run(_recertified([node_market(tree, n) for n in order], [reports[n] for n in order]))
     strategies = {n: reports[n].strategy for n in order}
     return TreeHedge(float(node_values[tree.root_id]), node_values, strategies)

@@ -214,7 +214,7 @@ class TestCheckNa1:
         the decision: the recession-ray LP runs, and without a gaining ray
         the support LPs are solved again whole.  Their multipliers certify
         NA1; when they fail too, the tolerance-boundary error is raised."""
-        solve = na1lab.arbitrage._solve_stacked
+        solve = na1lab.lp._solve_stacked
         sizes = []
 
         def zero_multipliers(blocks):
@@ -229,7 +229,7 @@ class TestCheckNa1:
             m = random_bounded_market(rng)
             expected = check_na1(make_market(m.returns, m.probs, m.constraints))
             sizes.clear()
-            monkeypatch.setattr(na1lab.arbitrage, "_solve_stacked", zero_multipliers)
+            monkeypatch.setattr(na1lab.lp, "_solve_stacked", zero_multipliers)
             if failing_rounds == 1:
                 cert = check_na1(m)
                 assert cert.holds
@@ -349,6 +349,28 @@ class TestEsmm:
         m = two_factor_atom_market(gamma=0.5, c=1.0)
         with pytest.raises(PreconditionError):
             construct_esmm(m)
+
+    def test_shifted_normalization_matches_logsumexp(self):
+        """The max-shifted normalization of the ESMM's state weights agrees
+        with scipy's ``logsumexp`` route on log weights up to +-700, where
+        the plain exponential overflows or underflows."""
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(17)
+        for size in (1, 2, 7, 40, 400):
+            for spread in (1.0, 50.0, 700.0):
+                v = rng.uniform(-spread, spread, size)
+                expected = np.exp(v - logsumexp(v))
+                got = na1lab.arbitrage._normalized(v)
+                assert abs(got.sum() - 1.0) <= 1e-12
+                big = expected > 1e-300
+                np.testing.assert_allclose(got[big], expected[big], rtol=1e-12, atol=0.0)
+                assert np.all(got[~big] <= 1e-300)
+        np.testing.assert_allclose(
+            na1lab.arbitrage._normalized(np.array([700.0, 700.0, -700.0])),
+            np.exp(np.array([700.0, 700.0, -700.0]) - logsumexp([700.0, 700.0, -700.0])),
+            rtol=1e-12,
+        )
 
     def test_random_markets_certified(self):
         rng = np.random.default_rng(63)

@@ -295,6 +295,14 @@ class TestAnalyzeCommand:
         assert report["na1"]["verdict"] == "na1_holds"
         assert report["esmm"]["slack"] <= 1e-8
 
+    def test_two_rounds_of_lps(self, tmp_path, linprog_calls):
+        """The classical search, NA1, the cone span of the ESMM and the
+        super-hedging LP in one LP; the ESMM's slack LP and the deflator
+        re-certification in another."""
+        rc, _ = run_command(tmp_path, "analyze", market_doc(claim=[0.0, 1.5]))
+        assert rc == 0
+        assert len(linprog_calls) == 2
+
     def test_without_claim_the_hedge_section_is_null(self, tmp_path):
         rc, out = run_command(tmp_path, "analyze", market_doc())
         assert rc == 0
@@ -373,11 +381,12 @@ class TestNumeraireCommand:
         )
 
     def test_wealth_ratio_lp_is_solved_once(self, tmp_path, linprog_calls):
-        """NA1, the Chebyshev start and one wealth-ratio LP, which both
-        certifies the numeraire and gives the deflator's certificate."""
+        """NA1 and the Chebyshev start in one LP, then one wealth-ratio LP,
+        which both certifies the numeraire and gives the deflator's
+        certificate."""
         rc, out = run_command(tmp_path, "numeraire", market_doc())
         assert rc == 0
-        assert len(linprog_calls) == 3
+        assert len(linprog_calls) == 2
         report = json.loads(out.read_text())
         assert report["deflator"]["certificate"] == report["wealth_ratio_certificate"]
 
@@ -397,6 +406,13 @@ class TestHedgeCommand:
         report = json.loads(out.read_text())
         assert report["valuation"]["primal_value"] == pytest.approx(0.75, abs=1e-9)
         assert report["valuation"]["gap"] <= 1e-7
+
+    def test_two_rounds_of_lps(self, tmp_path, linprog_calls):
+        """NA1 and the super-hedging LP in one LP, then the deflator
+        re-certification."""
+        rc, _ = run_command(tmp_path, "hedge", market_doc(claim=[0.0, 1.5]))
+        assert rc == 0
+        assert len(linprog_calls) == 2
 
     def test_claim_is_mandatory(self, tmp_path):
         rc, _ = run_command(tmp_path, "hedge", market_doc())
