@@ -102,92 +102,8 @@ from .tree import (
     verify_deflator_process,
 )
 
-__all__ = [
-    "Na1LabError",
-    "SchemaError",
-    "InvalidParameterError",
-    "InfeasibleError",
-    "PreconditionError",
-    "NumericError",
-    "ConstraintSet",
-    "Cone",
-    "DiscreteMarket",
-    "SubspaceBasis",
-    "admissible_polyhedron",
-    "allowed_polyhedron",
-    "generated_cone",
-    "preset_constraints",
-    "recession_cone",
-    "span_and_projection",
-    "support",
-    "wealth",
-    "ArbitrageCertificate",
-    "Na1Certificate",
-    "Esmm",
-    "find_classical_arbitrage",
-    "relative_arbitrage",
-    "check_na1",
-    "construct_esmm",
-    "max_expected_gain",
-    "UtilitySpec",
-    "OptimalPortfolio",
-    "Deflator",
-    "maximize_utility",
-    "numeraire_portfolio",
-    "verify_numeraire",
-    "verify_deflator",
-    "deflator_from_numeraire",
-    "relative_log_optimality_gap",
-    "expected_utility",
-    "expected_utility_gradient",
-    "Claim",
-    "PiecewiseLinearLoss",
-    "ValuationReport",
-    "superhedge",
-    "shortfall_hedge",
-    "indifference_price",
-    "real_world_price",
-    "FactorModel",
-    "FactorDistribution",
-    "PositivityReport",
-    "DiscretizationNote",
-    "from_standard_form",
-    "validate_positivity",
-    "arbitrage_ray",
-    "na1_factor",
-    "max_arbitrage_strategy",
-    "alpha_recursion",
-    "na1_triangular",
-    "two_dim_admissibility",
-    "largest_two_dim_supports",
-    "two_dim_model",
-    "admissibility_halfspaces",
-    "discretize",
-    "example_3_7_ratio",
-    "example_3_8_condition",
-    "ScenarioTree",
-    "TreeNode",
-    "TreeNa1Report",
-    "TreeHedge",
-    "PolicyProcess",
-    "DeflatorProcess",
-    "BackwardInductionResult",
-    "node_market",
-    "iid_tree",
-    "global_na1",
-    "backward_induction",
-    "default_wealth_grid",
-    "numeraire_process",
-    "verify_deflator_process",
-    "superhedge_tree",
-    "RunConfig",
-    "run",
-    "main",
-    "dumps_canonical",
-    "load_document",
-    "parse_market",
-    "parse_factor_model",
-    "parse_tree",
-]
+#: Every class and function imported above, so the list cannot drift from them.
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and getattr(value, "__module__", "").startswith(__name__)]
 
 __version__ = "0.1.0"

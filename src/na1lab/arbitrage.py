@@ -246,6 +246,15 @@ def _decided(markets, tol: float, *notions) -> bool:
     return all(m.certificates.get((n, float(tol))) is not None for m in markets for n in notions)
 
 
+def _na1_may_hold(markets, tol: float) -> bool:
+    """Whether every market's NA1 at ``tol`` holds or is being decided:
+    work it gates may go on speculatively, not once it fails or its
+    decision ends in an error."""
+    key = ("na1", float(tol))
+    return all(key in m.certificates and (m.certificates[key] is None or m.certificates[key].holds)
+               for m in markets)
+
+
 def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> ArbitrageCertificate:
     """Search the allowed polyhedron for a classical arbitrage.
 

@@ -61,12 +61,8 @@ from .portfolio import (
     maximize_utility,
     numeraire_portfolio,
 )
-from .tree import (
-    backward_induction,
-    global_na1,
-    numeraire_process,
-    superhedge_tree,
-)
+from .tree import _numeraire_process, _piecewise_backward, _superhedge_tree, _with_na1
+from .tree import backward_induction
 
 logger = logging.getLogger(__name__)
 
@@ -222,7 +218,14 @@ def _policy_section(policy) -> dict:
 
 def _run_tree(config: RunConfig) -> dict:
     tree, claim, utility = docio.parse_tree(docio.load_document(config.input_path))
-    na1 = global_na1(tree)
+    # solved alongside NA1, and read only where it holds, in this order
+    passes = [_numeraire_process(tree)]
+    if claim is not None:
+        passes.append(_superhedge_tree(tree, claim))
+    piecewise = utility is not None and utility.kind == "piecewise_linear"
+    if piecewise:
+        passes.append(_piecewise_backward(tree, utility))
+    na1, *answers = lp.run(_with_na1(tree, *passes))
     report = _config_echo(config)
     report["tree"] = {
         "n_nodes": len(tree.nodes),
@@ -241,13 +244,15 @@ def _run_tree(config: RunConfig) -> dict:
         # the failing nodes; the valuation sections are meaningless then.
         logger.info("scalable arbitrage at nodes %s; skipping valuations", na1.failing)
         return report
-    policy, deflator = numeraire_process(tree)
+    policy, deflator = lp.read(answers[0])
     report["numeraire"] = _policy_section(policy)
     report["deflator"] = dict(deflator.values)
     if claim is not None:
-        report["hedge"] = superhedge_tree(tree, claim).to_dict()
+        report["hedge"] = lp.read(answers[1]).to_dict()
     if utility is not None:
-        result = backward_induction(tree, utility)
+        # log and power optima need no LP: the numeraire pass left the
+        # starts and log optima on the tree
+        result = lp.read(answers[-1]) if piecewise else backward_induction(tree, utility)
         report["optimal"] = {
             "value": result.value,
             "policy": _policy_section(result.policy),

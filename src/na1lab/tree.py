@@ -23,11 +23,17 @@ node markets:
 Node markets are keyed by content (``node_market``): each distinct one is
 built once and held on the tree, and nodes with equal content share it, so
 its cached certificates, NA1 first of all, its interior start and its log
-optimum serve every such node and later question.  Each pass solves its
-independent per-node LPs together as block-diagonal LPs
-(:func:`~na1lab.lp._solve_stacked`): the NA1 support LPs, the Chebyshev
-starts, the deflator checks and the super-hedging LPs of one tree level;
-and its utility problems as one solver batch
+optimum serve every such node and later question.  Each pass is an LP task
+(:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs as one
+block-diagonal LP (:func:`~na1lab.lp._solve_stacked`), and
+:func:`_with_na1` runs passes alongside the NA1 support LPs while the
+verdict is undecided, so independent LPs of different passes share a
+round.  The ``tree`` command thus solves in its first round the NA1 LPs,
+the Chebyshev starts, the deepest super-hedging level and the piecewise
+tree LP; each later round the deflator checks (after the log optima's
+Newton batch), the next super-hedging level and the re-certification of
+the level before it, ``H + 1`` rounds for horizon ``H``.  The utility
+problems of a pass are one solver batch
 (:func:`~na1lab.portfolio._maximize_all`): the log optima of all distinct
 markets, or the power problems of one level, one per distinct market and
 tilt.  Every node's result is still checked on its own.
@@ -41,10 +47,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import _check_na1_all, _max_expected_gains
+from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, _na1_may_hold
 from .errors import InvalidParameterError, Na1LabError, NumericError, PreconditionError
 from .hedging import _homogenized_rows, _recertified, _superhedge_reports
-from .lp import gather, require_optimal, run, solve_lp
+from .lp import gather, read, require_optimal, run, solve_lp
 from .market import ConstraintSet, DiscreteMarket
 from .portfolio import (
     GRADIENT_TOL,
@@ -60,6 +66,10 @@ POLICY_TOL = 1e-9
 
 #: Allowed relative slack in per-node supermartingale certification.
 DEFLATOR_SLACK_TOL = 1e-8
+
+#: The numeraire deflator's one-step ratios times the node's gross returns
+#: must be one within this.
+RATIO_TOL = 1e-12
 
 #: Children probabilities at a node must sum to one within this.
 PROB_TOL = 1e-9
@@ -456,15 +466,53 @@ def global_na1(tree: ScenarioTree) -> TreeNa1Report:
     their support LPs stacked, and each certificate is cached on its
     market.
     """
+    return run(_with_na1(tree))[0]
+
+
+def _with_na1(tree: ScenarioTree, *passes):
+    """Task: the tree's :class:`TreeNa1Report` and the answers of the tasks
+    ``passes``, held as :func:`~na1lab.lp.gather` holds them (None where
+    NA1 fails).  While the verdict is undecided the passes run alongside
+    its LPs, speculatively, until a node fails; once it is decided they run
+    only where it holds."""
     internal = tree.internal_ids()
-    certs = run(_check_na1_all([node_market(tree, n) for n in internal]))
-    certificates = dict(zip(internal, certs))
+    markets = [node_market(tree, n) for n in internal]
+    decided = _decided(markets, GAIN_TOL, "na1")
+    early = [] if decided else [_while_na1_may_hold(markets, p) for p in passes]
+    certs, *answers = yield from gather(_check_na1_all(markets), *early)
+    certificates = dict(zip(internal, read(certs)))
     failing = tuple(n for n, cert in certificates.items() if not cert.holds)
-    return TreeNa1Report(not failing, certificates, failing)
+    if failing:
+        answers = [None] * len(passes)
+    elif not early:
+        answers = yield from gather(*passes)
+    return (TreeNa1Report(not failing, certificates, failing), *answers)
 
 
-def _require_global_na1(tree: ScenarioTree, context: str) -> None:
-    report = global_na1(tree)
+def _while_na1_may_hold(markets, task):
+    """Task: ``task``'s answer, advanced while the NA1 decision of
+    ``markets`` may still hold everywhere; None (and ``task`` closed) once
+    it does not."""
+    results = None
+    try:
+        while _na1_may_hold(markets, GAIN_TOL):
+            results = yield task.send(results)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        task.close()
+    return None
+
+
+def _gated(tree: ScenarioTree, context: str, task):
+    """Task: ``task``'s answer; a tree with scalable arbitrage is refused
+    (:func:`_with_na1`)."""
+    report, answer = yield from _with_na1(tree, task)
+    _refuse_arbitrage(report, context)
+    return read(answer)
+
+
+def _refuse_arbitrage(report: TreeNa1Report, context: str) -> None:
     if not report.holds:
         raise PreconditionError(
             f"{context} requires no scalable arbitrage anywhere in the tree; "
@@ -521,51 +569,54 @@ def _best_candidate(weights, returns, candidates, base: UtilitySpec):
     return candidates[best], float(values[best])
 
 
-def _node_starts(tree: ScenarioTree) -> dict:
-    """Each distinct node market's start for unit log and power utilities,
-    by market id, from one stacked Chebyshev LP, held on the tree; None
-    where the allowed set is flat or keeps no wealth above the floor."""
+def _node_starts(tree: ScenarioTree):
+    """Task: each distinct node market's start for unit log and power
+    utilities, by market id, from one stacked Chebyshev LP, held on the
+    tree; None where the allowed set is flat or keeps no wealth above the
+    floor."""
     if not tree._starts:
         markets = [node_market(tree, n) for n in _distinct(tree, tree.internal_ids()).values()]
-        found = run(gather(*(_interior_start(m, _UtilityEvaluator(UtilitySpec.log(), m.n_states),
-                                             m.span.basis) for m in markets)))
+        found = yield from gather(*(_interior_start(
+            m, _UtilityEvaluator(UtilitySpec.log(), m.n_states), m.span.basis) for m in markets))
         for market, start in zip(markets, found):
             whole = not isinstance(start, Na1LabError) and start[0] is market.span.basis
             tree._starts[id(market)] = start[0] @ start[1] if whole else None
     return tree._starts
 
 
-def _node_optima(tree, nodes, weights: dict, u, tol) -> dict:
-    """Optima of ``u`` at ``nodes`` under their child ``weights``, by node:
-    one batch, a problem per distinct market and weights, from the markets'
-    starts; an error names its node."""
+def _node_optima(tree, nodes, weights: dict, u, tol):
+    """Task: optima of ``u`` at ``nodes`` under their child ``weights``, by
+    node: one batch, a problem per distinct market and weights, from the
+    markets' starts; an error names its node."""
     first = _distinct(tree, nodes, lambda n: weights[n].tobytes())
     chosen = list(first.values())
     markets = [node_market(tree, n) for n in chosen]
-    starts = [_node_starts(tree)[id(m)] for m in markets]
+    held = yield from _node_starts(tree)
+    starts = [held[id(m)] for m in markets]
     labels = [f"node {n!r}" for n in chosen]
     chosen_weights = [weights[n] for n in chosen]
-    solved = run(_maximize_all(markets, chosen_weights, u, tol, starts, labels=labels))
+    solved = yield from _maximize_all(markets, chosen_weights, u, tol, starts, labels=labels)
     optima = dict(zip(first, solved))
     return {n: optima[id(node_market(tree, n)), weights[n].tobytes()] for n in nodes}
 
 
-def _log_optima(tree: ScenarioTree, tol: float) -> dict:
-    """Each distinct node market's log optimum at stationarity tolerance
-    ``tol``, by market id, held on the tree: one solved to a tolerance at
-    most ``tol`` serves, so the numeraire step (``NUMERAIRE_GRADIENT_TOL``)
-    is also the log-utility backward-induction step that follows it."""
+def _log_optima(tree: ScenarioTree, tol: float):
+    """Task: each distinct node market's log optimum at stationarity
+    tolerance ``tol``, by market id, held on the tree: one solved to a
+    tolerance at most ``tol`` serves, so the numeraire step
+    (``NUMERAIRE_GRADIENT_TOL``) is also the log-utility
+    backward-induction step that follows it."""
     held = tree._log_optima
     stale = [n for (m, _), n in _distinct(tree, tree.internal_ids()).items()
              if held.get(m, (math.inf,))[0] > tol]
-    optima = _node_optima(tree, stale, {n: node_market(tree, n).probs for n in stale},
-                          UtilitySpec.log(), tol) if stale else {}
+    optima = (yield from _node_optima(tree, stale, {n: node_market(tree, n).probs for n in stale},
+                                      UtilitySpec.log(), tol)) if stale else {}
     held.update((id(node_market(tree, n)), (tol, opt)) for n, opt in optima.items())
     return {m: opt for m, (_, opt) in held.items()}
 
 
-def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionResult:
-    """Exact DP for log and power utilities.
+def _separable_backward(tree, u: UtilitySpec, candidates):
+    """Task: exact DP for log and power utilities.
 
     Log values add a per-node constant; power values multiply one, so each
     node solves a single wealth-independent one-period problem (with child
@@ -580,7 +631,7 @@ def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionRe
     base = UtilitySpec.log() if is_log else UtilitySpec.power(u.gamma)
     node_values: dict = {leaf: (0.0 if is_log else 1.0) for leaf in tree.leaf_ids}
     strategies: dict = {}
-    log_optima = _log_optima(tree, GRADIENT_TOL) if is_log and candidates is None else {}
+    log_optima = (yield from _log_optima(tree, GRADIENT_TOL)) if is_log and candidates is None else {}
     backward = tuple(reversed(tree.internal_ids()))
     for depth in reversed(range(tree.horizon)):
         level = [n for n in backward if tree.depth(n) == depth]
@@ -591,7 +642,7 @@ def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionRe
         if is_log:
             optima = {n: log_optima.get(id(markets[n])) for n in level}
         elif candidates is None:
-            optima = _node_optima(tree, level, weights, base, GRADIENT_TOL)
+            optima = yield from _node_optima(tree, level, weights, base, GRADIENT_TOL)
         for node_id in level:
             market = markets[node_id]
             chosen = _node_candidates(candidates, node_id)
@@ -623,8 +674,9 @@ def _separable_backward(tree, u: UtilitySpec, candidates) -> BackwardInductionRe
     )
 
 
-def _piecewise_backward(tree, u: UtilitySpec) -> BackwardInductionResult:
-    """One exact LP over the whole tree for concave piecewise-linear utilities.
+def _piecewise_backward(tree, u: UtilitySpec):
+    """Task: one exact LP over the whole tree for concave piecewise-linear
+    utilities.
 
     The scenario-tree deterministic equivalent (Birge & Louveaux,
     *Introduction to Stochastic Programming*): node wealths ``X_n >= 0`` with
@@ -674,15 +726,8 @@ def _piecewise_backward(tree, u: UtilitySpec) -> BackwardInductionResult:
         cost[t_col[leaf]] = tree.path_probability(leaf)
     bounds = [(0.0, None)] * len(bfs) + [(None, None)] * (width - len(bfs))
     bounds[x_col[tree.root_id]] = (1.0, 1.0)
-    res = solve_lp(
-        cost,
-        a_ub=np.vstack(blocks),
-        b_ub=np.concatenate(rhs),
-        a_eq=a_eq,
-        b_eq=np.zeros(len(bfs) - 1),
-        bounds=bounds,
-        maximize=True,
-    )
+    [res] = yield [dict(cost=cost, a_ub=np.vstack(blocks), b_ub=np.concatenate(rhs), a_eq=a_eq,
+                        b_eq=np.zeros(len(bfs) - 1), bounds=bounds, maximize=True)]
     require_optimal(res, "piecewise-utility tree LP")
 
     strategies: dict = {}
@@ -740,10 +785,11 @@ def backward_induction(
         raise InvalidParameterError(
             "a shifted log or power utility does not separate across periods"
         )
-    _require_global_na1(tree, "backward induction")
     if u.kind == "piecewise_linear":
-        return _piecewise_backward(tree, u)
-    return _separable_backward(tree, u, candidates)
+        task = _piecewise_backward(tree, u)
+    else:
+        task = _separable_backward(tree, u, candidates)
+    return run(_gated(tree, "backward induction", task))
 
 
 def default_wealth_grid(tree: ScenarioTree, points: int = 257) -> np.ndarray:
@@ -756,7 +802,7 @@ def default_wealth_grid(tree: ScenarioTree, points: int = 257) -> np.ndarray:
     """
     if points < 2:
         raise InvalidParameterError("a wealth grid needs at least two points")
-    _require_global_na1(tree, "wealth-grid construction")
+    _refuse_arbitrage(global_na1(tree), "wealth-grid construction")
     lo, hi = {tree.root_id: 1.0}, {tree.root_id: 1.0}
     for node_id in tree.bfs_ids():
         if tree.is_leaf(node_id):
@@ -789,25 +835,37 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
     supermartingale; stitched along the tree, the inverse of its wealth
     process deflates every allowed strategy's wealth.  The log optima of all
     distinct node markets are one solver batch at the numeraire tolerance,
-    from their starts in one stacked Chebyshev LP, and every node is
-    certified by the wealth-ratio LPs of ``verify_deflator_process``.
+    from their starts in one stacked Chebyshev LP, solved alongside the NA1
+    LPs.  Every node is certified by its wealth-ratio LP under the one-step
+    weights ``probs / (1 + R rho)`` of its strategy ``rho``, which numpy
+    ties to the deflator's values, so nodes with equal market and strategy
+    share one LP.  :func:`_numeraire_process` is the task.
     """
-    _require_global_na1(tree, "the numeraire process")
-    optima = _log_optima(tree, NUMERAIRE_GRADIENT_TOL)
-    strategies = {
-        node_id: optima[id(node_market(tree, node_id))].strategy
-        for node_id in tree.internal_ids()
-    }
+    return run(_gated(tree, "the numeraire process", _numeraire_process(tree)))
+
+
+def _numeraire_process(tree: ScenarioTree):
+    optima = yield from _log_optima(tree, NUMERAIRE_GRADIENT_TOL)
+    internal = tree.internal_ids()
+    strategies = {n: optima[id(node_market(tree, n))].strategy for n in internal}
     wealth = _wealth_process(tree, strategies)
     policy = PolicyProcess(strategies, wealth)
     policy.validate(tree, require_positive_wealth=True)
-    deflator = DeflatorProcess({node_id: 1.0 / w for node_id, w in wealth.items()})
-    violation = verify_deflator_process(tree, deflator)
+    values = {node_id: 1.0 / w for node_id, w in wealth.items()}
+    parents = [(k, tree.node(k).parent) for k in tree.bfs_ids()[1:]]
+    ties = np.array([values[k] / values[n] * (1.0 + tree.edge_returns(k) @ strategies[n])
+                     for k, n in parents])
+    if np.max(np.abs(ties - 1.0)) > RATIO_TOL:
+        raise NumericError("numeraire deflator strays from the one-step ratios it is certified by")
+    markets = [node_market(tree, n) for n in internal]
+    weights = [m.probs / (1.0 + m.returns @ strategies[n]) for n, m in zip(internal, markets)]
+    gains = yield from _max_expected_gains(markets, weights)
+    violation = float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
     if violation > DEFLATOR_SLACK_TOL:
         raise NumericError(
             f"numeraire deflator fails supermartingale certification by {violation:.3e}"
         )
-    return policy, deflator
+    return policy, DeflatorProcess(values)
 
 
 # -- super-replication ---------------------------------------------------------
@@ -863,24 +921,36 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
     """Cheapest capital covering a nonnegative terminal claim from the root.
 
     Works backward: each node's cost is the one-period super-replication
-    price of the vector of its children's costs, the LPs of one tree level
-    solved together.  Every node's hedge is checked as
-    :func:`~na1lab.hedging.superhedge` checks it: dominance and duality gap
-    per level, then one stacked re-certification of all lifted deflators.
-    ``claim`` maps leaf id to payoff, or is a sequence in ``leaf_ids`` order.
+    price of the vector of its children's costs.  Every node's hedge is
+    checked as :func:`~na1lab.hedging.superhedge` checks it: dominance and
+    duality gap, then a re-certification of its lifted deflator.  Each
+    round of LPs solves one tree level together with the re-certification
+    of the level below it, and the deepest level joins the NA1 LPs, so a
+    horizon ``H`` takes ``H + 1`` rounds.  ``claim`` maps leaf id to
+    payoff, or is a sequence in ``leaf_ids`` order.
+    :func:`_superhedge_tree` is the task.
     """
-    _require_global_na1(tree, "tree super-replication")
+    return run(_gated(tree, "tree super-replication", _superhedge_tree(tree, claim)))
+
+
+def _superhedge_tree(tree: ScenarioTree, claim):
     node_values = _leaf_payoffs(tree, claim)
     order = tuple(reversed(tree.internal_ids()))
-    reports: dict = {}
-    for depth in reversed(range(tree.horizon)):
+    reports, checks, below = {}, [], []
+    for depth in reversed(range(-1, tree.horizon)):  # depth -1: the root's check alone
         level = [n for n in order if tree.depth(n) == depth]
-        markets = [node_market(tree, n) for n in level]
         payoffs = [np.array([node_values[k] for k in tree.children(n)]) for n in level]
-        for node_id, report in zip(level, run(_superhedge_reports(markets, payoffs))):
+        hedged, checked = yield from gather(
+            _superhedge_reports([node_market(tree, n) for n in level], payoffs),
+            _recertified([node_market(tree, n) for n in below], [reports[n] for n in below]),
+        )
+        for node_id, report in zip(level, read(hedged)):
             # The cost of a nonnegative claim is nonnegative; clip LP noise.
             node_values[node_id] = max(float(report.primal_value), 0.0)
             reports[node_id] = report
-    run(_recertified([node_market(tree, n) for n in order], [reports[n] for n in order]))
+        checks.append(checked)
+        below = level
+    for checked in checks:  # read after every level, as one final check would be
+        read(checked)
     strategies = {n: reports[n].strategy for n in order}
     return TreeHedge(float(node_values[tree.root_id]), node_values, strategies)

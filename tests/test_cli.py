@@ -33,6 +33,7 @@ from na1lab.io import (
     parse_tree,
     parse_utility,
 )
+from na1lab.tree import global_na1
 
 
 def market_doc(claim=None):
@@ -616,10 +617,12 @@ class TestTreeCommand:
         assert rc == 0
         return batches
 
-    def test_stacked_passes_need_few_lps(self, tmp_path, linprog_calls):
-        """A 255-node binary tree with its own market at every node: every
-        pass stacks its per-node LPs, so the whole run takes at most one LP
-        per two internal nodes."""
+    def test_stacked_passes_need_few_lps(self, tmp_path, linprog_calls, monkeypatch):
+        """A 255-node binary tree with its own market at every node: the
+        passes share rounds, so the whole run takes at most ``horizon + 1``
+        rounds of stacked LPs (the entry budget may split a round into
+        several LP calls) and at most one LP per two internal nodes."""
+        rounds = self.rounds(monkeypatch)
         rng = np.random.default_rng(17)
         sets, nodes, frontier = {}, [{"id": "n", "constraints": "c_n"}], ["n"]
         horizon = 7
@@ -655,7 +658,88 @@ class TestTreeCommand:
         assert report["tree"]["n_nodes"] == 255
         assert report["na1"]["holds"]
         assert report["hedge"] is not None and report["optimal"] is not None
+        assert len(rounds) <= horizon + 1
         assert len(linprog_calls) <= 0.5 * 127
+
+    @staticmethod
+    def rounds(monkeypatch):
+        """The blocks of each round of stacked LPs, from now on."""
+        import na1lab.lp
+
+        rounds = []
+        solve_stacked = na1lab.lp._solve_stacked
+
+        def counted(blocks):
+            rounds.append(blocks)
+            return solve_stacked(blocks)
+
+        monkeypatch.setattr(na1lab.lp, "_solve_stacked", counted)
+        return rounds
+
+    def test_claim_and_log_utility_take_three_lps(self, tmp_path, linprog_calls):
+        """Horizon 2: NA1, the start and the deepest hedge level; the
+        deflator check, the root's hedge and the level below's
+        re-certification; the root's re-certification."""
+        rc, _ = run_command(
+            tmp_path, "tree", tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
+                                       utility={"kind": "log"}))
+        assert rc == 0
+        assert len(linprog_calls) == 3
+
+    def test_a_tree_without_na1_makes_only_na1s_lps(self, tmp_path, linprog_calls):
+        """The passes run alongside NA1's rounds and stop when it fails."""
+        doc = tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
+                       utility={"kind": "log"}, bad_middle=True)
+        rc, out = run_command(tmp_path, "tree", doc)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["na1"]["failing"] == ["u"]
+        assert [report[k] for k in ("numeraire", "deflator", "hedge", "optimal")] == [None] * 4
+        made = len(linprog_calls)
+        linprog_calls.clear()
+        assert not global_na1(parse_tree(doc)[0]).holds
+        assert made == len(linprog_calls) == 2  # the support LPs, then the ray
+
+    def test_piecewise_tree_lp_is_solved_in_the_first_round(self, tmp_path, monkeypatch):
+        rounds = self.rounds(monkeypatch)
+        rc, _ = run_command(
+            tmp_path, "tree", tree_doc(utility={"kind": "piecewise_linear",
+                                                "knots_x": [0.25, 1.0, 4.0],
+                                                "knots_y": [-1.0, 0.0, 0.6]}))
+        assert rc == 0
+        # the tree LP is the one block with equality rows
+        assert [sum("a_eq" in block for block in blocks) for blocks in rounds] == [1, 0]
+
+    def test_speculative_work_stays_held_without_na1(self, tmp_path, monkeypatch, caplog):
+        """The only node without NA1 sits at depth H - 1, so its
+        super-hedging LP runs in round 1, with NA1's.  Where NA1 fails, no
+        error or warning of the passes may surface, not even a failure of
+        that hedge."""
+        import na1lab.tree
+
+        claim = {"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0}
+        bad = tree_doc(claim=claim, utility={"kind": "log"}, bad_middle=True)
+        levels = []
+        reports = na1lab.tree._superhedge_reports
+
+        def failing(markets, payoffs):
+            levels.append(len(markets))
+            yield from reports(markets, payoffs)
+            raise NumericError("synthetic hedge failure")
+
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(na1lab.tree, "_superhedge_reports", failing)
+            rc, out = run_command(tmp_path, "tree", bad)
+            assert rc == 0
+            report = json.loads(out.read_text())
+            assert (report["na1"]["holds"], report["na1"]["failing"]) == (False, ["u"])
+            assert [report[k] for k in ("numeraire", "deflator", "hedge", "optimal")] == [None] * 4
+        assert levels == [2]
+        assert not [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")]
+        # with NA1 the same failure is read
+        rc, _ = run_command(tmp_path, "tree", tree_doc(claim=claim, utility={"kind": "log"}))
+        assert rc == 3
 
 
 class TestRunPlumbing:

@@ -7,8 +7,10 @@ price); it never exits 1 (malformed input) or 3 (numeric failure).  The
 corpus is 100 draws of ``random_market_any(default_rng(11), d_max=8,
 n_max=60)``, each with a claim, through ``analyze``, ``numeraire`` and
 ``hedge``, and through ``tree`` 12 random trees of up to 121 nodes, half
-with and half without NA1, and one of 1,093 nodes.  Time budget: about
-9 s on a 2-core x86 machine, 15 s at most.
+with and half without NA1, and one of 1,093 nodes.  The ``tree`` command
+solves its passes together; the same trees check each of its sections
+against the public pass called on its own.  Time budget: about 13 s on a
+2-core x86 machine (5 s of it the tree oracle), 20 s at most.
 """
 
 import json
@@ -17,6 +19,9 @@ import numpy as np
 
 from conftest import random_market_any
 from na1lab.cli import main
+from na1lab.errors import PreconditionError
+from na1lab.io import parse_tree
+from na1lab.tree import backward_induction, global_na1, numeraire_process, superhedge_tree
 
 
 def run(tmp_path, command, doc):
@@ -107,12 +112,65 @@ def test_market_commands_keep_the_exit_code_contract(tmp_path):
     assert codes.get(("numeraire", 2), 0) > 0 and codes.get(("numeraire", 0), 0) > 0
 
 
-def test_tree_command_keeps_the_exit_code_contract(tmp_path):
+def tree_docs():
+    """The tree corpus: (document, whether NA1 holds)."""
     rng = np.random.default_rng(13)
     docs = [(random_tree_doc(rng, k % 2 == 0), k % 2 == 0) for k in range(12)]
     docs.append((random_tree_doc(rng, True, branching=3, horizon=6), True))
-    for doc, na1 in docs:
+    return docs
+
+
+def test_tree_command_keeps_the_exit_code_contract(tmp_path):
+    for doc, na1 in tree_docs():
         rc, report = run(tmp_path, "tree", doc)
         assert rc == 0
         assert report["na1"]["holds"] is na1
         assert (report["hedge"] is None) is not na1
+
+
+def test_tree_command_matches_the_passes_one_by_one(tmp_path):
+    """The public passes, called one by one on a fresh parse in the
+    command's order, give equal verdicts and failing nodes, and strategies,
+    deflator values, hedge node values and optimal values within 1e-9
+    relative; power-utility strategies within 1e-8.
+
+    The Newton solves start at Chebyshev centers, which need not be
+    unique: HiGHS may pick another one when other LPs share the round, and
+    a solve stops on its certified residual, so its strategy moves with
+    the start.  Hence the numeraire process runs first, as in the command,
+    deciding NA1 alongside its starts; the command's starts also share
+    their round with the deepest super-hedging level, which moves one power
+    strategy of the 1,093-node tree by 4.8e-9 relative."""
+    from test_cli import tree_doc
+
+    def close(got: dict, want: dict, tol=1e-9):
+        assert got.keys() == {str(k) for k in want}
+        for key, value in want.items():
+            value = np.asarray(value, dtype=float)
+            gap = np.max(np.abs(np.asarray(got[str(key)]) - value))
+            assert gap <= tol * max(1.0, float(np.max(np.abs(value)))), key
+
+    docs = [doc for doc, _ in tree_docs()]
+    docs.append(tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
+                         utility={"kind": "log"}))
+    for doc in docs:
+        rc, report = run(tmp_path, "tree", doc)
+        assert rc == 0
+        tree, claim, utility = parse_tree(doc)
+        try:
+            policy, deflator = numeraire_process(tree)
+        except PreconditionError:
+            policy = None
+        na1 = global_na1(tree)
+        assert report["na1"]["holds"] is na1.holds is (policy is not None)
+        assert report["na1"]["failing"] == [str(n) for n in na1.failing]
+        if not na1.holds:
+            continue
+        close(report["numeraire"]["strategies"], policy.strategies)
+        close(report["deflator"], deflator.values)
+        close(report["hedge"]["node_values"], superhedge_tree(tree, claim).node_values)
+        optimal = backward_induction(tree, utility)
+        close({"value": report["optimal"]["value"]}, {"value": optimal.value})
+        close(report["optimal"]["node_values"], optimal.node_values)
+        close(report["optimal"]["policy"]["strategies"], optimal.policy.strategies,
+              1e-8 if utility.kind == "power" else 1e-9)

@@ -709,6 +709,23 @@ class TestNumeraireProcess:
         inflated = DeflatorProcess({"root": 1.0, "root/0": 4.0, "root/1": 4.0})
         assert verify_deflator_process(tree, inflated) > 1.0
 
+    def test_deflator_values_are_tied_to_the_certified_ratios(self, monkeypatch):
+        """The wealth-ratio LPs run under the weights ``probs / (1 + R rho)``;
+        a deflator value off those ratios, here by 1e-10, is refused."""
+        import na1lab.tree
+
+        tree = iid_tree(two_state_market(), horizon=2)
+        wealth_process = na1lab.tree._wealth_process
+
+        def nudged(tree, strategies):
+            wealth = wealth_process(tree, strategies)
+            wealth[tree.leaf_ids[0]] *= 1.0 + 1e-10
+            return wealth
+
+        monkeypatch.setattr(na1lab.tree, "_wealth_process", nudged)
+        with pytest.raises(NumericError, match="one-step ratios"):
+            numeraire_process(tree)
+
     def test_policy_validate_rejects_forbidden_strategy(self):
         tree = iid_tree(two_state_market(box=0.5), horizon=1)
         bad = PolicyProcess({"root": np.array([3.0])}, {"root": 1.0})
@@ -956,6 +973,24 @@ class TestDistinctNodeContent:
         backward_induction(iid_h6, UtilitySpec.power(0.5))
         assert counts["batches"] == [1] * 6  # one call per level
         assert (counts["builds"], counts["decided"]) == (1, 1)
+
+    def test_iid_deflator_check_is_one_lp(self, iid_h6, monkeypatch):
+        """Each node is certified under the one-step weights of its
+        strategy, so the 364 nodes of one market and one strategy share one
+        wealth-ratio LP."""
+        import na1lab.arbitrage
+
+        groups = []
+        settle = na1lab.arbitrage._settle
+
+        def counted(market, *args):
+            groups.append(market)
+            return settle(market, *args)
+
+        assert global_na1(iid_h6).holds
+        monkeypatch.setattr(na1lab.arbitrage, "_settle", counted)
+        numeraire_process(iid_h6)
+        assert len(iid_h6.internal_ids()) == 364 and len(groups) == 1
 
     def test_numeraire_process_of_a_large_tree_is_one_solver_call(self, counts):
         from test_cli_fuzz import random_tree_doc
