@@ -343,6 +343,22 @@ def _check_na1_all(markets, tol: float = GAIN_TOL):
     return _cached(markets, "na1", tol, _decide_na1)
 
 
+def _cone_spans(markets):
+    """Task: per market, :func:`~na1lab.lp.cone_span` of the cone generated
+    by its allowed set, in the return span's coordinates, held in
+    ``market.certificates``.  Only a cone with rows (the allowed rows with
+    zero offset) takes an LP.  Callers run it alongside NA1's LPs while NA1
+    is undecided."""
+    return _cached(markets, "cone_span", ZERO_OFFSET_TOL, _decide_cone_spans)
+
+
+def _decide_cone_spans(markets, tol: float):
+    spans = yield from gather(*(
+        cone_span(generated_cone(m.allowed, tol=tol).normals @ m.span.basis) for m in markets
+    ))
+    return [read(span) for span in spans]
+
+
 def _decide_na1(markets, tol: float):
     def holds(market, support):
         basis, d = market.span.basis, market.n_assets
@@ -469,10 +485,8 @@ def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
     basis, early = market.span.basis, []
     gates = [_classical(market, tol)]
     if basis.shape[1]:
-        cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
-        span = cone_span(cone_rows)
         gates.append(_check_na1_all([market], tol))
-        early = [] if _decided([market], tol, "classical", "na1") else [span]
+        early = [] if _decided([market], tol, "classical", "na1") else [_cone_spans([market])]
     classical, *answers = yield from gather(*gates, *early)
     if read(classical)[0].found:
         raise PreconditionError(
@@ -486,7 +500,8 @@ def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
         if not na1.holds:
             raise NumericError("no classical arbitrage was found, but NA1 fails")
         diameter = 2.0 * np.sqrt(market.n_assets) * na1.bound_radius
-        span = read(answers[1]) if early else (yield from span)
+        cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
+        [span] = read(answers[1]) if early else (yield from _cone_spans([market]))
         strategy = basis @ _minimize_log_moment(log_aux, returns @ basis, cone_rows, diameter, span)
     # extreme states can underflow to exactly zero in double precision; the
     # true mass is positive, so floor it at the smallest safe normal value
@@ -511,25 +526,21 @@ def _normalized(log_weights) -> np.ndarray:
 
 def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter, span):
     """Minimize ``log sum exp(log_weights - returns_r @ u)`` over the cone
-    ``{u : cone_rows @ u <= 0}``.
+    ``{u : cone_rows @ u <= 0}``, from ``u = 0``.
 
     The search runs in the span of the cone (``span``, from
     :func:`~na1lab.lp.cone_span`), where the rows that are not implicit
     equalities have a strictly feasible point.
     """
-    reduce_basis, start, strict = span
+    reduce_basis, strict = span
     rows = cone_rows[strict] @ reduce_basis
     mat = returns_r @ reduce_basis
-    # any positive multiple of a point inside a cone is inside; this one moves
-    # no state's wealth by more than one
-    start = start / max(float(np.max(np.abs(mat @ start), initial=0.0)), 1e-300)
 
     def derivatives(z, live):  # a batch of one
         q = _normalized(log_weights - mat @ z[0, :, 0])
         mean = mat.T @ q
         return -mean[None, :, None], (mat.T @ (q[:, None] * mat) - np.outer(mean, mean))[None]
 
-    [result] = minimize_convex(
-        derivatives, rows[None], np.zeros((1, rows.shape[0])), start[None], diameter, MOMENT_TOL
-    )
+    [result] = minimize_convex(derivatives, rows[None], np.zeros((1, rows.shape[0])),
+                               np.zeros((1, mat.shape[1])), diameter, MOMENT_TOL)
     return reduce_basis @ result.x

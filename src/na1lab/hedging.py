@@ -20,12 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError,
-    InvalidParameterError,
-    NumericError,
-    PreconditionError,
-)
+from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import gather, read, require_optimal, run, solve_lp
 from .market import DiscreteMarket
 from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, check_na1
@@ -340,12 +335,7 @@ def indifference_price(
 
     def best_value(capital: float) -> float:
         specs = [u.compose_affine(capital, float(x)) for x in payoff]
-        try:
-            return maximize_utility(market, specs).value
-        except InfeasibleError:
-            # No position keeps the utility argument positive at this
-            # capital, so the achievable utility is minus infinity.
-            return -math.inf
+        return maximize_utility(market, specs).value
 
     baseline = maximize_utility(market, u.compose_affine(v, 0.0)).value
     slack = PRICE_TOL * (1.0 + abs(baseline))

@@ -67,6 +67,10 @@ BOUNDARY_FRACTION = 0.99
 #: measure, or at its square after a full step.
 CENTERING = 0.1
 
+#: Slack of a row that the start does not satisfy strictly, such as a row
+#: with zero offset at the zero strategy.
+START_SLACK = 1.0
+
 
 @dataclass(frozen=True)
 class LpResult:
@@ -385,49 +389,27 @@ def is_feasible(a_ub: np.ndarray, b_ub: np.ndarray, dim: int) -> bool:
     return res.status == OPTIMAL
 
 
-def _chebyshev_lp(a_ub, b_ub, dim: int, box: float = BIG_BOUND, lazy=None) -> dict:
-    """:func:`_solve_stacked` block of the Chebyshev-center LP of ``{x : a_ub x
-    <= b_ub, |x_i| <= box}`` for ``dim >= 1``: variables ``(x, radius)``,
-    maximizing the radius; ``lazy`` marks rows of ``a_ub`` generated on demand."""
-    a_full = np.vstack([np.asarray(a_ub, dtype=float).reshape(-1, dim), np.eye(dim), -np.eye(dim)])
-    b_full = np.concatenate([np.asarray(b_ub, dtype=float), np.full(2 * dim, box)])
-    norms = np.linalg.norm(a_full, axis=1)
-    cost = np.zeros(dim + 1)
-    cost[-1] = 1.0
-    block = dict(
-        cost=cost,
-        a_ub=np.hstack([a_full, norms[:, None]]),
-        b_ub=b_full,
-        bounds=[(None, None)] * dim + [(0, 2 * box)],
-        maximize=True,
-    )
-    if lazy is not None:
-        block["lazy"] = np.concatenate([lazy, np.zeros(2 * dim, dtype=bool)])
-    return block
-
-
 def cone_span(rows: np.ndarray):
-    """Task: linear span of the cone ``{x : rows x <= 0}`` and a point inside it.
+    """Task: linear span of the cone ``{x : rows x <= 0}``.
 
     One LP maximizes ``sum(t)`` subject to ``rows x + t <= 0`` and
     ``0 <= t <= 1``.  Scaling ``x`` up shows that every ``t`` is 0 or 1 at the
     optimum, and the rows with ``t = 0`` are the cone's implicit equalities;
-    the span is their null space.  Returns ``(basis, point, strict)``: an
-    orthonormal basis of the span, the LP's ``x`` in its coordinates and
-    the mask of the rows that are not implicit equalities, all of which
-    ``x`` satisfies strictly.
+    the span is their null space.  Returns ``(basis, strict)``: an
+    orthonormal basis of the span and the mask of the rows that are not
+    implicit equalities, which some point of the span satisfies strictly.
+    No rows or no coordinates need no LP.
     """
     m, dim = rows.shape
-    if m == 0:
-        return np.eye(dim), np.zeros(dim), np.zeros(0, dtype=bool)
+    if m == 0 or dim == 0:
+        return np.eye(dim), np.zeros(m, dtype=bool)
     cost = np.concatenate([np.zeros(dim), np.ones(m)])
     bounds = [(None, None)] * dim + [(0.0, 1.0)] * m
     [res] = yield [dict(cost=cost, a_ub=np.hstack([rows, np.eye(m)]), b_ub=np.zeros(m),
                         bounds=bounds, maximize=True)]
     require_optimal(res, "cone span")
     strict = res.x[dim:] > 0.5
-    basis = null_space(rows[~strict]) if not np.all(strict) else np.eye(dim)
-    return basis, basis.T @ res.x[:dim], strict
+    return (null_space(rows[~strict]) if not np.all(strict) else np.eye(dim)), strict
 
 
 @dataclass(frozen=True)
@@ -448,29 +430,36 @@ def minimize_convex(
     """Minimize smooth convex ``f_k`` over ``{x : a_ub[k] x <= b_ub[k]}`` for
     a batch of problems; one result per problem, in order.
 
-    A primal-dual interior-point Newton method (Boyd & Vandenberghe,
-    *Convex Optimization*, sec. 11.7) on the slacks ``s = b - a x`` and the
-    multipliers ``lam``, one loop for the whole batch.  ``a_ub`` is ``(B, m,
-    n)`` and ``b_ub`` ``(B, m)``; a row with offset ``+inf`` is padding, with
-    no multiplier and no share of the complementarity term.  ``start`` ``(B,
-    n)`` satisfies every row strictly.  ``derivatives(x, live)`` returns the
-    gradients ``(k, n, 1)`` and Hessians ``(k, n, n)`` at the points ``x``
-    ``(k, n, 1)`` of the problems ``live`` (indices, or ``slice(None)`` for
-    all).  ``domain``, a pair ``(g, h)`` of shapes ``(B, S, n)`` and ``(B,
-    S)`` (``+inf`` pads ``h``), is the open set ``{g x < h}`` where ``f_k``
-    is defined; steps stay inside it, and inside the constraints, by the
-    fraction-to-boundary rule.  ``diameter`` and ``tol`` are one per problem
-    or shared.
+    An infeasible-start primal-dual interior-point Newton method (Boyd &
+    Vandenberghe, *Convex Optimization*, secs. 10.3 and 11.7; Nocedal &
+    Wright, *Numerical Optimization*, ch. 19) on ``x``, the slacks ``s`` and
+    the multipliers ``lam``, one loop for the whole batch.  ``a_ub`` is
+    ``(B, m, n)`` and ``b_ub`` ``(B, m)``; a row with offset ``+inf`` is
+    padding, with no multiplier and no share of the complementarity term.
+    ``start`` ``(B, n)`` need not satisfy the rows: a row it satisfies
+    strictly starts at its slack ``b - a x``, any other at ``START_SLACK``,
+    and each step of length ``t`` scales the primal residual ``a x + s - b``
+    by ``1 - t``, so a full step removes it.  Once numpy finds an iterate
+    inside every row, its slacks are ``b - a x``, and its steps stay inside.
+    ``derivatives(x, live)`` returns the gradients ``(k, n, 1)`` and
+    Hessians ``(k, n, n)`` at the points ``x`` ``(k, n, 1)`` of the problems
+    ``live`` (indices, or ``slice(None)`` for all).  ``domain``, a pair ``(g,
+    h)`` of shapes ``(B, S, n)`` and ``(B, S)`` (``+inf`` pads ``h``), is the
+    open set ``{g x < h}`` where ``f_k`` is defined; ``start`` must lie in
+    it, and steps stay inside it, and inside the slacks' and multipliers'
+    bounds, by the fraction-to-boundary rule.  ``diameter`` and ``tol`` are
+    one per problem or shared.
 
-    The residual is ``lam . s + diameter * |grad f + a^T lam|``.  For every
-    feasible ``y`` within ``diameter`` of ``x`` it bounds the first-order
-    gain ``grad f(x) . (x - y)``, hence also ``f(x) - min f`` when
-    ``diameter`` bounds the feasible set.  Each problem has its own step
-    length and leaves the batch once its residual is at most ``tol * (1 +
-    |x|)``, when its Newton system is singular or a step no longer reduces
-    its KKT residual (float resolution), or after ``NEWTON_ITERATIONS``; the
-    caller compares the returned residual with its own threshold.  Vectors
-    are columns, so a batch of one does the arithmetic of a single problem.
+    The residual is ``lam . s + diameter * |grad f + a^T lam|`` at an iterate
+    inside every row, and ``+inf`` outside.  For every feasible ``y`` within
+    ``diameter`` of ``x`` it bounds the first-order gain ``grad f(x) . (x -
+    y)``, hence also ``f(x) - min f`` when ``diameter`` bounds the feasible
+    set.  Each problem has its own step length and leaves the batch once its
+    residual is at most ``tol * (1 + |x|)``, when its Newton system is
+    singular or a step no longer reduces its KKT residual (float
+    resolution), or after ``NEWTON_ITERATIONS``; the caller compares the
+    returned residual with its own threshold.  Vectors are columns, so a
+    batch of one does the arithmetic of a single problem.
     """
     padded = ~np.isfinite(b_ub)[..., None]
     real, a = np.where(padded, 0.0, 1.0), np.where(padded, 0.0, a_ub)
@@ -479,9 +468,11 @@ def minimize_convex(
     batch, n, _ = x.shape
     g, h = (np.zeros((batch, 0, n)), np.zeros((batch, 0))) if domain is None else domain
     h, a_t = np.asarray(h, dtype=float)[..., None], _t(a)
+    if (g @ x >= h).any():
+        raise NumericError("interior-point start is outside the domain")
     slack = b - a @ x
-    if (slack <= 0.0).any():
-        raise NumericError("interior-point start is not strictly feasible")
+    gap = np.where(slack > 0.0, 0.0, START_SLACK - slack)  # the primal residual a x + s - b
+    slack = slack + gap
     grad, hess = derivatives(x, slice(None))
     # Start with multipliers mu / s whose pull balances the gradient.
     pull = _norms(a_t @ (1.0 / slack))
@@ -495,7 +486,8 @@ def minimize_convex(
     dual = grad + a_t @ lam
     while True:
         comp = _t(lam) @ slack
-        residual = comp + diameter * _norms(dual)
+        outside = (gap != 0.0).any(axis=1, keepdims=True)
+        residual = np.where(outside, np.inf, comp + diameter * _norms(dual))
         done = (residual <= tol * (1.0 + _norms(x)))[:, 0, 0]
         if not whole:
             done |= halted
@@ -510,18 +502,23 @@ def minimize_convex(
             if done.all():
                 return results
             keep = ~done
-            index, x, slack, lam, grad, hess, dual, comp, residual, t, a, b, real, rows, g, h = (
-                v[keep] for v in (index, x, slack, lam, grad, hess, dual, comp, residual, t,
-                                  a, b, real, rows, g, h)
+            index, x, slack, gap, outside, lam, grad, hess, dual, comp, residual, t = (
+                v[keep] for v in (index, x, slack, gap, outside, lam, grad, hess, dual, comp,
+                                  residual, t)
             )
+            a, b, real, rows, g, h = (v[keep] for v in (a, b, real, rows, g, h))
             diameter, tol, a_t = diameter[keep], tol[keep], _t(a)
         live = slice(None) if len(index) == batch else index
         # after a full step the iterate is near the central path, so the
         # target may drop faster
         target = np.where(t == 1.0, CENTERING**2, CENTERING) * comp / rows
         kkt = hess + a_t @ (lam / slack * a)
-        dx, singular = _newton_steps(kkt, -(grad + a_t @ (target / slack)))
-        ds = -(a @ dx)
+        rhs = -(grad + a_t @ ((target + lam * gap) / slack))
+        dx, singular = _newton_steps(kkt, rhs)
+        # one refinement against the unformed matrix, which keeps the Hessian's
+        # share that large row weights round away in kkt
+        dx += _newton_steps(kkt, rhs - hess @ dx - a_t @ (lam / slack * (a @ dx)))[0]
+        ds = -gap - a @ dx
         target = target * real
         dlam = (target - lam * slack - lam * ds) / slack
         value, change = [slack, lam], [ds, dlam]
@@ -531,7 +528,7 @@ def minimize_convex(
         t = _step_limits(np.concatenate(value, axis=1), np.concatenate(change, axis=1))
         if singular:
             t[singular] = 0.0
-        before = _norms(np.concatenate([dual, lam * slack - target], axis=1))
+        before = _norms(np.concatenate([dual, lam * slack - target, gap], axis=1))
         iterations += 1
         halted = t[:, 0, 0] <= 1e-12
         whole = not halted.any()  # step the whole batch at once, or the open problems
@@ -539,24 +536,34 @@ def minimize_convex(
         while whole or trying.any():
             pick = slice(None) if whole else np.flatnonzero(trying)
             x_new = x[pick] + t[pick] * dx[pick]
-            slack_new = b[pick] - a[pick] @ x_new
             lam_new = lam[pick] + t[pick] * dlam[pick]
-            if not (slack_new > 0.0).all():
-                inside = (slack_new > 0.0).all(axis=(1, 2))
-                whole, pick = False, np.flatnonzero(trying)[inside]
-                x_new, slack_new, lam_new = x_new[inside], slack_new[inside], lam_new[inside]
+            # an iterate inside every row takes numpy's slacks; a problem that
+            # has been inside refuses a step out, one that has not keeps its
+            # stepped slacks
+            stepped = slack[pick] + t[pick] * ds[pick]
+            slack_new = b[pick] - a[pick] @ x_new
+            entered = (slack_new > 0.0).all(axis=1, keepdims=True)
+            slack_new = np.where(entered, slack_new, stepped)
+            gap_new = np.where(entered, 0.0, a[pick] @ x_new + stepped - b[pick])
+            valid = entered | (outside[pick] & (stepped > 0.0).all(axis=1, keepdims=True))
+            valid = valid[:, 0, 0]
+            if not valid.all():
+                whole, pick = False, np.flatnonzero(trying)[valid]
+                x_new, slack_new, gap_new, lam_new = (
+                    v[valid] for v in (x_new, slack_new, gap_new, lam_new))
             if len(x_new):
                 grad_new, hess_new = derivatives(x_new, live if whole else index[pick])
                 dual_new = grad_new + a_t[pick] @ lam_new
-                after = _norms(np.concatenate([dual_new, lam_new * slack_new - target[pick]], 1))
+                after = _norms(np.concatenate(
+                    [dual_new, lam_new * slack_new - target[pick], gap_new], axis=1))
                 ok = (after <= (1.0 - 0.01 * t[pick]) * before[pick])[:, 0, 0]
-                new = x_new, slack_new, lam_new, grad_new, hess_new, dual_new
+                new = x_new, slack_new, gap_new, lam_new, grad_new, hess_new, dual_new
                 if whole and ok.all():
-                    x, slack, lam, grad, hess, dual = new
+                    x, slack, gap, lam, grad, hess, dual = new
                     break
                 if ok.any():
                     accepted = np.flatnonzero(ok) if whole else pick[ok]
-                    for old, fresh in zip((x, slack, lam, grad, hess, dual), new):
+                    for old, fresh in zip((x, slack, gap, lam, grad, hess, dual), new):
                         old[accepted] = fresh[ok]
                     trying[accepted], whole = False, False
             if whole:  # no problem took its step: all shorten it

@@ -16,31 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import GAIN_TOL, ZERO_OFFSET_TOL, _check_na1_all, _decided, _state_rows
-from .arbitrage import max_expected_gain
-from .errors import (
-    InfeasibleError,
-    InvalidParameterError,
-    NumericError,
-    PreconditionError,
-)
-from .lp import (
-    INFEASIBLE,
-    UNBOUNDED,
-    _chebyshev_lp,
-    _pad,
-    cone_span,
-    gather,
-    minimize_convex,
-    read,
-    require_optimal,
-    run,
-    solve_lp,
-)
-from .market import DiscreteMarket, generated_cone, wealth
+from .arbitrage import GAIN_TOL, _check_na1_all, _cone_spans, _decided, max_expected_gain
+from .errors import InvalidParameterError, NumericError, PreconditionError
+from .lp import UNBOUNDED, _pad, gather, minimize_convex, read, require_optimal, run, solve_lp
+from .market import DiscreteMarket, wealth
 
-#: The search starts with every utility argument at least this far above
-#: zero; states whose argument ends at or below it are reported.
+#: States whose utility argument ends at or below this are reported as
+#: active wealth floors.
 WEALTH_FLOOR = 1e-9
 
 #: Slack allowed by the wealth-ratio certification LP.
@@ -51,10 +33,6 @@ GRADIENT_TOL = 1e-8
 
 #: Stationarity-residual tolerance of the growth-optimal (numeraire) solve.
 NUMERAIRE_GRADIENT_TOL = 1e-10
-
-#: A Chebyshev radius at or below this marks an allowed set that is flat
-#: within the coordinates searched (LP optima carry about this much noise).
-FLAT_RADIUS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -231,12 +209,12 @@ class OptimalPortfolio:
     complementarity plus the KKT gradient residual times the diameter bound
     of the allowed set (zero by convention when the exact LP path was used);
     for log utility it bounds the wealth-ratio LP value minus one.
-    ``iterations`` counts Newton iterations.  ``active_constraints`` are
-    indices of allowed-set rows binding at the solution (multiplier above
-    slack), ``active_wealth_floors`` the states whose utility argument is at
-    most ``WEALTH_FLOOR``.  ``deflator`` is set by ``numeraire_portfolio``:
-    the deflator the certified numeraire induces, with its wealth-ratio LP
-    optimum as certificate.
+    ``iterations`` counts Newton iterations from the zero strategy.
+    ``active_constraints`` are indices of allowed-set rows binding at the
+    solution (multiplier above slack), ``active_wealth_floors`` the states
+    whose utility argument is at most ``WEALTH_FLOOR``.  ``deflator`` is set
+    by ``numeraire_portfolio``: the deflator the certified numeraire
+    induces, with its wealth-ratio LP optimum as certificate.
     """
 
     strategy: np.ndarray
@@ -279,18 +257,17 @@ def maximize_utility(
     u,
     tol: float = GRADIENT_TOL,
     *,
-    x0=None,
     divergence_bound: float | None = None,
 ) -> OptimalPortfolio:
     """Maximize expected utility of final wealth over the allowed polyhedron.
 
     ``u`` is a single :class:`UtilitySpec` or one spec per state.  Smooth
     utilities go through the interior-point Newton method of
-    :func:`~na1lab.lp.minimize_convex`, started at ``x0`` when it lies
-    strictly inside the allowed set (in the return span) and the utility's
-    domain, else at the Chebyshev center.  It stops once its stationarity
-    residual (complementarity plus the KKT gradient residual times the
-    diameter of the allowed set, ``2 sqrt(d)`` times the NA1
+    :func:`~na1lab.lp.minimize_convex`, started at the zero strategy, where
+    wealth is 1 in every state; a spec whose argument is not positive there
+    (a negative ``shift`` at least ``scale``) is refused.  It stops once its
+    stationarity residual (complementarity plus the KKT gradient residual
+    times the diameter of the allowed set, ``2 sqrt(d)`` times the NA1
     ``bound_radius``) is at most ``tol`` times ``1 + |strategy|``; for log
     utility that residual bounds the wealth-ratio LP value minus one.
     Piecewise-linear utilities are solved exactly by an epigraph LP.
@@ -299,20 +276,20 @@ def maximize_utility(
     refuses to start, unless ``divergence_bound`` is given: then the
     objective is escalated along the NA1 certificate's witness ray, and a
     :class:`~na1lab.errors.NumericError` carries the escalated value and the
-    best finite point.  NA1 and the start are one round of LPs.
+    best finite point.  Where NA1 is not yet decided, its LPs and those of
+    the span of a flat allowed set are one round.
     """
-    return run(_maximize_all([market], [market.probs], u, tol, [x0], divergence_bound))[0]
+    return run(_maximize_all([market], [market.probs], u, tol, divergence_bound))[0]
 
 
-def _maximize_all(markets, weights, u, tol, starts, divergence_bound=None, labels=None):
-    """Task: :func:`maximize_utility` for several markets, each from its
-    start (None to find one) under its state weights (positive, summing to
-    one) in place of its probabilities; ``labels`` name the markets in
-    errors.  Each market is set up by its own task (:func:`_newton_problem`),
-    all gathered, the Newton problems of one span dimension are one batch,
-    and each residual is checked on its own."""
+def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
+    """Task: :func:`maximize_utility` for several markets under their state
+    weights (positive, summing to one) in place of their probabilities;
+    ``labels`` name the markets in errors.  Each market is set up by its own
+    task (:func:`_newton_problem`), all gathered, the Newton problems of one
+    span dimension are one batch, and each residual is checked on its own."""
     problems = yield from gather(*(
-        _newton_problem(m, w, u, x0, divergence_bound) for m, w, x0 in zip(markets, weights, starts)
+        _newton_problem(m, w, u, divergence_bound) for m, w in zip(markets, weights)
     ))
     out, batches = [None] * len(markets), {}
     for i, problem in enumerate(problems):
@@ -349,30 +326,19 @@ def _named(labels, i):
         raise NumericError(f"optimization failed at {labels[i]}: {exc}") from exc
 
 
-def _search_start(market, evaluator, x0):
-    """Task: ``(basis, start)``, ``x0`` when it lies strictly inside the
-    allowed set and the utility's domain, else :func:`_interior_start`;
-    None for piecewise-linear utilities, which need no start."""
-    basis = market.span.basis
-    if evaluator.piecewise and basis.shape[1]:
-        return None
-    if x0 is not None and basis.shape[1]:
-        v0 = basis.T @ np.asarray(x0, dtype=float)
-        _, a, b = _searched_rows(market, basis)
-        h = 1.0 + evaluator.shifts / evaluator.scales
-        if np.all(a @ v0 < b) and np.all(-(market.returns @ basis) @ v0 < h):
-            return basis, v0
-    return (yield from _interior_start(market, evaluator, basis))
-
-
-def _newton_problem(market, probs, u, x0, divergence_bound):
+def _newton_problem(market, probs, u, divergence_bound):
     """Task: the optimum itself where no Newton search is needed, else
-    ``(basis, returns_r, evaluator, rows, a, b, start, diameter)``: the
-    searched coordinates and allowed rows ``a u <= b`` there, a strictly
-    feasible start (:func:`_search_start`, with NA1's LPs) and the diameter."""
+    ``(basis, returns_r, evaluator, rows, a, b, diameter)``: coordinates of
+    the span of the allowed set (the return span less the implicit
+    equalities of the cone the set generates), the allowed rows ``a u <= b``
+    that do not vanish there, and the diameter.  The search starts at
+    ``u = 0``."""
     evaluator = _UtilityEvaluator(u, market.n_states)
-    start = _search_start(market, evaluator, x0)
-    early = [] if _decided([market], GAIN_TOL, "na1") else [start]
+    if not evaluator.piecewise and np.any(evaluator.scales + evaluator.shifts <= 0.0):
+        raise InvalidParameterError(
+            "the utility argument must be positive at the zero strategy, which is always allowed"
+        )
+    early = [] if _decided([market], GAIN_TOL, "na1") else [_cone_spans([market])]
     certs, *answers = yield from gather(_check_na1_all([market]), *early)
     [cert] = read(certs)
     if not cert.holds and divergence_bound is None:
@@ -384,24 +350,24 @@ def _newton_problem(market, probs, u, x0, divergence_bound):
     basis = market.span.basis
     if evaluator.piecewise and basis.shape[1]:
         return _piecewise_optimum(market, probs, evaluator, basis)
-    basis, start = read(answers[0]) if early else (yield from start)
+    if not cert.holds:
+        _escalate_along_ray(probs, market.returns, evaluator, cert.witness_ray, divergence_bound)
+    [(reduce, _)] = read(answers[0]) if early else (yield from _cone_spans([market]))
+    basis = basis @ reduce
     if basis.shape[1] == 0:
         value = float(probs @ evaluator.value(np.ones(market.n_states)))
         return OptimalPortfolio(np.zeros(d), value, 0.0, 0)
-    returns_r = market.returns @ basis
-    if not cert.holds:
-        _escalate_along_ray(
-            probs, basis, returns_r, evaluator, start, cert.witness_ray, divergence_bound
-        )
     rows, a, b = _searched_rows(market, basis)
-    return basis, returns_r, evaluator, rows, a, b, start, 2.0 * math.sqrt(d) * cert.bound_radius
+    return (basis, market.returns @ basis, evaluator, rows, a, b,
+            2.0 * math.sqrt(d) * cert.bound_radius)
 
 
 def _solve_batch(problems, weights, tol):
     """One :func:`~na1lab.lp.minimize_convex` batch of ``-E[U(1 + R u)]``
-    for :func:`_newton_problem` tuples of one span dimension, inside the
-    domain ``-R u < 1 + shift / scale``; padded states have zero weight."""
-    _, returns_r, evaluators, _, a, b, starts, diameters = zip(*problems)
+    for :func:`_newton_problem` tuples of one span dimension, from ``u = 0``
+    and inside the domain ``-R u < 1 + shift / scale``; padded states have
+    zero weight."""
+    _, returns_r, evaluators, _, a, b, diameters = zip(*problems)
     returns_r = _pad(returns_r, 0.0)
     returns_t = returns_r.transpose(0, 2, 1)
     probs = _pad(weights, 0.0)[..., None]
@@ -424,8 +390,9 @@ def _solve_batch(problems, weights, tol):
         return -(r_t @ (p * first)), -(r_t @ (p * second * r))
 
     h = _pad([1.0 + e.shifts / e.scales for e in evaluators], np.inf)
-    return minimize_convex(derivatives, _pad(a, 0.0), _pad(b, np.inf), np.array(starts),
-                           np.array(diameters), tol, domain=(-returns_r, h))
+    return minimize_convex(derivatives, _pad(a, 0.0), _pad(b, np.inf),
+                           np.zeros(returns_r.shape[::2]), np.array(diameters), tol,
+                           domain=(-returns_r, h))
 
 
 def _searched_rows(market, basis):
@@ -440,71 +407,24 @@ def _searched_rows(market, basis):
     return rows, normals[rows] @ basis, market.allowed.offsets[rows]
 
 
-def _start_lp(market, evaluator, basis):
-    """Chebyshev-center LP (a :func:`~na1lab.lp._solve_stacked` block) of the
-    set that starts the search: the allowed set, and every utility argument
-    at least ``WEALTH_FLOOR``; the rows of the states are generated on
-    demand.
-
-    The utility argument ``scale * (1 + gain) + shift`` must stay positive:
-    ``g u < h`` with ``g = -R`` and ``h = 1 + shift / scale``, divided by the
-    positive scale so tiny scales cannot sink the coefficients below the LP
-    solver's drop tolerance.
-    """
-    h = 1.0 + evaluator.shifts / evaluator.scales
-    return _chebyshev_lp(
-        np.vstack([market.allowed.normals @ basis, -(market.returns @ basis)]),
-        np.concatenate([market.allowed.offsets, h - WEALTH_FLOOR / evaluator.scales]),
-        basis.shape[1],
-        lazy=np.concatenate([_state_rows(market), np.ones(market.n_states, dtype=bool)]),
-    )
-
-
-def _interior_start(market, evaluator, basis):
-    """Task: coordinates in which the allowed set has an interior, and its
-    Chebyshev center there with every utility argument at least
-    ``WEALTH_FLOOR`` (see :func:`_start_lp`).
-
-    When no strategy is strictly inside every allowed row, the set is flat
-    within ``basis``, and the coordinates shrink to the span of its
-    generated cone.  Returns ``(basis, center)``.
-    """
-    r = basis.shape[1]
-    if r == 0:
-        return basis, np.zeros(0)
-    [result] = yield [_start_lp(market, evaluator, basis)]
-    if result.status == INFEASIBLE:
-        raise InfeasibleError("no allowed strategy keeps every state's utility argument positive")
-    require_optimal(result, "chebyshev_center")
-    center, radius = result.x[:-1], float(result.value)
-    if radius <= FLAT_RADIUS:
-        cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
-        span = (yield from cone_span(cone_rows))[0]
-        if span.shape[1] < r:
-            return (yield from _interior_start(market, evaluator, basis @ span))
-    return basis, center
-
-
-def _escalate_along_ray(probs, basis, returns_r, evaluator, u_cur, ray, bound):
-    """Push the objective along a certified scalable-arbitrage direction.
+def _escalate_along_ray(probs, returns, evaluator, ray, bound):
+    """Push the objective from the zero strategy along a certified
+    scalable-arbitrage direction.
 
     The gains along the ray are nonnegative and positive somewhere, so the
     expected utility grows without bound; once float evaluation saturates,
     the supremum (+inf) is reported as the escalated value.
     """
-    ray_u = basis.T @ ray
-    gains = returns_r @ ray_u
+    gains = returns @ ray
     # The certified ray's gains are nonnegative up to solver noise; cap the
     # escalation before the noise, amplified by s, could touch the wealths.
     noise = max(0.0, -float(np.min(gains)))
-    w0 = 1.0 + returns_r @ u_cur
-    s_cap = 1e306 if noise == 0.0 else min(1e306, 1e-3 * float(np.min(w0)) / noise)
-    best = basis @ u_cur
-    best_val = float(probs @ evaluator.value(w0))
+    s_cap = 1e306 if noise == 0.0 else min(1e306, 1e-3 / noise)
+    best = np.zeros(ray.size)
+    best_val = float(probs @ evaluator.value(np.ones(gains.size)))
     s = 1.0
     while s < s_cap:
-        cand = u_cur + s * ray_u
-        val = float(probs @ evaluator.value(1.0 + returns_r @ cand))
+        val = float(probs @ evaluator.value(1.0 + s * gains))
         if val > bound:
             raise NumericError(
                 "objective escalated past the divergence bound along a "
@@ -513,7 +433,7 @@ def _escalate_along_ray(probs, basis, returns_r, evaluator, u_cur, ray, bound):
                 value=val,
             )
         if math.isfinite(val) and val > best_val:
-            best, best_val = basis @ cand, val
+            best, best_val = s * ray, val
         s *= 32.0
     # Monotone escalation hit the float range without crossing the bound;
     # the supremum along the certified direction is infinite.

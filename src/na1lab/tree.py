@@ -22,17 +22,18 @@ node markets:
 
 Node markets are keyed by content (``node_market``): each distinct one is
 built once and held on the tree, and nodes with equal content share it, so
-its cached certificates, NA1 first of all, its interior start and its log
+its cached certificates, NA1 and its cone span first of all, and its log
 optimum serve every such node and later question.  Each pass is an LP task
 (:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs as one
 block-diagonal LP (:func:`~na1lab.lp._solve_stacked`), and
 :func:`_with_na1` runs passes alongside the NA1 support LPs while the
 verdict is undecided, so independent LPs of different passes share a
-round.  The ``tree`` command thus solves in its first round the NA1 LPs,
-the Chebyshev starts, the deepest super-hedging level and the piecewise
-tree LP; each later round the deflator checks (after the log optima's
-Newton batch), the next super-hedging level and the re-certification of
-the level before it, ``H + 1`` rounds for horizon ``H``.  The utility
+round.  The ``tree`` command thus solves in its first round the NA1 LPs
+with the cone spans of the node markets that have zero-offset rows, the
+deepest super-hedging level and the piecewise tree LP; each later round
+the deflator checks (after the log optima's Newton batch), the next
+super-hedging level and the re-certification of the level before it,
+``H + 1`` rounds for horizon ``H``.  The utility
 problems of a pass are one solver batch
 (:func:`~na1lab.portfolio._maximize_all`): the log optima of all distinct
 markets, or the power problems of one level, one per distinct market and
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, _na1_may_hold
-from .errors import InvalidParameterError, Na1LabError, NumericError, PreconditionError
+from .errors import InvalidParameterError, NumericError, PreconditionError
 from .hedging import _homogenized_rows, _recertified, _superhedge_reports
 from .lp import gather, read, require_optimal, run, solve_lp
 from .market import ConstraintSet, DiscreteMarket
@@ -56,8 +57,6 @@ from .portfolio import (
     GRADIENT_TOL,
     NUMERAIRE_GRADIENT_TOL,
     UtilitySpec,
-    _UtilityEvaluator,
-    _interior_start,
     _maximize_all,
 )
 
@@ -221,7 +220,6 @@ class ScenarioTree:
         object.__setattr__(self, "_bfs", tuple(bfs))
         object.__setattr__(self, "_markets", {})  # by node id
         object.__setattr__(self, "_contents", {})  # by node content
-        object.__setattr__(self, "_starts", {})  # by market id, as below
         object.__setattr__(self, "_log_optima", {})
 
     @property
@@ -569,33 +567,16 @@ def _best_candidate(weights, returns, candidates, base: UtilitySpec):
     return candidates[best], float(values[best])
 
 
-def _node_starts(tree: ScenarioTree):
-    """Task: each distinct node market's start for unit log and power
-    utilities, by market id, from one stacked Chebyshev LP, held on the
-    tree; None where the allowed set is flat or keeps no wealth above the
-    floor."""
-    if not tree._starts:
-        markets = [node_market(tree, n) for n in _distinct(tree, tree.internal_ids()).values()]
-        found = yield from gather(*(_interior_start(
-            m, _UtilityEvaluator(UtilitySpec.log(), m.n_states), m.span.basis) for m in markets))
-        for market, start in zip(markets, found):
-            whole = not isinstance(start, Na1LabError) and start[0] is market.span.basis
-            tree._starts[id(market)] = start[0] @ start[1] if whole else None
-    return tree._starts
-
-
 def _node_optima(tree, nodes, weights: dict, u, tol):
     """Task: optima of ``u`` at ``nodes`` under their child ``weights``, by
-    node: one batch, a problem per distinct market and weights, from the
-    markets' starts; an error names its node."""
+    node: one batch, a problem per distinct market and weights, each
+    started at the zero strategy; an error names its node."""
     first = _distinct(tree, nodes, lambda n: weights[n].tobytes())
     chosen = list(first.values())
     markets = [node_market(tree, n) for n in chosen]
-    held = yield from _node_starts(tree)
-    starts = [held[id(m)] for m in markets]
     labels = [f"node {n!r}" for n in chosen]
     chosen_weights = [weights[n] for n in chosen]
-    solved = yield from _maximize_all(markets, chosen_weights, u, tol, starts, labels=labels)
+    solved = yield from _maximize_all(markets, chosen_weights, u, tol, labels=labels)
     optima = dict(zip(first, solved))
     return {n: optima[id(node_market(tree, n)), weights[n].tobytes()] for n in nodes}
 
@@ -835,8 +816,7 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
     supermartingale; stitched along the tree, the inverse of its wealth
     process deflates every allowed strategy's wealth.  The log optima of all
     distinct node markets are one solver batch at the numeraire tolerance,
-    from their starts in one stacked Chebyshev LP, solved alongside the NA1
-    LPs.  Every node is certified by its wealth-ratio LP under the one-step
+    started at the zero strategy once NA1 is decided.  Every node is certified by its wealth-ratio LP under the one-step
     weights ``probs / (1 + R rho)`` of its strategy ``rho``, which numpy
     ties to the deflator's values, so nodes with equal market and strategy
     share one LP.  :func:`_numeraire_process` is the task.

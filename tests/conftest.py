@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import na1lab.lp
-from na1lab.lp import _chebyshev_lp, solve_lp
+from na1lab.lp import BIG_BOUND, solve_lp
 from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
 
 
@@ -85,11 +85,23 @@ def random_market_any(rng, d_max=3, n_max=6) -> DiscreteMarket:
     return DiscreteMarket(probs, returns, cs)
 
 
+def _chebyshev_center(a_ub, b_ub, dim: int, box: float = BIG_BOUND) -> np.ndarray:
+    """Chebyshev center of ``{x : a_ub x <= b_ub, |x_i| <= box}``: one LP in
+    ``(x, radius)`` maximizing the radius of a ball inside every row."""
+    a_full = np.vstack([np.asarray(a_ub, dtype=float).reshape(-1, dim), np.eye(dim), -np.eye(dim)])
+    b_full = np.concatenate([np.asarray(b_ub, dtype=float), np.full(2 * dim, box)])
+    cost = np.zeros(dim + 1)
+    cost[-1] = 1.0
+    result = solve_lp(cost, a_ub=np.hstack([a_full, np.linalg.norm(a_full, axis=1)[:, None]]),
+                      b_ub=b_full, bounds=[(None, None)] * dim + [(0, 2 * box)], maximize=True)
+    return result.x[:-1]
+
+
 def sample_feasible(rng, normals, offsets, dim, n_samples=1, cap=50.0):
     """Sample points of ``{x : normals @ x <= offsets}`` by shooting rays from
     an interior point (Chebyshev center) and stepping a random fraction of the
     way to the boundary (capped for unbounded sets)."""
-    center = solve_lp(**_chebyshev_lp(normals, offsets, dim)).x[:-1]
+    center = _chebyshev_center(normals, offsets, dim)
     out = []
     for _ in range(n_samples):
         direction = rng.standard_normal(dim)

@@ -130,17 +130,13 @@ def test_tree_command_keeps_the_exit_code_contract(tmp_path):
 
 def test_tree_command_matches_the_passes_one_by_one(tmp_path):
     """The public passes, called one by one on a fresh parse in the
-    command's order, give equal verdicts and failing nodes, and strategies,
+    command's order, give equal verdicts and failing nodes, strategies,
     deflator values, hedge node values and optimal values within 1e-9
-    relative; power-utility strategies within 1e-8.
+    relative, and the very log- and power-utility strategies.
 
-    The Newton solves start at Chebyshev centers, which need not be
-    unique: HiGHS may pick another one when other LPs share the round, and
-    a solve stops on its certified residual, so its strategy moves with
-    the start.  Hence the numeraire process runs first, as in the command,
-    deciding NA1 alongside its starts; the command's starts also share
-    their round with the deepest super-hedging level, which moves one power
-    strategy of the 1,093-node tree by 4.8e-9 relative."""
+    Every Newton solve starts at the zero strategy, so its answer does not
+    depend on which LPs share a round with the command's other passes; an
+    LP optimum may move by rounding when its round is stacked otherwise."""
     from test_cli import tree_doc
 
     def close(got: dict, want: dict, tol=1e-9):
@@ -173,4 +169,4 @@ def test_tree_command_matches_the_passes_one_by_one(tmp_path):
         close({"value": report["optimal"]["value"]}, {"value": optimal.value})
         close(report["optimal"]["node_values"], optimal.node_values)
         close(report["optimal"]["policy"]["strategies"], optimal.policy.strategies,
-              1e-8 if utility.kind == "power" else 1e-9)
+              1e-9 if utility.kind == "piecewise_linear" else 0.0)

@@ -146,9 +146,11 @@ class TestSharedCertificates:
         assert construct_esmm(market).slack <= SUPERMARTINGALE_TOL
 
     def test_api_sequence_makes_the_same_lps(self, linprog_calls):
-        """The library calls of one market, one after another, make as many
-        LPs as before the driver (counted on the previous implementation):
-        each gate is cached, so nothing is solved speculatively."""
+        """The library calls of one market, one after another, make one LP
+        fewer than before the driver (counted on that implementation): each
+        gate is cached, so nothing is solved speculatively, the Newton
+        search starts without an LP, and the span of the cone generated by
+        the allowed set is solved once, for the numeraire and the ESMM."""
         rng = np.random.default_rng(8)
         counts = []
         for _ in range(12):
@@ -167,7 +169,7 @@ class TestSharedCertificates:
                 except Na1LabError:
                     pass
             counts.append(len(linprog_calls))
-        assert counts == [8, 9, 9, 9, 9, 7, 3, 8, 8, 7, 7, 9]
+        assert counts == [7, 8, 8, 8, 8, 6, 3, 7, 7, 6, 6, 8]
 
 
 class TestHeldErrors:

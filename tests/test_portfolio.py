@@ -9,12 +9,8 @@ from conftest import (
     sample_feasible,
     two_factor_atom_market,
 )
-from na1lab.errors import (
-    InfeasibleError,
-    InvalidParameterError,
-    NumericError,
-    PreconditionError,
-)
+from na1lab.arbitrage import check_na1
+from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.market import ConstraintSet
 from na1lab.portfolio import (
     Deflator,
@@ -168,6 +164,27 @@ class TestMaximizeUtility:
         )
         opt = maximize_utility(pinned, UtilitySpec.log(), tol=1e-10)
         assert np.allclose(opt.strategy, [0.0, oracle], atol=1e-8)
+        # Rows with zero and positive offsets make theta_1 = theta_2 <= 1:
+        # the one-asset market with returns R_1 + R_2 and the cap 1.
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            returns = rng.uniform(-0.45, 0.6, size=(6, 2))
+            returns[0], returns[1] = [0.3, 0.4], [-0.4, -0.3]  # the sum gains and loses
+            probs = rng.uniform(0.5, 1.5, 6)
+            probs /= probs.sum()
+            diagonal = make_market(returns, probs, ConstraintSet(
+                2, np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 2.0])))
+            single = make_market(returns.sum(axis=1, keepdims=True), probs,
+                                 ConstraintSet(1, np.array([[1.0]]), np.array([1.0])))
+            for solve in (
+                lambda m: maximize_utility(m, UtilitySpec.log(), tol=1e-12),
+                lambda m: maximize_utility(m, UtilitySpec.power(-1.0), tol=1e-12),
+                lambda m: maximize_utility(m, UtilitySpec.power(0.5), tol=1e-12),
+                numeraire_portfolio,
+            ):
+                got, expected = solve(diagonal), solve(single)
+                assert np.max(np.abs(got.strategy - expected.strategy[0])) <= 1e-9
+                assert got.value == pytest.approx(expected.value, rel=1e-9, abs=1e-12)
 
     def test_strategy_stays_allowed_and_in_span(self):
         rng = np.random.default_rng(7)
@@ -220,32 +237,27 @@ class TestMaximizeUtility:
                 continue
             assert vm >= lam * va + (1 - lam) * vb - 1e-10
 
-    def test_two_starts_agree_up_to_span(self):
-        rng = np.random.default_rng(5)
-        done = 0
-        while done < 8:
-            m = random_bounded_market(rng)
-            x1 = sample_feasible(rng, m.allowed.normals, m.allowed.offsets, m.n_assets)
-            x2 = sample_feasible(rng, m.allowed.normals, m.allowed.offsets, m.n_assets)
-            o1 = maximize_utility(m, UtilitySpec.log(), tol=1e-10, x0=0.1 * x1)
-            o2 = maximize_utility(m, UtilitySpec.log(), tol=1e-10, x0=0.1 * x2)
-            diff = m.span.project(o1.strategy - o2.strategy)
-            assert np.linalg.norm(diff) <= 1e-6
-            done += 1
-
-    def test_interior_start_needs_no_lp(self, linprog_calls):
-        """A start strictly inside the allowed set is taken before any LP
-        looks for one: with the certificates cached, no LP runs."""
+    def test_search_from_the_zero_strategy_needs_no_lp(self, linprog_calls):
+        """The search starts at the zero strategy, strictly inside a set whose
+        offsets are all positive: with NA1 cached, maximizing utility takes
+        no LP, and the numeraire only its wealth-ratio LP."""
         rng = np.random.default_rng(9)
-        for _ in range(10):
+        checked = 0
+        while checked < 10:
             m = random_bounded_market(rng)
-            reference = maximize_utility(m, UtilitySpec.log())
-            # halfway to a strictly feasible point from the origin, which is
-            # allowed, is strictly inside every row and the log domain
+            if not np.all(m.constraints.offsets > 0.0):
+                continue
+            assert check_na1(m).holds
             linprog_calls.clear()
-            opt = maximize_utility(m, UtilitySpec.log(), x0=0.5 * reference.strategy)
+            opt = maximize_utility(m, UtilitySpec.log())
             assert not linprog_calls
-            assert opt.value == pytest.approx(reference.value, abs=1e-8)
+            numeraire = numeraire_portfolio(m)
+            made = len(linprog_calls)
+            linprog_calls.clear()
+            verify_numeraire(m, numeraire.strategy)
+            assert made == len(linprog_calls) >= 1
+            assert opt.value == pytest.approx(numeraire.value, abs=1e-8)
+            checked += 1
 
     def test_na1_failure_refused(self):
         m = two_factor_atom_market(1.5, 1.0)
@@ -327,9 +339,11 @@ class TestMaximizeUtility:
             maximize_utility(m, specs)
 
     def test_infeasible_shifted_domain(self):
+        """A shift that leaves the utility undefined at the zero strategy,
+        which every allowed set contains, is refused before any search."""
         m = interval_market([-0.5, 0.8])
         shifted = UtilitySpec.log().compose_affine(1.0, -2.0)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InvalidParameterError, match="zero strategy"):
             maximize_utility(m, shifted)
 
 

@@ -73,14 +73,15 @@ def test_check_na1_on_50k_states_solves_few_rows(linprog_calls):
 
 
 def test_market_below_the_constant_solves_whole_lps(linprog_calls):
-    """A 100-state market makes the LPs it made before row generation: one
-    per kernel, each with every state row; only the NA1 LP changed, from
-    the dual multiplier LP to the stacked support LPs of its six
-    directions."""
+    """A 100-state market makes the LPs it made before row generation, each
+    with every state row, except that the NA1 LP changed from the dual
+    multiplier LP to the stacked support LPs of its six directions, and
+    the numeraire, which starts its search at the zero strategy, makes only
+    its wealth-ratio LP."""
     rng = np.random.default_rng(8)
     market = random_box_market(rng, 100, 3)
     claim = Claim(rng.uniform(0.0, 1.0, 100))
-    # the classical search and the Chebyshev start carry two rows per state
+    # the classical search carries two rows per state
     assert 2 * 100 <= na1lab.lp.LAZY_ROWS
     shapes = {}
     for name, run in [
@@ -95,7 +96,7 @@ def test_market_below_the_constant_solves_whole_lps(linprog_calls):
     assert shapes == {
         "na1": [(6 * 106, 6 * 3)],
         "classical": [(212, 3)],
-        "numeraire": [(212, 4), (106, 3)],
+        "numeraire": [(106, 3)],
         "hedge": [(106, 4), (106, 3)],
     }
 

@@ -140,3 +140,28 @@ def test_heterogeneous_batch_matches_solo_solves(caplog):
     assert all(r.iterations > 3 for k, r in enumerate(batch) if k not in (2, 5))
     assert all(r.residual <= tols[k] * (1.0 + np.linalg.norm(r.x))
                for k, r in enumerate(batch) if k != 2)
+
+
+def test_starts_outside_the_rows_end_inside_them():
+    """Starts that violate rows, or sit on rows with zero offset, as the
+    zero strategy does on a cone: each problem leaves the batch converged
+    at an iterate strictly inside every row, with the optimum that a start
+    inside the rows finds."""
+    rng = np.random.default_rng(6)
+    box = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 0.8))
+    cone = (np.array([[-1.0, 0.0], [-1.0, -1.0]]), np.zeros(2))  # x_1 >= 0, x_1 + x_2 >= 0
+    problems, starts, inside = [], [], []
+    for gamma, (a, b) in [(0.0, box), (0.5, box), (-1.0, box), (0.0, cone), (-1.0, cone)]:
+        probs = rng.uniform(0.5, 1.5, 6)
+        returns = rng.uniform(-0.6, 0.9, size=(6, 2))
+        returns[0], returns[1] = [0.5, 0.4], [-0.4, -0.5]  # every direction loses somewhere
+        problems.append((probs / probs.sum(), returns, gamma, a, b))
+        # past one face of the box, still inside the utility's domain
+        starts.append(np.zeros(2) if b is cone[1] else np.eye(2)[len(starts) % 2] * 0.85)
+        inside.append(np.array([0.1, 0.1]) if b is cone[1] else np.zeros(2))
+    outside = expected_utility_batch(problems, starts, [1e-10] * len(problems))
+    reference = expected_utility_batch(problems, inside, [1e-10] * len(problems))
+    for (_, _, _, a, b), got, want in zip(problems, outside, reference):
+        assert np.all(a @ got.x < b)
+        assert got.residual <= 1e-10 * (1.0 + np.linalg.norm(got.x))
+        assert np.max(np.abs(got.x - want.x)) <= 1e-6
