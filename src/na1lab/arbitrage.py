@@ -141,9 +141,10 @@ class Esmm:
 
 def _state_rows(market: DiscreteMarket) -> np.ndarray:
     """Mask of the admissibility rows among the allowed rows, one per
-    distinct state; LPs over the allowed set generate them on demand."""
+    distinct state or hull vertex; LPs over the allowed set generate them
+    on demand."""
     mask = np.zeros(market.allowed.offsets.size, dtype=bool)
-    mask[: market.support_points.shape[0]] = True
+    mask[: market.admissible.offsets.size] = True
     return mask
 
 
@@ -171,20 +172,22 @@ def _on_box(result) -> bool:
 def _arbitrage_search(market: DiscreteMarket, offsets: np.ndarray, tol: float):
     """Task, the shared LP core: maximize expected gain subject to nonnegative gains,
     membership in ``{A pi <= offsets}`` within the return span, and a large
-    box keeping the LP bounded.  The gain and admissibility rows, one per
-    state, are generated on demand.  Returns (objective, strategy | None)."""
+    box keeping the LP bounded.  Gains are nonnegative in every state when
+    they are at every admissibility row's point, so the gain rows are the
+    admissibility normals with zero offset; both are generated on demand.
+    Returns (objective, strategy | None)."""
     basis = market.span.basis
     r = basis.shape[1]
     if r == 0:
         return 0.0, None
-    returns_r = market.returns @ basis
     a_theta = market.allowed.normals @ basis
-    a_rows = np.vstack([a_theta, -returns_r, basis, -basis])
+    gain_rows = market.admissible.normals @ basis
+    a_rows = np.vstack([a_theta, gain_rows, basis, -basis])
     d = market.n_assets
-    n = market.n_states
+    n = gain_rows.shape[0]
     b_rows = np.concatenate([offsets, np.zeros(n), np.full(2 * d, BIG_BOUND)])
     lazy = np.concatenate([_state_rows(market), np.ones(n, dtype=bool), np.zeros(2 * d, dtype=bool)])
-    cost = market.probs @ returns_r
+    cost = market.probs @ (market.returns @ basis)
     [res] = yield [dict(cost=cost, a_ub=a_rows, b_ub=b_rows, maximize=True, lazy=lazy)]
     require_optimal(res, "arbitrage search")
     if res.value <= tol:

@@ -29,6 +29,7 @@ narrower) sampled grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -620,13 +621,23 @@ def admissibility_halfspaces(model: FactorModel) -> ConstraintSet:
     return ConstraintSet(d, np.vstack(normals), np.asarray(offsets))
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once
+    per node count."""
+    x, w = leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _factor_grid(
     dist: FactorDistribution, nodes: int, truncation_mass: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Quadrature atoms, weights, and the retained probability mass."""
     if dist.kind == "point_mass":
         return dist.values, dist.weights, 1.0
-    x, w = leggauss(nodes)
+    x, w = _legendre(nodes)
     lo, hi = truncation_mass / 2.0, 1.0 - truncation_mass / 2.0
     levels = lo + (hi - lo) * (x + 1.0) / 2.0
     weights = w * (hi - lo) / 2.0

@@ -6,7 +6,9 @@ constraint set on portfolio fractions.  The set of strategies a market
 actually permits is the intersection of two pieces:
 
 * the admissibility polyhedron, one halfspace ``<-z, pi> <= 1`` per distinct
-  return row ``z`` (wealth cannot be driven below zero in any state), and
+  return row ``z`` (wealth cannot be driven below zero in any state); on a
+  wide market, one per vertex of the convex hull of those rows, which cut
+  out the same set, and
 * the user-supplied constraint polyhedron (short-sale bans, borrowing caps,
   boxes, ...).
 
@@ -17,13 +19,18 @@ almost surely a modelling error, so such markets are rejected up front.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
+from . import lp
 from .errors import InfeasibleError, InvalidParameterError
 from .lp import is_feasible
+
+logger = logging.getLogger(__name__)
 
 #: Return rows closer than this (after rounding) are treated as one support point.
 DEDUP_DECIMALS = 12
@@ -36,6 +43,14 @@ SPAN_ALIGNMENT_TOL = 1e-10
 
 #: Default tolerance for feasibility / membership residuals.
 FEAS_TOL = 1e-9
+
+#: Largest return span in which admissibility keeps only the vertices of the
+#: support's convex hull; qhull's cost grows steeply with the dimension.
+HULL_MAX_RANK = 3
+
+#: Support points off an affine hyperplane ``<w, z> = 1`` by at most this
+#: much relative to 1 count as lying on it.
+FLAT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,14 +271,17 @@ class DiscreteMarket:
         return self.returns.shape[1]
 
     @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rounded return rows, sorted, and each one's first state."""
+        return np.unique(np.round(self.returns, DEDUP_DECIMALS), axis=0, return_index=True)
+
+    @cached_property
     def support_points(self) -> np.ndarray:
-        return support(self)
+        return self.returns[np.sort(self._distinct[1])]
 
     @cached_property
     def span(self) -> SubspaceBasis:
-        return span_and_projection(
-            np.unique(np.round(self.returns, DEDUP_DECIMALS), axis=0)
-        )
+        return span_and_projection(self._distinct[0])
 
     @cached_property
     def admissible(self) -> ConstraintSet:
@@ -288,11 +306,10 @@ def support(market: DiscreteMarket) -> np.ndarray:
     """Distinct return rows of the market (the support of the return vector).
 
     Rows are deduplicated by exact comparison after rounding to 1e-12; the
-    original (unrounded) representative of each group is returned.
+    original (unrounded) representative of each group is returned, in the
+    order of the states.
     """
-    rounded = np.round(market.returns, DEDUP_DECIMALS)
-    _, idx = np.unique(rounded, axis=0, return_index=True)
-    return market.returns[np.sort(idx)]
+    return market.support_points
 
 
 def span_and_projection(support_points) -> SubspaceBasis:
@@ -313,11 +330,41 @@ def span_and_projection(support_points) -> SubspaceBasis:
 def admissible_polyhedron(market: DiscreteMarket) -> ConstraintSet:
     """Halfspace description of strategies that keep wealth nonnegative.
 
-    One halfspace ``<-z, pi> <= 1`` per support point ``z``; intersecting with
-    ``market.constraints`` yields the full strategy polyhedron.
+    One halfspace ``<-z, pi> <= 1`` per support point ``z``, in the order of
+    the states; intersecting with ``market.constraints`` yields the full
+    strategy polyhedron.  A row whose point is a convex combination of
+    others is implied by theirs, so a market with more than
+    ``lp.LAZY_ROWS`` support points and a return span of at most
+    ``HULL_MAX_RANK`` dimensions keeps only the rows of the vertices of
+    the support's convex hull: the same set, with a few dozen rows where
+    there were thousands.
     """
     pts = market.support_points
+    if pts.shape[0] > lp.LAZY_ROWS and market.span.rank <= HULL_MAX_RANK:
+        pts = pts[_hull_vertices(pts @ market.span.basis)]
     return ConstraintSet(market.n_assets, -pts, np.ones(pts.shape[0]))
+
+
+def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """Sorted indices of the vertices of the convex hull of ``points``
+    (rows spanning their coordinates), computed in coordinates of their
+    affine hull: a hyperplane ``<w, z> = 1`` when they lie on one, else
+    the whole space.  Every index when qhull fails."""
+    r = points.shape[1]
+    w = np.linalg.lstsq(points, np.ones(points.shape[0]), rcond=None)[0]
+    if r and np.max(np.abs(points @ w - 1.0)) <= FLAT_TOL:
+        points = points @ np.linalg.svd(w[None, :])[2][1:].T  # the directions orthogonal to w
+        r -= 1
+    if r == 0:
+        return np.arange(points.shape[0])
+    if r == 1:
+        return np.unique([np.argmin(points[:, 0]), np.argmax(points[:, 0])])
+    try:
+        return np.sort(ConvexHull(points).vertices)
+    except QhullError as exc:
+        logger.debug("qhull failed on %d support points, keeping every row: %s",
+                     points.shape[0], str(exc).split("\n", 1)[0])
+        return np.arange(points.shape[0])
 
 
 def allowed_polyhedron(market: DiscreteMarket) -> ConstraintSet:

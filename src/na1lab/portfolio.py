@@ -167,16 +167,21 @@ class _UtilityEvaluator:
     """Per-state view of a single spec or a state-indexed list of specs."""
 
     def __init__(self, u, n_states: int):
+        # power exponents; a log state's derivatives are those of gamma = 0
         if isinstance(u, UtilitySpec):
-            specs = [u] * n_states
-        else:
-            specs = list(u)
-            if len(specs) != n_states:
-                raise InvalidParameterError(
-                    f"need one utility per state ({n_states}), got {len(specs)}"
-                )
-            if not all(isinstance(s, UtilitySpec) for s in specs):
-                raise InvalidParameterError("state utilities must be UtilitySpec instances")
+            self.specs = [u] * n_states
+            self.piecewise = u.kind == "piecewise_linear"
+            self.scales, self.shifts = np.full(n_states, u.scale), np.full(n_states, u.shift)
+            self.gammas = np.full(n_states, u.gamma if u.kind == "power" else 0.0)
+            self._homogeneous = True
+            return
+        specs = list(u)
+        if len(specs) != n_states:
+            raise InvalidParameterError(
+                f"need one utility per state ({n_states}), got {len(specs)}"
+            )
+        if not all(isinstance(s, UtilitySpec) for s in specs):
+            raise InvalidParameterError("state utilities must be UtilitySpec instances")
         kinds = {s.kind for s in specs}
         if "piecewise_linear" in kinds and len(kinds) > 1:
             raise InvalidParameterError(
@@ -186,7 +191,6 @@ class _UtilityEvaluator:
         self.piecewise = kinds == {"piecewise_linear"}
         self.scales = np.array([s.scale for s in specs])
         self.shifts = np.array([s.shift for s in specs])
-        # power exponents; a log state's derivatives are those of gamma = 0
         self.gammas = np.array([s.gamma if s.kind == "power" else 0.0 for s in specs])
         self._homogeneous = all(s is specs[0] for s in specs)
 
@@ -211,7 +215,10 @@ class OptimalPortfolio:
     for log utility it bounds the wealth-ratio LP value minus one.
     ``iterations`` counts Newton iterations from the zero strategy.
     ``active_constraints`` are indices of allowed-set rows binding at the
-    solution (multiplier above slack), ``active_wealth_floors`` the states
+    solution (multiplier above slack): admissibility rows first, one per
+    distinct state, or per vertex of the support's convex hull on a wide
+    market (see :func:`~na1lab.market.admissible_polyhedron`), then the
+    market's constraints; ``active_wealth_floors`` the states
     whose utility argument is at most ``WEALTH_FLOOR``.  ``deflator`` is set
     by ``numeraire_portfolio``: the deflator the certified numeraire
     induces, with its wealth-ratio LP optimum as certificate.

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import na1lab.arbitrage
 from conftest import (
@@ -262,26 +263,52 @@ class TestCheckNa1:
             assert len(linprog_calls) == 1
 
     def test_wide_market_generates_its_state_rows(self, linprog_calls):
-        """With thousands of states the support LPs of all four directions
-        are stacked and gain their state rows round by round; without NA1
-        the recession-ray LP follows and finds the witness."""
+        """With thousands of states in a 4-D span the support LPs of all
+        eight directions are stacked and gain their state rows round by
+        round; without NA1 the recession-ray LP follows and finds the
+        witness."""
+        rng = np.random.default_rng(12)
+        returns = rng.uniform(-0.5, 1.0, size=(5000, 4))
+        probs = np.full(5000, 1.0 / 5000)
+        box = preset_constraints("box", 4, lower=np.ones(4), upper=np.ones(4))
+        market = make_market(returns, probs, box)
+        cert = check_na1(market)
+        # a span of four dimensions keeps one admissibility row per state
+        assert market.admissible.offsets.size == 5000
+        assert cert.holds and cert.multipliers.shape == (8, 5008)
+        # the first round stacks the eight directions, four columns each
+        assert linprog_calls[0]["A_ub"].shape[1] == 8 * 4
+        assert 1 < len(linprog_calls) <= 10
+        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 2500
+        # the first asset never loses and may be bought without limit
+        returns = np.column_stack([np.abs(returns[:, 0]), returns[:, 1:]])
+        linprog_calls.clear()
+        cert = check_na1(make_market(returns, probs, preset_constraints("no_short", 4)))
+        assert not cert.holds and cert.witness_ray[0] > 0
+        assert len(linprog_calls) <= 6
+        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 1000
+
+    def test_wide_planar_market_keeps_its_hull_rows(self, linprog_calls):
+        """With thousands of states in a 2-D span only the vertices of the
+        support's convex hull keep an admissibility row, so the support LPs
+        of all four directions are one LP call with every row; without NA1
+        the recession-ray LP is the second."""
         rng = np.random.default_rng(12)
         returns = rng.uniform(-0.5, 1.0, size=(5000, 2))
         probs = np.full(5000, 1.0 / 5000)
         box = preset_constraints("box", 2, lower=[1.0, 1.0], upper=[1.0, 1.0])
-        cert = check_na1(make_market(returns, probs, box))
-        assert cert.holds and cert.multipliers.shape == (4, 5004)
-        # the first round stacks the four directions, two columns each
-        assert linprog_calls[0]["A_ub"].shape[1] == 4 * 2
-        assert 1 < len(linprog_calls) <= 4
-        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 500
-        # the first asset never loses and may be bought without limit
+        market = make_market(returns, probs, box)
+        cert = check_na1(market)
+        vertices = np.sort(ConvexHull(returns).vertices)
+        np.testing.assert_array_equal(market.admissible.normals, -returns[vertices])
+        assert vertices.size == 24
+        assert cert.holds and cert.multipliers.shape == (4, 24 + 4)
+        assert [call["A_ub"].shape for call in linprog_calls] == [(4 * 28, 4 * 2)]
         returns = np.column_stack([np.abs(returns[:, 0]), returns[:, 1]])
         linprog_calls.clear()
         cert = check_na1(make_market(returns, probs, preset_constraints("no_short", 2)))
         assert not cert.holds and cert.witness_ray[0] > 0
-        assert len(linprog_calls) <= 6
-        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 500
+        assert len(linprog_calls) == 2
 
     def test_conic_constraints_collapse_to_classical(self):
         rng = np.random.default_rng(29)

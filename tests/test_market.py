@@ -1,6 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
+import na1lab.market
 from conftest import interval_market, make_market, random_bounded_market
 from na1lab.errors import InfeasibleError, InvalidParameterError
 from na1lab.market import (
@@ -83,6 +87,17 @@ class TestAdmissiblePolyhedron:
         for _ in range(50) :
             m = random_bounded_market(rng)
             assert admissible_polyhedron(m).contains(np.zeros(m.n_assets), tol=0.0)
+
+    def test_failed_hull_keeps_every_row(self, monkeypatch, caplog):
+        def flat(points):
+            raise QhullError("QH6154 Qhull precision error: initial simplex is flat")
+
+        monkeypatch.setattr(na1lab.market, "ConvexHull", flat)
+        m = make_market(np.random.default_rng(3).uniform(-0.5, 1.0, (400, 2)))
+        with caplog.at_level(logging.DEBUG, logger="na1lab.market"):
+            adm = admissible_polyhedron(m)
+        np.testing.assert_array_equal(adm.normals, -m.returns)
+        assert "keeping every row: QH6154" in caplog.text
 
     def test_intersection_with_constraints(self):
         m = interval_market([-0.5, 1.0], lo=0.0, hi=1.0)

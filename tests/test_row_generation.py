@@ -7,6 +7,7 @@ generates the rows of every LP that marks them."""
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import na1lab.lp
 from na1lab import Claim, FactorDistribution, discretize, two_dim_model
@@ -20,7 +21,7 @@ from test_smooth_solver import fuzz_corpus, random_box_market
 
 
 def close(a, b, rel=1e-9):
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+    return a == b or abs(a - b) <= rel * max(1.0, abs(a), abs(b))
 
 
 def lp_answers(market, claim):
@@ -41,9 +42,13 @@ def lp_answers(market, claim):
     return out
 
 
+FACTOR_DISTS = (
+    FactorDistribution.exponential(1.0), FactorDistribution.exponential(0.5, shift=-1.0)
+)
+
+
 def factor_market():
-    dists = (FactorDistribution.exponential(1.0), FactorDistribution.exponential(0.5, shift=-1.0))
-    return discretize(two_dim_model(0.5, 1.5, dists=dists), 80)
+    return discretize(two_dim_model(0.5, 1.5, dists=FACTOR_DISTS), 80)
 
 
 def test_generated_rows_agree_with_the_full_row_lps(monkeypatch):
@@ -60,6 +65,60 @@ def test_generated_rows_agree_with_the_full_row_lps(monkeypatch):
         assert (full["na1"], full["classical"]) == (generated["na1"], generated["classical"])
         for key in full.keys() - {"na1", "classical"}:
             assert close(full[key], generated[key]), (market.returns.shape, key)
+
+
+def hull_markets():
+    """Wide markets in spans of at most three dimensions, each with the
+    number of vertices of its support's convex hull."""
+    rng = np.random.default_rng(23)
+    t = rng.uniform(-0.8, 0.8, 400)
+    line = np.array([0.2, -0.1]) + t[:, None] * np.array([1.0, 0.5])  # not through 0
+    s = rng.uniform(-0.5, 0.5, (600, 2))
+    plane = np.array([0.1, 0.3, -0.2]) + s @ np.array([[1.0, 0.2, 0.4], [-0.3, 0.8, 0.1]])
+    distinct = rng.uniform(-0.5, 1.0, (300, 2))
+    repeated = distinct[rng.integers(0, 300, 900)]
+    axis = np.linspace(-0.5, 0.8, 8)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    box2 = preset_constraints("box", 2, lower=[1.0, 2.0], upper=[1.5, 1.0])
+    box3 = preset_constraints("box", 3, lower=[1.0, 2.0, 0.5], upper=[1.5, 1.0, 2.0])
+    return [
+        (make_market(line, constraints=box2), 2),
+        (make_market(line, constraints=preset_constraints("no_short", 2)), 2),
+        (make_market(plane, constraints=box3), ConvexHull(s).vertices.size),
+        (make_market(repeated), ConvexHull(np.unique(repeated, axis=0)).vertices.size),
+        (make_market(grid, constraints=box3), 8),
+        # the first asset never loses: no NA1
+        (make_market(grid + [0.5, 0.0, 0.0], constraints=preset_constraints("no_short", 3)), 8),
+        (make_market(grid, constraints=preset_constraints("no_short_no_borrow", 3)), 8),
+        (discretize(two_dim_model(0.5, 1.5, dists=FACTOR_DISTS), 96), 4),
+    ]
+
+
+def test_hull_rows_agree_with_the_full_row_lps(monkeypatch, linprog_calls):
+    """Wide markets in spans of at most three dimensions keep one
+    admissibility row per vertex of the support's convex hull: on a line
+    not through 0, a plane in a 3-D span, with repeated states, on a product
+    grid, without NA1 and on the 96-node factor market, their verdicts and
+    optima match those of every state's row, solved whole."""
+    rng = np.random.default_rng(29)
+    lazy_rows = na1lab.lp.LAZY_ROWS
+    for market, vertices in hull_markets():
+        assert market.n_states > na1lab.lp.LAZY_ROWS
+        claim = rng.uniform(0.0, 1.0, market.n_states)
+        linprog_calls.clear()
+        hull = lp_answers(market, claim)
+        assert market.admissible.offsets.size == vertices
+        monkeypatch.setattr(na1lab.lp, "LAZY_ROWS", 10**9)
+        full = lp_answers(market, claim)
+        monkeypatch.setattr(na1lab.lp, "LAZY_ROWS", lazy_rows)
+        assert full.keys() == hull.keys()
+        assert (full["na1"], full["classical"]) == (hull["na1"], hull["classical"])
+        for key in full.keys() - {"na1", "classical"}:
+            assert close(full[key], hull[key]), (market.returns.shape, key)
+    # the factor market settles NA1 in one LP call
+    linprog_calls.clear()
+    assert check_na1(type(market)(market.probs, market.returns, market.constraints)).holds
+    assert len(linprog_calls) == 1
 
 
 def test_check_na1_on_50k_states_solves_few_rows(linprog_calls):
