@@ -222,24 +222,31 @@ def _verify_gain_certificate(market, strategy, gains, offsets):
 
 def _cached(markets, notion: str, tol: float, decide):
     """Task: certificates of ``notion`` at ``tol`` for ``markets``, decided
-    once per market by the task ``decide(markets, tol)`` and held in
-    ``market.certificates`` (markets are immutable).  An entry is None while
-    a task decides it: a task needing it waits, yielding no blocks, and one
-    that ends undecided clears it."""
+    once per market by the task ``decide(markets, tol)``
+    (:func:`_memoized`)."""
     key = (notion, float(tol))
+    return _memoized([(m, key) for m in markets], lambda fresh: decide([m for m, _ in fresh], tol))
+
+
+def _memoized(entries, decide):
+    """Task: the answers of ``entries``, pairs ``(market, key)``, each decided
+    once per market by the task ``decide(fresh)`` on the pairs not yet held,
+    and held in ``market.certificates`` (markets are immutable).  An entry
+    is None while a task decides it: a task needing it waits, yielding no
+    blocks, and one that ends undecided clears it."""
     while True:
-        fresh = list({id(m): m for m in markets if key not in m.certificates}.values())
-        for market in fresh:
+        fresh = list({(id(m), key): (m, key) for m, key in entries if key not in m.certificates}.values())
+        for market, key in fresh:
             market.certificates[key] = None
         try:
-            for market, cert in zip(fresh, (yield from decide(fresh, tol)) if fresh else []):
-                market.certificates[key] = cert
+            for (market, key), answer in zip(fresh, (yield from decide(fresh)) if fresh else []):
+                market.certificates[key] = answer
         finally:
-            for market in fresh:
+            for market, key in fresh:
                 if market.certificates[key] is None:
                     del market.certificates[key]
-        if all(market.certificates.get(key) is not None for market in markets):
-            return [market.certificates[key] for market in markets]
+        if all(market.certificates.get(key) is not None for market, key in entries):
+            return [market.certificates[key] for market, key in entries]
         yield []
 
 
@@ -445,26 +452,33 @@ def max_expected_gain(market: DiscreteMarket, probs) -> float:
     It is one cost of :func:`_settle`, which :func:`check_na1` shares: the
     LP runs within ``|theta_j| <= BIG_BOUND``, and an optimum on that box is
     +inf only along a recession ray of positive weighted gain, checked with
-    numpy, and is otherwise solved again without the box.
-    :func:`_max_expected_gains` is the task solving several LPs.
+    numpy, and is otherwise solved again without the box.  Each answer is
+    cached on the market by the weights' bytes, so the same weights cost no
+    LP the second time.  :func:`_max_expected_gains` is the task solving
+    several LPs.
     """
     return run(_max_expected_gains([market], [probs]))[0]
 
 
 def _max_expected_gains(markets, weights):
     """Task: :func:`max_expected_gain` of each market under its weights, the
-    LPs stacked; a (market, weights) pair met again, by market identity and
-    weight bytes, is solved once."""
+    LPs stacked; each answer is held in ``market.certificates`` by the
+    weights' bytes (:func:`_memoized`), so a (market, weights) pair is
+    solved once."""
     weights = [np.asarray(w, dtype=float) for w in weights]
-    keys = [(id(m), w.tobytes()) for m, w in zip(markets, weights)]
-    groups = {key: (m, w) for key, m, w in zip(keys, markets, weights)}
-    values = yield from gather(*(
-        _settle(m, [w @ (m.returns @ m.span.basis)], w, GAIN_TOL,
-                lambda market, results: float(results[0].value), lambda market, ray: float("inf"))
-        for m, w in groups.values()
-    ))
-    value_of = dict(zip(groups, map(read, values)))
-    return [0.0 if value_of[key] is None else value_of[key] for key in keys]
+    entries = [(m, ("max_expected_gain", w.tobytes())) for m, w in zip(markets, weights)]
+    weight_of = {key: w for (_, key), w in zip(entries, weights)}
+
+    def decide(fresh):
+        values = yield from gather(*(
+            _settle(m, [weight_of[key] @ (m.returns @ m.span.basis)], weight_of[key], GAIN_TOL,
+                    lambda market, results: float(results[0].value),
+                    lambda market, ray: float("inf"))
+            for m, key in fresh
+        ))
+        return [0.0 if value is None else value for value in map(read, values)]
+
+    return _memoized(entries, decide)
 
 
 def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:

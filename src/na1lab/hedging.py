@@ -4,7 +4,10 @@ The cheapest initial capital whose terminal wealth dominates a claim in
 every state is a linear program once the position is homogenized: with
 ``y = v * pi`` the bilinear budget constraint becomes ``A y <= v b``.  The
 LP multipliers on the state rows hand back a deflator certifying the same
-value from below, so every report carries a two-sided certificate.
+value from below, so every report carries a two-sided certificate.  A
+state row binds only at a vertex of the convex hull of the lifted points
+``(R(omega), payoff(omega))``, so a wide market in a low-dimensional
+return span keeps the rows of those vertices alone.
 
 When full super-replication is too expensive, ``shortfall_hedge`` minimizes
 the expected shortfall loss under a capital budget, and two price notions
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import gather, read, require_optimal, run, solve_lp
-from .market import DiscreteMarket
+from .market import DiscreteMarket, _kept_rows
 from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, check_na1
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
 
@@ -176,10 +179,17 @@ def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
 
     Solves min v over positions y with ``v + <y, R(omega)> >= payoff(omega)``
     for every state and ``A y <= v b``; the returned strategy is ``y / v``.
-    The state multipliers, divided by the probabilities, form a deflator
-    whose expected claim value matches the primal optimum (LP duality), and
-    both readings plus their gap are reported.  NA1 and the super-hedging
-    LP are :func:`_hedged`'s first round of LPs.
+    On a market with more than ``lp.LAZY_ROWS`` states and a return span of
+    at most ``HULL_MAX_RANK - 1`` dimensions, the LP carries only the rows
+    of the states at the vertices of the hull of ``(R, payoff)``
+    (:func:`_hedged_states`), the others being implied, so it settles in
+    one round unless more than ``lp.LAZY_ROWS`` of them remain; the
+    position is still checked against the claim in every state.  The
+    state multipliers, zero on the states without a row, divided by the
+    probabilities, form a deflator whose expected claim value matches the
+    primal optimum (LP duality), and both readings plus their gap are
+    reported.  NA1 and the super-hedging LP are :func:`_hedged`'s first
+    round of LPs.
     """
     return run(_hedged(market, claim.payoff))
 
@@ -195,30 +205,32 @@ def _hedged(market: DiscreteMarket, payoff):
 
 
 def _superhedge_reports(markets, payoffs):
-    """Task: super-hedging LPs of several markets and payoffs, stacked with
-    the state rows generated on demand, each checked on its own: the position
-    must dominate its payoff and the lifted deflator's reading must match the
-    LP value.  ``attainable`` does not yet account for the re-certification
-    of the lifted deflators, which :func:`_recertified` adds."""
-    blocks = []
-    for market, payoff in zip(markets, payoffs):
-        n, d = market.returns.shape
+    """Task: super-hedging LPs of several markets and payoffs, stacked, each
+    with the state rows of :func:`_hedged_states` generated on demand, and
+    each checked on its own in every state: the position must dominate its
+    payoff and the lifted deflator's reading must match the LP value.  A
+    state without a row has a zero multiplier.  ``attainable`` does not yet
+    account for the re-certification of the lifted deflators, which
+    :func:`_recertified` adds."""
+    blocks, kept = [], [_hedged_states(m, payoff) for m, payoff in zip(markets, payoffs)]
+    for market, payoff, states in zip(markets, payoffs, kept):
+        d = market.n_assets
         # Variables (v, y).  State rows: -v - <y, R> <= -payoff.
-        state_rows = np.hstack([-np.ones((n, 1)), -market.returns])
+        state_rows = np.hstack([-np.ones((states.size, 1)), -market.returns[states]])
         budget_rows, budget_rhs = _homogenized_rows(market, extra=0)
         cost = np.zeros(1 + d)
         cost[0] = 1.0
         blocks.append(dict(
             cost=cost,
             a_ub=np.vstack([state_rows, budget_rows]),
-            b_ub=np.concatenate([-payoff, budget_rhs]),
+            b_ub=np.concatenate([-payoff[states], budget_rhs]),
             bounds=[(0.0, None)] + [(None, None)] * d,
-            lazy=np.arange(n + len(budget_rhs)) < n,
+            lazy=np.arange(states.size + len(budget_rhs)) < states.size,
         ))
     reports = []
-    for market, payoff, result in zip(markets, payoffs, (yield blocks)):
+    for market, payoff, states, result in zip(markets, payoffs, kept, (yield blocks)):
         require_optimal(result, "super-hedging")
-        n, d = market.returns.shape
+        d = market.n_assets
         primal = float(result.value)
         v_opt = float(result.x[0])
         y_opt = result.x[1:]
@@ -231,7 +243,8 @@ def _superhedge_reports(markets, payoffs):
                 f"claim (worst residual {float(np.min(residuals)):.3e})"
             )
 
-        multipliers = np.maximum(-result.marginals_ub[:n], 0.0)
+        multipliers = np.zeros(market.n_states)
+        multipliers[states] = np.maximum(-result.marginals_ub[: states.size], 0.0)
         lifted = np.maximum(multipliers / market.probs, DEFLATOR_BUMP)
         dual_value = float(market.probs @ (lifted * payoff))
         gap = abs(primal - dual_value)
@@ -252,6 +265,18 @@ def _superhedge_reports(markets, payoffs):
             lp_status=result.status,
         ))
     return reports
+
+
+def _hedged_states(market: DiscreteMarket, payoff) -> np.ndarray:
+    """Sorted states whose rows the super-hedging LP carries.  The row of
+    state ``omega`` bounds ``payoff(omega) - <y, R(omega)>``, a linear
+    function of the lifted point ``(R(omega), payoff(omega))``, so only the
+    vertices of the lifted points' convex hull can bind; a market whose LP
+    would generate its state rows keeps just those when the lifted points
+    have at most ``HULL_MAX_RANK`` coordinates in the return span
+    (:func:`~na1lab.market._kept_rows`)."""
+    lifted = np.column_stack([market.returns @ market.span.basis, payoff])
+    return _kept_rows(lifted, market.n_states)
 
 
 def _recertified(markets, reports):

@@ -21,8 +21,9 @@ named constraint sets plus a node list with parent links::
 where each non-leaf node names its constraint set by the ``constraints`` key
 of the enclosing node object.  Structural problems raise
 :class:`~na1lab.errors.SchemaError` (with line and column for JSON syntax
-errors); value-domain problems surface from the constructors as
-InvalidParameterError.
+errors), and so does a non-finite number (JSON ``NaN`` anywhere, and
+``Infinity`` anywhere but at a factor support's endpoint); value-domain
+problems surface from the constructors as InvalidParameterError.
 
 Reports serialize through :func:`dumps_canonical`: keys sorted, two-space
 indent, floats printed with 17 significant digits so parse and re-serialize
@@ -147,7 +148,13 @@ def _as_float(value, where: str, allow_inf: bool = False) -> float:
         raise SchemaError(f"{where} must be a number, got the string {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where} must be a finite number, got an integer beyond float range")
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise SchemaError(f"{where} must be a finite number, got {value}")
+    return value
 
 
 def _float_vector(value, where: str) -> np.ndarray:

@@ -398,11 +398,17 @@ def cone_span(rows: np.ndarray):
     the span is their null space.  Returns ``(basis, strict)``: an
     orthonormal basis of the span and the mask of the rows that are not
     implicit equalities, which some point of the span satisfies strictly.
-    No rows or no coordinates need no LP.
+    No rows or no coordinates need no LP, and neither does a cone that
+    numpy finds ``x = -rows^T 1`` strictly inside, by a margin far above
+    float noise: every row is strict, so the span is the whole space, as
+    the LP would say.  A cone with an implicit equality takes the LP.
     """
     m, dim = rows.shape
     if m == 0 or dim == 0:
         return np.eye(dim), np.zeros(m, dtype=bool)
+    x = -rows.sum(axis=0)
+    if np.all(rows @ x < -1e-9 * np.linalg.norm(rows, axis=1) * np.linalg.norm(x)):
+        return np.eye(dim), np.ones(m, dtype=bool)
     cost = np.concatenate([np.zeros(dim), np.ones(m)])
     bounds = [(None, None)] * dim + [(0.0, 1.0)] * m
     [res] = yield [dict(cost=cost, a_ub=np.hstack([rows, np.eye(m)]), b_ub=np.zeros(m),

@@ -520,7 +520,10 @@ def verify_numeraire(market: DiscreteMarket, rho) -> float:
 
     The candidate is a numeraire exactly when the optimum is at most
     1 + 1e-8 (taking pi = rho always attains 1).  Returns +inf when the
-    ratio expectation is unbounded over the allowed set.
+    ratio expectation is unbounded over the allowed set.  The LP is
+    :func:`~na1lab.arbitrage.max_expected_gain`, whose answers the market
+    holds by their weights: on the strategy :func:`numeraire_portfolio`
+    returned, which that LP certified, this costs no LP.
     """
     rho = np.asarray(rho, dtype=float).reshape(-1)
     if rho.size != market.n_assets:
@@ -533,7 +536,8 @@ def verify_numeraire(market: DiscreteMarket, rho) -> float:
 
 
 def verify_deflator(market: DiscreteMarket, values) -> float:
-    """LP optimum of E[Z (1 + <pi, R>)] over the allowed set for weights Z."""
+    """LP optimum of E[Z (1 + <pi, R>)] over the allowed set for weights Z;
+    weights ``probs * Z`` the market has met before cost no LP."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != market.n_states or np.any(values <= 0):
         raise InvalidParameterError("deflator values must be positive, one per state")

@@ -263,30 +263,31 @@ class TestCheckNa1:
             assert len(linprog_calls) == 1
 
     def test_wide_market_generates_its_state_rows(self, linprog_calls):
-        """With thousands of states in a 4-D span the support LPs of all
-        eight directions are stacked and gain their state rows round by
-        round; without NA1 the recession-ray LP follows and finds the
-        witness."""
+        """With thousands of states in a 5-D span, past the hull's largest
+        dimension, the support LPs of all ten directions are stacked and
+        gain their state rows round by round; without NA1 the recession-ray
+        LP follows and finds the witness."""
         rng = np.random.default_rng(12)
-        returns = rng.uniform(-0.5, 1.0, size=(5000, 4))
+        returns = rng.uniform(-0.5, 1.0, size=(5000, 5))
         probs = np.full(5000, 1.0 / 5000)
-        box = preset_constraints("box", 4, lower=np.ones(4), upper=np.ones(4))
+        box = preset_constraints("box", 5, lower=np.ones(5), upper=np.ones(5))
         market = make_market(returns, probs, box)
         cert = check_na1(market)
-        # a span of four dimensions keeps one admissibility row per state
+        # a span of five dimensions keeps one admissibility row per state
         assert market.admissible.offsets.size == 5000
-        assert cert.holds and cert.multipliers.shape == (8, 5008)
-        # the first round stacks the eight directions, four columns each
-        assert linprog_calls[0]["A_ub"].shape[1] == 8 * 4
+        assert cert.holds and cert.multipliers.shape == (10, 5010)
+        # the first round stacks the ten directions, five columns each
+        assert linprog_calls[0]["A_ub"].shape[1] == 10 * 5
         assert 1 < len(linprog_calls) <= 10
-        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 2500
+        # a whole LP would carry 10 * 5,010 rows
+        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 8000
         # the first asset never loses and may be bought without limit
         returns = np.column_stack([np.abs(returns[:, 0]), returns[:, 1:]])
         linprog_calls.clear()
-        cert = check_na1(make_market(returns, probs, preset_constraints("no_short", 4)))
+        cert = check_na1(make_market(returns, probs, preset_constraints("no_short", 5)))
         assert not cert.holds and cert.witness_ray[0] > 0
-        assert len(linprog_calls) <= 6
-        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 1000
+        assert len(linprog_calls) <= 10
+        assert sum(call["A_ub"].shape[0] for call in linprog_calls) < 2500
 
     def test_wide_planar_market_keeps_its_hull_rows(self, linprog_calls):
         """With thousands of states in a 2-D span only the vertices of the

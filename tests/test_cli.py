@@ -179,6 +179,20 @@ class TestDocumentParsing:
         with pytest.raises(SchemaError, match="number"):
             parse_factor_model(doc)
 
+    def test_factor_support_takes_json_infinity_but_not_nan(self):
+        doc = factor_doc()
+        doc["supports"][0][1] = math.inf  # what JSON's Infinity parses to
+        assert parse_factor_model(doc).supports[0] == (0.0, math.inf)
+        doc["supports"][0][1] = math.nan
+        with pytest.raises(SchemaError, match="finite"):
+            parse_factor_model(doc)
+
+    def test_integer_past_float_range_is_a_schema_error(self):
+        doc = market_doc()
+        doc["returns"][0][0] = 10**400
+        with pytest.raises(SchemaError, match="finite"):
+            parse_market(doc)
+
     def test_tree_document_parses(self):
         tree, claim, utility = parse_tree(
             tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
@@ -677,14 +691,21 @@ class TestTreeCommand:
         return rounds
 
     def test_claim_and_log_utility_take_three_lps(self, tmp_path, linprog_calls):
-        """Horizon 2: NA1, the start and the deepest hedge level; the
-        deflator check, the root's hedge and the level below's
-        re-certification; the root's re-certification."""
+        """Horizon 2 with three distinct node markets: NA1 and the deepest
+        hedge level; the deflator check, the root's hedge and the level
+        below's re-certification; the root's re-certification.  With one
+        market at every node the root's lifted deflator is the one the
+        level below re-certified, whose answer the market holds, so the
+        tree takes two."""
+        claim = {"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0}
         rc, _ = run_command(
-            tmp_path, "tree", tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0},
-                                       utility={"kind": "log"}))
+            tmp_path, "tree", tree_doc(claim=claim, utility={"kind": "log"}, distinct=True))
         assert rc == 0
         assert len(linprog_calls) == 3
+        linprog_calls.clear()
+        rc, _ = run_command(tmp_path, "tree", tree_doc(claim=claim, utility={"kind": "log"}))
+        assert rc == 0
+        assert len(linprog_calls) == 2
 
     def test_a_tree_without_na1_makes_only_na1s_lps(self, tmp_path, linprog_calls):
         """The passes run alongside NA1's rounds and stop when it fails."""
@@ -801,6 +822,19 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+    def test_non_finite_return_exits_one(self, tmp_path, capsys, literal):
+        """JSON's non-finite literals are malformed input: no market is
+        built from them and no report is written."""
+        path = tmp_path / "input.json"
+        path.write_text('{"probs": [0.5, 0.5], "returns": [[%s], [-0.5]], '
+                        '"constraints": {"halfspaces": []}}' % literal)
+        out = tmp_path / "report.json"
+        rc = main(["--command", "analyze", "--input", str(path), "--output", str(out)])
+        assert rc == 1
+        assert "returns[0][0] must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exits_one(self, tmp_path):
         rc = main(["--command", "analyze", "--input", str(tmp_path / "none.json")])

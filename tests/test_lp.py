@@ -1,5 +1,6 @@
-"""The LP wrapper: the presolve-off retry is taken and logged, and stacked
-block-diagonal LPs give every block the result it gets on its own."""
+"""The LP wrapper: the presolve-off retry is taken and logged, stacked
+block-diagonal LPs give every block the result it gets on its own, and a
+cone's span takes an LP only when the cone has implicit equalities."""
 
 import logging
 from types import SimpleNamespace
@@ -90,3 +91,18 @@ def test_entry_budget_splits_the_stack(monkeypatch, linprog_calls):
     assert len(linprog_calls) == 3  # chunks of 3, 3 and 1 blocks
     for block, result in zip(blocks, results):
         assert result.value == pytest.approx(solve_lp(**block).value, rel=1e-9)
+
+
+def test_cone_span_needs_an_lp_only_for_implicit_equalities(linprog_calls):
+    """The quadrant has an interior point, which numpy finds; cut by
+    ``x0 <= 0`` it becomes a ray, whose two rows on ``x0`` are implicit
+    equalities that only the LP finds."""
+    quadrant = np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -2.0]])
+    basis, strict = na1lab.lp.run(na1lab.lp.cone_span(quadrant))
+    assert not linprog_calls
+    np.testing.assert_array_equal(basis, np.eye(2))
+    assert strict.tolist() == [True, True, True]
+    basis, strict = na1lab.lp.run(na1lab.lp.cone_span(np.vstack([quadrant, [[1.0, 0.0]]])))
+    assert len(linprog_calls) == 1
+    assert strict.tolist() == [False, True, True, False]
+    np.testing.assert_allclose(np.abs(basis), [[0.0], [1.0]], atol=1e-12)

@@ -102,6 +102,20 @@ class TestDriver:
         assert sorted(closed) == ["a", "b", "c"]
 
 
+def pinned_doc():
+    """Two assets, the first pinned at zero by two rows with zero offset:
+    the cone generated by the allowed set has an implicit equality."""
+    return {
+        "probs": [0.25, 0.25, 0.5],
+        "returns": [[-0.5, 0.2], [1.0, -0.4], [0.3, 0.5]],
+        "constraints": {"halfspaces": [
+            {"a": [-1.0, 0.0], "b": 0.0}, {"a": [1.0, 0.0], "b": 0.0},
+            {"a": [0.0, -1.0], "b": 1.0}, {"a": [0.0, 1.0], "b": 1.0},
+        ]},
+        "claim": [0.0, 1.5, 0.5],
+    }
+
+
 class TestSharedCertificates:
     def test_each_certificate_is_decided_once(self, monkeypatch, linprog_calls):
         """The analyze gather: the ESMM and the hedge wait for the classical
@@ -125,8 +139,10 @@ class TestSharedCertificates:
 
     def test_interrupted_lp_leaves_no_marker(self, monkeypatch):
         """A KeyboardInterrupt in the first LP propagates at once; no market
-        keeps an in-flight entry, so a later check decides afresh."""
-        market, claim = parse_market(market_doc(claim=[0.0, 1.5]))
+        keeps an in-flight entry, so a later check decides afresh.  The
+        market's cone has an implicit equality, so its span is one of the
+        LPs in flight too."""
+        market, claim = parse_market(pinned_doc())
         calls = []
 
         def interrupted(*args, **kwargs):
@@ -147,10 +163,14 @@ class TestSharedCertificates:
 
     def test_api_sequence_makes_the_same_lps(self, linprog_calls):
         """The library calls of one market, one after another, make one LP
-        fewer than before the driver (counted on that implementation): each
-        gate is cached, so nothing is solved speculatively, the Newton
-        search starts without an LP, and the span of the cone generated by
-        the allowed set is solved once, for the numeraire and the ESMM."""
+        per certificate: each gate is cached, so nothing is solved
+        speculatively, the Newton search starts without an LP, the span of
+        the cone generated by the allowed set takes no LP when numpy finds
+        a point strictly inside the cone (as on every market here), and the
+        wealth-ratio LP that certified the numeraire answers
+        ``verify_numeraire`` from the market's cache.  Before the driver
+        (counted on that implementation) the same calls made
+        [8, 9, 9, 9, 9, 7, 3, 8, 8, 7, 7, 9] LPs."""
         rng = np.random.default_rng(8)
         counts = []
         for _ in range(12):
@@ -169,7 +189,7 @@ class TestSharedCertificates:
                 except Na1LabError:
                     pass
             counts.append(len(linprog_calls))
-        assert counts == [7, 8, 8, 8, 8, 6, 3, 7, 7, 6, 6, 8]
+        assert counts == [6, 6, 6, 6, 6, 5, 3, 6, 6, 5, 5, 6]
 
 
 class TestHeldErrors:

@@ -2,8 +2,9 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError
 
+import na1lab.lp
 import na1lab.market
 from conftest import interval_market, make_market, random_bounded_market
 from na1lab.errors import InfeasibleError, InvalidParameterError
@@ -98,6 +99,28 @@ class TestAdmissiblePolyhedron:
             adm = admissible_polyhedron(m)
         np.testing.assert_array_equal(adm.normals, -m.returns)
         assert "keeping every row: QH6154" in caplog.text
+
+    def test_wide_4d_market_keeps_its_hull_rows(self):
+        """256 support points in a 4-D span: the classical search would
+        carry 512 lazy rows, so the hull's vertices alone keep a row."""
+        rng = np.random.default_rng(41)
+        m = make_market(rng.uniform(-0.5, 1.0, (256, 4)))
+        assert 2 * 256 > na1lab.lp.LAZY_ROWS
+        vertices = np.sort(ConvexHull(m.returns).vertices)
+        assert vertices.size < 256
+        np.testing.assert_array_equal(admissible_polyhedron(m).normals, -m.returns[vertices])
+
+    def test_128_support_points_keep_every_row(self):
+        """Two rows per support point reach ``lp.LAZY_ROWS`` without passing
+        it, so no LP generates rows and every state keeps its row."""
+        m = make_market(np.random.default_rng(42).uniform(-0.5, 1.0, (128, 2)))
+        assert 2 * 128 == na1lab.lp.LAZY_ROWS
+        np.testing.assert_array_equal(admissible_polyhedron(m).normals, -m.returns)
+
+    def test_5d_span_keeps_every_row(self):
+        m = make_market(np.random.default_rng(43).uniform(-0.5, 1.0, (600, 5)))
+        assert m.span.rank == 5 > na1lab.market.HULL_MAX_RANK
+        np.testing.assert_array_equal(admissible_polyhedron(m).normals, -m.returns)
 
     def test_intersection_with_constraints(self):
         m = interval_market([-0.5, 1.0], lo=0.0, hi=1.0)
@@ -204,6 +227,18 @@ class TestMarketValidation:
         cs = ConstraintSet(2, np.array([[1.0, 1.0]]), np.array([1.0]))
         m = make_market(returns, constraints=cs)
         assert m.span.rank == 1
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_rejected(self, bad):
+        returns = np.array([[bad], [-0.5]])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            make_market(returns)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            make_market([[0.5], [-0.5]], probs=[bad, 0.5])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ConstraintSet(1, np.array([[bad]]), np.array([1.0]))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ConstraintSet(1, np.array([[1.0]]), np.array([bad]))
 
     def test_dimension_mismatch_rejected(self):
         cs = preset_constraints("no_short", 3)

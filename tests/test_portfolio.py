@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import na1lab.lp
 from conftest import (
     gauss_hermite_lognormal_market,
     interval_market,
@@ -9,7 +10,7 @@ from conftest import (
     sample_feasible,
     two_factor_atom_market,
 )
-from na1lab.arbitrage import check_na1
+from na1lab.arbitrage import check_na1, max_expected_gain
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.market import ConstraintSet
 from na1lab.portfolio import (
@@ -240,7 +241,9 @@ class TestMaximizeUtility:
     def test_search_from_the_zero_strategy_needs_no_lp(self, linprog_calls):
         """The search starts at the zero strategy, strictly inside a set whose
         offsets are all positive: with NA1 cached, maximizing utility takes
-        no LP, and the numeraire only its wealth-ratio LP."""
+        no LP, and the numeraire only its wealth-ratio LP, the LP that
+        verifying its strategy solves on a copy of the market, which holds
+        no answer of it."""
         rng = np.random.default_rng(9)
         checked = 0
         while checked < 10:
@@ -254,7 +257,7 @@ class TestMaximizeUtility:
             numeraire = numeraire_portfolio(m)
             made = len(linprog_calls)
             linprog_calls.clear()
-            verify_numeraire(m, numeraire.strategy)
+            verify_numeraire(type(m)(m.probs, m.returns, m.constraints), numeraire.strategy)
             assert made == len(linprog_calls) >= 1
             assert opt.value == pytest.approx(numeraire.value, abs=1e-8)
             checked += 1
@@ -430,6 +433,44 @@ class TestDeflator:
         payload = d.to_dict()
         assert payload["values"] == [1.0, 0.5]
         assert payload["threshold"] == 1.0 + 1e-8
+
+
+class TestExpectedGainCache:
+    """Each expected-gain answer is held on its market by the weights, so
+    the certificates that read it again make no LP."""
+
+    def test_verifying_the_numeraire_makes_no_lp(self, linprog_calls):
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            m = random_bounded_market(rng)
+            numeraire = numeraire_portfolio(m)
+            linprog_calls.clear()
+            value = verify_numeraire(m, numeraire.strategy)
+            assert not linprog_calls
+            assert value == numeraire.deflator.certificate
+            assert deflator_from_numeraire(m, numeraire.strategy).certificate == value
+            assert not linprog_calls
+            other = 0.5 * numeraire.strategy
+            verify_numeraire(m, other)
+            assert len(linprog_calls) == 1
+            verify_numeraire(m, other)
+            assert len(linprog_calls) == 1
+
+    def test_interrupted_lp_leaves_no_entry(self, monkeypatch):
+        m = random_bounded_market(np.random.default_rng(20))
+        check_na1(m)
+        held = set(m.certificates)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(na1lab.lp, "linprog", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            verify_deflator(m, np.ones(m.n_states))
+        assert set(m.certificates) == held
+        monkeypatch.undo()
+        assert verify_deflator(m, np.ones(m.n_states)) == 1.0 + max_expected_gain(m, m.probs)
+        assert len(m.certificates) == len(held) + 1
 
 
 class TestRelativeLogGap:

@@ -12,7 +12,7 @@ from scipy.spatial import ConvexHull
 import na1lab.lp
 from na1lab import Claim, FactorDistribution, discretize, two_dim_model
 from na1lab.arbitrage import check_na1, find_classical_arbitrage, max_expected_gain
-from na1lab.hedging import superhedge
+from na1lab.hedging import _hedged_states, superhedge
 from na1lab.lp import OPTIMAL, _solve_stacked, solve_lp
 from na1lab.market import ConstraintSet, preset_constraints
 from na1lab.portfolio import numeraire_portfolio
@@ -119,6 +119,60 @@ def test_hull_rows_agree_with_the_full_row_lps(monkeypatch, linprog_calls):
     linprog_calls.clear()
     assert check_na1(type(market)(market.probs, market.returns, market.constraints)).holds
     assert len(linprog_calls) == 1
+
+
+def hedge_cases():
+    """Wide markets and claims whose lifted points ``(R, payoff)`` have at
+    most ``HULL_MAX_RANK`` coordinates in the return span, each with
+    whether the super-hedging LP keeps every state's row."""
+    rng = np.random.default_rng(37)
+    distinct = rng.uniform(-0.5, 1.0, (300, 2))
+    repeated = make_market(distinct[rng.integers(0, 300, 900)],
+                           constraints=preset_constraints("box", 2, lower=[1.0, 1.0],
+                                                          upper=[1.0, 1.0]))
+    box2, box3 = random_box_market(rng, 1000, 2), random_box_market(rng, 600, 3)
+    # the first asset never loses, so its return is a nonnegative payoff
+    # linear in R: the lifted points lie in a plane through 0, and qhull fails
+    gaining = box2.returns.copy()
+    gaining[:, 0] = np.abs(gaining[:, 0]) + 0.01
+    linear = type(box2)(box2.probs, gaining, box2.constraints)
+    factor = factor_market()
+    return [
+        (factor, rng.uniform(0.0, 1.0, factor.n_states), False),
+        (box2, rng.uniform(0.0, 1.0, 1000), False),
+        (box3, rng.uniform(0.0, 1.0, 600), False),
+        (repeated, rng.uniform(0.0, 1.0, 900), False),
+        (box3, np.full(600, 0.7), False),  # a constant payoff: flat lifted points
+        (linear, gaining[:, 0], True),
+    ]
+
+
+def test_superhedge_hull_rows_agree_with_the_full_row_lp(monkeypatch, linprog_calls):
+    """The super-hedging LP of a wide market keeps one state row per vertex
+    of the lifted points' convex hull, and its value, its dual reading and
+    its domination of the claim in every state match the LP with every
+    state's row, solved whole."""
+    lazy_rows = na1lab.lp.LAZY_ROWS
+    for market, payoff, every_row in hedge_cases():
+        kept = _hedged_states(market, payoff)
+        assert (kept.size == market.n_states) == every_row
+        copy = type(market)(market.probs, market.returns, market.constraints)
+        check_na1(copy)
+        linprog_calls.clear()
+        hull = superhedge(copy, Claim(payoff))
+        if not every_row:
+            # one LP with the hull's state rows and the budget rows, then
+            # the re-certification of the lifted deflator
+            assert kept.size <= na1lab.lp.LAZY_ROWS and len(linprog_calls) == 2
+            assert linprog_calls[0]["A_ub"].shape[0] == kept.size + market.constraints.offsets.size
+        monkeypatch.setattr(na1lab.lp, "LAZY_ROWS", 10**9)
+        full = superhedge(type(market)(market.probs, market.returns, market.constraints),
+                          Claim(payoff))
+        monkeypatch.setattr(na1lab.lp, "LAZY_ROWS", lazy_rows)
+        assert close(hull.primal_value, full.primal_value), market.returns.shape
+        assert close(hull.dual_value, full.dual_value), market.returns.shape
+        wealth = hull.primal_value * (1.0 + market.returns @ hull.strategy)
+        assert np.min(wealth - payoff) >= -1e-9
 
 
 def test_check_na1_on_50k_states_solves_few_rows(linprog_calls):

@@ -19,7 +19,7 @@ from na1lab.arbitrage import (
     find_classical_arbitrage,
 )
 from na1lab.lp import minimize_convex
-from na1lab.market import DiscreteMarket, preset_constraints
+from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
 from na1lab.portfolio import NUMERAIRE_TOL, numeraire_portfolio, verify_numeraire
 
 
@@ -62,7 +62,11 @@ def test_esmm_classifies_the_cone_rows_in_one_lp(linprog_calls):
     rng = np.random.default_rng(3)
     # every asset loses in the last state, so no long position is an arbitrage
     returns = np.vstack([rng.uniform(-0.9, 1.5, size=(11, 4)), np.full((1, 4), -0.5)])
-    market = DiscreteMarket(np.full(12, 1.0 / 12), returns, preset_constraints("no_short", 4))
+    # no short sales, and a zero-offset cap on the first two assets' sum,
+    # which pins both at zero: an implicit equality of the cone
+    no_short = preset_constraints("no_short", 4)
+    pinned = ConstraintSet(4, [[1.0, 1.0, 0.0, 0.0]], [0.0])
+    market = DiscreteMarket(np.full(12, 1.0 / 12), returns, no_short.intersect(pinned))
     assert not find_classical_arbitrage(market).found
     check_na1(market)
     linprog_calls.clear()
