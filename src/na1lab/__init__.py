@@ -25,7 +25,6 @@ from .market import (
     DiscreteMarket,
     SubspaceBasis,
     admissible_polyhedron,
-    allowed_polyhedron,
     generated_cone,
     preset_constraints,
     recession_cone,

@@ -10,7 +10,9 @@ state row binds only at a vertex of the convex hull of the lifted points
 return span keeps the rows of those vertices alone.
 
 When full super-replication is too expensive, ``shortfall_hedge`` minimizes
-the expected shortfall loss under a capital budget, and two price notions
+the expected shortfall loss under a capital budget, by the one LP builder of
+piecewise-linear objectives (:func:`~na1lab.lp.deterministic_equivalent`),
+with minus the loss as the utility of terminal wealth; two price notions
 bracket the super-hedging value from below: the utility-indifference price
 and the numeraire-deflated expectation.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError, PreconditionError
-from .lp import gather, read, require_optimal, run, solve_lp
+from .lp import deterministic_equivalent, gather, read, require_optimal, run
 from .market import DiscreteMarket, _kept_rows
 from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, check_na1
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
@@ -163,17 +165,6 @@ def _require_na1(cert, what: str) -> None:
         )
 
 
-def _homogenized_rows(market: DiscreteMarket, extra: int):
-    """Budget rows ``a . y - b v <= 0`` in variables (v, y, extras)."""
-    normals = market.constraints.normals
-    offsets = market.constraints.offsets
-    m, d = normals.shape
-    rows = np.zeros((m, 1 + d + extra))
-    rows[:, 0] = -offsets
-    rows[:, 1 : 1 + d] = normals
-    return rows, np.zeros(m)
-
-
 def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
     """Cheapest capital whose terminal wealth dominates the claim state-wise.
 
@@ -217,15 +208,17 @@ def _superhedge_reports(markets, payoffs):
         d = market.n_assets
         # Variables (v, y).  State rows: -v - <y, R> <= -payoff.
         state_rows = np.hstack([-np.ones((states.size, 1)), -market.returns[states]])
-        budget_rows, budget_rhs = _homogenized_rows(market, extra=0)
+        # Budget rows, homogenized: <a, y> - b v <= 0.
+        cs = market.constraints
+        budget_rows = np.hstack([-cs.offsets[:, None], cs.normals])
         cost = np.zeros(1 + d)
         cost[0] = 1.0
         blocks.append(dict(
             cost=cost,
             a_ub=np.vstack([state_rows, budget_rows]),
-            b_ub=np.concatenate([-payoff[states], budget_rhs]),
+            b_ub=np.concatenate([-payoff[states], np.zeros(len(budget_rows))]),
             bounds=[(0.0, None)] + [(None, None)] * d,
-            lazy=np.arange(states.size + len(budget_rhs)) < states.size,
+            lazy=np.arange(states.size + len(budget_rows)) < states.size,
         ))
     reports = []
     for market, payoff, states, result in zip(markets, payoffs, kept, (yield blocks)):
@@ -308,38 +301,27 @@ def shortfall_hedge(
     Returns ``(v, strategy, risk)`` where risk is the least achievable
     expected loss of ``payoff - terminal wealth`` over capitals up to v0 and
     allowed positions.  With enough capital to super-replicate, the risk is
-    zero (returned, not an error).
+    zero (returned, not an error).  Wealth is not floored at zero.  The LP
+    is :func:`~na1lab.lp.deterministic_equivalent` on the tree of depth 1
+    whose root wealth is the capital: a state's utility is minus its loss,
+    ``min(0, min_k(slope_k * X + (-slope_k * payoff - intercept_k)))``, the
+    risk is minus the optimum, and the strategy, in the return span, is the
+    positions over the capital.
     """
     payoff = _check_claim(market, claim)
     _require_na1(check_na1(market), "shortfall hedging")
     if not (math.isfinite(v0) and v0 > 0.0):
         raise InvalidParameterError("the capital budget must be a positive number")
-    n, d = market.returns.shape
-
-    # Variables (v, y, s).  Loss-piece rows per state:
-    #   slope * (payoff - v - <y, R>) + intercept <= s.
-    piece_rows = []
-    piece_rhs = []
-    for slope, intercept in loss.pieces:
-        block = np.zeros((n, 1 + d + n))
-        block[:, 0] = -slope
-        block[:, 1 : 1 + d] = -slope * market.returns
-        block[:, 1 + d :] = -np.eye(n)
-        piece_rows.append(block)
-        piece_rhs.append(-slope * payoff - intercept)
-    budget_rows, budget_rhs = _homogenized_rows(market, extra=n)
-    a_ub = np.vstack(piece_rows + [budget_rows])
-    b_ub = np.concatenate(piece_rhs + [budget_rhs])
-    bounds = [(0.0, float(v0))] + [(None, None)] * d + [(0.0, None)] * n
-    cost = np.concatenate([np.zeros(1 + d), market.probs])
-
-    result = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
-    require_optimal(result, "shortfall hedging")
-    v_opt = float(result.x[0])
-    y_opt = result.x[1 : 1 + d]
-    strategy = y_opt / v_opt if v_opt > 0.0 else np.zeros(d)
-    risk = max(0.0, float(result.value))
-    return v_opt, strategy, risk
+    slopes, intercepts = np.array(loss.pieces).T
+    tables = np.zeros((market.n_states, slopes.size + 1, 2))  # the last piece is (0, 0)
+    tables[:, :-1, 0] = slopes
+    tables[:, :-1, 1] = -slopes * payoff[:, None] - intercepts
+    cs = market.constraints
+    wealth, [strategy], value = run(deterministic_equivalent(
+        np.zeros(market.n_states + 1, dtype=int), market.returns,
+        [(market.span.basis, cs.normals, cs.offsets)], list(zip(market.probs, tables)),
+        (0.0, float(v0)), False, "shortfall hedging"))
+    return float(wealth[0]), strategy, max(0.0, -float(value))
 
 
 def indifference_price(

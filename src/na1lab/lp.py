@@ -16,8 +16,11 @@ tasks in lockstep, so each *round* solves the blocks of all of them in one
 gathered task's :class:`~na1lab.errors.Na1LabError` is held until its
 answer is :func:`read`; any other exception ends every task at once.
 
-The one smooth convex solver, :func:`minimize_convex`, runs a batch of
-independent problems through one interior-point loop.
+The one LP of piecewise-linear objectives, :func:`deterministic_equivalent`,
+is the task of a scenario tree's deterministic equivalent; a one-period
+market is the tree of depth 1.  The one smooth convex solver,
+:func:`minimize_convex`, runs a batch of independent problems through one
+interior-point loop.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ CENTERING = 0.1
 #: Slack of a row that the start does not satisfy strictly, such as a row
 #: with zero offset at the zero strategy.
 START_SLACK = 1.0
+
+#: Allowed gap between the optimum of a deterministic equivalent and the
+#: objective recomputed from its positions, relative to ``1 + |optimum|``.
+VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -416,6 +423,82 @@ def cone_span(rows: np.ndarray):
     require_optimal(res, "cone span")
     strict = res.x[dim:] > 0.5
     return (null_space(rows[~strict]) if not np.all(strict) else np.eye(dim)), strict
+
+
+def deterministic_equivalent(parents, returns, nodes, leaves, root, floor: bool, context: str):
+    """Task: the most ``sum_l w_l min_j (c_j X_l + d_j)`` over the leaf
+    wealths ``X_l`` that trading on a scenario tree reaches, as one exact LP
+    block, the tree's deterministic equivalent (Birge & Louveaux,
+    *Introduction to Stochastic Programming*).  A one-period market is the
+    tree of depth 1.
+
+    Nodes are numbered breadth-first from the root 0: node ``k > 0`` has
+    parent ``parents[k]`` and edge returns ``returns[k - 1]``.  The parents
+    are the internal nodes; each has ``(basis, normals, offsets)`` in
+    ``nodes``, in order: the span basis ``B`` of its positions and its
+    constraints ``A pi <= b``.  Every other node is a leaf with ``(w,
+    pieces)`` in ``leaves``, in order, the pieces being rows ``(c_j, d_j)``.
+    The variables are a wealth ``X`` per node, positions ``y`` in span
+    coordinates per internal node and ``t`` per leaf; the rows ``X_k - X_p -
+    (R_k B_p) y_p = 0``, ``A_n B_n y_n - b_n X_n <= 0`` and ``t_l - c_j X_l
+    <= d_j``.  The root wealth lies within the bounds ``root``, and with
+    ``floor`` every other wealth is nonnegative.
+
+    Returns the LP's node wealths, each internal node's fractions ``B y /
+    X`` (zero at zero wealth) and the optimum.  The leaf wealths are first
+    recomputed in numpy from the positions, and the objective there must
+    match the optimum within ``VALUE_TOL``, else :class:`NumericError`
+    names ``context``.
+    """
+    n = len(parents)
+    internal = np.unique(parents[1:])
+    slot = np.zeros(n, dtype=int)
+    slot[internal] = np.arange(internal.size)
+    leaf_nodes = np.setdiff1d(np.arange(n), internal)
+    weights = np.array([w for w, _ in leaves], dtype=float)
+    counts = [len(table) for _, table in leaves]
+    pieces = np.vstack([table for _, table in leaves])
+    owner = np.repeat(np.arange(len(leaves)), counts)
+    y0 = n + np.cumsum([0] + [basis.shape[1] for basis, _, _ in nodes])
+    width = y0[-1] + len(leaves)
+    a_eq = np.zeros((n - 1, width))
+    for k in range(1, n):
+        p, j = parents[k], slot[parents[k]]
+        a_eq[k - 1, k], a_eq[k - 1, p] = 1.0, -1.0
+        a_eq[k - 1, y0[j] : y0[j + 1]] = -(returns[k - 1] @ nodes[j][0])
+    budget = sum(len(offsets) for _, _, offsets in nodes)
+    a_ub, b_ub = np.zeros((budget + len(pieces), width)), np.zeros(budget + len(pieces))
+    row = 0
+    for j, (basis, normals, offsets) in enumerate(nodes):
+        a_ub[row : row + len(offsets), internal[j]] = -offsets
+        a_ub[row : row + len(offsets), y0[j] : y0[j + 1]] = normals @ basis
+        row += len(offsets)
+    rows = np.arange(budget, budget + len(pieces))
+    a_ub[rows, y0[-1] + owner] = 1.0
+    a_ub[rows, leaf_nodes[owner]] = -pieces[:, 0]
+    b_ub[budget:] = pieces[:, 1]
+    cost = np.zeros(width)
+    cost[y0[-1] :] = weights
+    bounds = [(0.0, None) if floor else (None, None)] * n + [(None, None)] * (width - n)
+    bounds[0] = root
+    [res] = yield [dict(cost=cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(n - 1),
+                        bounds=bounds, maximize=True)]
+    require_optimal(res, context)
+    x = res.x
+    positions = [basis @ x[y0[j] : y0[j + 1]] for j, (basis, _, _) in enumerate(nodes)]
+    wealth = [x[0]]
+    for k in range(1, n):
+        wealth.append(wealth[parents[k]] + returns[k - 1] @ positions[slot[parents[k]]])
+    at_leaves = pieces[:, 0] * np.array(wealth)[leaf_nodes][owner] + pieces[:, 1]
+    value = float(weights @ np.minimum.reduceat(at_leaves, np.cumsum([0] + counts[:-1])))
+    if abs(value - res.value) > VALUE_TOL * (1.0 + abs(res.value)):
+        raise NumericError(f"{context}: the objective {value!r} of its positions differs "
+                           f"from the LP optimum {res.value!r}")
+    # Where wealth is floored, NA1 bounds the positions by the wealth, so at
+    # zero wealth they are zero too, and every strategy reaches zero wealth.
+    strategies = [pos / x[k] if x[k] > 0.0 else np.zeros(pos.size)
+                  for pos, k in zip(positions, internal)]
+    return x[:n], strategies, res.value
 
 
 @dataclass(frozen=True)

@@ -388,11 +388,6 @@ def _hull_vertices(points: np.ndarray) -> np.ndarray:
         return np.arange(points.shape[0])
 
 
-def allowed_polyhedron(market: DiscreteMarket) -> ConstraintSet:
-    """Admissibility polyhedron intersected with the market's constraints."""
-    return market.allowed
-
-
 def recession_cone(theta: ConstraintSet) -> Cone:
     """Recession cone of a nonempty polyhedron: the same normals, offsets zeroed."""
     if theta.normals.shape[0] and not is_feasible(theta.normals, theta.offsets, theta.dim):

@@ -4,8 +4,11 @@ Smooth utilities are maximized over the allowed polyhedron intersected with
 the return span by the package's one interior-point Newton method,
 :func:`~na1lab.lp.minimize_convex`, which stops on a bound for the
 certified quantity rather than on a step size.  Piecewise-linear utilities
-skip it entirely and go through one exact epigraph LP.  Several markets
-are maximized together (:func:`_maximize_all`), as one solver batch.
+skip it entirely and go through one exact epigraph LP, the deterministic
+equivalent of :func:`~na1lab.lp.deterministic_equivalent` on the tree of
+depth 1, a block of the LP round.  Several markets are maximized together
+(:func:`_maximize_all`): the Newton problems as one solver batch, the
+piecewise LPs as one stacked LP.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .arbitrage import GAIN_TOL, _check_na1_all, _cone_spans, _decided, max_expected_gain
 from .errors import InvalidParameterError, NumericError, PreconditionError
-from .lp import UNBOUNDED, _pad, gather, minimize_convex, read, require_optimal, run, solve_lp
+from .lp import _pad, deterministic_equivalent, gather, minimize_convex, read, run
 from .market import DiscreteMarket, wealth
 
 #: States whose utility argument ends at or below this are reported as
@@ -277,7 +280,10 @@ def maximize_utility(
     times the diameter of the allowed set, ``2 sqrt(d)`` times the NA1
     ``bound_radius``) is at most ``tol`` times ``1 + |strategy|``; for log
     utility that residual bounds the wealth-ratio LP value minus one.
-    Piecewise-linear utilities are solved exactly by an epigraph LP.
+    Piecewise-linear utilities are solved exactly by one epigraph LP over
+    the state wealths, floored at 0 (:func:`~na1lab.lp.deterministic_equivalent`
+    on the tree of depth 1), whose optimum is checked against the utility
+    of the strategy it returns.
 
     When scalable arbitrage exists the supremum is infinite, so the search
     refuses to start, unless ``divergence_bound`` is given: then the
@@ -353,12 +359,12 @@ def _newton_problem(market, probs, u, divergence_bound):
             "scalable arbitrage exists, so expected utility has no maximizer; "
             "remove the arbitrage or tighten the constraints"
         )
+    if not cert.holds:
+        _escalate_along_ray(probs, market.returns, evaluator, cert.witness_ray, divergence_bound)
     d = market.n_assets
     basis = market.span.basis
     if evaluator.piecewise and basis.shape[1]:
-        return _piecewise_optimum(market, probs, evaluator, basis)
-    if not cert.holds:
-        _escalate_along_ray(probs, market.returns, evaluator, cert.witness_ray, divergence_bound)
+        return (yield from _piecewise_optimum(market, probs, evaluator, basis))
     [(reduce, _)] = read(answers[0]) if early else (yield from _cone_spans([market]))
     basis = basis @ reduce
     if basis.shape[1] == 0:
@@ -452,37 +458,20 @@ def _escalate_along_ray(probs, returns, evaluator, ray, bound):
 
 
 def _piecewise_optimum(market, probs, evaluator, basis):
-    """Exact epigraph LP for concave piecewise-linear utilities."""
-    returns_r = market.returns @ basis
-    a = market.allowed.normals @ basis
-    b = market.allowed.offsets
-    n, r = returns_r.shape
-    rows = []
-    rhs = []
-    for omega, spec in enumerate(evaluator.specs):
-        pieces = spec.pieces()
-        for c, dd in pieces:
-            row = np.zeros(r + n)
-            row[:r] = -c * returns_r[omega]
-            row[r + omega] = 1.0
-            rows.append(row)
-            rhs.append(c + dd)
-    a_full = np.vstack([np.hstack([a, np.zeros((a.shape[0], n))]), np.array(rows)])
-    b_full = np.concatenate([b, np.array(rhs)])
-    cost = np.concatenate([np.zeros(r), probs])
-    res = solve_lp(cost, a_ub=a_full, b_ub=b_full, maximize=True)
-    if res.status == UNBOUNDED:
-        raise NumericError(
-            "piecewise-utility LP is unbounded; the market admits scalable arbitrage"
-        )
-    require_optimal(res, "piecewise-utility epigraph LP")
-    u_opt = res.x[:r]
-    strategy = basis @ u_opt
-    resid = b - a @ u_opt
-    n_theta = market.allowed.normals.shape[0]
-    tight = np.nonzero(resid <= 1e-9 * (1.0 + np.abs(b)))[0]
-    active_theta = tuple(int(i) for i in tight if i < n_theta)
-    return OptimalPortfolio(strategy, float(res.value), 0.0, 1, active_theta, ())
+    """Task: the exact optimum of a piecewise-linear utility, the tree of
+    depth 1 of :func:`~na1lab.lp.deterministic_equivalent`: each state's
+    wealth is floored at 0, which is admissibility.  The active rows are
+    read off the strategy."""
+    n, cs = market.n_states, market.constraints
+    tables = ([evaluator.specs[0].pieces()] * n if evaluator._homogeneous
+              else [spec.pieces() for spec in evaluator.specs])
+    _, [strategy], value = yield from deterministic_equivalent(
+        np.zeros(n + 1, dtype=int), market.returns, [(basis, cs.normals, cs.offsets)],
+        list(zip(probs, tables)), (1.0, 1.0), True, "piecewise-utility LP")
+    allowed = market.allowed
+    slack = allowed.offsets - allowed.normals @ strategy
+    active = np.flatnonzero(slack <= 1e-9 * (1.0 + np.abs(allowed.offsets)))
+    return OptimalPortfolio(strategy, float(value), 0.0, 1, tuple(map(int, active)), ())
 
 
 def expected_utility(market: DiscreteMarket, u, pi) -> float:

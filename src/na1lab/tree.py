@@ -13,7 +13,8 @@ node markets:
   plus (or times) the running wealth term, so a backward pass solves one
   wealth-independent problem per node; for concave piecewise-linear
   utilities the whole tree is one LP over node wealths and money positions
-  (the scenario-tree deterministic equivalent),
+  (the scenario-tree deterministic equivalent, built by
+  :func:`~na1lab.lp.deterministic_equivalent` as for one period),
 * the wealth process of the per-node log optima prices everything: its
   reciprocal is a positive process that turns every allowed wealth process
   into a supermartingale, certified node by node (``numeraire_process``),
@@ -50,8 +51,8 @@ import numpy as np
 
 from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, _na1_may_hold
 from .errors import InvalidParameterError, NumericError, PreconditionError
-from .hedging import _homogenized_rows, _recertified, _superhedge_reports
-from .lp import gather, read, require_optimal, run, solve_lp
+from .hedging import _recertified, _superhedge_reports
+from .lp import deterministic_equivalent, gather, read, require_optimal, run, solve_lp
 from .market import ConstraintSet, DiscreteMarket
 from .portfolio import (
     GRADIENT_TOL,
@@ -72,10 +73,6 @@ RATIO_TOL = 1e-12
 
 #: Children probabilities at a node must sum to one within this.
 PROB_TOL = 1e-9
-
-#: Allowed relative gap between the piecewise-utility tree LP optimum and the
-#: expected utility recomputed from its policy.
-VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -657,68 +654,24 @@ def _separable_backward(tree, u: UtilitySpec, candidates):
 
 def _piecewise_backward(tree, u: UtilitySpec):
     """Task: one exact LP over the whole tree for concave piecewise-linear
-    utilities.
-
-    The scenario-tree deterministic equivalent (Birge & Louveaux,
-    *Introduction to Stochastic Programming*): node wealths ``X_n >= 0`` with
-    ``X_root = 1``, money positions ``y_n`` in span coordinates of each
-    non-leaf node's market and one epigraph variable ``t`` per leaf, subject
-    to ``X_child = X_parent + R_child . y_parent``, the homogenized
-    constraints ``A_n y_n <= X_n b_n`` and ``t <= c_j X_leaf + d_j`` for every
-    piece of ``u``; the objective is the path-probability-weighted sum of the
-    ``t``.  The strategy at a node is ``y_n / X_n``.  The policy is then
-    validated, its wealth recomputed, and its expected utility must match the
-    LP optimum.
+    utilities, :func:`~na1lab.lp.deterministic_equivalent` with root wealth
+    1, every wealth floored at 0, and each leaf weighted by its path
+    probability; the builder checks the LP optimum against the utility of
+    the wealths its positions reach.  The strategy at a node is ``B y / X``;
+    the policy is validated, and the node values are the conditional
+    expected utilities of its wealth process.
     """
-    bfs = tree.bfs_ids()
-    internal = tree.internal_ids()
-    leaves = tree.leaf_ids
-    bases = {n: node_market(tree, n).span.basis for n in internal}
-    x_col = {n: i for i, n in enumerate(bfs)}
-    y_cols, width = {}, len(bfs)
-    for n in internal:
-        y_cols[n] = slice(width, width + bases[n].shape[1])
-        width += bases[n].shape[1]
-    t_col = {leaf: width + i for i, leaf in enumerate(leaves)}
-    width += len(leaves)
-
-    a_eq = np.zeros((len(bfs) - 1, width))
-    for row, n in enumerate(bfs[1:]):
-        parent = tree.node(n).parent
-        a_eq[row, x_col[n]] = 1.0
-        a_eq[row, x_col[parent]] = -1.0
-        a_eq[row, y_cols[parent]] = -(tree.edge_returns(n) @ bases[parent])
-    blocks, rhs = [], []
-    for n in internal:
-        homogenized = _homogenized_rows(node_market(tree, n), extra=0)[0]
-        block = np.zeros((len(homogenized), width))
-        block[:, x_col[n]] = homogenized[:, 0]
-        block[:, y_cols[n]] = homogenized[:, 1:] @ bases[n]
-        blocks.append(block)
-        rhs.append(np.zeros(len(block)))
+    bfs, internal, leaves = tree.bfs_ids(), tree.internal_ids(), tree.leaf_ids
+    index = {n: i for i, n in enumerate(bfs)}
+    markets = [node_market(tree, n) for n in internal]
     pieces = u.pieces()
-    cost = np.zeros(width)
-    for leaf in leaves:
-        block = np.zeros((len(pieces), width))
-        block[:, t_col[leaf]] = 1.0
-        block[:, x_col[leaf]] = -pieces[:, 0]
-        blocks.append(block)
-        rhs.append(pieces[:, 1])
-        cost[t_col[leaf]] = tree.path_probability(leaf)
-    bounds = [(0.0, None)] * len(bfs) + [(None, None)] * (width - len(bfs))
-    bounds[x_col[tree.root_id]] = (1.0, 1.0)
-    [res] = yield [dict(cost=cost, a_ub=np.vstack(blocks), b_ub=np.concatenate(rhs), a_eq=a_eq,
-                        b_eq=np.zeros(len(bfs) - 1), bounds=bounds, maximize=True)]
-    require_optimal(res, "piecewise-utility tree LP")
-
-    strategies: dict = {}
-    for n in internal:
-        x_n = float(res.x[x_col[n]])
-        # At zero wealth the positions are zero too (NA1 bounds them by the
-        # wealth), and every strategy leads to the same zero wealth.
-        strategies[n] = (
-            bases[n] @ res.x[y_cols[n]] / x_n if x_n > 0.0 else np.zeros(tree.n_assets)
-        )
+    _, strategies, _ = yield from deterministic_equivalent(
+        [0] + [index[tree.node(n).parent] for n in bfs[1:]],
+        np.array([tree.edge_returns(n) for n in bfs[1:]]),
+        [(m.span.basis, m.constraints.normals, m.constraints.offsets) for m in markets],
+        [(tree.path_probability(leaf), pieces) for leaf in leaves],
+        (1.0, 1.0), True, "piecewise-utility tree LP")
+    strategies = dict(zip(internal, strategies))
     policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
     policy.validate(tree)
     leaf_wealth = np.array([policy.wealth[leaf] for leaf in leaves])
@@ -727,14 +680,8 @@ def _piecewise_backward(tree, u: UtilitySpec):
         node_values[n] = sum(
             float(tree.node(k).prob) * node_values[k] for k in tree.children(n)
         )
-    value = node_values[tree.root_id]
-    if abs(value - res.value) > VALUE_TOL * (1.0 + abs(res.value)):
-        raise NumericError(
-            f"the policy's expected utility {value!r} differs from the tree LP "
-            f"optimum {res.value!r}"
-        )
     return BackwardInductionResult(
-        value, policy, node_values, {"utility_form": u.kind, "exact": True}
+        node_values[tree.root_id], policy, node_values, {"utility_form": u.kind, "exact": True}
     )
 
 
@@ -751,7 +698,9 @@ def backward_induction(
     ``candidates`` set restricts the strategies; ``candidates`` is a strategy
     array applied at every node, or a dict keyed by non-leaf node id).
     Concave piecewise-linear utilities are solved exactly by one LP over the
-    whole tree; there ``node_values[n]`` is the conditional expected terminal
+    whole tree (:func:`~na1lab.lp.deterministic_equivalent`, whose optimum is
+    checked against the utility its positions reach); there
+    ``node_values[n]`` is the conditional expected terminal
     utility from node ``n`` at the wealth the optimal policy reaches there.
     Candidate menus apply to log and power utilities only, and those
     utilities must have no wealth shift (a shift breaks the separation).

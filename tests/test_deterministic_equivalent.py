@@ -1,0 +1,126 @@
+"""The one deterministic-equivalent LP builder (``lp.deterministic_equivalent``)
+behind every piecewise-linear objective: the one-period utility optimum,
+the shortfall hedge and the scenario-tree utility optimum.
+
+Independent oracles of its answers live with the callers: breakpoint
+enumeration and a strategy grid (``test_portfolio.py``), a dense grid of
+shortfall hedges (``test_hedging.py``) and policy enumeration on trees
+(``test_tree.py``).  Here: its LP is one block of the LP round, its value
+re-check catches a wrong optimum in every caller, and no LP outside
+``lp.py`` bypasses the rounds.
+"""
+
+import ast
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import na1lab.lp
+from conftest import make_market, random_bounded_market
+from na1lab.arbitrage import check_na1
+from na1lab.errors import NumericError
+from na1lab.hedging import Claim, PiecewiseLinearLoss, shortfall_hedge
+from na1lab.lp import run
+from na1lab.market import ConstraintSet, preset_constraints
+from na1lab.portfolio import UtilitySpec, _maximize_all, maximize_utility
+from na1lab.tree import backward_induction, iid_tree
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "na1lab"
+
+PIECEWISE = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4, 1.0])
+
+
+def test_piecewise_markets_share_one_lp_call(linprog_calls):
+    """With NA1 cached, the piecewise optima of several markets are one
+    block each of one LP round: one ``linprog`` call for all of them, with
+    the optima each market gets alone."""
+    rng = np.random.default_rng(31)
+    markets = [random_bounded_market(rng) for _ in range(5)]
+    for m in markets:
+        assert check_na1(m).holds
+    alone = [maximize_utility(m, PIECEWISE) for m in markets]
+    linprog_calls.clear()
+    together = run(_maximize_all(markets, [m.probs for m in markets], PIECEWISE, 1e-8))
+    assert len(linprog_calls) == 1
+    for single, joint in zip(alone, together):
+        assert joint.value == pytest.approx(single.value, rel=1e-9, abs=1e-9)
+
+
+@pytest.fixture
+def tampered(monkeypatch):
+    """Every deterministic-equivalent LP (the blocks with equality rows)
+    reports an optimum 1e-6 above the one it found."""
+    solve = na1lab.lp._solve_stacked
+
+    def shifted(blocks):
+        return [replace(r, value=r.value + 1e-6) if b.get("a_eq") is not None else r
+                for b, r in zip(blocks, solve(blocks))]
+
+    monkeypatch.setattr(na1lab.lp, "_solve_stacked", shifted)
+
+
+def test_value_check_catches_a_wrong_one_period_optimum(tampered):
+    m = random_bounded_market(np.random.default_rng(32))
+    with pytest.raises(NumericError, match="piecewise-utility LP.*differs from the LP optimum"):
+        maximize_utility(m, PIECEWISE)
+
+
+def test_value_check_catches_a_wrong_shortfall_optimum(tampered):
+    m = random_bounded_market(np.random.default_rng(33))
+    claim = Claim(np.linspace(0.5, 2.0, m.n_states))
+    with pytest.raises(NumericError, match="shortfall hedging.*differs from the LP optimum"):
+        shortfall_hedge(m, claim, PiecewiseLinearLoss.positive_part(), v0=0.3)
+
+
+def test_value_check_catches_a_wrong_tree_optimum(tampered):
+    cs = preset_constraints("box", dim=1, lower=[1.0], upper=[1.0])
+    tree = iid_tree(make_market([[0.8], [-0.4]], constraints=cs), horizon=2)
+    with pytest.raises(NumericError, match="tree LP.*differs from the LP optimum"):
+        backward_induction(tree, PIECEWISE)
+
+
+def test_shortfall_strategy_lies_in_the_return_span():
+    """Two assets with equal returns span one direction: the hedge holds no
+    position orthogonal to it, and its risk is that of the one-asset
+    market of their sum."""
+    returns = np.array([[-0.5, -0.5], [0.2, 0.2], [1.0, 1.0]])
+    box = ConstraintSet(2, np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, 1.0]))
+    m = make_market(returns, probs=[0.3, 0.4, 0.3], constraints=box)
+    claim = Claim(np.array([0.0, 0.4, 1.5]))
+    loss = PiecewiseLinearLoss(((1.0, 0.0), (2.0, -0.2)))
+    v, strategy, risk = shortfall_hedge(m, claim, loss, v0=0.4)
+    assert risk > 0.0
+    assert np.max(np.abs(m.span.project_complement(strategy))) <= 1e-12
+    assert np.allclose(strategy[0], strategy[1], atol=1e-12)
+    single = make_market(returns[:, :1], probs=[0.3, 0.4, 0.3],
+                         constraints=ConstraintSet(1, np.array([[1.0], [-1.0]]),
+                                                   np.array([1.0, 1.0])))
+    assert risk == pytest.approx(shortfall_hedge(single, claim, loss, v0=0.4)[2], abs=1e-12)
+    wealth = v * (1.0 + m.returns @ strategy)
+    assert risk == pytest.approx(float(m.probs @ loss.value(claim.payoff - wealth)), abs=1e-9)
+
+
+def _solve_lp_callers():
+    """``(module file, enclosing function)`` of every call of ``solve_lp``
+    in the package outside ``lp.py``."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "lp.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "solve_lp":
+                        callers.add((path.name, function.name))
+    return callers
+
+
+def test_no_lp_outside_the_rounds_but_the_wealth_grid():
+    """Every other LP of the package is a block of an LP task's round."""
+    assert _solve_lp_callers() == {("tree.py", "default_wealth_grid")}

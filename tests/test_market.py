@@ -12,7 +12,6 @@ from na1lab.market import (
     ConstraintSet,
     DiscreteMarket,
     admissible_polyhedron,
-    allowed_polyhedron,
     preset_constraints,
     recession_cone,
     span_and_projection,
@@ -124,7 +123,7 @@ class TestAdmissiblePolyhedron:
 
     def test_intersection_with_constraints(self):
         m = interval_market([-0.5, 1.0], lo=0.0, hi=1.0)
-        theta = allowed_polyhedron(m)
+        theta = m.allowed
         assert theta.contains([0.0]) and theta.contains([1.0])
         assert not theta.contains([1.01]) and not theta.contains([-0.01])
 
@@ -185,7 +184,7 @@ class TestRecessionCone:
         rng = np.random.default_rng(23)
         for _ in range(100):
             m = random_bounded_market(rng)
-            cone = recession_cone(allowed_polyhedron(m))
+            cone = recession_cone(m.allowed)
             x = rng.standard_normal(m.n_assets)
             # force x into the cone by projecting out violating parts is
             # overkill; instead scale a known member (0) plus check closure on

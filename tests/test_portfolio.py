@@ -281,6 +281,19 @@ class TestMaximizeUtility:
             maximize_utility(m, UtilitySpec.power(0.5), divergence_bound=1e3)
         assert 1e3 < exc.value.value < np.inf
 
+    def test_divergence_detection_piecewise(self):
+        """A piecewise utility is escalated along the witness ray too, before
+        its LP, which is unbounded where NA1 fails."""
+        m = make_market([[0.0], [0.5]], probs=[0.5, 0.5],
+                        constraints=ConstraintSet(1, np.array([[-1.0]]), np.array([0.0])))
+        assert not check_na1(m).holds
+        u = UtilitySpec.piecewise_linear([0.2, 1.0, 2.0], [-1.0, 0.0, 0.4])
+        with pytest.raises(NumericError) as exc:
+            maximize_utility(m, u, divergence_bound=10.0)
+        assert exc.value.value > 10.0
+        assert exc.value.best is not None
+        assert np.all(np.isfinite(exc.value.best))
+
     def test_state_dependent_shifts_match_bisection(self):
         m = interval_market([-0.5, 0.8], probs=[0.4, 0.6])
         shifts = np.array([0.3, 0.1])

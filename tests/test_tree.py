@@ -575,6 +575,9 @@ class TestBackwardInductionPiecewise:
                 backward_induction(tree, shifted.compose_affine(1.0, 0.5))
 
     def test_one_period_matches_maximize_utility(self):
+        """Both sides are the one deterministic-equivalent builder, so this
+        checks the tree adapter; the enumeration tests here and in
+        ``test_portfolio.py`` are the independent oracles."""
         market = two_state_market()
         tree = iid_tree(market, horizon=1)
         u = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4, 1.0])
