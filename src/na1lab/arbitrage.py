@@ -39,7 +39,7 @@ CERTIFICATE_SCALE = 100.0
 SUPERMARTINGALE_TOL = 1e-8
 
 #: Residual at which the exponential-moment minimization stops; it bounds
-#: the expected-gain slack, with room for the certifying LP's own noise.
+#: the expected-gain slack, with room for the dual bound's radius and noise.
 MOMENT_TOL = 1e-2 * SUPERMARTINGALE_TOL
 
 #: Anything below this offset counts as a zero right-hand side.
@@ -119,8 +119,8 @@ class Esmm:
 
     ``measure`` is the new probability vector q, ``density`` its ratio to the
     market probabilities, ``strategy`` the exponential-moment minimizer that
-    generated it, and ``slack`` the LP-certified maximum expected gain under q
-    over the allowed polyhedron (must be <= SUPERMARTINGALE_TOL).
+    generated it, and ``slack`` a certified bound on the maximum expected
+    gain under q over the allowed polyhedron (must be <= SUPERMARTINGALE_TOL).
     """
 
     measure: np.ndarray
@@ -481,6 +481,41 @@ def _max_expected_gains(markets, weights):
     return _memoized(entries, decide)
 
 
+def _dual_bound(market, weights, dual, limit: float) -> float:
+    """Weak-duality bound on :func:`max_expected_gain` under ``weights``, held
+    on the market by their bytes if at most ``limit``.  In ``dual = (coords,
+    rows, lam)``, ``lam >= 0`` are multipliers of allowed rows ``C theta <=
+    b`` and ``coords`` is orthonormal, projecting (``P``) onto a subspace
+    holding the allowed set, where ``w . R theta <= lam . b + |P (R^T w -
+    C^T lam)|_1 |theta|_inf``; NA1 multipliers (radius ``rho``, residuals
+    ``e_k``) prove ``|theta|_inf <= rho / (1 - max_k |e_k|_1)``.  Without
+    them, or ``dual``, the bound is +inf."""
+    na1 = market.certificates.get(("na1", GAIN_TOL))
+    if dual is None or na1 is None or na1.multipliers is None:
+        return np.inf
+    (coords, rows, lam), basis, allowed = dual, market.span.basis, market.allowed
+    farkas = (na1.multipliers @ (allowed.normals @ basis) - np.vstack([basis, -basis])) @ basis.T
+    spread = np.max(np.sum(np.abs(farkas), axis=1))  # below 1, as check_na1 accepted them
+    radius = na1.bound_radius / (1.0 - spread) if spread < 1.0 else np.inf
+    lam = np.maximum(lam, 0.0)
+    residual = coords @ (coords.T @ (market.returns.T @ weights - allowed.normals[rows].T @ lam))
+    bound = float(lam @ allowed.offsets[rows] + np.sum(np.abs(residual)) * radius)
+    if bound <= limit:
+        market.certificates.setdefault(("gain_bound", weights.tobytes()), bound)
+    return bound
+
+
+def _certified_gains(markets, weights):
+    """Task: per market, a certified upper bound on :func:`max_expected_gain`
+    under its weights: the dual bound held for them (:func:`_dual_bound`),
+    else the LP optimum."""
+    weights = [np.asarray(w, dtype=float) for w in weights]
+    held = [m.certificates.get(("gain_bound", w.tobytes())) for m, w in zip(markets, weights)]
+    lps = [i for i, bound in enumerate(held) if bound is None]
+    gains = iter((yield from _max_expected_gains([markets[i] for i in lps], [weights[i] for i in lps])))
+    return [next(gains) if bound is None else bound for bound in held]
+
+
 def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
     """Build an equivalent supermartingale measure for an arbitrage-free market.
 
@@ -491,9 +526,9 @@ def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
     polyhedron with :func:`~na1lab.lp.minimize_convex`, and normalizes
     ``p * exp(-wealth - |R|^2)`` at the minimizer.  The gradient of that
     objective is minus the expected return under the new measure, so the
-    solver's residual bounds the expected-gain slack, which an LP then
-    certifies to be at most ``SUPERMARTINGALE_TOL``.  The classical search,
-    NA1 and the cone's span are :func:`_esmm`'s first round of LPs.
+    minimizer's multipliers bound the expected-gain slack by weak duality
+    (:func:`_dual_bound`), else an LP does, to at most ``SUPERMARTINGALE_TOL``.
+    The classical search, NA1 and the cone's span are its LPs' first round.
     """
     return run(_esmm(market, tol))
 
@@ -511,20 +546,23 @@ def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
         )
     returns = market.returns
     log_aux = np.log(market.probs) - np.sum(returns * returns, axis=1)
-    strategy = np.zeros(market.n_assets)
+    strategy, dual = np.zeros(market.n_assets), None
     if basis.shape[1]:
         [na1] = read(answers[0])
         if not na1.holds:
             raise NumericError("no classical arbitrage was found, but NA1 fails")
         diameter = 2.0 * np.sqrt(market.n_assets) * na1.bound_radius
-        cone_rows = generated_cone(market.allowed, tol=ZERO_OFFSET_TOL).normals @ basis
+        cone = np.flatnonzero(market.allowed.offsets <= ZERO_OFFSET_TOL)  # generated_cone's rows
         [span] = read(answers[1]) if early else (yield from _cone_spans([market]))
-        strategy = basis @ _minimize_log_moment(log_aux, returns @ basis, cone_rows, diameter, span)
+        u, lam = _minimize_log_moment(log_aux, returns @ basis, market.allowed.normals[cone] @ basis,
+                                      diameter, span)
+        strategy, dual = basis @ u, (basis @ span[0], cone[span[1]], lam)
     # extreme states can underflow to exactly zero in double precision; the
     # true mass is positive, so floor it at the smallest safe normal value
     q = np.maximum(_normalized(log_aux - returns @ strategy), 1e-300)
     q = q / q.sum()
-    [slack] = yield from _max_expected_gains([market], [q])
+    _dual_bound(market, q, dual, SUPERMARTINGALE_TOL)
+    [slack] = yield from _certified_gains([market], [q])
     if not slack <= SUPERMARTINGALE_TOL:
         raise NumericError(
             f"supermartingale verification failed: expected-gain slack {slack:.3e}"
@@ -547,7 +585,7 @@ def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter, span):
 
     The search runs in the span of the cone (``span``, from
     :func:`~na1lab.lp.cone_span`), where the rows that are not implicit
-    equalities have a strictly feasible point.
+    equalities have a strictly feasible point.  Returns u and their multipliers.
     """
     reduce_basis, strict = span
     rows = cone_rows[strict] @ reduce_basis
@@ -560,4 +598,4 @@ def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter, span):
 
     [result] = minimize_convex(derivatives, rows[None], np.zeros((1, rows.shape[0])),
                                np.zeros((1, mat.shape[1])), diameter, MOMENT_TOL)
-    return reduce_basis @ result.x
+    return reduce_basis @ result.x, result.multipliers

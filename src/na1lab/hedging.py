@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import deterministic_equivalent, gather, read, require_optimal, run
 from .market import DiscreteMarket, _kept_rows
-from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, check_na1
+from .arbitrage import GAIN_TOL, _certified_gains, _check_na1_all, _decided, _dual_bound, check_na1
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
 
 logger = logging.getLogger(__name__)
@@ -179,8 +179,8 @@ def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
     state multipliers, zero on the states without a row, divided by the
     probabilities, form a deflator whose expected claim value matches the
     primal optimum (LP duality), and both readings plus their gap are
-    reported.  NA1 and the super-hedging LP are :func:`_hedged`'s first
-    round of LPs.
+    reported; the budget multipliers re-certify the deflator (:func:`_recertified`).
+    NA1 and the super-hedging LP are :func:`_hedged`'s first round of LPs.
     """
     return run(_hedged(market, claim.payoff))
 
@@ -202,7 +202,7 @@ def _superhedge_reports(markets, payoffs):
     payoff and the lifted deflator's reading must match the LP value.  A
     state without a row has a zero multiplier.  ``attainable`` does not yet
     account for the re-certification of the lifted deflators, which
-    :func:`_recertified` adds."""
+    :func:`_recertified` adds from the budget multipliers held here."""
     blocks, kept = [], [_hedged_states(m, payoff) for m, payoff in zip(markets, payoffs)]
     for market, payoff, states in zip(markets, payoffs, kept):
         d = market.n_assets
@@ -221,7 +221,7 @@ def _superhedge_reports(markets, payoffs):
             lazy=np.arange(states.size + len(budget_rows)) < states.size,
         ))
     reports = []
-    for market, payoff, states, result in zip(markets, payoffs, kept, (yield blocks)):
+    for market, payoff, states, result in zip(markets, payoffs, kept, ((yield blocks) if blocks else [])):
         require_optimal(result, "super-hedging")
         d = market.n_assets
         primal = float(result.value)
@@ -246,6 +246,9 @@ def _superhedge_reports(markets, payoffs):
                 f"duality gap {gap:.3e} between the super-hedging value and its "
                 "deflator reading exceeds tolerance"
             )
+        weights, budget = market.probs * lifted, np.maximum(-result.marginals_ub[states.size :], 0.0)
+        rows = market.admissible.offsets.size + np.arange(budget.size)  # R^T multipliers = A^T budget
+        _dual_bound(market, weights, (market.span.basis, rows, budget), 1.0 + DEFLATOR_TOL - np.sum(weights))
         replicates = float(np.max(np.abs(residuals))) <= RESIDUAL_TOL
         attains = dual_value >= primal - DUALITY_TOL * (1.0 + primal)
         reports.append(ValuationReport(
@@ -273,18 +276,15 @@ def _hedged_states(market: DiscreteMarket, payoff) -> np.ndarray:
 
 
 def _recertified(markets, reports):
-    """Task: re-certify each report's lifted deflator, the deflator LPs stacked:
-    one that lets some allowed wealth ratio exceed ``1 + DEFLATOR_TOL`` is
+    """Task: re-certify each report's lifted deflator by its budget
+    multipliers' weak-duality bound, else by its LP, those LPs stacked: one
+    that lets some allowed wealth ratio exceed ``1 + DEFLATOR_TOL`` is
     logged and makes its report not attainable."""
     weights = [m.probs * r.dual_deflator for m, r in zip(markets, reports)]
-    gains = yield from _max_expected_gains(markets, weights)
     out = []
-    for report, weight, gain in zip(reports, weights, gains):
-        dual_ok = float(np.sum(weight)) + gain <= 1.0 + DEFLATOR_TOL
-        if not dual_ok:
-            logger.warning(
-                "lifted dual deflator failed re-certification; reporting it anyway"
-            )
+    for report, weight, gain in zip(reports, weights, (yield from _certified_gains(markets, weights))):
+        if not float(np.sum(weight)) + gain <= 1.0 + DEFLATOR_TOL:
+            logger.warning("lifted dual deflator failed re-certification; reporting it anyway")
             report = replace(report, attainable=False)
         out.append(report)
     return out

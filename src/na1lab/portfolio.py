@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import GAIN_TOL, _check_na1_all, _cone_spans, _decided, max_expected_gain
+from .arbitrage import GAIN_TOL, _certified_gains, _check_na1_all, _cone_spans, _decided, _dual_bound
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import _pad, deterministic_equivalent, gather, minimize_convex, read, run
 from .market import DiscreteMarket, wealth
@@ -28,7 +28,7 @@ from .market import DiscreteMarket, wealth
 #: active wealth floors.
 WEALTH_FLOOR = 1e-9
 
-#: Slack allowed by the wealth-ratio certification LP.
+#: Slack allowed by the wealth-ratio certificate.
 NUMERAIRE_TOL = 1e-8
 
 #: Default stationarity-residual tolerance of the optimizer.
@@ -224,7 +224,7 @@ class OptimalPortfolio:
     market's constraints; ``active_wealth_floors`` the states
     whose utility argument is at most ``WEALTH_FLOOR``.  ``deflator`` is set
     by ``numeraire_portfolio``: the deflator the certified numeraire
-    induces, with its wealth-ratio LP optimum as certificate.
+    induces, with its wealth-ratio certificate.
     """
 
     strategy: np.ndarray
@@ -249,7 +249,7 @@ class OptimalPortfolio:
 @dataclass(frozen=True, eq=False)
 class Deflator:
     """State-wise positive weights Z with E[Z (1 + <pi, R>)] <= 1 over the
-    allowed set; ``certificate`` is the LP optimum of that expectation."""
+    allowed set; ``certificate`` bounds that expectation (:func:`verify_deflator`)."""
 
     values: np.ndarray
     certificate: float
@@ -325,6 +325,10 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
             active_floor = tuple(int(k) for k in np.nonzero(arguments <= WEALTH_FLOOR)[0])
             out[i] = OptimalPortfolio(basis @ u_opt, value, result.residual, result.iterations,
                                       active_theta, active_floor)
+            if u == UtilitySpec.log():  # its multipliers bound the wealth ratios verify_numeraire weighs
+                ratio = weights[i] * (1.0 / wealth(markets[i], out[i].strategy))
+                _dual_bound(markets[i], ratio, (basis, rows, result.multipliers),
+                            1.0 + NUMERAIRE_TOL - float(np.sum(ratio)))
     return out
 
 
@@ -489,12 +493,12 @@ def expected_utility_gradient(market: DiscreteMarket, u, pi) -> np.ndarray:
 
 
 def numeraire_portfolio(market: DiscreteMarket) -> OptimalPortfolio:
-    """Growth-optimal strategy, certified by the wealth-ratio LP.
+    """Growth-optimal strategy, with its wealth-ratio certificate.
 
     Maximizes expected log wealth to tolerance 1e-10, then checks that no
-    allowed strategy's expected wealth ratio against it exceeds 1 + 1e-8.
-    That LP is also the certificate of the induced deflator, which the
-    result carries as ``deflator``.
+    allowed strategy's expected wealth ratio against it exceeds 1 + 1e-8, by
+    the optimum's multipliers, else by LP (:func:`verify_numeraire`); that
+    value also certifies the induced deflator, carried as ``deflator``.
     """
     opt = maximize_utility(market, UtilitySpec.log(), tol=NUMERAIRE_GRADIENT_TOL)
     try:
@@ -505,40 +509,37 @@ def numeraire_portfolio(market: DiscreteMarket) -> OptimalPortfolio:
 
 
 def verify_numeraire(market: DiscreteMarket, rho) -> float:
-    """LP optimum of E[(1 + <pi, R>) / (1 + <rho, R>)] over the allowed set.
+    """Certified bound on sup E[(1 + <pi, R>) / (1 + <rho, R>)], pi allowed.
 
     The candidate is a numeraire exactly when the optimum is at most
-    1 + 1e-8 (taking pi = rho always attains 1).  Returns +inf when the
-    ratio expectation is unbounded over the allowed set.  The LP is
-    :func:`~na1lab.arbitrage.max_expected_gain`, whose answers the market
-    holds by their weights: on the strategy :func:`numeraire_portfolio`
-    returned, which that LP certified, this costs no LP.
+    1 + 1e-8 (taking pi = rho always attains 1).  A log optimum ``rho``
+    leaves its multipliers on the market, whose weak-duality bound is the
+    answer where it is within 1 + 1e-8, with no LP.  Otherwise the answer is
+    the LP optimum, :func:`~na1lab.arbitrage.max_expected_gain` under the
+    weights ``probs * Z``, ``Z = 1 / (1 + <rho, R>)``, +inf when unbounded.
     """
-    rho = np.asarray(rho, dtype=float).reshape(-1)
-    if rho.size != market.n_assets:
-        raise InvalidParameterError("candidate strategy has the wrong dimension")
     w_rho = wealth(market, rho)
     if np.any(w_rho <= 0):
         raise InvalidParameterError("candidate strategy has nonpositive wealth in some state")
-    weights = market.probs / w_rho
-    return float(np.sum(weights) + max_expected_gain(market, weights))
+    weights = market.probs * (1.0 / w_rho)
+    return float(np.sum(weights) + run(_certified_gains([market], [weights]))[0])
 
 
 def verify_deflator(market: DiscreteMarket, values) -> float:
-    """LP optimum of E[Z (1 + <pi, R>)] over the allowed set for weights Z;
-    weights ``probs * Z`` the market has met before cost no LP."""
+    """Certified bound on sup E[Z (1 + <pi, R>)], pi allowed, computed as
+    :func:`verify_numeraire` computes it under the weights ``probs * Z``."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != market.n_states or np.any(values <= 0):
         raise InvalidParameterError("deflator values must be positive, one per state")
     weighted = market.probs * values
-    return float(np.sum(weighted) + max_expected_gain(market, weighted))
+    return float(np.sum(weighted) + run(_certified_gains([market], [weighted]))[0])
 
 
 def deflator_from_numeraire(market: DiscreteMarket, rho) -> Deflator:
     """Deflator Z = 1 / (1 + <rho, R>) for a certified numeraire candidate.
 
-    The wealth-ratio LP of ``rho`` is the deflator LP of Z, so one solve both
-    certifies the candidate and gives the deflator's certificate.
+    The wealth-ratio bound of ``rho`` is the deflator bound of Z, from the
+    same weights, so one value certifies both (:func:`verify_numeraire`).
     """
     lp_value = verify_numeraire(market, rho)
     if lp_value > 1.0 + NUMERAIRE_TOL:

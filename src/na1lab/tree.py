@@ -31,10 +31,9 @@ block-diagonal LP (:func:`~na1lab.lp._solve_stacked`), and
 verdict is undecided, so independent LPs of different passes share a
 round.  The ``tree`` command thus solves in its first round the NA1 LPs
 with the cone spans of the node markets that have zero-offset rows, the
-deepest super-hedging level and the piecewise tree LP; each later round
-the deflator checks (after the log optima's Newton batch), the next
-super-hedging level and the re-certification of the level before it,
-``H + 1`` rounds for horizon ``H``.  The utility
+deepest super-hedging level and the piecewise tree LP, and each later
+round the next super-hedging level, ``H`` rounds for horizon ``H``; the
+deflator checks and re-certifications are dual bounds, else LPs.  The utility
 problems of a pass are one solver batch
 (:func:`~na1lab.portfolio._maximize_all`): the log optima of all distinct
 markets, or the power problems of one level, one per distinct market and
@@ -49,11 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import GAIN_TOL, _check_na1_all, _decided, _max_expected_gains, _na1_may_hold
+from .arbitrage import GAIN_TOL, _certified_gains, _check_na1_all, _decided, _na1_may_hold
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .hedging import _recertified, _superhedge_reports
 from .lp import deterministic_equivalent, gather, read, require_optimal, run, solve_lp
-from .market import ConstraintSet, DiscreteMarket
+from .market import ConstraintSet, DiscreteMarket, wealth
 from .portfolio import (
     GRADIENT_TOL,
     NUMERAIRE_GRADIENT_TOL,
@@ -407,9 +406,9 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
     """Worst relative supermartingale violation across nodes (<= 0 is clean).
 
     At each non-leaf node, the deflated expected one-step wealth is
-    maximized over the allowed polyhedron, and the result should not exceed
-    the node's own deflator value.  These LPs of all nodes are solved
-    together as block-diagonal LPs.
+    maximized over the allowed polyhedron (or bounded by a dual bound held
+    for its weights), and should not exceed the node's own deflator value.
+    The LPs of all nodes are solved together as block-diagonal LPs.
     """
     values = process.values
     missing = [nid for nid in tree.bfs_ids() if nid not in values]
@@ -427,7 +426,7 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
         * (np.array([float(values[k]) for k in tree.children(n)]) / float(values[n]))
         for n, market in zip(internal, markets)
     ]
-    gains = run(_max_expected_gains(markets, weights))
+    gains = run(_certified_gains(markets, weights))
     return float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
 
 
@@ -765,10 +764,11 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
     supermartingale; stitched along the tree, the inverse of its wealth
     process deflates every allowed strategy's wealth.  The log optima of all
     distinct node markets are one solver batch at the numeraire tolerance,
-    started at the zero strategy once NA1 is decided.  Every node is certified by its wealth-ratio LP under the one-step
-    weights ``probs / (1 + R rho)`` of its strategy ``rho``, which numpy
-    ties to the deflator's values, so nodes with equal market and strategy
-    share one LP.  :func:`_numeraire_process` is the task.
+    started at the zero strategy once NA1 is decided.  Each node is
+    certified under the one-step weights ``probs / (1 + R rho)`` of its
+    strategy ``rho``, which numpy ties to the deflator's values, by its log
+    optimum's dual bound, else by an LP that nodes with equal market and
+    strategy share.  :func:`_numeraire_process` is the task.
     """
     return run(_gated(tree, "the numeraire process", _numeraire_process(tree)))
 
@@ -777,18 +777,17 @@ def _numeraire_process(tree: ScenarioTree):
     optima = yield from _log_optima(tree, NUMERAIRE_GRADIENT_TOL)
     internal = tree.internal_ids()
     strategies = {n: optima[id(node_market(tree, n))].strategy for n in internal}
-    wealth = _wealth_process(tree, strategies)
-    policy = PolicyProcess(strategies, wealth)
+    policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
     policy.validate(tree, require_positive_wealth=True)
-    values = {node_id: 1.0 / w for node_id, w in wealth.items()}
+    values = {node_id: 1.0 / w for node_id, w in policy.wealth.items()}
     parents = [(k, tree.node(k).parent) for k in tree.bfs_ids()[1:]]
     ties = np.array([values[k] / values[n] * (1.0 + tree.edge_returns(k) @ strategies[n])
                      for k, n in parents])
     if np.max(np.abs(ties - 1.0)) > RATIO_TOL:
         raise NumericError("numeraire deflator strays from the one-step ratios it is certified by")
     markets = [node_market(tree, n) for n in internal]
-    weights = [m.probs / (1.0 + m.returns @ strategies[n]) for n, m in zip(internal, markets)]
-    gains = yield from _max_expected_gains(markets, weights)
+    weights = [m.probs * (1.0 / wealth(m, strategies[n])) for n, m in zip(internal, markets)]
+    gains = yield from _certified_gains(markets, weights)
     violation = float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
     if violation > DEFLATOR_SLACK_TOL:
         raise NumericError(
@@ -852,10 +851,10 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
     Works backward: each node's cost is the one-period super-replication
     price of the vector of its children's costs.  Every node's hedge is
     checked as :func:`~na1lab.hedging.superhedge` checks it: dominance and
-    duality gap, then a re-certification of its lifted deflator.  Each
-    round of LPs solves one tree level together with the re-certification
-    of the level below it, and the deepest level joins the NA1 LPs, so a
-    horizon ``H`` takes ``H + 1`` rounds.  ``claim`` maps leaf id to
+    duality gap, then a re-certification of its lifted deflator, by its
+    dual bound or else by an LP.  Each round solves one level, the deepest
+    with the NA1 LPs, so a horizon ``H`` takes ``H`` rounds (one more per
+    level whose bounds miss).  ``claim`` maps leaf id to
     payoff, or is a sequence in ``leaf_ids`` order.
     :func:`_superhedge_tree` is the task.
     """
@@ -863,23 +862,15 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
 
 
 def _superhedge_tree(tree: ScenarioTree, claim):
-    node_values = _leaf_payoffs(tree, claim)
+    node_values, strategies = _leaf_payoffs(tree, claim), {}
     order = tuple(reversed(tree.internal_ids()))
-    reports, checks, below = {}, [], []
-    for depth in reversed(range(-1, tree.horizon)):  # depth -1: the root's check alone
+    for depth in reversed(range(tree.horizon)):
         level = [n for n in order if tree.depth(n) == depth]
+        markets = [node_market(tree, n) for n in level]
         payoffs = [np.array([node_values[k] for k in tree.children(n)]) for n in level]
-        hedged, checked = yield from gather(
-            _superhedge_reports([node_market(tree, n) for n in level], payoffs),
-            _recertified([node_market(tree, n) for n in below], [reports[n] for n in below]),
-        )
-        for node_id, report in zip(level, read(hedged)):
+        reports = yield from _recertified(markets, (yield from _superhedge_reports(markets, payoffs)))
+        for node_id, report in zip(level, reports):
             # The cost of a nonnegative claim is nonnegative; clip LP noise.
             node_values[node_id] = max(float(report.primal_value), 0.0)
-            reports[node_id] = report
-        checks.append(checked)
-        below = level
-    for checked in checks:  # read after every level, as one final check would be
-        read(checked)
-    strategies = {n: reports[n].strategy for n in order}
+            strategies[node_id] = report.strategy
     return TreeHedge(float(node_values[tree.root_id]), node_values, strategies)

@@ -310,13 +310,16 @@ class TestAnalyzeCommand:
         assert report["na1"]["verdict"] == "na1_holds"
         assert report["esmm"]["slack"] <= 1e-8
 
-    def test_two_rounds_of_lps(self, tmp_path, linprog_calls):
+    def test_one_round_of_lps(self, tmp_path, linprog_calls):
         """The classical search, NA1, the cone span of the ESMM and the
-        super-hedging LP in one LP; the ESMM's slack LP and the deflator
-        re-certification in another."""
-        rc, _ = run_command(tmp_path, "analyze", market_doc(claim=[0.0, 1.5]))
+        super-hedging LP in one LP; the ESMM's slack and the deflator's
+        re-certification are the weak-duality bounds of their optima's
+        multipliers, which need no LP (they took a second one before)."""
+        rc, out = run_command(tmp_path, "analyze", market_doc(claim=[0.0, 1.5]))
         assert rc == 0
-        assert len(linprog_calls) == 2
+        assert len(linprog_calls) == 1
+        report = json.loads(out.read_text())
+        assert report["esmm"]["slack"] <= report["esmm"]["threshold"]
 
     def test_without_claim_the_hedge_section_is_null(self, tmp_path):
         rc, out = run_command(tmp_path, "analyze", market_doc())
@@ -395,15 +398,17 @@ class TestNumeraireCommand:
             report["deflator"]["values"], [4.0 / 3.0, 2.0 / 3.0], atol=1e-7
         )
 
-    def test_wealth_ratio_lp_is_solved_once(self, tmp_path, linprog_calls):
-        """NA1 and the Chebyshev start in one LP, then one wealth-ratio LP,
-        which both certifies the numeraire and gives the deflator's
-        certificate."""
+    def test_one_round_of_lps(self, tmp_path, linprog_calls):
+        """NA1 in one LP; the weak-duality bound of the log optimum's
+        multipliers both certifies the numeraire and gives the deflator's
+        certificate, with no wealth-ratio LP (which took a second one
+        before)."""
         rc, out = run_command(tmp_path, "numeraire", market_doc())
         assert rc == 0
-        assert len(linprog_calls) == 2
+        assert len(linprog_calls) == 1
         report = json.loads(out.read_text())
         assert report["deflator"]["certificate"] == report["wealth_ratio_certificate"]
+        assert 1.0 <= report["wealth_ratio_certificate"] <= 1.0 + 1e-8
 
     def test_optimizer_tolerance_override(self, tmp_path):
         rc, out = run_command(
@@ -422,12 +427,13 @@ class TestHedgeCommand:
         assert report["valuation"]["primal_value"] == pytest.approx(0.75, abs=1e-9)
         assert report["valuation"]["gap"] <= 1e-7
 
-    def test_two_rounds_of_lps(self, tmp_path, linprog_calls):
-        """NA1 and the super-hedging LP in one LP, then the deflator
-        re-certification."""
+    def test_one_round_of_lps(self, tmp_path, linprog_calls):
+        """NA1 and the super-hedging LP in one LP; the budget rows'
+        multipliers re-certify the deflator without the LP that took a
+        second round before."""
         rc, _ = run_command(tmp_path, "hedge", market_doc(claim=[0.0, 1.5]))
         assert rc == 0
-        assert len(linprog_calls) == 2
+        assert len(linprog_calls) == 1
 
     def test_claim_is_mandatory(self, tmp_path):
         rc, _ = run_command(tmp_path, "hedge", market_doc())
@@ -690,22 +696,29 @@ class TestTreeCommand:
         monkeypatch.setattr(na1lab.lp, "_solve_stacked", counted)
         return rounds
 
-    def test_claim_and_log_utility_take_three_lps(self, tmp_path, linprog_calls):
-        """Horizon 2 with three distinct node markets: NA1 and the deepest
-        hedge level; the deflator check, the root's hedge and the level
-        below's re-certification; the root's re-certification.  With one
-        market at every node the root's lifted deflator is the one the
-        level below re-certified, whose answer the market holds, so the
-        tree takes two."""
-        claim = {"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0}
-        rc, _ = run_command(
-            tmp_path, "tree", tree_doc(claim=claim, utility={"kind": "log"}, distinct=True))
+    def test_claim_and_log_utility_take_three_lps(self, tmp_path, linprog_calls, monkeypatch):
+        """Horizon 3, each level with its own market: NA1 with the deepest
+        hedge level, then one round per level above it, three in all.  The
+        deflator checks and the re-certifications of the hedges' deflators
+        are the weak-duality bounds of their optima's multipliers; before,
+        the root's re-certification took a fourth round of its own."""
+        rounds = self.rounds(monkeypatch)
+        box = {"halfspaces": [{"a": [-1.0], "b": 1.0}, {"a": [1.0], "b": 1.0}]}
+        nodes, frontier = [{"id": "r", "constraints": "box"}], ["r"]
+        for depth in range(3):
+            children = []
+            for parent in frontier:
+                for step, ret in (("u", 0.8), ("d", -0.4 + 0.05 * depth)):
+                    node = {"id": parent + step, "parent": parent, "prob": 0.5, "returns": [ret]}
+                    nodes.append(node | ({"constraints": "box"} if depth < 2 else {}))
+                    children.append(parent + step)
+            frontier = children
+        doc = {"constraint_sets": {"box": box}, "nodes": nodes, "utility": {"kind": "log"},
+               "claim": {leaf: float(k % 3) for k, leaf in enumerate(frontier)}}
+        rc, out = run_command(tmp_path, "tree", doc)
         assert rc == 0
-        assert len(linprog_calls) == 3
-        linprog_calls.clear()
-        rc, _ = run_command(tmp_path, "tree", tree_doc(claim=claim, utility={"kind": "log"}))
-        assert rc == 0
-        assert len(linprog_calls) == 2
+        assert json.loads(out.read_text())["hedge"] is not None
+        assert len(rounds) == len(linprog_calls) == 3
 
     def test_a_tree_without_na1_makes_only_na1s_lps(self, tmp_path, linprog_calls):
         """The passes run alongside NA1's rounds and stop when it fails."""
@@ -728,8 +741,9 @@ class TestTreeCommand:
                                                 "knots_x": [0.25, 1.0, 4.0],
                                                 "knots_y": [-1.0, 0.0, 0.6]}))
         assert rc == 0
-        # the tree LP is the one block with equality rows
-        assert [sum("a_eq" in block for block in blocks) for blocks in rounds] == [1, 0]
+        # the tree LP is the one block with equality rows, and the deflator
+        # checks, a second round before, are the log optima's dual bounds
+        assert [sum("a_eq" in block for block in blocks) for blocks in rounds] == [1]
 
     def test_speculative_work_stays_held_without_na1(self, tmp_path, monkeypatch, caplog):
         """The only node without NA1 sits at depth H - 1, so its

@@ -241,9 +241,9 @@ class TestMaximizeUtility:
     def test_search_from_the_zero_strategy_needs_no_lp(self, linprog_calls):
         """The search starts at the zero strategy, strictly inside a set whose
         offsets are all positive: with NA1 cached, maximizing utility takes
-        no LP, and the numeraire only its wealth-ratio LP, the LP that
-        verifying its strategy solves on a copy of the market, which holds
-        no answer of it."""
+        no LP, and neither does the numeraire, whose wealth ratios the log
+        optimum's multipliers bound; verifying its strategy on a copy of
+        the market, which holds no bound, takes the wealth-ratio LP."""
         rng = np.random.default_rng(9)
         checked = 0
         while checked < 10:
@@ -255,10 +255,9 @@ class TestMaximizeUtility:
             opt = maximize_utility(m, UtilitySpec.log())
             assert not linprog_calls
             numeraire = numeraire_portfolio(m)
-            made = len(linprog_calls)
-            linprog_calls.clear()
+            assert not linprog_calls
             verify_numeraire(type(m)(m.probs, m.returns, m.constraints), numeraire.strategy)
-            assert made == len(linprog_calls) >= 1
+            assert len(linprog_calls) >= 1
             assert opt.value == pytest.approx(numeraire.value, abs=1e-8)
             checked += 1
 
@@ -462,6 +461,8 @@ class TestExpectedGainCache:
             assert not linprog_calls
             assert value == numeraire.deflator.certificate
             assert deflator_from_numeraire(m, numeraire.strategy).certificate == value
+            # the deflator's weights probs * Z are the wealth ratio's weights
+            assert verify_deflator(m, numeraire.deflator.values) == value
             assert not linprog_calls
             other = 0.5 * numeraire.strategy
             verify_numeraire(m, other)

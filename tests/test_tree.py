@@ -979,9 +979,11 @@ class TestDistinctNodeContent:
 
     def test_iid_deflator_check_is_one_lp(self, iid_h6, monkeypatch):
         """Each node is certified under the one-step weights of its
-        strategy, so the 364 nodes of one market and one strategy share one
+        strategy, so where the LP decides (here every dual bound is made to
+        miss) the 364 nodes of one market and one strategy share one
         wealth-ratio LP."""
         import na1lab.arbitrage
+        import na1lab.portfolio
 
         groups = []
         settle = na1lab.arbitrage._settle
@@ -992,6 +994,7 @@ class TestDistinctNodeContent:
 
         assert global_na1(iid_h6).holds
         monkeypatch.setattr(na1lab.arbitrage, "_settle", counted)
+        monkeypatch.setattr(na1lab.portfolio, "_dual_bound", lambda *args: math.inf)
         numeraire_process(iid_h6)
         assert len(iid_h6.internal_ids()) == 364 and len(groups) == 1
 
