@@ -222,25 +222,28 @@ def _verify_gain_certificate(market, strategy, gains, offsets):
 
 def _cached(markets, notion: str, tol: float, decide):
     """Task: certificates of ``notion`` at ``tol`` for ``markets``, decided
-    once per market by the task ``decide(markets, tol)``
-    (:func:`_memoized`)."""
+    once per market by the task ``decide(market, tol)`` (:func:`_memoized`)."""
     key = (notion, float(tol))
-    return _memoized([(m, key) for m in markets], lambda fresh: decide([m for m, _ in fresh], tol))
+    return _memoized([(m, key) for m in markets], lambda market, _: decide(market, tol))
 
 
 def _memoized(entries, decide):
     """Task: the answers of ``entries``, pairs ``(market, key)``, each decided
-    once per market by the task ``decide(fresh)`` on the pairs not yet held,
-    and held in ``market.certificates`` (markets are immutable).  An entry
-    is None while a task decides it: a task needing it waits, yielding no
+    once per market by the task ``decide(market, key)``, the tasks of the
+    pairs not yet held gathered, and held in ``market.certificates``
+    (markets are immutable) from the round its own task ends.  An entry is
+    None while a task decides it: a task needing it waits, yielding no
     blocks, and one that ends undecided clears it."""
+    def held(market, key):
+        market.certificates[key] = yield from decide(market, key)
+
     while True:
         fresh = list({(id(m), key): (m, key) for m, key in entries if key not in m.certificates}.values())
         for market, key in fresh:
             market.certificates[key] = None
         try:
-            for (market, key), answer in zip(fresh, (yield from decide(fresh)) if fresh else []):
-                market.certificates[key] = answer
+            for answer in (yield from gather(*(held(m, key) for m, key in fresh))):
+                read(answer)
         finally:
             for market, key in fresh:
                 if market.certificates[key] is None:
@@ -250,19 +253,34 @@ def _memoized(entries, decide):
         yield []
 
 
-def _decided(markets, tol: float, *notions) -> bool:
-    """Whether ``markets`` hold certificates of ``notions`` at ``tol``: work
-    they gate is then done where they pass, not with their LPs, speculatively."""
-    return all(m.certificates.get((n, float(tol))) is not None for m in markets for n in notions)
-
-
-def _na1_may_hold(markets, tol: float) -> bool:
-    """Whether every market's NA1 at ``tol`` holds or is being decided:
-    work it gates may go on speculatively, not once it fails or its
-    decision ends in an error."""
+def _with_na1(markets, *tasks, tol: float = GAIN_TOL):
+    """Task: the NA1 certificates of ``markets`` at ``tol`` and the answers of
+    ``tasks`` (held as :func:`~na1lab.lp.gather` holds them; None where NA1
+    fails), the one gate of work that needs NA1: while NA1 is undecided the
+    tasks run alongside its LPs and are closed in the round it fails or its
+    decision ends in an error; once it is decided, they run where it holds."""
     key = ("na1", float(tol))
-    return all(key in m.certificates and (m.certificates[key] is None or m.certificates[key].holds)
-               for m in markets)
+
+    def while_na1_may_hold(task):
+        results = None
+        try:
+            while all(key in m.certificates and (m.certificates[key] is None or m.certificates[key].holds)
+                      for m in markets):
+                results = yield task.send(results)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            task.close()
+
+    decided = all(m.certificates.get(key) is not None for m in markets)
+    early = [] if decided else [while_na1_may_hold(task) for task in tasks]
+    certs, *answers = yield from gather(_check_na1_all(markets, tol), *early)
+    certs = read(certs)
+    if not all(cert.holds for cert in certs):
+        answers = [None] * len(tasks)
+    elif not early:
+        answers = yield from gather(*tasks)
+    return (certs, *answers)
 
 
 def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> ArbitrageCertificate:
@@ -280,17 +298,15 @@ def _classical(market: DiscreteMarket, tol: float = GAIN_TOL):
     return _cached([market], "classical", tol, _search_classical)
 
 
-def _search_classical(markets, tol: float):
-    [market] = markets
+def _search_classical(market: DiscreteMarket, tol: float):
     objective, strategy = yield from _arbitrage_search(market, market.allowed.offsets, tol)
     if strategy is None:
-        return [ArbitrageCertificate("no_arbitrage", None, None, objective, threshold=tol)]
+        return ArbitrageCertificate("no_arbitrage", None, None, objective, threshold=tol)
     strategy = strategy * _tame_scale(strategy)
     gains = market.returns @ strategy
     _verify_gain_certificate(market, strategy, gains, market.allowed.offsets)
-    return [ArbitrageCertificate(
-        "arbitrage_found", strategy, gains, float(market.probs @ gains), threshold=tol
-    )]
+    return ArbitrageCertificate("arbitrage_found", strategy, gains, float(market.probs @ gains),
+                                threshold=tol)
 
 
 def relative_arbitrage(market: DiscreteMarket, reference, tol: float = GAIN_TOL) -> ArbitrageCertificate:
@@ -357,19 +373,12 @@ def _cone_spans(markets):
     """Task: per market, :func:`~na1lab.lp.cone_span` of the cone generated
     by its allowed set, in the return span's coordinates, held in
     ``market.certificates``.  Only a cone with rows (the allowed rows with
-    zero offset) takes an LP.  Callers run it alongside NA1's LPs while NA1
-    is undecided."""
-    return _cached(markets, "cone_span", ZERO_OFFSET_TOL, _decide_cone_spans)
+    zero offset) takes an LP.  Callers gate it on NA1 (:func:`_with_na1`)."""
+    return _cached(markets, "cone_span", ZERO_OFFSET_TOL,
+                   lambda m, tol: cone_span(generated_cone(m.allowed, tol=tol).normals @ m.span.basis))
 
 
-def _decide_cone_spans(markets, tol: float):
-    spans = yield from gather(*(
-        cone_span(generated_cone(m.allowed, tol=tol).normals @ m.span.basis) for m in markets
-    ))
-    return [read(span) for span in spans]
-
-
-def _decide_na1(markets, tol: float):
+def _decide_na1(market: DiscreteMarket, tol: float):
     def holds(market, support):
         basis, d = market.span.basis, market.n_assets
         multipliers = np.maximum(-np.array([lp.marginals_ub for lp in support]), 0.0)
@@ -379,11 +388,11 @@ def _decide_na1(markets, tol: float):
         radius = float(np.max(multipliers @ market.allowed.offsets))
         return Na1Certificate("na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol)
 
-    certs = yield from gather(*(_settle(
-        m, np.vstack([m.span.basis, -m.span.basis]), np.ones(m.n_states), tol, holds,
-        lambda market, ray: Na1Certificate("na1_fails", witness_ray=ray, threshold=tol),
-    ) for m in markets))
-    return [read(c) or Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol) for c in certs]
+    cert = yield from _settle(
+        market, np.vstack([market.span.basis, -market.span.basis]), np.ones(market.n_states), tol,
+        holds, lambda market, ray: Na1Certificate("na1_fails", witness_ray=ray, threshold=tol),
+    )
+    return cert or Na1Certificate("na1_holds", bound_radius=0.0, threshold=tol)
 
 
 def _settle(market, costs, weights, tol: float, settled, unbounded):
@@ -469,14 +478,12 @@ def _max_expected_gains(markets, weights):
     entries = [(m, ("max_expected_gain", w.tobytes())) for m, w in zip(markets, weights)]
     weight_of = {key: w for (_, key), w in zip(entries, weights)}
 
-    def decide(fresh):
-        values = yield from gather(*(
-            _settle(m, [weight_of[key] @ (m.returns @ m.span.basis)], weight_of[key], GAIN_TOL,
-                    lambda market, results: float(results[0].value),
-                    lambda market, ray: float("inf"))
-            for m, key in fresh
-        ))
-        return [0.0 if value is None else value for value in map(read, values)]
+    def decide(market, key):
+        w = weight_of[key]
+        value = yield from _settle(market, [w @ (market.returns @ market.span.basis)], w, GAIN_TOL,
+                                   lambda market, results: float(results[0].value),
+                                   lambda market, ray: float("inf"))
+        return 0.0 if value is None else value
 
     return _memoized(entries, decide)
 
@@ -534,26 +541,22 @@ def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
 
 
 def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
-    basis, early = market.span.basis, []
-    gates = [_classical(market, tol)]
-    if basis.shape[1]:
-        gates.append(_check_na1_all([market], tol))
-        early = [] if _decided([market], tol, "classical", "na1") else [_cone_spans([market])]
-    classical, *answers = yield from gather(*gates, *early)
+    classical, gated = yield from gather(
+        _classical(market, tol), _with_na1([market], _cone_spans([market]), tol=tol))
     if read(classical)[0].found:
         raise PreconditionError(
             "market admits a classical arbitrage; no supermartingale measure exists"
         )
-    returns = market.returns
+    [na1], spans = read(gated)
+    if not na1.holds:
+        raise NumericError("no classical arbitrage was found, but NA1 fails")
+    basis, returns = market.span.basis, market.returns
     log_aux = np.log(market.probs) - np.sum(returns * returns, axis=1)
     strategy, dual = np.zeros(market.n_assets), None
     if basis.shape[1]:
-        [na1] = read(answers[0])
-        if not na1.holds:
-            raise NumericError("no classical arbitrage was found, but NA1 fails")
         diameter = 2.0 * np.sqrt(market.n_assets) * na1.bound_radius
         cone = np.flatnonzero(market.allowed.offsets <= ZERO_OFFSET_TOL)  # generated_cone's rows
-        [span] = read(answers[1]) if early else (yield from _cone_spans([market]))
+        [span] = read(spans)
         u, lam = _minimize_log_moment(log_aux, returns @ basis, market.allowed.normals[cone] @ basis,
                                       diameter, span)
         strategy, dual = basis @ u, (basis @ span[0], cone[span[1]], lam)

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError, PreconditionError
-from .lp import deterministic_equivalent, gather, read, require_optimal, run
+from .lp import deterministic_equivalent, read, require_optimal, run
 from .market import DiscreteMarket, _kept_rows
-from .arbitrage import GAIN_TOL, _certified_gains, _check_na1_all, _decided, _dual_bound, check_na1
+from .arbitrage import _certified_gains, _dual_bound, _with_na1, check_na1
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
 
 logger = logging.getLogger(__name__)
@@ -187,12 +187,9 @@ def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
 
 def _hedged(market: DiscreteMarket, payoff):
     payoff = _check_claim(market, Claim(payoff))
-    hedging = _superhedge_reports([market], [payoff])
-    early = [] if _decided([market], GAIN_TOL, "na1") else [hedging]
-    na1, *answers = yield from gather(_check_na1_all([market]), *early)
-    _require_na1(read(na1)[0], "super-hedging")
-    reports = read(answers[0]) if early else (yield from hedging)
-    return (yield from _recertified([market], reports))[0]
+    [na1], reports = yield from _with_na1([market], _superhedge_reports([market], [payoff]))
+    _require_na1(na1, "super-hedging")
+    return (yield from _recertified([market], read(reports)))[0]
 
 
 def _superhedge_reports(markets, payoffs):

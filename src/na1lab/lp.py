@@ -15,6 +15,8 @@ tasks in lockstep, so each *round* solves the blocks of all of them in one
 :func:`_solve_stacked` call, and :func:`run` drives a top-level task.  A
 gathered task's :class:`~na1lab.errors.Na1LabError` is held until its
 answer is :func:`read`; any other exception ends every task at once.
+Each certificate is decided by its own task and held from the round it
+ends; work that needs NA1 passes one gate, :func:`~na1lab.arbitrage._with_na1`.
 
 The one LP of piecewise-linear objectives, :func:`deterministic_equivalent`,
 is the task of a scenario tree's deterministic equivalent; a one-period

@@ -257,17 +257,16 @@ class DiscreteMarket:
         # Constraints may not restrict directions orthogonal to the return
         # span; wealth is blind to those directions, so restricting them is
         # rejected as a modelling error.
-        span = self.span
-        for i, a in enumerate(self.constraints.normals):
-            residual = span.project_complement(a)
-            if np.max(np.abs(residual), initial=0.0) > SPAN_ALIGNMENT_TOL * max(
-                1.0, float(np.max(np.abs(a), initial=0.0))
-            ):
-                raise InvalidParameterError(
-                    f"constraint row {i} restricts directions outside the return span "
-                    f"(residual {np.max(np.abs(residual)):.3e}); rebuild the constraint "
-                    "set inside the span"
-                )
+        normals, basis = self.constraints.normals, self.span.basis
+        residual = np.max(np.abs(normals - (normals @ basis) @ basis.T), axis=1, initial=0.0)
+        scale = np.maximum(1.0, np.max(np.abs(normals), axis=1, initial=0.0))
+        outside = np.flatnonzero(residual > SPAN_ALIGNMENT_TOL * scale)
+        if outside.size:
+            raise InvalidParameterError(
+                f"constraint row {outside[0]} restricts directions outside the return span "
+                f"(residual {residual[outside[0]]:.3e}); rebuild the constraint "
+                "set inside the span"
+            )
 
     @property
     def n_states(self) -> int:

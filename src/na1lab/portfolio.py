@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import GAIN_TOL, _certified_gains, _check_na1_all, _cone_spans, _decided, _dual_bound
+from .arbitrage import _certified_gains, _cone_spans, _dual_bound, _with_na1
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import _pad, deterministic_equivalent, gather, minimize_convex, read, run
 from .market import DiscreteMarket, wealth
@@ -289,8 +289,8 @@ def maximize_utility(
     refuses to start, unless ``divergence_bound`` is given: then the
     objective is escalated along the NA1 certificate's witness ray, and a
     :class:`~na1lab.errors.NumericError` carries the escalated value and the
-    best finite point.  Where NA1 is not yet decided, its LPs and those of
-    the span of a flat allowed set are one round.
+    best finite point.  Where NA1 is not yet decided, its LPs and, for a
+    smooth utility, that of the span of a flat allowed set are one round.
     """
     return run(_maximize_all([market], [market.probs], u, tol, divergence_bound))[0]
 
@@ -355,9 +355,8 @@ def _newton_problem(market, probs, u, divergence_bound):
         raise InvalidParameterError(
             "the utility argument must be positive at the zero strategy, which is always allowed"
         )
-    early = [] if _decided([market], GAIN_TOL, "na1") else [_cone_spans([market])]
-    certs, *answers = yield from gather(_check_na1_all([market]), *early)
-    [cert] = read(certs)
+    gated = [] if evaluator.piecewise else [_cone_spans([market])]  # a piecewise LP needs no span
+    [cert], *spans = yield from _with_na1([market], *gated)
     if not cert.holds and divergence_bound is None:
         raise PreconditionError(
             "scalable arbitrage exists, so expected utility has no maximizer; "
@@ -369,8 +368,9 @@ def _newton_problem(market, probs, u, divergence_bound):
     basis = market.span.basis
     if evaluator.piecewise and basis.shape[1]:
         return (yield from _piecewise_optimum(market, probs, evaluator, basis))
-    [(reduce, _)] = read(answers[0]) if early else (yield from _cone_spans([market]))
-    basis = basis @ reduce
+    if spans:
+        [(reduce, _)] = read(spans[0])
+        basis = basis @ reduce
     if basis.shape[1] == 0:
         value = float(probs @ evaluator.value(np.ones(market.n_states)))
         return OptimalPortfolio(np.zeros(d), value, 0.0, 0)

@@ -26,15 +26,16 @@ built once and held on the tree, and nodes with equal content share it, so
 its cached certificates, NA1 and its cone span first of all, and its log
 optimum serve every such node and later question.  Each pass is an LP task
 (:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs as one
-block-diagonal LP (:func:`~na1lab.lp._solve_stacked`), and
-:func:`_with_na1` runs passes alongside the NA1 support LPs while the
-verdict is undecided, so independent LPs of different passes share a
-round.  The ``tree`` command thus solves in its first round the NA1 LPs
-with the cone spans of the node markets that have zero-offset rows, the
-deepest super-hedging level and the piecewise tree LP, and each later
-round the next super-hedging level, ``H`` rounds for horizon ``H``; the
-deflator checks and re-certifications are dual bounds, else LPs.  The utility
-problems of a pass are one solver batch
+block-diagonal LP (:func:`~na1lab.lp._solve_stacked`).  The passes are
+gated on the node markets' NA1 by :func:`~na1lab.arbitrage._with_na1`,
+which runs them alongside its LPs while it is undecided, each market's
+certificate held from the round it is decided, so independent LPs of
+different passes share a round.  The ``tree`` command thus solves in its
+first round the NA1 LPs with the cone spans of the node markets that
+have zero-offset rows, the deepest super-hedging level and the piecewise
+tree LP, and each later round the next super-hedging level, ``H`` rounds
+for horizon ``H``; the deflator checks and re-certifications are dual
+bounds, else LPs.  The utility problems of a pass are one solver batch
 (:func:`~na1lab.portfolio._maximize_all`): the log optima of all distinct
 markets, or the power problems of one level, one per distinct market and
 tilt.  Every node's result is still checked on its own.
@@ -48,10 +49,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import GAIN_TOL, _certified_gains, _check_na1_all, _decided, _na1_may_hold
+from . import arbitrage
+from .arbitrage import _certified_gains
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .hedging import _recertified, _superhedge_reports
-from .lp import deterministic_equivalent, gather, read, require_optimal, run, solve_lp
+from .lp import deterministic_equivalent, read, require_optimal, run, solve_lp
 from .market import ConstraintSet, DiscreteMarket, wealth
 from .portfolio import (
     GRADIENT_TOL,
@@ -465,37 +467,13 @@ def global_na1(tree: ScenarioTree) -> TreeNa1Report:
 
 def _with_na1(tree: ScenarioTree, *passes):
     """Task: the tree's :class:`TreeNa1Report` and the answers of the tasks
-    ``passes``, held as :func:`~na1lab.lp.gather` holds them (None where
-    NA1 fails).  While the verdict is undecided the passes run alongside
-    its LPs, speculatively, until a node fails; once it is decided they run
-    only where it holds."""
+    ``passes``, gated on the node markets' NA1 by
+    :func:`~na1lab.arbitrage._with_na1` (None where it fails)."""
     internal = tree.internal_ids()
-    markets = [node_market(tree, n) for n in internal]
-    decided = _decided(markets, GAIN_TOL, "na1")
-    early = [] if decided else [_while_na1_may_hold(markets, p) for p in passes]
-    certs, *answers = yield from gather(_check_na1_all(markets), *early)
-    certificates = dict(zip(internal, read(certs)))
+    certs, *answers = yield from arbitrage._with_na1([node_market(tree, n) for n in internal], *passes)
+    certificates = dict(zip(internal, certs))
     failing = tuple(n for n, cert in certificates.items() if not cert.holds)
-    if failing:
-        answers = [None] * len(passes)
-    elif not early:
-        answers = yield from gather(*passes)
     return (TreeNa1Report(not failing, certificates, failing), *answers)
-
-
-def _while_na1_may_hold(markets, task):
-    """Task: ``task``'s answer, advanced while the NA1 decision of
-    ``markets`` may still hold everywhere; None (and ``task`` closed) once
-    it does not."""
-    results = None
-    try:
-        while _na1_may_hold(markets, GAIN_TOL):
-            results = yield task.send(results)
-    except StopIteration as stop:
-        return stop.value
-    finally:
-        task.close()
-    return None
 
 
 def _gated(tree: ScenarioTree, context: str, task):
@@ -828,7 +806,8 @@ def _leaf_payoffs(tree: ScenarioTree, claim) -> dict:
         missing = [leaf for leaf in tree.leaf_ids if leaf not in claim]
         if missing:
             raise InvalidParameterError(f"claim missing leaves {missing!r}")
-        extra = [k for k in claim if k not in set(tree.leaf_ids)]
+        leaves = set(tree.leaf_ids)
+        extra = [k for k in claim if k not in leaves]
         if extra:
             raise InvalidParameterError(f"claim names non-leaf nodes {extra!r}")
         payoffs = {leaf: float(claim[leaf]) for leaf in tree.leaf_ids}

@@ -588,9 +588,9 @@ class TestTreeCommand:
             builds.append(1)
             post_init(market)
 
-        def counted_decide(markets, tol):
-            decisions.extend(markets)
-            return decide(markets, tol)
+        def counted_decide(market, tol):
+            decisions.append(market)
+            return decide(market, tol)
 
         monkeypatch.setattr(DiscreteMarket, "__post_init__", counted_post_init)
         monkeypatch.setattr(na1lab.arbitrage, "_decide_na1", counted_decide)

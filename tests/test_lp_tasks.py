@@ -1,7 +1,7 @@
 """LP tasks: the driver solves each round of every gathered task in one LP,
 a domain error waits until its answer is read, anything else ends every
-task, and a command's gathered LPs give the answers of the library
-functions called one by one.
+task, work gated on NA1 is closed in the round NA1 fails, and a command's
+gathered LPs give the answers of the library functions called one by one.
 
 Oracles used here:
 
@@ -20,6 +20,8 @@ import pytest
 import na1lab.arbitrage
 import na1lab.cli
 import na1lab.hedging
+import na1lab.portfolio
+import na1lab.tree
 from conftest import random_market_any
 from na1lab import lp
 from na1lab.arbitrage import (
@@ -40,7 +42,9 @@ from na1lab.errors import (
 )
 from na1lab.hedging import Claim, _hedged, superhedge
 from na1lab.io import parse_market
-from na1lab.portfolio import numeraire_portfolio, verify_numeraire
+from na1lab.market import DiscreteMarket, preset_constraints
+from na1lab.portfolio import UtilitySpec, maximize_utility, numeraire_portfolio, verify_numeraire
+from na1lab.tree import ScenarioTree, TreeNode
 from test_cli import market_doc, run_command, scalable_doc
 
 
@@ -124,9 +128,9 @@ class TestSharedCertificates:
         for name in ("_decide_na1", "_search_classical"):
             original = getattr(na1lab.arbitrage, name)
 
-            def counted(markets, tol, original=original, name=name):
+            def counted(market, tol, original=original, name=name):
                 decided.append(name)
-                return (yield from original(markets, tol))
+                return (yield from original(market, tol))
 
             monkeypatch.setattr(na1lab.arbitrage, name, counted)
         market, claim = parse_market(market_doc(claim=[0.0, 1.5]))
@@ -195,6 +199,105 @@ class TestSharedCertificates:
                     pass
             counts.append(len(linprog_calls))
         assert counts == [3] * 12
+
+
+def one_asset(returns, constraints):
+    return DiscreteMarket([0.5, 0.5], np.array([[r] for r in returns]), constraints)
+
+
+def easy_market():
+    """NA1 holds, decided by its support LPs in one round."""
+    return one_asset([0.2, -0.1], preset_constraints("box", 1, lower=[1.0], upper=[1.0]))
+
+
+def hard_market():
+    """NA1 fails: the support LPs reach the box, so a ray LP decides it in
+    the second round."""
+    return one_asset([0.0, 0.5], preset_constraints("no_short", 1))
+
+
+def wide_market():
+    """NA1 holds with radius 2e6, past the support LPs' box: no gaining ray
+    in the second round, so the whole LPs decide it in the third."""
+    return one_asset([1e-7, -1e-7], preset_constraints("box", 1, lower=[2e6], upper=[2e6]))
+
+
+class TestNa1Gate:
+    """Each market's certificate is held from the round its own decision
+    ends, and work gated on NA1 is closed in the round NA1 fails."""
+
+    KEY = ("na1", na1lab.arbitrage.GAIN_TOL)
+
+    def test_a_decided_market_is_held_before_the_batch_ends(self):
+        easy, hard = easy_market(), hard_market()
+        task = _check_na1_all([easy, hard])
+        blocks = task.send(lp._solve_stacked(next(task)))
+        assert easy.certificates[self.KEY].holds
+        assert hard.certificates[self.KEY] is None and len(blocks) == 1  # its ray LP
+        with pytest.raises(StopIteration) as stop:
+            task.send(lp._solve_stacked(blocks))
+        assert [cert.holds for cert in stop.value.value] == [True, False]
+
+    def test_only_smooth_utilities_ask_for_the_cone_span(self, monkeypatch):
+        """A piecewise-linear optimum is one LP over the allowed set itself;
+        the span of a flat allowed set serves the Newton search alone."""
+        asked = []
+        spans = na1lab.portfolio._cone_spans
+        monkeypatch.setattr(na1lab.portfolio, "_cone_spans",
+                            lambda markets: asked.append(len(markets)) or spans(markets))
+        market, _ = parse_market(pinned_doc())
+        maximize_utility(market, UtilitySpec.piecewise_linear([0.0, 1.0, 2.0], [0.0, 1.0, 1.5]))
+        assert asked == []
+        maximize_utility(market, UtilitySpec.log())
+        assert asked == [1]
+
+    @staticmethod
+    def spied(monkeypatch):
+        """Events of a speculative task of four rounds, one block each, and
+        of the LP rounds that `lp.run` solves."""
+        events = []
+        solve = lp._solve_stacked
+
+        def rounds_seen(blocks):
+            events.append("round")
+            return solve(blocks)
+
+        def speculative(*args):
+            try:
+                for _ in range(4):
+                    events.append("blocks")
+                    yield [bound(1.0)]
+                return []
+            finally:
+                events.append("closed")
+
+        monkeypatch.setattr(lp, "_solve_stacked", rounds_seen)
+        return events, speculative
+
+    def test_hedge_is_closed_in_the_round_na1_fails(self, monkeypatch):
+        """NA1 fails with the ray LP of the second round, which closes the
+        hedge speculating alongside it."""
+        events, speculative = self.spied(monkeypatch)
+        monkeypatch.setattr(na1lab.hedging, "_superhedge_reports", speculative)
+        with pytest.raises(PreconditionError, match="super-hedging"):
+            lp.run(_hedged(hard_market(), [0.0, 1.0]))
+        assert events == ["blocks", "round", "blocks", "round", "closed"]
+
+    def test_tree_pass_is_closed_in_the_round_na1_fails(self, monkeypatch):
+        """The root's market is the wide one, decided in round 3; node r0's
+        fails in round 2, which closes the pass, so round 3 carries only the
+        root's whole LPs."""
+        constraints = {"r": wide_market().constraints, "r0": hard_market().constraints,
+                       "r1": easy_market().constraints}
+        nodes = [TreeNode("r")]
+        for parent, returns in (("r", wide_market().returns), ("r0", hard_market().returns),
+                                ("r1", easy_market().returns)):
+            nodes += [TreeNode(f"{parent}{k}", parent, 0.5, r) for k, r in enumerate(returns)]
+        events, speculative = self.spied(monkeypatch)
+        report, answer = lp.run(na1lab.tree._with_na1(ScenarioTree(tuple(nodes), constraints),
+                                                      speculative()))
+        assert report.failing == ("r0",) and answer is None
+        assert events == ["blocks", "round", "blocks", "round", "closed", "round"]
 
 
 class TestHeldErrors:

@@ -945,9 +945,9 @@ class TestDistinctNodeContent:
             counts["builds"] += 1
             post_init(market)
 
-        def counted_decide(markets, tol):
-            counts["decided"] += len(markets)
-            return decide(markets, tol)
+        def counted_decide(market, tol):
+            counts["decided"] += 1
+            return decide(market, tol)
 
         def counted_minimize(derivatives, a_ub, b_ub, start, *args, **kwargs):
             counts["batches"].append(len(start))
