@@ -75,7 +75,6 @@ from .factor import (
     validate_positivity,
 )
 
-from .cli import RunConfig, main, run
 from .io import (
     dumps_canonical,
     load_document,

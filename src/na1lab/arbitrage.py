@@ -35,7 +35,9 @@ GAIN_TOL = 1e-9
 #: the certificate tolerances.
 CERTIFICATE_SCALE = 100.0
 
-#: Expected-gain slack allowed for a supermartingale measure.
+#: How far a deflated expected one-step wealth E[Z (1 + <theta, R>)] may
+#: exceed 1 over the allowed set: the slack of every supermartingale
+#: certificate (measure, numeraire, deflator, deflator process).
 SUPERMARTINGALE_TOL = 1e-8
 
 #: Residual at which the exponential-moment minimization stops; it bounds

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import deterministic_equivalent, read, require_optimal, run
 from .market import DiscreteMarket, _kept_rows
-from .arbitrage import _certified_gains, _dual_bound, _with_na1, check_na1
+from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _dual_bound, _with_na1, check_na1
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
 
 logger = logging.getLogger(__name__)
@@ -42,9 +42,6 @@ RESIDUAL_TOL = 1e-9
 #: Zero LP multipliers are lifted to this value so the reported deflator is
 #: strictly positive, then the lifted vector is re-certified.
 DEFLATOR_BUMP = 1e-12
-
-#: Deflators must keep every allowed wealth ratio below one plus this slack.
-DEFLATOR_TOL = 1e-8
 
 #: Absolute tolerance of the bisection for the indifference price.
 PRICE_TOL = 1e-8
@@ -245,7 +242,8 @@ def _superhedge_reports(markets, payoffs):
             )
         weights, budget = market.probs * lifted, np.maximum(-result.marginals_ub[states.size :], 0.0)
         rows = market.admissible.offsets.size + np.arange(budget.size)  # R^T multipliers = A^T budget
-        _dual_bound(market, weights, (market.span.basis, rows, budget), 1.0 + DEFLATOR_TOL - np.sum(weights))
+        _dual_bound(market, weights, (market.span.basis, rows, budget),
+                    1.0 + SUPERMARTINGALE_TOL - np.sum(weights))
         replicates = float(np.max(np.abs(residuals))) <= RESIDUAL_TOL
         attains = dual_value >= primal - DUALITY_TOL * (1.0 + primal)
         reports.append(ValuationReport(
@@ -275,12 +273,12 @@ def _hedged_states(market: DiscreteMarket, payoff) -> np.ndarray:
 def _recertified(markets, reports):
     """Task: re-certify each report's lifted deflator by its budget
     multipliers' weak-duality bound, else by its LP, those LPs stacked: one
-    that lets some allowed wealth ratio exceed ``1 + DEFLATOR_TOL`` is
+    that lets some allowed wealth ratio exceed ``1 + SUPERMARTINGALE_TOL`` is
     logged and makes its report not attainable."""
     weights = [m.probs * r.dual_deflator for m, r in zip(markets, reports)]
     out = []
     for report, weight, gain in zip(reports, weights, (yield from _certified_gains(markets, weights))):
-        if not float(np.sum(weight)) + gain <= 1.0 + DEFLATOR_TOL:
+        if not float(np.sum(weight)) + gain <= 1.0 + SUPERMARTINGALE_TOL:
             logger.warning("lifted dual deflator failed re-certification; reporting it anyway")
             report = replace(report, attainable=False)
         out.append(report)

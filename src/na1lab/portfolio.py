@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import _certified_gains, _cone_spans, _dual_bound, _with_na1
+from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _cone_spans, _dual_bound, _with_na1
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import _pad, deterministic_equivalent, gather, minimize_convex, read, run
 from .market import DiscreteMarket, wealth
@@ -27,9 +27,6 @@ from .market import DiscreteMarket, wealth
 #: States whose utility argument ends at or below this are reported as
 #: active wealth floors.
 WEALTH_FLOOR = 1e-9
-
-#: Slack allowed by the wealth-ratio certificate.
-NUMERAIRE_TOL = 1e-8
 
 #: Default stationarity-residual tolerance of the optimizer.
 GRADIENT_TOL = 1e-8
@@ -258,7 +255,7 @@ class Deflator:
         return {
             "values": list(map(float, self.values)),
             "certificate": float(self.certificate),
-            "threshold": 1.0 + NUMERAIRE_TOL,
+            "threshold": 1.0 + SUPERMARTINGALE_TOL,
         }
 
 
@@ -328,7 +325,7 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
             if u == UtilitySpec.log():  # its multipliers bound the wealth ratios verify_numeraire weighs
                 ratio = weights[i] * (1.0 / wealth(markets[i], out[i].strategy))
                 _dual_bound(markets[i], ratio, (basis, rows, result.multipliers),
-                            1.0 + NUMERAIRE_TOL - float(np.sum(ratio)))
+                            1.0 + SUPERMARTINGALE_TOL - float(np.sum(ratio)))
     return out
 
 
@@ -542,9 +539,9 @@ def deflator_from_numeraire(market: DiscreteMarket, rho) -> Deflator:
     same weights, so one value certifies both (:func:`verify_numeraire`).
     """
     lp_value = verify_numeraire(market, rho)
-    if lp_value > 1.0 + NUMERAIRE_TOL:
+    if lp_value > 1.0 + SUPERMARTINGALE_TOL:
         raise PreconditionError(
-            f"wealth-ratio LP value {lp_value:.12g} exceeds 1 + {NUMERAIRE_TOL:g}; "
+            f"wealth-ratio LP value {lp_value:.12g} exceeds 1 + {SUPERMARTINGALE_TOL:g}; "
             "the candidate is not a numeraire"
         )
     return Deflator(values=1.0 / wealth(market, rho), certificate=float(lp_value))

@@ -21,10 +21,14 @@ node markets:
 * cheapest super-replication composes backward, one homogenized hedging LP
   per node (``superhedge_tree``).
 
-Node markets are keyed by content (``node_market``): each distinct one is
-built once and held on the tree, and nodes with equal content share it, so
-its cached certificates, NA1 and its cone span first of all, and its log
-optimum serve every such node and later question.  Each pass is an LP task
+The tree is held once as breadth-first arrays (:class:`ScenarioTree`):
+edge probabilities and returns, parents, each node's children as one range
+and each depth as one range, so a pass walks levels and child ranges, and
+a node market is a slice of them.  Node markets are keyed by content
+(``node_market``): each distinct one is built once and held on the tree,
+and nodes with equal content share it, so its cached certificates, NA1 and
+its cone span first of all, and its log optimum serve every such node and
+later question.  Each pass is an LP task
 (:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs as one
 block-diagonal LP (:func:`~na1lab.lp._solve_stacked`).  The passes are
 gated on the node markets' NA1 by :func:`~na1lab.arbitrage._with_na1`,
@@ -44,13 +48,12 @@ tilt.  Every node's result is still checked on its own.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import arbitrage
-from .arbitrage import _certified_gains
+from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .hedging import _recertified, _superhedge_reports
 from .lp import deterministic_equivalent, read, require_optimal, run, solve_lp
@@ -64,9 +67,6 @@ from .portfolio import (
 
 #: Membership slack for recorded strategies (constraints and span).
 POLICY_TOL = 1e-9
-
-#: Allowed relative slack in per-node supermartingale certification.
-DEFLATOR_SLACK_TOL = 1e-8
 
 #: The numeraire deflator's one-step ratios times the node's gross returns
 #: must be one within this.
@@ -101,6 +101,12 @@ class ScenarioTree:
     for the strategy chosen at that node.  Children keep the order in which
     they appear in ``nodes``; leaf-order-sensitive inputs (claims) follow
     ``leaf_ids``.
+
+    The structure is held once, breadth-first (``bfs_ids``): node ``i`` has
+    edge probability ``_probs[i]``, edge returns ``_returns[i]`` (the root's
+    are 1 and zeros) and parent ``_parents[i]`` (the root's is 0); its
+    children are the nodes ``_offsets[i]:_offsets[i + 1]``, and depth ``t``
+    is the nodes ``_levels[t]:_levels[t + 1]``, the last of them the leaves.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -136,63 +142,53 @@ class ScenarioTree:
                     f"node {node.node_id!r} references unknown parent {node.parent!r}"
                 )
             children[node.parent].append(node.node_id)
-        depth = {root.node_id: 0}
-        bfs = [root.node_id]
-        queue = deque([root.node_id])
-        while queue:
-            current = queue.popleft()
-            for child in children[current]:
-                depth[child] = depth[current] + 1
-                bfs.append(child)
-                queue.append(child)
+        bfs, offsets = [root.node_id], []
+        for node_id in bfs:  # appended to while walked: breadth-first
+            offsets.append(len(bfs))
+            bfs.extend(children[node_id])
+        offsets.append(len(bfs))
         if len(bfs) != len(nodes):
             raise InvalidParameterError(
                 "tree is disconnected (some nodes unreachable from the root)"
             )
-        leaves = tuple(nid for nid in bfs if not children[nid])
-        horizons = {depth[leaf] for leaf in leaves}
-        if len(horizons) != 1:
+        levels = [0]  # a level's children start the next one
+        while levels[-1] < len(bfs):
+            levels.append(offsets[levels[-1]])
+        counts = np.diff(offsets)
+        depths = [t for t in range(len(levels) - 1) if not counts[levels[t]:levels[t + 1]].all()]
+        if len(depths) != 1:
             raise InvalidParameterError(
-                f"all leaves must sit at the same depth, found depths {sorted(horizons)}"
+                f"all leaves must sit at the same depth, found depths {depths}"
             )
-        horizon = horizons.pop()
-        if horizon < 1:
+        if len(levels) < 3:
             raise InvalidParameterError("a scenario tree needs at least one period")
-        dims = set()
         cleaned: dict = {}
         for node in nodes:
             if node.parent is None:
                 continue
             returns = np.asarray(node.returns, dtype=float).reshape(-1)
             if returns.size == 0 or not np.all(np.isfinite(returns)):
-                raise InvalidParameterError(
-                    f"node {node.node_id!r} needs a finite return vector"
-                )
+                raise InvalidParameterError(f"node {node.node_id!r} needs a finite return vector")
             if np.any(returns < -1.0):
                 raise InvalidParameterError(f"node {node.node_id!r} has a return below -1")
-            dims.add(returns.size)
-            returns.setflags(write=False)
             cleaned[node.node_id] = returns
             prob = float(node.prob)
             if not 0.0 < prob <= 1.0:
                 raise InvalidParameterError(
                     f"node {node.node_id!r} branch probability {prob} outside (0, 1]"
                 )
+        dims = {returns.size for returns in cleaned.values()}
         if len(dims) > 1:
-            raise InvalidParameterError(
-                f"inconsistent asset counts across edges: {sorted(dims)}"
-            )
+            raise InvalidParameterError(f"inconsistent asset counts across edges: {sorted(dims)}")
         n_assets = dims.pop()
         for node_id, kids in children.items():
-            if not kids:
-                continue
             total = sum(float(by_id[k].prob) for k in kids)
-            if abs(total - 1.0) > PROB_TOL:
+            if kids and abs(total - 1.0) > PROB_TOL:
                 raise InvalidParameterError(
                     f"children of node {node_id!r} have probabilities summing to {total!r}"
                 )
-        internal = {nid for nid in bfs if children[nid]}
-        for node_id in internal:
+        index = {node_id: i for i, node_id in enumerate(bfs)}
+        for node_id in bfs[:levels[-2]]:
             cs = self.constraints.get(node_id)
             if not isinstance(cs, ConstraintSet):
                 raise InvalidParameterError(f"non-leaf node {node_id!r} needs a ConstraintSet")
@@ -201,80 +197,92 @@ class ScenarioTree:
                     f"constraints at node {node_id!r} have dim {cs.dim}, expected {n_assets}"
                 )
         for node_id in self.constraints:
-            if node_id not in internal:
+            if index.get(node_id, len(bfs)) >= levels[-2]:
                 raise InvalidParameterError(
                     f"constraints given for {node_id!r}, which is not a non-leaf node"
                 )
+        probs = np.array([float(by_id[k].prob) for k in bfs])
+        returns = np.vstack([np.zeros(n_assets)] + [cleaned[k] for k in bfs[1:]])
+        parents = np.concatenate([[0], np.repeat(np.arange(len(bfs)), counts)])
+        for array in (probs, returns, parents):
+            array.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "constraints", dict(self.constraints))
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
-        object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_returns", cleaned)
-        object.__setattr__(self, "_root_id", root.node_id)
-        object.__setattr__(self, "_leaves", leaves)
-        object.__setattr__(self, "_horizon", horizon)
-        object.__setattr__(self, "_n_assets", n_assets)
         object.__setattr__(self, "_bfs", tuple(bfs))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "_returns", returns)
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_markets", {})  # by node id
         object.__setattr__(self, "_contents", {})  # by node content
         object.__setattr__(self, "_log_optima", {})
 
     @property
     def root_id(self):
-        return self._root_id
+        return self._bfs[0]
 
     @property
     def leaf_ids(self) -> tuple:
-        return self._leaves
+        return self._bfs[self._levels[-2]:]
 
     @property
     def horizon(self) -> int:
-        return self._horizon
+        return len(self._levels) - 2
 
     @property
     def n_assets(self) -> int:
-        return self._n_assets
+        return self._returns.shape[1]
 
-    def node(self, node_id) -> TreeNode:
+    def _at(self, node_id) -> int:
         try:
-            return self._by_id[node_id]
+            return self._index[node_id]
         except KeyError:
             raise InvalidParameterError(f"unknown node id {node_id!r}") from None
 
+    def node(self, node_id) -> TreeNode:
+        self._at(node_id)
+        return self._by_id[node_id]
+
     def children(self, node_id) -> tuple:
-        self.node(node_id)
-        return self._children[node_id]
+        i = self._at(node_id)
+        return self._bfs[self._offsets[i]:self._offsets[i + 1]]
 
     def is_leaf(self, node_id) -> bool:
         return not self.children(node_id)
 
     def depth(self, node_id) -> int:
-        self.node(node_id)
-        return self._depth[node_id]
+        return int(np.searchsorted(self._levels, self._at(node_id), side="right")) - 1
 
     def bfs_ids(self) -> tuple:
         """Node ids in breadth-first order (parents before children)."""
         return self._bfs
 
+    def level_ids(self, depth: int) -> tuple:
+        """Ids of the nodes at ``depth`` (0 to ``horizon``), breadth-first."""
+        if not 0 <= depth <= self.horizon:
+            raise InvalidParameterError(f"depth {depth!r} outside 0..{self.horizon}")
+        return self._bfs[self._levels[depth]:self._levels[depth + 1]]
+
     def internal_ids(self) -> tuple:
         """Non-leaf ids in breadth-first order; reverse for backward passes."""
-        return tuple(nid for nid in self._bfs if self._children[nid])
+        return self._bfs[:self._levels[-2]]
 
     def edge_returns(self, node_id) -> np.ndarray:
         """Returns realized on the edge into ``node_id`` (root has none)."""
-        self.node(node_id)
-        if node_id == self._root_id:
+        i = self._at(node_id)
+        if not i:
             raise InvalidParameterError("the root has no incoming edge")
-        return self._returns[node_id]
+        return self._returns[i]
 
     def path_probability(self, node_id) -> float:
         """Probability of reaching the node from the root."""
-        prob = 1.0
-        current = self.node(node_id)
-        while current.parent is not None:
-            prob *= float(current.prob)
-            current = self.node(current.parent)
+        prob, i = 1.0, self._at(node_id)
+        while i:
+            prob *= float(self._probs[i])
+            i = self._parents[i]
         return prob
 
 
@@ -289,11 +297,11 @@ def node_market(tree: ScenarioTree, node_id) -> DiscreteMarket:
     """
     market = tree._markets.get(node_id)
     if market is None:
-        kids = tree.children(node_id)
-        if not kids:
+        i = tree._at(node_id)
+        kids = slice(tree._offsets[i], tree._offsets[i + 1])
+        if kids.start == kids.stop:
             raise InvalidParameterError(f"node {node_id!r} is a leaf; it has no market")
-        probs = np.array([float(tree.node(k).prob) for k in kids])
-        returns = np.vstack([tree.edge_returns(k) for k in kids])
+        probs, returns = tree._probs[kids], tree._returns[kids]
         cs = tree.constraints[node_id]
         key = (probs.tobytes(), returns.tobytes(), cs.normals.tobytes(), cs.offsets.tobytes())
         market = tree._contents.get(key)
@@ -319,25 +327,13 @@ def iid_tree(market: DiscreteMarket, horizon: int, root_id: str = "root") -> Sce
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be at least 1")
-    nodes = [TreeNode(root_id)]
-    constraints = {}
-    frontier = [root_id]
+    nodes, constraints, frontier = [TreeNode(root_id)], {}, [root_id]
     for _ in range(horizon):
-        next_frontier = []
-        for parent in frontier:
-            constraints[parent] = market.constraints
-            for k in range(market.n_states):
-                child = f"{parent}/{k}"
-                nodes.append(
-                    TreeNode(
-                        child,
-                        parent=parent,
-                        prob=float(market.probs[k]),
-                        returns=market.returns[k],
-                    )
-                )
-                next_frontier.append(child)
-        frontier = next_frontier
+        constraints.update((parent, market.constraints) for parent in frontier)
+        edges = [(parent, k) for parent in frontier for k in range(market.n_states)]
+        nodes += [TreeNode(f"{parent}/{k}", parent, float(market.probs[k]), market.returns[k])
+                  for parent, k in edges]
+        frontier = [f"{parent}/{k}" for parent, k in edges]
     return ScenarioTree(tuple(nodes), constraints)
 
 
@@ -394,14 +390,11 @@ class DeflatorProcess:
 
 
 def _wealth_process(tree: ScenarioTree, strategies: dict) -> dict:
-    wealth = {tree.root_id: 1.0}
-    for node_id in tree.bfs_ids():
-        node = tree.node(node_id)
-        if node.parent is None:
-            continue
-        gain = float(tree.edge_returns(node_id) @ strategies[node.parent])
-        wealth[node_id] = wealth[node.parent] * (1.0 + gain)
-    return wealth
+    offsets, values = tree._offsets, [1.0] * len(tree._bfs)
+    for i, node_id in enumerate(tree.internal_ids()):
+        for k in range(offsets[i], offsets[i + 1]):
+            values[k] = values[i] * (1.0 + float(tree._returns[k] @ strategies[node_id]))
+    return dict(zip(tree._bfs, values))
 
 
 def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> float:
@@ -412,22 +405,19 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
     for its weights), and should not exceed the node's own deflator value.
     The LPs of all nodes are solved together as block-diagonal LPs.
     """
-    values = process.values
-    missing = [nid for nid in tree.bfs_ids() if nid not in values]
+    missing = [nid for nid in tree.bfs_ids() if nid not in process.values]
     if missing:
         raise InvalidParameterError(f"deflator process missing nodes {missing!r}")
-    if abs(float(values[tree.root_id]) - 1.0) > 1e-12:
+    values = np.array([float(process.values[n]) for n in tree.bfs_ids()])
+    if abs(values[0] - 1.0) > 1e-12:
         raise InvalidParameterError("a deflator process must start at 1")
-    for node_id in tree.bfs_ids():
-        if not float(values[node_id]) > 0.0:
-            raise InvalidParameterError(f"deflator at node {node_id!r} is not positive")
-    internal = tree.internal_ids()
-    markets = [node_market(tree, n) for n in internal]
-    weights = [
-        market.probs
-        * (np.array([float(values[k]) for k in tree.children(n)]) / float(values[n]))
-        for n, market in zip(internal, markets)
-    ]
+    bad = np.flatnonzero(~(values > 0.0))
+    if bad.size:
+        raise InvalidParameterError(f"deflator at node {tree.bfs_ids()[bad[0]]!r} is not positive")
+    offsets = tree._offsets
+    markets = [node_market(tree, n) for n in tree.internal_ids()]
+    weights = [market.probs * (values[offsets[i]:offsets[i + 1]] / values[i])
+               for i, market in enumerate(markets)]
     gains = run(_certified_gains(markets, weights))
     return float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
 
@@ -587,9 +577,8 @@ def _separable_backward(tree, u: UtilitySpec, candidates):
     node_values: dict = {leaf: (0.0 if is_log else 1.0) for leaf in tree.leaf_ids}
     strategies: dict = {}
     log_optima = (yield from _log_optima(tree, GRADIENT_TOL)) if is_log and candidates is None else {}
-    backward = tuple(reversed(tree.internal_ids()))
     for depth in reversed(range(tree.horizon)):
-        level = [n for n in backward if tree.depth(n) == depth]
+        level = tree.level_ids(depth)[::-1]
         markets = {n: node_market(tree, n) for n in level}
         continuation = {n: np.array([node_values[k] for k in tree.children(n)]) for n in level}
         tilts = {n: markets[n].probs * continuation[n] for n in level}
@@ -621,12 +610,8 @@ def _separable_backward(tree, u: UtilitySpec, candidates):
         root_value = u.scale**u.gamma * node_values[tree.root_id] / u.gamma
     policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
     policy.validate(tree, require_positive_wealth=True)
-    return BackwardInductionResult(
-        float(root_value),
-        policy,
-        node_values,
-        {"utility_form": u.kind, "exact": True},
-    )
+    return BackwardInductionResult(float(root_value), policy, node_values,
+                                   {"utility_form": u.kind, "exact": True})
 
 
 def _piecewise_backward(tree, u: UtilitySpec):
@@ -638,27 +623,26 @@ def _piecewise_backward(tree, u: UtilitySpec):
     the policy is validated, and the node values are the conditional
     expected utilities of its wealth process.
     """
-    bfs, internal, leaves = tree.bfs_ids(), tree.internal_ids(), tree.leaf_ids
-    index = {n: i for i, n in enumerate(bfs)}
+    internal, offsets = tree.internal_ids(), tree._offsets
+    cut = len(internal)
     markets = [node_market(tree, n) for n in internal]
     pieces = u.pieces()
     _, strategies, _ = yield from deterministic_equivalent(
-        [0] + [index[tree.node(n).parent] for n in bfs[1:]],
-        np.array([tree.edge_returns(n) for n in bfs[1:]]),
+        tree._parents, tree._returns[1:],
         [(m.span.basis, m.constraints.normals, m.constraints.offsets) for m in markets],
-        [(tree.path_probability(leaf), pieces) for leaf in leaves],
+        [(tree.path_probability(leaf), pieces) for leaf in tree.leaf_ids],
         (1.0, 1.0), True, "piecewise-utility tree LP")
     strategies = dict(zip(internal, strategies))
     policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
     policy.validate(tree)
-    leaf_wealth = np.array([policy.wealth[leaf] for leaf in leaves])
-    node_values: dict = dict(zip(leaves, u.value(leaf_wealth).tolist()))
-    for n in reversed(internal):
-        node_values[n] = sum(
-            float(tree.node(k).prob) * node_values[k] for k in tree.children(n)
-        )
+    values = list(policy.wealth.values())
+    values[cut:] = u.value(np.array(values[cut:])).tolist()
+    probs = tree._probs.tolist()
+    for i in reversed(range(cut)):
+        values[i] = sum(p * v for p, v in zip(probs[offsets[i]:offsets[i + 1]],
+                                               values[offsets[i]:offsets[i + 1]]))
     return BackwardInductionResult(
-        node_values[tree.root_id], policy, node_values, {"utility_form": u.kind, "exact": True}
+        values[0], policy, dict(zip(tree._bfs, values)), {"utility_form": u.kind, "exact": True}
     )
 
 
@@ -685,15 +669,12 @@ def backward_induction(
     """
     if u.kind == "piecewise_linear":
         if candidates is not None:
-            raise InvalidParameterError(
-                "candidate menus apply to log and power utilities only"
-            )
+            raise InvalidParameterError("candidate menus apply to log and power utilities only")
+        task = _piecewise_backward(tree, u)
     elif u.shift != 0.0:
         raise InvalidParameterError(
             "a shifted log or power utility does not separate across periods"
         )
-    if u.kind == "piecewise_linear":
-        task = _piecewise_backward(tree, u)
     else:
         task = _separable_backward(tree, u, candidates)
     return run(_gated(tree, "backward induction", task))
@@ -711,9 +692,7 @@ def default_wealth_grid(tree: ScenarioTree, points: int = 257) -> np.ndarray:
         raise InvalidParameterError("a wealth grid needs at least two points")
     _refuse_arbitrage(global_na1(tree), "wealth-grid construction")
     lo, hi = {tree.root_id: 1.0}, {tree.root_id: 1.0}
-    for node_id in tree.bfs_ids():
-        if tree.is_leaf(node_id):
-            continue
+    for node_id in tree.internal_ids():
         allowed = node_market(tree, node_id).allowed
         for child in tree.children(node_id):
             returns = tree.edge_returns(child)
@@ -757,21 +736,20 @@ def _numeraire_process(tree: ScenarioTree):
     strategies = {n: optima[id(node_market(tree, n))].strategy for n in internal}
     policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
     policy.validate(tree, require_positive_wealth=True)
-    values = {node_id: 1.0 / w for node_id, w in policy.wealth.items()}
-    parents = [(k, tree.node(k).parent) for k in tree.bfs_ids()[1:]]
-    ties = np.array([values[k] / values[n] * (1.0 + tree.edge_returns(k) @ strategies[n])
-                     for k, n in parents])
+    inverse = [1.0 / w for w in policy.wealth.values()]
+    ties = np.array([inverse[k] / inverse[p] * (1.0 + tree._returns[k] @ strategies[internal[p]])
+                     for k, p in enumerate(tree._parents[1:].tolist(), 1)])
     if np.max(np.abs(ties - 1.0)) > RATIO_TOL:
         raise NumericError("numeraire deflator strays from the one-step ratios it is certified by")
     markets = [node_market(tree, n) for n in internal]
     weights = [m.probs * (1.0 / wealth(m, strategies[n])) for n, m in zip(internal, markets)]
     gains = yield from _certified_gains(markets, weights)
     violation = float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
-    if violation > DEFLATOR_SLACK_TOL:
+    if violation > SUPERMARTINGALE_TOL:
         raise NumericError(
             f"numeraire deflator fails supermartingale certification by {violation:.3e}"
         )
-    return policy, DeflatorProcess(values)
+    return policy, DeflatorProcess(dict(zip(tree._bfs, inverse)))
 
 
 # -- super-replication ---------------------------------------------------------
@@ -842,9 +820,8 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
 
 def _superhedge_tree(tree: ScenarioTree, claim):
     node_values, strategies = _leaf_payoffs(tree, claim), {}
-    order = tuple(reversed(tree.internal_ids()))
     for depth in reversed(range(tree.horizon)):
-        level = [n for n in order if tree.depth(n) == depth]
+        level = tree.level_ids(depth)[::-1]
         markets = [node_market(tree, n) for n in level]
         payoffs = [np.array([node_values[k] for k in tree.children(n)]) for n in level]
         reports = yield from _recertified(markets, (yield from _superhedge_reports(markets, payoffs)))

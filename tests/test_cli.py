@@ -16,8 +16,10 @@ Oracles used here:
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -885,6 +887,18 @@ class TestExitCodes:
         monkeypatch.setenv("NA1LAB_LOG", "debug")
         rc, _ = run_command(tmp_path, "analyze", market_doc())
         assert rc == 0
+
+    def test_module_runs_without_a_runtime_warning(self):
+        # the package must not import na1lab.cli itself, or ``-m`` re-runs a
+        # module already in sys.modules and warns
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "na1lab.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "--command" in proc.stdout
 
     def test_console_script_is_installed(self, tmp_path):
         exe = shutil.which("na1lab")

@@ -28,7 +28,7 @@ from na1lab.arbitrage import (
 from na1lab.errors import Na1LabError
 from na1lab.hedging import Claim, superhedge
 from na1lab.market import ConstraintSet, DiscreteMarket, admissible_polyhedron, preset_constraints
-from na1lab.portfolio import NUMERAIRE_TOL, numeraire_portfolio, verify_numeraire
+from na1lab.portfolio import numeraire_portfolio, verify_numeraire
 from na1lab.tree import iid_tree, numeraire_process, superhedge_tree
 from test_smooth_solver import random_box_market
 
@@ -152,7 +152,7 @@ def test_without_multipliers_the_lp_decides(n, linprog_calls, monkeypatch, zeroe
     numeraire = numeraire_portfolio(market)
     assert len(linprog_calls) == 1
     assert numeraire.deflator.certificate == verify_numeraire(fresh(market), numeraire.strategy)
-    assert numeraire.deflator.certificate <= 1.0 + NUMERAIRE_TOL
+    assert numeraire.deflator.certificate <= 1.0 + SUPERMARTINGALE_TOL
     linprog_calls.clear()
     esmm = construct_esmm(market)
     assert len(linprog_calls) == 1

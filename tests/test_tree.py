@@ -12,8 +12,10 @@ Oracles, written before the code they check:
   multipliers compound), checked against the one-period optimizer.
 """
 
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from conftest import make_market, sample_feasible
 from na1lab.arbitrage import check_na1
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.hedging import Claim, superhedge
+from na1lab.io import parse_tree
 from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
 from na1lab.portfolio import (
     NUMERAIRE_GRADIENT_TOL,
@@ -45,6 +48,7 @@ from na1lab.tree import (
     superhedge_tree,
     verify_deflator_process,
 )
+from test_cli_fuzz import random_tree_doc
 
 
 def two_state_market(up=0.8, down=-0.4, box=1.0):
@@ -247,6 +251,44 @@ def mixed_na1_tree():
     return ScenarioTree(tuple(nodes), constraints)
 
 
+def depth_first_nodes():
+    """Binary tree of horizon 2 listed depth-first, so `nodes` order and
+    breadth-first order differ."""
+    nodes = [TreeNode("r")]
+    for a in "ud":
+        nodes.append(TreeNode(a, parent="r", prob=0.5, returns=[0.1 if a == "u" else -0.1]))
+        for b in "ud":
+            nodes.append(TreeNode(a + b, parent=a, prob=0.5, returns=[0.2 if b == "u" else -0.2]))
+    return tuple(nodes)
+
+
+def edit_edges(nodes, **edits):
+    return tuple(dataclasses.replace(n, **edits.get(n.node_id, {})) for n in nodes)
+
+
+def check_layout(tree):
+    """The tree's accessors against children, depths and levels derived
+    from ``tree.nodes`` alone."""
+    kids = {n.node_id: [k.node_id for k in tree.nodes if k.parent == n.node_id]
+            for n in tree.nodes}
+    levels = [[n.node_id for n in tree.nodes if n.parent is None]]
+    while any(kids[n] for n in levels[-1]):
+        levels.append([k for n in levels[-1] for k in kids[n]])
+    assert tree.horizon == len(levels) - 1
+    assert tree.bfs_ids() == tuple(itertools.chain(*levels))
+    assert tree.internal_ids() == tuple(itertools.chain(*levels[:-1]))
+    assert tree.leaf_ids == tuple(levels[-1])
+    for depth, level in enumerate(levels):
+        assert tree.level_ids(depth) == tuple(level)
+        for node_id in level:
+            assert tree.depth(node_id) == depth
+            assert tree.children(node_id) == tuple(kids[node_id])
+    for node in tree.nodes:
+        if node.parent is not None:
+            want = np.asarray(node.returns, dtype=float).reshape(-1)
+            assert tree.edge_returns(node.node_id).tobytes() == want.tobytes()
+
+
 class TestConstruction:
     def test_iid_tree_shape(self):
         tree = iid_tree(two_state_market(), horizon=3)
@@ -345,6 +387,37 @@ class TestConstruction:
         nodes = (TreeNode("a"), TreeNode("b", parent="a", prob=1.0, returns=[0.1]))
         with pytest.raises(InvalidParameterError, match="dim"):
             ScenarioTree(nodes, {"a": empty_constraints(2)})
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda nodes: (), "a scenario tree needs at least one node"),
+        (lambda nodes: nodes[:2] + (("uu", "u", 0.5, [0.1]),) + nodes[3:],
+         "nodes must be TreeNode instances"),
+        (lambda nodes: (TreeNode("r", prob=0.5),) + nodes[1:], "the root's probability must be 1"),
+        (lambda nodes: nodes[:1], "a scenario tree needs at least one period"),
+        # "uu" comes first in `nodes`, "d" first breadth-first
+        (lambda nodes: edit_edges(nodes, uu={"returns": [np.nan]}, d={"returns": [np.inf]}),
+         "node 'uu' needs a finite return vector"),
+        (lambda nodes: edit_edges(nodes, ud={"prob": 1.5}, d={"prob": 0.0}),
+         "node 'ud' branch probability 1.5 outside (0, 1]"),
+        (lambda nodes: edit_edges(nodes, uu={"returns": [0.1, 0.2]}),
+         "inconsistent asset counts across edges: [1, 2]"),
+    ])
+    def test_malformed_trees_are_named(self, edit, message):
+        nodes = depth_first_nodes()
+        cs = empty_constraints(1)
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            ScenarioTree(edit(nodes), {"r": cs, "u": cs, "d": cs})
+
+    @pytest.mark.parametrize("branching, horizon",
+                             list(itertools.product((2, 3, 4), (1, 2, 3, 4))))
+    def test_layout_matches_a_brute_force_derivation(self, branching, horizon):
+        rng = np.random.default_rng(100 * branching + horizon)
+        tree, _, _ = parse_tree(random_tree_doc(rng, True, branching, horizon))
+        shuffled = list(tree.nodes)
+        rng.shuffle(shuffled)
+        for nodes in (tree.nodes, tuple(shuffled)):
+            check_layout(ScenarioTree(nodes, tree.constraints))
+        check_layout(iid_tree(two_state_market(), horizon))
 
     def test_node_order_is_irrelevant(self):
         market = two_state_market()
