@@ -210,11 +210,9 @@ def _tame_scale(direction: np.ndarray) -> float:
     return CERTIFICATE_SCALE / norm
 
 
-def _verify_gain_certificate(market, strategy, gains, offsets):
+def _verify_gain_certificate(market, strategy, gains):
     theta = market.allowed
-    residuals = theta.normals @ strategy - offsets
-    scale = 1.0 + np.abs(offsets)
-    if np.any(residuals > 1e-9 * scale):
+    if np.any(theta.normals @ strategy - theta.offsets > 1e-9 * (1.0 + np.abs(theta.offsets))):
         raise NumericError("arbitrage certificate violates the constraint polyhedron")
     if np.any(gains < -1e-12):
         raise NumericError("arbitrage certificate has a negative state gain")
@@ -274,14 +272,11 @@ def _with_na1(markets, *tasks, tol: float = GAIN_TOL):
         finally:
             task.close()
 
-    decided = all(m.certificates.get(key) is not None for m in markets)
-    early = [] if decided else [while_na1_may_hold(task) for task in tasks]
-    certs, *answers = yield from gather(_check_na1_all(markets, tol), *early)
+    certs, *answers = yield from gather(_check_na1_all(markets, tol),
+                                        *(while_na1_may_hold(task) for task in tasks))
     certs = read(certs)
     if not all(cert.holds for cert in certs):
         answers = [None] * len(tasks)
-    elif not early:
-        answers = yield from gather(*tasks)
     return (certs, *answers)
 
 
@@ -306,7 +301,7 @@ def _search_classical(market: DiscreteMarket, tol: float):
         return ArbitrageCertificate("no_arbitrage", None, None, objective, threshold=tol)
     strategy = strategy * _tame_scale(strategy)
     gains = market.returns @ strategy
-    _verify_gain_certificate(market, strategy, gains, market.allowed.offsets)
+    _verify_gain_certificate(market, strategy, gains)
     return ArbitrageCertificate("arbitrage_found", strategy, gains, float(market.probs @ gains),
                                 threshold=tol)
 
@@ -333,7 +328,7 @@ def relative_arbitrage(market: DiscreteMarket, reference, tol: float = GAIN_TOL)
     delta = delta * _tame_scale(delta)
     gains = market.returns @ delta
     strategy = reference + delta
-    _verify_gain_certificate(market, strategy, gains, theta.offsets)
+    _verify_gain_certificate(market, strategy, gains)
     return ArbitrageCertificate(
         "arbitrage_found", strategy, gains, float(market.probs @ gains),
         reference=reference, threshold=tol

@@ -55,12 +55,7 @@ from .factor import (
     validate_positivity,
 )
 from .hedging import Claim, _hedged, superhedge
-from .portfolio import (
-    UtilitySpec,
-    deflator_from_numeraire,
-    maximize_utility,
-    numeraire_portfolio,
-)
+from .portfolio import NUMERAIRE_GRADIENT_TOL, numeraire_portfolio
 from .tree import _numeraire_process, _piecewise_backward, _superhedge_tree, _with_na1
 from .tree import backward_induction
 
@@ -135,17 +130,13 @@ def _run_analyze(config: RunConfig) -> dict:
 
 def _run_numeraire(config: RunConfig) -> dict:
     market, _ = docio.parse_market(docio.load_document(config.input_path))
-    if config.tol_opt is None:
-        opt = numeraire_portfolio(market)
-        deflator = opt.deflator
-    else:
-        opt = maximize_utility(market, UtilitySpec.log(), tol=config.tol_opt)
-        deflator = deflator_from_numeraire(market, opt.strategy)
+    tol = NUMERAIRE_GRADIENT_TOL if config.tol_opt is None else config.tol_opt
+    opt = numeraire_portfolio(market, tol=tol)
     report = _config_echo(config)
     report["market"] = _market_summary(market)
     report["portfolio"] = opt.to_dict()
-    report["wealth_ratio_certificate"] = deflator.certificate
-    report["deflator"] = deflator.to_dict()
+    report["wealth_ratio_certificate"] = opt.deflator.certificate
+    report["deflator"] = opt.deflator.to_dict()
     return report
 
 
@@ -250,8 +241,8 @@ def _run_tree(config: RunConfig) -> dict:
     if claim is not None:
         report["hedge"] = lp.read(answers[1]).to_dict()
     if utility is not None:
-        # log and power optima need no LP: the numeraire pass left the
-        # starts and log optima on the tree
+        # log and power optima need no LP, and log ones no solve: the
+        # numeraire pass left NA1 and the log optima on the node markets
         result = lp.read(answers[-1]) if piecewise else backward_induction(tree, utility)
         report["optimal"] = {
             "value": result.value,

@@ -128,29 +128,15 @@ def solve_lp(
         scale = scale if scale > 0.0 else 1.0
     else:
         scale = 1.0
-    res = linprog(
-        sign * cost / scale,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 4:
-        # HiGHS presolve occasionally gives up with "model_status Unknown" on
-        # well-posed inputs; the plain solve handles those.
-        logger.debug("LP status 4 (%s); retrying with presolve off", res.message)
-        res = linprog(
-            sign * cost / scale,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-            options={"presolve": False},
-        )
+    # HiGHS presolve occasionally gives up with "model_status Unknown" (status
+    # 4) on well-posed inputs; the plain solve handles those.
+    for options in (None, {"presolve": False}):
+        if options:
+            logger.debug("LP status 4 (%s); retrying with presolve off", res.message)
+        res = linprog(sign * cost / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs", options=options)
+        if res.status != 4:
+            break
     if res.status == 0:
         marginals = None
         if a_ub is not None and res.ineqlin is not None:

@@ -45,6 +45,9 @@ SPAN_ALIGNMENT_TOL = 1e-10
 #: Default tolerance for feasibility / membership residuals.
 FEAS_TOL = 1e-9
 
+#: State (or branch) probabilities must sum to one within this.
+PROB_TOL = 1e-9
+
 #: Largest dimension in which a wide market keeps only the rows of the
 #: vertices of a convex hull (of its support, or of the lifted points of a
 #: super-hedged claim); qhull's cost grows steeply with the dimension: on
@@ -241,7 +244,7 @@ class DiscreteMarket:
             raise InvalidParameterError("probabilities and returns must be finite")
         if np.any(probs <= 0):
             raise InvalidParameterError("state probabilities must be strictly positive")
-        if abs(probs.sum() - 1.0) > 1e-9:
+        if abs(probs.sum() - 1.0) > PROB_TOL:
             raise InvalidParameterError(f"probabilities sum to {float(probs.sum()):g}, not 1")
         if np.any(returns < -1.0):
             worst = float(returns.min())

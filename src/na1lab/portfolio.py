@@ -8,7 +8,7 @@ skip it entirely and go through one exact epigraph LP, the deterministic
 equivalent of :func:`~na1lab.lp.deterministic_equivalent` on the tree of
 depth 1, a block of the LP round.  Several markets are maximized together
 (:func:`_maximize_all`): the Newton problems as one solver batch, the
-piecewise LPs as one stacked LP.
+piecewise LPs as one stacked LP; each optimum is held on its market.
 """
 
 from __future__ import annotations
@@ -288,6 +288,8 @@ def maximize_utility(
     :class:`~na1lab.errors.NumericError` carries the escalated value and the
     best finite point.  Where NA1 is not yet decided, its LPs and, for a
     smooth utility, that of the span of a flat allowed set are one round.
+    The optimum is held on the market and serves every later call with the
+    same utility at ``tol`` or a looser tolerance (:func:`_maximize_all`).
     """
     return run(_maximize_all([market], [market.probs], u, tol, divergence_bound))[0]
 
@@ -295,14 +297,26 @@ def maximize_utility(
 def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
     """Task: :func:`maximize_utility` for several markets under their state
     weights (positive, summing to one) in place of their probabilities;
-    ``labels`` name the markets in errors.  Each market is set up by its own
-    task (:func:`_newton_problem`), all gathered, the Newton problems of one
-    span dimension are one batch, and each residual is checked on its own."""
+    ``labels`` name the markets in errors.  Each optimum is held in
+    ``market.certificates`` under ``("optimum", u, weights)`` with its
+    tolerance, and serves every later call at that tolerance or a looser
+    one.  Only the first entry of each distinct market and key not served
+    is set up, by its own task (:func:`_newton_problem`), all gathered; the
+    Newton problems of one span dimension are one batch, and each residual
+    is checked on its own.  Errors are not held."""
+    spec = u if isinstance(u, UtilitySpec) else tuple(u)
+    if isinstance(spec, tuple) and not all(isinstance(s, UtilitySpec) for s in spec):
+        raise InvalidParameterError("state utilities must be UtilitySpec instances")
+    keys = [("optimum", spec, w.tobytes()) for w in weights]
+    stale = {}
+    for i, (m, key) in enumerate(zip(markets, keys)):
+        if m.certificates.get(key, (math.inf,))[0] > tol:
+            stale.setdefault((id(m), key), i)
     problems = yield from gather(*(
-        _newton_problem(m, w, u, divergence_bound) for m, w in zip(markets, weights)
+        _newton_problem(markets[i], weights[i], u, divergence_bound) for i in stale.values()
     ))
-    out, batches = [None] * len(markets), {}
-    for i, problem in enumerate(problems):
+    out, batches = {}, {}
+    for i, problem in zip(stale.values(), problems):
         with _named(labels, i):
             out[i] = read(problem)
         if isinstance(out[i], tuple):
@@ -326,7 +340,10 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
                 ratio = weights[i] * (1.0 / wealth(markets[i], out[i].strategy))
                 _dual_bound(markets[i], ratio, (basis, rows, result.multipliers),
                             1.0 + SUPERMARTINGALE_TOL - float(np.sum(ratio)))
-    return out
+    for i, optimum in out.items():
+        optimum.strategy.setflags(write=False)  # every later call shares it
+        markets[i].certificates[keys[i]] = (tol, optimum)
+    return [m.certificates[key][1] for m, key in zip(markets, keys)]
 
 
 @contextmanager
@@ -489,15 +506,17 @@ def expected_utility_gradient(market: DiscreteMarket, u, pi) -> np.ndarray:
     return market.returns.T @ (market.probs * evaluator.derivative(w))
 
 
-def numeraire_portfolio(market: DiscreteMarket) -> OptimalPortfolio:
+def numeraire_portfolio(market: DiscreteMarket, tol: float = NUMERAIRE_GRADIENT_TOL) -> OptimalPortfolio:
     """Growth-optimal strategy, with its wealth-ratio certificate.
 
-    Maximizes expected log wealth to tolerance 1e-10, then checks that no
-    allowed strategy's expected wealth ratio against it exceeds 1 + 1e-8, by
-    the optimum's multipliers, else by LP (:func:`verify_numeraire`); that
-    value also certifies the induced deflator, carried as ``deflator``.
+    Maximizes expected log wealth to stationarity tolerance ``tol``
+    (:func:`maximize_utility`), then checks that no allowed strategy's
+    expected wealth ratio against it exceeds 1 + 1e-8, by the optimum's
+    multipliers, else by LP (:func:`verify_numeraire`); that value also
+    certifies the induced deflator, carried as ``deflator``.  A failed
+    certification is a :class:`~na1lab.errors.NumericError`.
     """
-    opt = maximize_utility(market, UtilitySpec.log(), tol=NUMERAIRE_GRADIENT_TOL)
+    opt = maximize_utility(market, UtilitySpec.log(), tol=tol)
     try:
         deflator = deflator_from_numeraire(market, opt.strategy)
     except PreconditionError as exc:

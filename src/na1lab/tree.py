@@ -27,8 +27,8 @@ and each depth as one range, so a pass walks levels and child ranges, and
 a node market is a slice of them.  Node markets are keyed by content
 (``node_market``): each distinct one is built once and held on the tree,
 and nodes with equal content share it, so its cached certificates, NA1 and
-its cone span first of all, and its log optimum serve every such node and
-later question.  Each pass is an LP task
+its cone span first of all, and its utility optima serve every such node
+and later question.  Each pass is an LP task
 (:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs as one
 block-diagonal LP (:func:`~na1lab.lp._solve_stacked`).  The passes are
 gated on the node markets' NA1 by :func:`~na1lab.arbitrage._with_na1`,
@@ -40,9 +40,10 @@ have zero-offset rows, the deepest super-hedging level and the piecewise
 tree LP, and each later round the next super-hedging level, ``H`` rounds
 for horizon ``H``; the deflator checks and re-certifications are dual
 bounds, else LPs.  The utility problems of a pass are one solver batch
-(:func:`~na1lab.portfolio._maximize_all`): the log optima of all distinct
-markets, or the power problems of one level, one per distinct market and
-tilt.  Every node's result is still checked on its own.
+(:func:`~na1lab.portfolio._maximize_all`): the log optima of all nodes, or
+the problems of one backward-induction level, one per distinct market and
+weights whose optimum the market does not yet hold.  Every node's result
+is still checked on its own.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .hedging import _recertified, _superhedge_reports
 from .lp import deterministic_equivalent, read, require_optimal, run, solve_lp
-from .market import ConstraintSet, DiscreteMarket, wealth
+from .market import FEAS_TOL, PROB_TOL, ConstraintSet, DiscreteMarket, wealth
 from .portfolio import (
     GRADIENT_TOL,
     NUMERAIRE_GRADIENT_TOL,
@@ -65,15 +66,9 @@ from .portfolio import (
     _maximize_all,
 )
 
-#: Membership slack for recorded strategies (constraints and span).
-POLICY_TOL = 1e-9
-
 #: The numeraire deflator's one-step ratios times the node's gross returns
 #: must be one within this.
 RATIO_TOL = 1e-12
-
-#: Children probabilities at a node must sum to one within this.
-PROB_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,6 @@ class ScenarioTree:
         object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_markets", {})  # by node id
         object.__setattr__(self, "_contents", {})  # by node content
-        object.__setattr__(self, "_log_optima", {})
 
     @property
     def root_id(self):
@@ -311,14 +305,6 @@ def node_market(tree: ScenarioTree, node_id) -> DiscreteMarket:
     return market
 
 
-def _distinct(tree: ScenarioTree, nodes, key=lambda node_id: None) -> dict:
-    """The first of ``nodes`` for each distinct ``(market id, key(node))``."""
-    first: dict = {}
-    for node_id in nodes:
-        first.setdefault((id(node_market(tree, node_id)), key(node_id)), node_id)
-    return first
-
-
 def iid_tree(market: DiscreteMarket, horizon: int, root_id: str = "root") -> ScenarioTree:
     """Tree repeating one market at every node for ``horizon`` periods.
 
@@ -362,11 +348,11 @@ class PolicyProcess:
                 raise NumericError(f"no strategy recorded at node {node_id!r}")
             pi = np.asarray(self.strategies[node_id], dtype=float)
             market = node_market(tree, node_id)
-            if not market.allowed.contains(pi, tol=POLICY_TOL):
+            if not market.allowed.contains(pi, tol=FEAS_TOL):
                 raise NumericError(f"policy at node {node_id!r} leaves the allowed polyhedron")
             off_span = pi - market.span.project(pi)
             scale = 1.0 + float(np.max(np.abs(pi), initial=0.0))
-            if np.max(np.abs(off_span), initial=0.0) > POLICY_TOL * scale:
+            if np.max(np.abs(off_span), initial=0.0) > FEAS_TOL * scale:
                 raise NumericError(f"policy at node {node_id!r} leaves the return span")
         for node_id in tree.bfs_ids():
             if node_id not in self.wealth:
@@ -514,7 +500,7 @@ def _node_candidates(candidates, node_id) -> np.ndarray | None:
 
 
 def _feasible_candidates(market: DiscreteMarket, chosen: np.ndarray, node_id) -> np.ndarray:
-    keep = [pi for pi in chosen if market.allowed.contains(pi, tol=POLICY_TOL)]
+    keep = [pi for pi in chosen if market.allowed.contains(pi, tol=FEAS_TOL)]
     if not keep:
         raise InvalidParameterError(
             f"no candidate strategy at node {node_id!r} lies in the allowed set"
@@ -533,31 +519,12 @@ def _best_candidate(weights, returns, candidates, base: UtilitySpec):
 
 def _node_optima(tree, nodes, weights: dict, u, tol):
     """Task: optima of ``u`` at ``nodes`` under their child ``weights``, by
-    node: one batch, a problem per distinct market and weights, each
-    started at the zero strategy; an error names its node."""
-    first = _distinct(tree, nodes, lambda n: weights[n].tobytes())
-    chosen = list(first.values())
-    markets = [node_market(tree, n) for n in chosen]
-    labels = [f"node {n!r}" for n in chosen]
-    chosen_weights = [weights[n] for n in chosen]
-    solved = yield from _maximize_all(markets, chosen_weights, u, tol, labels=labels)
-    optima = dict(zip(first, solved))
-    return {n: optima[id(node_market(tree, n)), weights[n].tobytes()] for n in nodes}
-
-
-def _log_optima(tree: ScenarioTree, tol: float):
-    """Task: each distinct node market's log optimum at stationarity
-    tolerance ``tol``, by market id, held on the tree: one solved to a
-    tolerance at most ``tol`` serves, so the numeraire step
-    (``NUMERAIRE_GRADIENT_TOL``) is also the log-utility
-    backward-induction step that follows it."""
-    held = tree._log_optima
-    stale = [n for (m, _), n in _distinct(tree, tree.internal_ids()).items()
-             if held.get(m, (math.inf,))[0] > tol]
-    optima = (yield from _node_optima(tree, stale, {n: node_market(tree, n).probs for n in stale},
-                                      UtilitySpec.log(), tol)) if stale else {}
-    held.update((id(node_market(tree, n)), (tol, opt)) for n, opt in optima.items())
-    return {m: opt for m, (_, opt) in held.items()}
+    node, held on the node markets by :func:`~na1lab.portfolio._maximize_all`;
+    an error names its node."""
+    solved = yield from _maximize_all([node_market(tree, n) for n in nodes],
+                                      [weights[n] for n in nodes], u, tol,
+                                      labels=[f"node {n!r}" for n in nodes])
+    return dict(zip(nodes, solved))
 
 
 def _separable_backward(tree, u: UtilitySpec, candidates):
@@ -569,23 +536,21 @@ def _separable_backward(tree, u: UtilitySpec, candidates):
     node market itself).  The utility's ``scale`` factor shifts (log) or
     rescales (power) the optimal value without moving the optimizer, so the
     per-node problems use the unit-scale utility and the root value is
-    adjusted at the end.  Log nodes take the log optima held on the tree;
-    the power problems of a tree level are one batch.
+    adjusted at the end.  The problems of a tree level are one batch, and
+    an optimum held on its node market (:func:`_node_optima`), such as the
+    numeraire pass's log optimum, is not solved again.
     """
     is_log = u.kind == "log"
     base = UtilitySpec.log() if is_log else UtilitySpec.power(u.gamma)
     node_values: dict = {leaf: (0.0 if is_log else 1.0) for leaf in tree.leaf_ids}
     strategies: dict = {}
-    log_optima = (yield from _log_optima(tree, GRADIENT_TOL)) if is_log and candidates is None else {}
     for depth in reversed(range(tree.horizon)):
         level = tree.level_ids(depth)[::-1]
         markets = {n: node_market(tree, n) for n in level}
         continuation = {n: np.array([node_values[k] for k in tree.children(n)]) for n in level}
         tilts = {n: markets[n].probs * continuation[n] for n in level}
         weights = {n: markets[n].probs if is_log else tilts[n] / tilts[n].sum() for n in level}
-        if is_log:
-            optima = {n: log_optima.get(id(markets[n])) for n in level}
-        elif candidates is None:
+        if candidates is None:
             optima = yield from _node_optima(tree, level, weights, base, GRADIENT_TOL)
         for node_id in level:
             market = markets[node_id]
@@ -719,9 +684,10 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
 
     The log optimum at each node makes every allowed wealth ratio a one-step
     supermartingale; stitched along the tree, the inverse of its wealth
-    process deflates every allowed strategy's wealth.  The log optima of all
-    distinct node markets are one solver batch at the numeraire tolerance,
-    started at the zero strategy once NA1 is decided.  Each node is
+    process deflates every allowed strategy's wealth.  The log optima of the
+    distinct node markets not yet holding one at the numeraire tolerance are
+    one solver batch, started at the zero strategy once NA1 is decided, and
+    held on the markets (:func:`_node_optima`).  Each node is
     certified under the one-step weights ``probs / (1 + R rho)`` of its
     strategy ``rho``, which numpy ties to the deflator's values, by its log
     optimum's dual bound, else by an LP that nodes with equal market and
@@ -731,9 +697,10 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
 
 
 def _numeraire_process(tree: ScenarioTree):
-    optima = yield from _log_optima(tree, NUMERAIRE_GRADIENT_TOL)
     internal = tree.internal_ids()
-    strategies = {n: optima[id(node_market(tree, n))].strategy for n in internal}
+    optima = yield from _node_optima(tree, internal, {n: node_market(tree, n).probs for n in internal},
+                                     UtilitySpec.log(), NUMERAIRE_GRADIENT_TOL)
+    strategies = {n: optima[n].strategy for n in internal}
     policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
     policy.validate(tree, require_positive_wealth=True)
     inverse = [1.0 / w for w in policy.wealth.values()]

@@ -420,6 +420,16 @@ class TestNumeraireCommand:
         report = json.loads(out.read_text())
         assert report["portfolio"]["gradient_norm"] <= 1e-12
 
+    def test_loose_optimizer_tolerance_fails_certification_as_numeric(self, tmp_path, capsys):
+        """A numeraire solved to a loose tolerance whose wealth ratios miss
+        1 + 1e-8 is a numeric failure (exit 3), as on the default path."""
+        doc = {"probs": [0.3, 0.3, 0.4],
+               "returns": [[0.5, -0.2], [-0.3, 0.4], [-0.2, -0.3]],
+               "constraints": {"halfspaces": []}}
+        rc, _ = run_command(tmp_path, "numeraire", doc, "--tol-opt", "1e-2")
+        assert rc == 3
+        assert "wealth-ratio certification failed" in capsys.readouterr().err
+
 
 class TestHedgeCommand:
     def test_valuation_matches_the_hand_price(self, tmp_path):
@@ -871,7 +881,7 @@ class TestExitCodes:
         assert rc == 2
 
     def test_numeric_failure_exits_three(self, tmp_path, monkeypatch):
-        def explode(market):
+        def explode(*args, **kwargs):
             raise NumericError("synthetic certification failure")
 
         monkeypatch.setattr("na1lab.cli.numeraire_portfolio", explode)

@@ -23,7 +23,7 @@ from na1lab.arbitrage import check_na1
 from na1lab.errors import NumericError
 from na1lab.hedging import Claim, PiecewiseLinearLoss, shortfall_hedge
 from na1lab.lp import run
-from na1lab.market import ConstraintSet, preset_constraints
+from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
 from na1lab.portfolio import UtilitySpec, _maximize_all, maximize_utility
 from na1lab.tree import backward_induction, iid_tree
 
@@ -35,17 +35,23 @@ PIECEWISE = UtilitySpec.piecewise_linear([0.2, 0.8, 1.3, 2.5], [-2.0, -0.2, 0.4,
 def test_piecewise_markets_share_one_lp_call(linprog_calls):
     """With NA1 cached, the piecewise optima of several markets are one
     block each of one LP round: one ``linprog`` call for all of them, with
-    the optima each market gets alone."""
+    the optima each market gets alone.  The joint call runs on fresh copies
+    of the markets, since the originals hold their optima and take no LP."""
     rng = np.random.default_rng(31)
     markets = [random_bounded_market(rng) for _ in range(5)]
-    for m in markets:
+    copies = [DiscreteMarket(m.probs, m.returns, m.constraints) for m in markets]
+    for m in markets + copies:
         assert check_na1(m).holds
     alone = [maximize_utility(m, PIECEWISE) for m in markets]
     linprog_calls.clear()
-    together = run(_maximize_all(markets, [m.probs for m in markets], PIECEWISE, 1e-8))
+    together = run(_maximize_all(copies, [m.probs for m in copies], PIECEWISE, 1e-8))
     assert len(linprog_calls) == 1
     for single, joint in zip(alone, together):
         assert joint.value == pytest.approx(single.value, rel=1e-9, abs=1e-9)
+    linprog_calls.clear()
+    held = run(_maximize_all(markets, [m.probs for m in markets], PIECEWISE, 1e-8))
+    assert not linprog_calls
+    assert all(h is single for h, single in zip(held, alone))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import na1lab.lp
+import na1lab.portfolio
 from conftest import (
     gauss_hermite_lognormal_market,
     interval_market,
@@ -12,10 +13,12 @@ from conftest import (
 )
 from na1lab.arbitrage import check_na1, max_expected_gain
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
+from na1lab.lp import run
 from na1lab.market import ConstraintSet
 from na1lab.portfolio import (
     Deflator,
     UtilitySpec,
+    _maximize_all,
     deflator_from_numeraire,
     expected_utility,
     expected_utility_gradient,
@@ -485,6 +488,81 @@ class TestExpectedGainCache:
         monkeypatch.undo()
         assert verify_deflator(m, np.ones(m.n_states)) == 1.0 + max_expected_gain(m, m.probs)
         assert len(m.certificates) == len(held) + 1
+
+
+def _held_optima(market):
+    return [key for key in market.certificates if isinstance(key, tuple) and key[0] == "optimum"]
+
+
+class TestHeldOptimum:
+    """Each utility optimum is held on its market by utility and weights, at
+    its tolerance, and serves every later call at that tolerance or a
+    looser one without solving again."""
+
+    @pytest.fixture
+    def newton_calls(self, monkeypatch):
+        """Problem count of every smooth-solver batch, in order."""
+        calls = []
+        minimize = na1lab.portfolio.minimize_convex
+
+        def counted(derivatives, a_ub, b_ub, start, *args, **kwargs):
+            calls.append(len(start))
+            return minimize(derivatives, a_ub, b_ub, start, *args, **kwargs)
+
+        monkeypatch.setattr(na1lab.portfolio, "minimize_convex", counted)
+        return calls
+
+    def test_repeated_call_returns_the_held_optimum(self, newton_calls, linprog_calls):
+        m = random_bounded_market(np.random.default_rng(41))
+        u = UtilitySpec.power(0.5)
+        first = maximize_utility(m, u)
+        assert newton_calls == [1]
+        linprog_calls.clear()
+        assert maximize_utility(m, u) is first
+        assert newton_calls == [1] and not linprog_calls
+        assert not first.strategy.flags.writeable  # shared by every later call
+
+    def test_numeraire_serves_the_log_optimum(self, newton_calls, linprog_calls):
+        m = random_bounded_market(np.random.default_rng(42))
+        numeraire = numeraire_portfolio(m)
+        newton_calls.clear()
+        linprog_calls.clear()
+        opt = maximize_utility(m, UtilitySpec.log())
+        assert not newton_calls and not linprog_calls
+        assert np.array_equal(opt.strategy, numeraire.strategy)
+
+    def test_tighter_call_solves_again_and_then_serves(self, newton_calls):
+        m = random_bounded_market(np.random.default_rng(43))
+        loose = maximize_utility(m, UtilitySpec.log(), tol=1e-6)
+        tight = maximize_utility(m, UtilitySpec.log(), tol=1e-10)
+        assert newton_calls == [1, 1]
+        assert tight is not loose and tight.gradient_norm <= 1e-10 * (1.0 + np.linalg.norm(tight.strategy))
+        assert maximize_utility(m, UtilitySpec.log(), tol=1e-6) is tight
+        assert newton_calls == [1, 1]
+
+    def test_refused_call_holds_nothing(self):
+        m = two_factor_atom_market(1.5, 1.0)
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                maximize_utility(m, UtilitySpec.log())
+            assert not _held_optima(m)
+
+    def test_divergent_call_holds_nothing(self):
+        m = two_factor_atom_market(1.5, 1.0)
+        for _ in range(2):
+            with pytest.raises(NumericError):
+                maximize_utility(m, UtilitySpec.log(), divergence_bound=1e3)
+            assert not _held_optima(m)
+
+    def test_repeated_entries_share_one_problem(self, newton_calls):
+        """Entries of one market and weights are one problem of the batch,
+        and get one object."""
+        m, m2 = interval_market([-0.5, 0.5]), interval_market([-0.4, 0.2, 0.6])
+        out = run(_maximize_all([m, m, m2], [m.probs, m.probs, m2.probs],
+                                UtilitySpec.power(0.5), 1e-8))
+        assert newton_calls == [2]
+        assert out[0] is out[1] and out[2] is not out[0]
+        assert len(_held_optima(m)) == len(_held_optima(m2)) == 1
 
 
 class TestRelativeLogGap:
