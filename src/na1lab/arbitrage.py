@@ -90,8 +90,10 @@ class Na1Certificate:
     ``multipliers`` (one row per direction ``basis[0], ..., basis[d-1],
     -basis[0], ..., -basis[d-1]``, one column per allowed halfspace) express
     every direction as a nonnegative combination of the allowed normals in
-    span coordinates.  When it is ``na1_fails``, ``witness_ray`` is a
-    recession direction with nonnegative gains, positive somewhere.
+    span coordinates; ``radius_bound`` (+inf without them; not reported) is
+    the radius they prove in asset coordinates (:func:`_dual_bound`).  When
+    it is ``na1_fails``, ``witness_ray`` is a recession direction with
+    nonnegative gains, positive somewhere.
     """
 
     verdict: str
@@ -99,6 +101,7 @@ class Na1Certificate:
     bound_radius: float | None = None
     threshold: float = GAIN_TOL
     multipliers: np.ndarray | None = None
+    radius_bound: float = np.inf
 
     @property
     def holds(self) -> bool:
@@ -383,7 +386,10 @@ def _decide_na1(market: DiscreteMarket, tol: float):
         if not float(np.max(np.linalg.norm(residual, axis=1))) < 1.0 / np.sqrt(d):
             return None
         radius = float(np.max(multipliers @ market.allowed.offsets))
-        return Na1Certificate("na1_holds", bound_radius=radius, multipliers=multipliers, threshold=tol)
+        spread = np.max(np.sum(np.abs(residual @ basis.T), axis=1))  # below 1, as accepted above
+        bound = radius / (1.0 - spread) if spread < 1.0 else np.inf
+        return Na1Certificate("na1_holds", bound_radius=radius, multipliers=multipliers,
+                              threshold=tol, radius_bound=bound)
 
     cert = yield from _settle(
         market, np.vstack([market.span.basis, -market.span.basis]), np.ones(market.n_states), tol,
@@ -492,18 +498,15 @@ def _dual_bound(market, weights, dual, limit: float) -> float:
     b`` and ``coords`` is orthonormal, projecting (``P``) onto a subspace
     holding the allowed set, where ``w . R theta <= lam . b + |P (R^T w -
     C^T lam)|_1 |theta|_inf``; NA1 multipliers (radius ``rho``, residuals
-    ``e_k``) prove ``|theta|_inf <= rho / (1 - max_k |e_k|_1)``.  Without
-    them, or ``dual``, the bound is +inf."""
+    ``e_k``) prove ``|theta|_inf <= rho / (1 - max_k |e_k|_1)``, their
+    ``radius_bound``.  Without them, or ``dual``, the bound is +inf."""
     na1 = market.certificates.get(("na1", GAIN_TOL))
     if dual is None or na1 is None or na1.multipliers is None:
         return np.inf
-    (coords, rows, lam), basis, allowed = dual, market.span.basis, market.allowed
-    farkas = (na1.multipliers @ (allowed.normals @ basis) - np.vstack([basis, -basis])) @ basis.T
-    spread = np.max(np.sum(np.abs(farkas), axis=1))  # below 1, as check_na1 accepted them
-    radius = na1.bound_radius / (1.0 - spread) if spread < 1.0 else np.inf
+    (coords, rows, lam), allowed = dual, market.allowed
     lam = np.maximum(lam, 0.0)
     residual = coords @ (coords.T @ (market.returns.T @ weights - allowed.normals[rows].T @ lam))
-    bound = float(lam @ allowed.offsets[rows] + np.sum(np.abs(residual)) * radius)
+    bound = float(lam @ allowed.offsets[rows] + np.sum(np.abs(residual)) * na1.radius_bound)
     if bound <= limit:
         market.certificates.setdefault(("gain_bound", weights.tobytes()), bound)
     return bound

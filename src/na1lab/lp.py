@@ -531,12 +531,13 @@ def minimize_convex(
     inside every row, and ``+inf`` outside.  For every feasible ``y`` within
     ``diameter`` of ``x`` it bounds the first-order gain ``grad f(x) . (x -
     y)``, hence also ``f(x) - min f`` when ``diameter`` bounds the feasible
-    set.  Each problem has its own step length and leaves the batch once its
-    residual is at most ``tol * (1 + |x|)``, when its Newton system is
-    singular or a step no longer reduces its KKT residual (float
-    resolution), or after ``NEWTON_ITERATIONS``; the caller compares the
-    returned residual with its own threshold.  Vectors are columns, so a
-    batch of one does the arithmetic of a single problem.
+    set.  Each round of an iteration steps every open problem by its own
+    length, keeps the steps that reduce KKT residuals and halves the rest.  A
+    problem leaves the batch once its residual is at most ``tol * (1 + |x|)``,
+    when its Newton system is singular or a step no longer reduces its KKT
+    residual (float resolution), or after ``NEWTON_ITERATIONS``; the caller
+    compares the returned residual with its own threshold.  Vectors are
+    columns, so a batch of one does the arithmetic of a single problem.
     """
     padded = ~np.isfinite(b_ub)[..., None]
     real, a = np.where(padded, 0.0, 1.0), np.where(padded, 0.0, a_ub)
@@ -557,24 +558,22 @@ def minimize_convex(
     lam = np.minimum(np.maximum(mu, 1e-8), 1.0) / slack * real
     rows = np.maximum(real.sum(axis=1, keepdims=True), 1.0)
     # Each iteration, every problem in the batch steps or leaves it.
-    index, iterations, whole, t = np.arange(batch), 0, True, np.zeros((batch, 1, 1))
-    results: list = [None] * batch
+    index, iterations, t = np.arange(batch), 0, np.zeros((batch, 1, 1))
+    halted, results = np.zeros(batch, dtype=bool), [None] * batch
     diameter, tol = (t + np.array(v, dtype=float).reshape(-1, 1, 1) for v in (diameter, tol))
     dual = grad + a_t @ lam
     while True:
         comp = _t(lam) @ slack
         outside = (gap != 0.0).any(axis=1, keepdims=True)
         residual = np.where(outside, np.inf, comp + diameter * _norms(dual))
-        done = (residual <= tol * (1.0 + _norms(x)))[:, 0, 0]
-        if not whole:
-            done |= halted
+        done = (residual <= tol * (1.0 + _norms(x)))[:, 0, 0] | halted
         if iterations == NEWTON_ITERATIONS:
             done[:] = True
         if done.any():
             for j in np.flatnonzero(done):
                 results[index[j]] = ConvexResult(
                     x[j, :, 0].copy(), lam[j, real[j, :, 0] > 0.0, 0], float(residual[j, 0, 0]),
-                    iterations - int(not whole and halted[j]),
+                    iterations - int(halted[j]),
                 )
             if done.all():
                 return results
@@ -585,7 +584,6 @@ def minimize_convex(
             )
             a, b, real, rows, g, h = (v[keep] for v in (a, b, real, rows, g, h))
             diameter, tol, a_t = diameter[keep], tol[keep], _t(a)
-        live = slice(None) if len(index) == batch else index
         # after a full step the iterate is near the central path, so the
         # target may drop faster
         target = np.where(t == 1.0, CENTERING**2, CENTERING) * comp / rows
@@ -608,54 +606,45 @@ def minimize_convex(
         before = _norms(np.concatenate([dual, lam * slack - target, gap], axis=1))
         iterations += 1
         halted = t[:, 0, 0] <= 1e-12
-        whole = not halted.any()  # step the whole batch at once, or the open problems
         trying = ~halted
-        while whole or trying.any():
-            pick = slice(None) if whole else np.flatnonzero(trying)
-            x_new = x[pick] + t[pick] * dx[pick]
-            lam_new = lam[pick] + t[pick] * dlam[pick]
+        while trying.any():
+            # the open problems, gathered as views while every problem is open
+            pick = np.flatnonzero(trying)
+            at = slice(None) if len(pick) == len(trying) else pick
+            x_new = x[at] + t[at] * dx[at]
+            lam_new = lam[at] + t[at] * dlam[at]
             # an iterate inside every row takes numpy's slacks; a problem that
             # has been inside refuses a step out, one that has not keeps its
             # stepped slacks
-            stepped = slack[pick] + t[pick] * ds[pick]
-            slack_new = b[pick] - a[pick] @ x_new
+            stepped = slack[at] + t[at] * ds[at]
+            slack_new = b[at] - a[at] @ x_new
             entered = (slack_new > 0.0).all(axis=1, keepdims=True)
             slack_new = np.where(entered, slack_new, stepped)
-            gap_new = np.where(entered, 0.0, a[pick] @ x_new + stepped - b[pick])
-            valid = entered | (outside[pick] & (stepped > 0.0).all(axis=1, keepdims=True))
+            gap_new = np.where(entered, 0.0, a[at] @ x_new + stepped - b[at])
+            valid = entered | (outside[at] & (stepped > 0.0).all(axis=1, keepdims=True))
             valid = valid[:, 0, 0]
             if not valid.all():
-                whole, pick = False, np.flatnonzero(trying)[valid]
+                pick = at = pick[valid]
                 x_new, slack_new, gap_new, lam_new = (
                     v[valid] for v in (x_new, slack_new, gap_new, lam_new))
-            if len(x_new):
-                grad_new, hess_new = derivatives(x_new, live if whole else index[pick])
-                dual_new = grad_new + a_t[pick] @ lam_new
+            if len(pick):
+                grad_new, hess_new = derivatives(x_new, at if len(index) == batch else index[at])
+                dual_new = grad_new + a_t[at] @ lam_new
                 after = _norms(np.concatenate(
-                    [dual_new, lam_new * slack_new - target[pick], gap_new], axis=1))
-                ok = (after <= (1.0 - 0.01 * t[pick]) * before[pick])[:, 0, 0]
+                    [dual_new, lam_new * slack_new - target[at], gap_new], axis=1))
+                ok = (after <= (1.0 - 0.01 * t[at]) * before[at])[:, 0, 0]
                 new = x_new, slack_new, gap_new, lam_new, grad_new, hess_new, dual_new
-                if whole and ok.all():
-                    x, slack, gap, lam, grad, hess, dual = new
-                    break
-                if ok.any():
-                    accepted = np.flatnonzero(ok) if whole else pick[ok]
-                    for old, fresh in zip((x, slack, gap, lam, grad, hess, dual), new):
-                        old[accepted] = fresh[ok]
-                    trying[accepted], whole = False, False
-            if whole:  # no problem took its step: all shorten it
-                t *= 0.5
-                halted = t[:, 0, 0] <= 1e-12
-                whole, trying = not halted.any(), ~halted
-                continue
-            rest = np.flatnonzero(trying)
-            t[rest] *= 0.5
-            halted[rest] = t[rest, 0, 0] <= 1e-12
-            trying[rest] = ~halted[rest]
-        if not whole:
-            for j in np.flatnonzero(halted):
-                problem = "Newton system is singular" if j in singular else "method stalled"
-                logger.debug("interior-point %s at residual %.3e", problem, residual[j, 0, 0])
+                if not ok.all():
+                    at, new = pick[ok], [v[ok] for v in new]
+                for old, fresh in zip((x, slack, gap, lam, grad, hess, dual), new):
+                    old[at] = fresh
+                trying[pick[ok]] = False
+            t[trying] *= 0.5  # the steps not taken
+            halted |= trying & (t[:, 0, 0] <= 1e-12)
+            trying &= ~halted
+        for j in np.flatnonzero(halted):
+            problem = "Newton system is singular" if j in singular else "method stalled"
+            logger.debug("interior-point %s at residual %.3e", problem, residual[j, 0, 0])
 
 
 def _t(v):

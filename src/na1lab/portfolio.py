@@ -288,8 +288,8 @@ def maximize_utility(
     :class:`~na1lab.errors.NumericError` carries the escalated value and the
     best finite point.  Where NA1 is not yet decided, its LPs and, for a
     smooth utility, that of the span of a flat allowed set are one round.
-    The optimum is held on the market and serves every later call with the
-    same utility at ``tol`` or a looser tolerance (:func:`_maximize_all`).
+    A spec's optimum is held on the market and serves every later call with
+    the same spec at ``tol`` or a looser tolerance (:func:`_maximize_all`).
     """
     return run(_maximize_all([market], [market.probs], u, tol, divergence_bound))[0]
 
@@ -297,20 +297,22 @@ def maximize_utility(
 def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
     """Task: :func:`maximize_utility` for several markets under their state
     weights (positive, summing to one) in place of their probabilities;
-    ``labels`` name the markets in errors.  Each optimum is held in
-    ``market.certificates`` under ``("optimum", u, weights)`` with its
+    ``labels`` name the markets in errors.  Each optimum of one spec is held
+    in ``market.certificates`` under ``("optimum", u, weights)`` with its
     tolerance, and serves every later call at that tolerance or a looser
-    one.  Only the first entry of each distinct market and key not served
-    is set up, by its own task (:func:`_newton_problem`), all gathered; the
-    Newton problems of one span dimension are one batch, and each residual
-    is checked on its own.  Errors are not held."""
-    spec = u if isinstance(u, UtilitySpec) else tuple(u)
-    if isinstance(spec, tuple) and not all(isinstance(s, UtilitySpec) for s in spec):
+    one; a per-state list, which callers compose anew, is not held.  Only
+    the first entry of each distinct market and key not served is set up,
+    by its own task (:func:`_newton_problem`), all gathered; the Newton
+    problems of one span dimension are one batch, and each residual is
+    checked on its own.  Errors are not held."""
+    held = isinstance(u, UtilitySpec)
+    spec = u if held else tuple(u)
+    if not held and not all(isinstance(s, UtilitySpec) for s in spec):
         raise InvalidParameterError("state utilities must be UtilitySpec instances")
     keys = [("optimum", spec, w.tobytes()) for w in weights]
     stale = {}
     for i, (m, key) in enumerate(zip(markets, keys)):
-        if m.certificates.get(key, (math.inf,))[0] > tol:
+        if not held or m.certificates.get(key, (math.inf,))[0] > tol:
             stale.setdefault((id(m), key), i)
     problems = yield from gather(*(
         _newton_problem(markets[i], weights[i], u, divergence_bound) for i in stale.values()
@@ -342,8 +344,10 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
                             1.0 + SUPERMARTINGALE_TOL - float(np.sum(ratio)))
     for i, optimum in out.items():
         optimum.strategy.setflags(write=False)  # every later call shares it
-        markets[i].certificates[keys[i]] = (tol, optimum)
-    return [m.certificates[key][1] for m, key in zip(markets, keys)]
+        if held:
+            markets[i].certificates[keys[i]] = (tol, optimum)
+    return [m.certificates[key][1] if held else out[stale[id(m), key]]
+            for m, key in zip(markets, keys)]
 
 
 @contextmanager

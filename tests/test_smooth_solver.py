@@ -9,9 +9,12 @@ hundred states with up to six assets, 10k and 50k states, and draw 6 of
 ``random_bounded_market`` with seed 0.
 """
 
+import tracemalloc
+
 import numpy as np
 
-from conftest import random_bounded_market
+import na1lab.lp
+from conftest import random_bounded_market, random_market_any
 from na1lab.arbitrage import (
     SUPERMARTINGALE_TOL,
     check_na1,
@@ -19,9 +22,10 @@ from na1lab.arbitrage import (
     find_classical_arbitrage,
     max_expected_gain,
 )
+from na1lab.hedging import Claim, indifference_price
 from na1lab.lp import minimize_convex
 from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
-from na1lab.portfolio import numeraire_portfolio, verify_numeraire
+from na1lab.portfolio import UtilitySpec, numeraire_portfolio, verify_numeraire
 
 
 def random_box_market(rng, n, d):
@@ -78,11 +82,12 @@ def test_esmm_classifies_the_cone_rows_in_one_lp(linprog_calls):
     assert max_expected_gain(market, esmm.measure) - 1e-12 <= esmm.slack <= SUPERMARTINGALE_TOL
 
 
-def expected_utility_batch(problems, starts, tols, diameter=10.0):
+def expected_utility_batch(problems, starts, tols, diameter=10.0, sizes=None):
     """:func:`minimize_convex` on a batch of ``-E[U_k(1 + R_k x)]`` over
     ``a_k x <= b_k``, with ``U_k`` log (gamma 0) or ``x**gamma / gamma``.
     Each problem is ``(probs, returns, gamma, a, b)`` in two variables; the
-    batch pads states with zero weight and rows with offset +inf."""
+    batch pads states with zero weight and rows with offset +inf.  A list
+    ``sizes`` gets the number of problems of each derivatives call."""
     states = max(len(p[0]) for p in problems)
     rows = max(len(p[4]) for p in problems)
     weights, gammas = np.zeros((len(problems), states, 1)), np.zeros((len(problems), states, 1))
@@ -95,6 +100,8 @@ def expected_utility_batch(problems, starts, tols, diameter=10.0):
         a_ub[k, : len(b)], b_ub[k, : len(b)] = a, b
 
     def derivatives(x, live):
+        if sizes is not None:
+            sizes.append(len(x))
         r, gamma, p = returns[live], gammas[live], weights[live]
         w = 1.0 + r @ x
         first, second = w ** (gamma - 1.0), (gamma - 1.0) * w ** (gamma - 2.0)
@@ -172,3 +179,81 @@ def test_starts_outside_the_rows_end_inside_them():
         assert np.all(a @ got.x < b)
         assert got.residual <= 1e-10 * (1.0 + np.linalg.norm(got.x))
         assert np.max(np.abs(got.x - want.x)) <= 1e-6
+
+
+def wealth_row_problem(seed, gamma):
+    """A utility problem over 20 states with the rows ``-R x <= 1`` (wealth
+    at least zero in every state) and a random box."""
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.5, 1.5, 20)
+    returns = rng.uniform(-0.6, 0.9, size=(20, 2))
+    returns[0], returns[1] = [0.5, 0.4], [-0.4, -0.5]  # every direction loses somewhere
+    caps = rng.uniform(0.5, 3.0, 2)
+    a = np.vstack([-returns, np.eye(2), -np.eye(2)])
+    return probs / probs.sum(), returns, gamma, a, np.concatenate([np.ones(20), caps, caps])
+
+
+def test_a_batch_that_shortens_every_first_step_matches_solo_solves(monkeypatch):
+    """Problems of one shape whose first steps of the third iteration all
+    fail the KKT residual test, so the whole batch shortens them, and which
+    then leave the batch at different iterations: each gets bit for bit
+    what it gets alone."""
+    problems = [wealth_row_problem(seed, gamma)
+                for seed, gamma in [(237, 0.0), (92, 0.5), (287, 0.5), (272, 0.5)]]
+    sizes, starts, step_limits = [], [], na1lab.lp._step_limits
+
+    def iteration(value, change):  # once per Newton iteration, before its trial steps
+        starts.append(len(sizes))
+        return step_limits(value, change)
+
+    monkeypatch.setattr(na1lab.lp, "_step_limits", iteration)
+    batch = expected_utility_batch(problems, [np.zeros(2)] * 4, [1e-10] * 4, sizes=sizes)
+    third = sizes[starts[2]:starts[3]]
+    assert third[:2] == [4, 4]  # no problem took its first step
+    assert len({r.iterations for r in batch}) == 4
+    for problem, result in zip(problems, batch):
+        [alone] = expected_utility_batch([problem], [np.zeros(2)], [1e-10])
+        assert np.array_equal(result.x, alone.x)
+        assert np.array_equal(result.multipliers, alone.multipliers)
+        assert result.residual == alone.residual
+        assert result.iterations == alone.iterations
+
+
+def test_indifference_price_holds_no_optimum_of_its_per_state_utilities():
+    """Each bisection step of ``indifference_price`` composes new per-state
+    utilities; their optima are not held on the market, only the optimum of
+    the claim-free utility is."""
+    rng = np.random.default_rng(46)
+    market = random_box_market(rng, 2000, 2)
+    claim = Claim(rng.uniform(0.05, 0.5, 2000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        price = indifference_price(market, claim, UtilitySpec.log(), 1.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < price < 1.0
+    optima = [key for key in market.certificates if key[0] == "optimum"]
+    assert optima and all(isinstance(key[1], UtilitySpec) for key in optima)
+    assert held < 1e6  # bytes; about 11 MB when each step's optimum was held
+
+
+def test_na1_radius_bound_is_the_per_call_formula_on_the_fuzz_corpus():
+    """``radius_bound``, computed once as NA1 is decided, equals the radius
+    that the dual bound formed from the NA1 multipliers on each call."""
+    rng = np.random.default_rng(11)
+    finite = 0
+    for _ in range(100):
+        market = random_market_any(rng, d_max=8, n_max=60)
+        cert = check_na1(market)
+        if cert.multipliers is None:
+            assert cert.radius_bound == np.inf
+            continue
+        basis, normals = market.span.basis, market.allowed.normals
+        farkas = (cert.multipliers @ (normals @ basis) - np.vstack([basis, -basis])) @ basis.T
+        spread = np.max(np.sum(np.abs(farkas), axis=1))
+        radius = cert.bound_radius / (1.0 - spread) if spread < 1.0 else np.inf
+        assert cert.radius_bound == radius
+        finite += np.isfinite(radius)
+    assert finite > 0
