@@ -552,13 +552,13 @@ def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
         raise NumericError("no classical arbitrage was found, but NA1 fails")
     basis, returns = market.span.basis, market.returns
     log_aux = np.log(market.probs) - np.sum(returns * returns, axis=1)
-    strategy, dual = np.zeros(market.n_assets), None
+    strategy, dual, residual = np.zeros(market.n_assets), None, 0.0
     if basis.shape[1]:
         diameter = 2.0 * np.sqrt(market.n_assets) * na1.bound_radius
         cone = np.flatnonzero(market.allowed.offsets <= ZERO_OFFSET_TOL)  # generated_cone's rows
         [span] = read(spans)
-        u, lam = _minimize_log_moment(log_aux, returns @ basis, market.allowed.normals[cone] @ basis,
-                                      diameter, span)
+        u, lam, residual = _minimize_log_moment(
+            log_aux, returns @ basis, market.allowed.normals[cone] @ basis, diameter, span)
         strategy, dual = basis @ u, (basis @ span[0], cone[span[1]], lam)
     # extreme states can underflow to exactly zero in double precision; the
     # true mass is positive, so floor it at the smallest safe normal value
@@ -567,8 +567,10 @@ def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
     _dual_bound(market, q, dual, SUPERMARTINGALE_TOL)
     [slack] = yield from _certified_gains([market], [q])
     if not slack <= SUPERMARTINGALE_TOL:
+        stalled = (f"; the exponential-moment search stalled at residual {residual:.3e}"
+                   if residual > MOMENT_TOL else "")
         raise NumericError(
-            f"supermartingale verification failed: expected-gain slack {slack:.3e}"
+            f"supermartingale verification failed: expected-gain slack {slack:.3e}{stalled}"
         )
     logger.debug("esmm constructed: slack %.3e", slack)
     return Esmm(measure=q, density=q / market.probs, strategy=strategy, slack=slack)
@@ -588,7 +590,8 @@ def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter, span):
 
     The search runs in the span of the cone (``span``, from
     :func:`~na1lab.lp.cone_span`), where the rows that are not implicit
-    equalities have a strictly feasible point.  Returns u and their multipliers.
+    equalities have a strictly feasible point.  Returns u, their multipliers
+    and the solver's residual.
     """
     reduce_basis, strict = span
     rows = cone_rows[strict] @ reduce_basis
@@ -601,4 +604,4 @@ def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter, span):
 
     [result] = minimize_convex(derivatives, rows[None], np.zeros((1, rows.shape[0])),
                                np.zeros((1, mat.shape[1])), diameter, MOMENT_TOL)
-    return reduce_basis @ result.x, result.multipliers
+    return reduce_basis @ result.x, result.multipliers, result.residual

@@ -7,8 +7,9 @@ certified quantity rather than on a step size.  Piecewise-linear utilities
 skip it entirely and go through one exact epigraph LP, the deterministic
 equivalent of :func:`~na1lab.lp.deterministic_equivalent` on the tree of
 depth 1, a block of the LP round.  Several markets are maximized together
-(:func:`_maximize_all`): the Newton problems as one solver batch, the
-piecewise LPs as one stacked LP; each optimum is held on its market.
+(:func:`_maximize_all`) behind one NA1 gate: the Newton problems as one
+solver batch, the piecewise LPs as one stacked LP; each optimum is held
+on its market.
 """
 
 from __future__ import annotations
@@ -301,10 +302,13 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
     in ``market.certificates`` under ``("optimum", u, weights)`` with its
     tolerance, and serves every later call at that tolerance or a looser
     one; a per-state list, which callers compose anew, is not held.  Only
-    the first entry of each distinct market and key not served is set up,
-    by its own task (:func:`_newton_problem`), all gathered; the Newton
-    problems of one span dimension are one batch, and each residual is
-    checked on its own.  Errors are not held."""
+    the first entry of each distinct market and key not served is solved:
+    those markets pass one NA1 gate with the spans of their cones, a market
+    without NA1 is refused or escalated in batch order, and each problem is
+    then set up in the span of its allowed set (the return span less the
+    implicit equalities of its cone), from ``u = 0``.  The Newton problems
+    of one span dimension are one batch, and each residual is checked on
+    its own.  Errors are not held."""
     held = isinstance(u, UtilitySpec)
     spec = u if held else tuple(u)
     if not held and not all(isinstance(s, UtilitySpec) for s in spec):
@@ -314,15 +318,45 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
     for i, (m, key) in enumerate(zip(markets, keys)):
         if not held or m.certificates.get(key, (math.inf,))[0] > tol:
             stale.setdefault((id(m), key), i)
-    problems = yield from gather(*(
-        _newton_problem(markets[i], weights[i], u, divergence_bound) for i in stale.values()
-    ))
-    out, batches = {}, {}
-    for i, problem in zip(stale.values(), problems):
+    solved = list(stale.values())
+    evaluators = [_UtilityEvaluator(u, markets[i].n_states) for i in solved]
+    smooth = not any(e.piecewise for e in evaluators)  # a piecewise LP needs no span
+    if smooth and any(np.any(e.scales + e.shifts <= 0.0) for e in evaluators):
+        raise InvalidParameterError(
+            "the utility argument must be positive at the zero strategy, which is always allowed"
+        )
+    fresh = [markets[i] for i in solved]
+    certs, *spans = yield from _with_na1(fresh, *([_cone_spans(fresh)] if smooth else []))
+    for i, market, evaluator, cert in zip(solved, fresh, evaluators, certs):
+        if not cert.holds and divergence_bound is None:
+            raise PreconditionError(
+                "scalable arbitrage exists, so expected utility has no maximizer; "
+                "remove the arbitrage or tighten the constraints"
+            )
+        if not cert.holds:
+            with _named(labels, i):
+                _escalate_along_ray(weights[i], market.returns, evaluator, cert.witness_ray,
+                                    divergence_bound)
+    spans = read(spans[0]) if smooth else [None] * len(fresh)
+    out, batches, exact = {}, {}, {}
+    for i, market, evaluator, cert, span in zip(solved, fresh, evaluators, certs, spans):
+        basis = market.span.basis
+        if not smooth and basis.shape[1]:
+            exact[i] = _piecewise_optimum(market, weights[i], evaluator, basis)
+            continue
+        if span is not None:
+            basis = basis @ span[0]
+        if basis.shape[1] == 0:
+            value = float(weights[i] @ evaluator.value(np.ones(market.n_states)))
+            out[i] = OptimalPortfolio(np.zeros(market.n_assets), value, 0.0, 0)
+            continue
+        rows, a, b = _searched_rows(market, basis)
+        out[i] = (basis, market.returns @ basis, evaluator, rows, a, b,
+                  2.0 * math.sqrt(market.n_assets) * cert.bound_radius)
+        batches.setdefault(basis.shape[1], []).append(i)
+    for i, answer in zip(exact, (yield from gather(*exact.values()))):
         with _named(labels, i):
-            out[i] = read(problem)
-        if isinstance(out[i], tuple):
-            batches.setdefault(out[i][0].shape[1], []).append(i)
+            out[i] = read(answer)
     for batch in batches.values():
         results = _solve_batch([out[i] for i in batch], [weights[i] for i in batch], tol)
         for i, result in zip(batch, results):
@@ -361,45 +395,10 @@ def _named(labels, i):
         raise NumericError(f"optimization failed at {labels[i]}: {exc}") from exc
 
 
-def _newton_problem(market, probs, u, divergence_bound):
-    """Task: the optimum itself where no Newton search is needed, else
-    ``(basis, returns_r, evaluator, rows, a, b, diameter)``: coordinates of
-    the span of the allowed set (the return span less the implicit
-    equalities of the cone the set generates), the allowed rows ``a u <= b``
-    that do not vanish there, and the diameter.  The search starts at
-    ``u = 0``."""
-    evaluator = _UtilityEvaluator(u, market.n_states)
-    if not evaluator.piecewise and np.any(evaluator.scales + evaluator.shifts <= 0.0):
-        raise InvalidParameterError(
-            "the utility argument must be positive at the zero strategy, which is always allowed"
-        )
-    gated = [] if evaluator.piecewise else [_cone_spans([market])]  # a piecewise LP needs no span
-    [cert], *spans = yield from _with_na1([market], *gated)
-    if not cert.holds and divergence_bound is None:
-        raise PreconditionError(
-            "scalable arbitrage exists, so expected utility has no maximizer; "
-            "remove the arbitrage or tighten the constraints"
-        )
-    if not cert.holds:
-        _escalate_along_ray(probs, market.returns, evaluator, cert.witness_ray, divergence_bound)
-    d = market.n_assets
-    basis = market.span.basis
-    if evaluator.piecewise and basis.shape[1]:
-        return (yield from _piecewise_optimum(market, probs, evaluator, basis))
-    if spans:
-        [(reduce, _)] = read(spans[0])
-        basis = basis @ reduce
-    if basis.shape[1] == 0:
-        value = float(probs @ evaluator.value(np.ones(market.n_states)))
-        return OptimalPortfolio(np.zeros(d), value, 0.0, 0)
-    rows, a, b = _searched_rows(market, basis)
-    return (basis, market.returns @ basis, evaluator, rows, a, b,
-            2.0 * math.sqrt(d) * cert.bound_radius)
-
-
 def _solve_batch(problems, weights, tol):
     """One :func:`~na1lab.lp.minimize_convex` batch of ``-E[U(1 + R u)]``
-    for :func:`_newton_problem` tuples of one span dimension, from ``u = 0``
+    for the problems of :func:`_maximize_all` of one span dimension,
+    ``(basis, returns_r, evaluator, rows, a, b, diameter)``, from ``u = 0``
     and inside the domain ``-R u < 1 + shift / scale``; padded states have
     zero weight."""
     _, returns_r, evaluators, _, a, b, diameters = zip(*problems)
@@ -534,20 +533,20 @@ def verify_numeraire(market: DiscreteMarket, rho) -> float:
     The candidate is a numeraire exactly when the optimum is at most
     1 + 1e-8 (taking pi = rho always attains 1).  A log optimum ``rho``
     leaves its multipliers on the market, whose weak-duality bound is the
-    answer where it is within 1 + 1e-8, with no LP.  Otherwise the answer is
-    the LP optimum, :func:`~na1lab.arbitrage.max_expected_gain` under the
-    weights ``probs * Z``, ``Z = 1 / (1 + <rho, R>)``, +inf when unbounded.
+    answer where it is within 1 + 1e-8, with no LP.  The bound is
+    :func:`verify_deflator` of ``Z = 1 / (1 + <rho, R>)``.
     """
     w_rho = wealth(market, rho)
     if np.any(w_rho <= 0):
         raise InvalidParameterError("candidate strategy has nonpositive wealth in some state")
-    weights = market.probs * (1.0 / w_rho)
-    return float(np.sum(weights) + run(_certified_gains([market], [weights]))[0])
+    return verify_deflator(market, 1.0 / w_rho)
 
 
 def verify_deflator(market: DiscreteMarket, values) -> float:
-    """Certified bound on sup E[Z (1 + <pi, R>)], pi allowed, computed as
-    :func:`verify_numeraire` computes it under the weights ``probs * Z``."""
+    """Certified bound on sup E[Z (1 + <pi, R>)], pi allowed: the sum of the
+    weights ``probs * Z`` plus the dual bound held for them, else the LP
+    optimum :func:`~na1lab.arbitrage.max_expected_gain` under them, +inf
+    when unbounded."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != market.n_states or np.any(values <= 0):
         raise InvalidParameterError("deflator values must be positive, one per state")

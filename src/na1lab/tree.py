@@ -24,13 +24,15 @@ node markets:
 The tree is held once as breadth-first arrays (:class:`ScenarioTree`):
 edge probabilities and returns, parents, each node's children as one range
 and each depth as one range, so a pass walks levels and child ranges, and
-a node market is a slice of them.  Node markets are keyed by content
-(``node_market``): each distinct one is built once and held on the tree,
-and nodes with equal content share it, so its cached certificates, NA1 and
-its cone span first of all, and its utility optima serve every such node
-and later question.  Each pass is an LP task
-(:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs as one
-block-diagonal LP (:func:`~na1lab.lp._solve_stacked`).  The passes are
+a node market is a slice of them.  The node markets are built once per
+tree, on first use, as one tuple in breadth-first order, and a pass
+addresses nodes by their position only: it reads that tuple and lists of
+node values and strategies, and builds the dicts of its public result at
+the end.  Nodes with equal content share one market (``node_market``), so
+its cached certificates, NA1 and its cone span first of all, and its
+utility optima serve every such node and later question.  Each pass is an
+LP task (:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs
+as one block-diagonal LP (:func:`~na1lab.lp._solve_stacked`).  The passes are
 gated on the node markets' NA1 by :func:`~na1lab.arbitrage._with_na1`,
 which runs them alongside its LPs while it is undecided, each market's
 certificate held from the round it is decided, so independent LPs of
@@ -50,14 +52,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import arbitrage
-from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains
+from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _max_expected_gains
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .hedging import _recertified, _superhedge_reports
-from .lp import deterministic_equivalent, read, require_optimal, run, solve_lp
+from .lp import deterministic_equivalent, read, run
 from .market import FEAS_TOL, PROB_TOL, ConstraintSet, DiscreteMarket, wealth
 from .portfolio import (
     GRADIENT_TOL,
@@ -211,8 +214,6 @@ class ScenarioTree:
         object.__setattr__(self, "_parents", parents)
         object.__setattr__(self, "_offsets", tuple(offsets))
         object.__setattr__(self, "_levels", tuple(levels))
-        object.__setattr__(self, "_markets", {})  # by node id
-        object.__setattr__(self, "_contents", {})  # by node content
 
     @property
     def root_id(self):
@@ -279,30 +280,38 @@ class ScenarioTree:
             i = self._parents[i]
         return prob
 
+    @cached_property
+    def _markets(self) -> tuple:
+        """The internal nodes' markets in breadth-first order, built on first
+        use; nodes with equal content (the bytes of the probabilities, the
+        returns and the constraint normals and offsets) share one."""
+        markets, by_content = [], {}
+        for i, node_id in enumerate(self.internal_ids()):
+            kids = slice(self._offsets[i], self._offsets[i + 1])
+            probs, returns = self._probs[kids], self._returns[kids]
+            cs = self.constraints[node_id]
+            key = (probs.tobytes(), returns.tobytes(), cs.normals.tobytes(), cs.offsets.tobytes())
+            if key not in by_content:
+                by_content[key] = DiscreteMarket(probs, returns, cs)
+            markets.append(by_content[key])
+        return tuple(markets)
+
 
 def node_market(tree: ScenarioTree, node_id) -> DiscreteMarket:
     """One-period market seen standing at a non-leaf node.
 
     States are the node's children with their branch probabilities and edge
-    returns; the constraint set is the node's own.  The market is built
-    once per content (the bytes of the probabilities, the returns and the
-    constraint normals and offsets) and held on the tree, so nodes with
-    equal content share it and the certificates cached on it.
+    returns; the constraint set is the node's own.  The first call builds
+    the markets of every internal node, in breadth-first order, and holds
+    them on the tree as one tuple, so an invalid node market raises on the
+    first access to any node; nodes with equal content (the bytes of the
+    probabilities, the returns and the constraint normals and offsets)
+    share one market and the certificates cached on it.
     """
-    market = tree._markets.get(node_id)
-    if market is None:
-        i = tree._at(node_id)
-        kids = slice(tree._offsets[i], tree._offsets[i + 1])
-        if kids.start == kids.stop:
-            raise InvalidParameterError(f"node {node_id!r} is a leaf; it has no market")
-        probs, returns = tree._probs[kids], tree._returns[kids]
-        cs = tree.constraints[node_id]
-        key = (probs.tobytes(), returns.tobytes(), cs.normals.tobytes(), cs.offsets.tobytes())
-        market = tree._contents.get(key)
-        if market is None:
-            market = tree._contents[key] = DiscreteMarket(probs, returns, cs)
-        tree._markets[node_id] = market
-    return market
+    i = tree._at(node_id)
+    if i >= tree._levels[-2]:
+        raise InvalidParameterError(f"node {node_id!r} is a leaf; it has no market")
+    return tree._markets[i]
 
 
 def iid_tree(market: DiscreteMarket, horizon: int, root_id: str = "root") -> ScenarioTree:
@@ -343,11 +352,10 @@ class PolicyProcess:
         Membership means the node's admissibility-plus-constraints polyhedron
         and the span of the node's return support, both within a 1e-9 slack.
         """
-        for node_id in tree.internal_ids():
+        for node_id, market in zip(tree.internal_ids(), tree._markets):
             if node_id not in self.strategies:
                 raise NumericError(f"no strategy recorded at node {node_id!r}")
             pi = np.asarray(self.strategies[node_id], dtype=float)
-            market = node_market(tree, node_id)
             if not market.allowed.contains(pi, tol=FEAS_TOL):
                 raise NumericError(f"policy at node {node_id!r} leaves the allowed polyhedron")
             off_span = pi - market.span.project(pi)
@@ -375,11 +383,13 @@ class DeflatorProcess:
     values: dict
 
 
-def _wealth_process(tree: ScenarioTree, strategies: dict) -> dict:
+def _wealth_process(tree: ScenarioTree, strategies) -> dict:
+    """Wealth by node id under the internal nodes' strategies, a list in
+    breadth-first order."""
     offsets, values = tree._offsets, [1.0] * len(tree._bfs)
-    for i, node_id in enumerate(tree.internal_ids()):
+    for i, strategy in enumerate(strategies):
         for k in range(offsets[i], offsets[i + 1]):
-            values[k] = values[i] * (1.0 + float(tree._returns[k] @ strategies[node_id]))
+            values[k] = values[i] * (1.0 + float(tree._returns[k] @ strategy))
     return dict(zip(tree._bfs, values))
 
 
@@ -400,8 +410,7 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
     bad = np.flatnonzero(~(values > 0.0))
     if bad.size:
         raise InvalidParameterError(f"deflator at node {tree.bfs_ids()[bad[0]]!r} is not positive")
-    offsets = tree._offsets
-    markets = [node_market(tree, n) for n in tree.internal_ids()]
+    offsets, markets = tree._offsets, tree._markets
     weights = [market.probs * (values[offsets[i]:offsets[i + 1]] / values[i])
                for i, market in enumerate(markets)]
     gains = run(_certified_gains(markets, weights))
@@ -446,10 +455,9 @@ def _with_na1(tree: ScenarioTree, *passes):
     ``passes``, gated on the node markets' NA1 by
     :func:`~na1lab.arbitrage._with_na1` (None where it fails)."""
     internal = tree.internal_ids()
-    certs, *answers = yield from arbitrage._with_na1([node_market(tree, n) for n in internal], *passes)
-    certificates = dict(zip(internal, certs))
-    failing = tuple(n for n, cert in certificates.items() if not cert.holds)
-    return (TreeNa1Report(not failing, certificates, failing), *answers)
+    certs, *answers = yield from arbitrage._with_na1(tree._markets, *passes)
+    failing = tuple(n for n, cert in zip(internal, certs) if not cert.holds)
+    return (TreeNa1Report(not failing, dict(zip(internal, certs)), failing), *answers)
 
 
 def _gated(tree: ScenarioTree, context: str, task):
@@ -489,9 +497,7 @@ class BackwardInductionResult:
     diagnostics: dict
 
 
-def _node_candidates(candidates, node_id) -> np.ndarray | None:
-    if candidates is None:
-        return None
+def _node_candidates(candidates, node_id) -> np.ndarray:
     chosen = candidates[node_id] if isinstance(candidates, dict) else candidates
     chosen = np.atleast_2d(np.asarray(chosen, dtype=float))
     if chosen.shape[0] == 0:
@@ -517,16 +523,6 @@ def _best_candidate(weights, returns, candidates, base: UtilitySpec):
     return candidates[best], float(values[best])
 
 
-def _node_optima(tree, nodes, weights: dict, u, tol):
-    """Task: optima of ``u`` at ``nodes`` under their child ``weights``, by
-    node, held on the node markets by :func:`~na1lab.portfolio._maximize_all`;
-    an error names its node."""
-    solved = yield from _maximize_all([node_market(tree, n) for n in nodes],
-                                      [weights[n] for n in nodes], u, tol,
-                                      labels=[f"node {n!r}" for n in nodes])
-    return dict(zip(nodes, solved))
-
-
 def _separable_backward(tree, u: UtilitySpec, candidates):
     """Task: exact DP for log and power utilities.
 
@@ -537,45 +533,45 @@ def _separable_backward(tree, u: UtilitySpec, candidates):
     rescales (power) the optimal value without moving the optimizer, so the
     per-node problems use the unit-scale utility and the root value is
     adjusted at the end.  The problems of a tree level are one batch, and
-    an optimum held on its node market (:func:`_node_optima`), such as the
-    numeraire pass's log optimum, is not solved again.
+    an optimum held on its node market
+    (:func:`~na1lab.portfolio._maximize_all`), such as the numeraire pass's
+    log optimum, is not solved again.
     """
     is_log = u.kind == "log"
     base = UtilitySpec.log() if is_log else UtilitySpec.power(u.gamma)
-    node_values: dict = {leaf: (0.0 if is_log else 1.0) for leaf in tree.leaf_ids}
-    strategies: dict = {}
+    ids, offsets, levels, markets = tree._bfs, tree._offsets, tree._levels, tree._markets
+    values = [0.0 if is_log else 1.0] * len(ids)
+    strategies = [None] * len(markets)
     for depth in reversed(range(tree.horizon)):
-        level = tree.level_ids(depth)[::-1]
-        markets = {n: node_market(tree, n) for n in level}
-        continuation = {n: np.array([node_values[k] for k in tree.children(n)]) for n in level}
-        tilts = {n: markets[n].probs * continuation[n] for n in level}
-        weights = {n: markets[n].probs if is_log else tilts[n] / tilts[n].sum() for n in level}
+        level = range(levels[depth], levels[depth + 1])[::-1]
+        continuation = [np.array(values[offsets[i]:offsets[i + 1]]) for i in level]
+        tilts = [markets[i].probs * c for i, c in zip(level, continuation)]
+        weights = [markets[i].probs if is_log else t / t.sum() for i, t in zip(level, tilts)]
         if candidates is None:
-            optima = yield from _node_optima(tree, level, weights, base, GRADIENT_TOL)
-        for node_id in level:
-            market = markets[node_id]
-            chosen = _node_candidates(candidates, node_id)
-            if chosen is None:
-                strategy, value = optima[node_id].strategy, optima[node_id].value
+            optima = yield from _maximize_all([markets[i] for i in level], weights, base, GRADIENT_TOL,
+                                              labels=[f"node {ids[i]!r}" for i in level])
+        for j, i in enumerate(level):
+            market = markets[i]
+            if candidates is None:
+                strategy, value = optima[j].strategy, optima[j].value
             else:
+                chosen = _node_candidates(candidates, ids[i])
                 try:
-                    chosen = _feasible_candidates(market, chosen, node_id)
-                    strategy, value = _best_candidate(
-                        weights[node_id], market.returns, chosen, base
-                    )
+                    chosen = _feasible_candidates(market, chosen, ids[i])
+                    strategy, value = _best_candidate(weights[j], market.returns, chosen, base)
                 except NumericError as exc:
-                    raise NumericError(f"optimization failed at node {node_id!r}: {exc}") from exc
+                    raise NumericError(f"optimization failed at node {ids[i]!r}: {exc}") from exc
                 strategy = market.span.project(strategy)
-            strategies[node_id] = np.asarray(strategy, dtype=float)
-            expected = float(market.probs @ continuation[node_id])
-            node_values[node_id] = expected + value if is_log else expected * u.gamma * value
+            strategies[i] = np.asarray(strategy, dtype=float)
+            expected = float(market.probs @ continuation[j])
+            values[i] = expected + value if is_log else expected * u.gamma * value
     if is_log:
-        root_value = node_values[tree.root_id] + math.log(u.scale)
+        root_value = values[0] + math.log(u.scale)
     else:
-        root_value = u.scale**u.gamma * node_values[tree.root_id] / u.gamma
-    policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
+        root_value = u.scale**u.gamma * values[0] / u.gamma
+    policy = PolicyProcess(dict(zip(tree.internal_ids(), strategies)), _wealth_process(tree, strategies))
     policy.validate(tree, require_positive_wealth=True)
-    return BackwardInductionResult(float(root_value), policy, node_values,
+    return BackwardInductionResult(float(root_value), policy, dict(zip(ids, values)),
                                    {"utility_form": u.kind, "exact": True})
 
 
@@ -588,17 +584,15 @@ def _piecewise_backward(tree, u: UtilitySpec):
     the policy is validated, and the node values are the conditional
     expected utilities of its wealth process.
     """
-    internal, offsets = tree.internal_ids(), tree._offsets
-    cut = len(internal)
-    markets = [node_market(tree, n) for n in internal]
+    offsets, markets = tree._offsets, tree._markets
+    cut = len(markets)
     pieces = u.pieces()
     _, strategies, _ = yield from deterministic_equivalent(
         tree._parents, tree._returns[1:],
         [(m.span.basis, m.constraints.normals, m.constraints.offsets) for m in markets],
         [(tree.path_probability(leaf), pieces) for leaf in tree.leaf_ids],
         (1.0, 1.0), True, "piecewise-utility tree LP")
-    strategies = dict(zip(internal, strategies))
-    policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
+    policy = PolicyProcess(dict(zip(tree.internal_ids(), strategies)), _wealth_process(tree, strategies))
     policy.validate(tree)
     values = list(policy.wealth.values())
     values[cut:] = u.value(np.array(values[cut:])).tolist()
@@ -648,31 +642,28 @@ def backward_induction(
 def default_wealth_grid(tree: ScenarioTree, points: int = 257) -> np.ndarray:
     """Geometric wealth grid spanning the reachable range.
 
-    Interval propagation: per node, LPs bound the one-step gain over the
-    allowed polyhedron; products of the extreme gross returns bound terminal
-    wealth.  The lower end is floored at a tiny positive fraction so the
-    geometric spacing stays well defined.
+    Interval propagation: per edge, the largest gain and the largest loss
+    over the node's allowed set in its return span bound the one-step
+    gain; they are the expected-gain LPs of the node market under the
+    weights ``+e_k`` and ``-e_k`` of the edge's child ``k``
+    (:func:`~na1lab.arbitrage.max_expected_gain`), one round for the whole
+    tree.  Products of the extreme gross returns bound terminal wealth.  The
+    lower end is floored at a tiny positive fraction so the geometric
+    spacing stays well defined.
     """
     if points < 2:
         raise InvalidParameterError("a wealth grid needs at least two points")
-    _refuse_arbitrage(global_na1(tree), "wealth-grid construction")
-    lo, hi = {tree.root_id: 1.0}, {tree.root_id: 1.0}
-    for node_id in tree.internal_ids():
-        allowed = node_market(tree, node_id).allowed
-        for child in tree.children(node_id):
-            returns = tree.edge_returns(child)
-            worst = require_optimal(
-                solve_lp(returns, a_ub=allowed.normals, b_ub=allowed.offsets),
-                "wealth lower bound",
-            ).value
-            best = require_optimal(
-                solve_lp(returns, a_ub=allowed.normals, b_ub=allowed.offsets, maximize=True),
-                "wealth upper bound",
-            ).value
-            lo[child] = lo[node_id] * max(1.0 + worst, 0.0)
-            hi[child] = hi[node_id] * (1.0 + best)
-    floor = max(min(lo[leaf] for leaf in tree.leaf_ids), 1e-6)
-    ceil = max(max(hi[leaf] for leaf in tree.leaf_ids), floor * (1.0 + 1e-6))
+    offsets, markets, cut = tree._offsets, tree._markets, tree._levels[-2]
+    edges = [(m, sign * row) for m in markets for row in np.eye(m.n_states) for sign in (1.0, -1.0)]
+    gains = iter(run(_gated(tree, "wealth-grid construction", _max_expected_gains(*zip(*edges)))))
+    lo, hi = [1.0] * len(tree._bfs), [1.0] * len(tree._bfs)
+    for i in range(cut):
+        for k in range(offsets[i], offsets[i + 1]):
+            best, worst = next(gains), -next(gains)
+            lo[k] = lo[i] * max(1.0 + worst, 0.0)
+            hi[k] = hi[i] * (1.0 + best)
+    floor = max(min(lo[cut:]), 1e-6)
+    ceil = max(max(hi[cut:]), floor * (1.0 + 1e-6))
     return np.geomspace(floor, ceil, points)
 
 
@@ -687,7 +678,7 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
     process deflates every allowed strategy's wealth.  The log optima of the
     distinct node markets not yet holding one at the numeraire tolerance are
     one solver batch, started at the zero strategy once NA1 is decided, and
-    held on the markets (:func:`_node_optima`).  Each node is
+    held on the markets (:func:`~na1lab.portfolio._maximize_all`).  Each node is
     certified under the one-step weights ``probs / (1 + R rho)`` of its
     strategy ``rho``, which numpy ties to the deflator's values, by its log
     optimum's dual bound, else by an LP that nodes with equal market and
@@ -697,19 +688,18 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
 
 
 def _numeraire_process(tree: ScenarioTree):
-    internal = tree.internal_ids()
-    optima = yield from _node_optima(tree, internal, {n: node_market(tree, n).probs for n in internal},
-                                     UtilitySpec.log(), NUMERAIRE_GRADIENT_TOL)
-    strategies = {n: optima[n].strategy for n in internal}
-    policy = PolicyProcess(strategies, _wealth_process(tree, strategies))
+    internal, markets = tree.internal_ids(), tree._markets
+    optima = yield from _maximize_all(markets, [m.probs for m in markets], UtilitySpec.log(),
+                                      NUMERAIRE_GRADIENT_TOL, labels=[f"node {n!r}" for n in internal])
+    strategies = [optimum.strategy for optimum in optima]
+    policy = PolicyProcess(dict(zip(internal, strategies)), _wealth_process(tree, strategies))
     policy.validate(tree, require_positive_wealth=True)
     inverse = [1.0 / w for w in policy.wealth.values()]
-    ties = np.array([inverse[k] / inverse[p] * (1.0 + tree._returns[k] @ strategies[internal[p]])
+    ties = np.array([inverse[k] / inverse[p] * (1.0 + tree._returns[k] @ strategies[p])
                      for k, p in enumerate(tree._parents[1:].tolist(), 1)])
     if np.max(np.abs(ties - 1.0)) > RATIO_TOL:
         raise NumericError("numeraire deflator strays from the one-step ratios it is certified by")
-    markets = [node_market(tree, n) for n in internal]
-    weights = [m.probs * (1.0 / wealth(m, strategies[n])) for n, m in zip(internal, markets)]
+    weights = [m.probs * (1.0 / wealth(m, rho)) for m, rho in zip(markets, strategies)]
     gains = yield from _certified_gains(markets, weights)
     violation = float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
     if violation > SUPERMARTINGALE_TOL:
@@ -746,7 +736,7 @@ class TreeHedge:
         }
 
 
-def _leaf_payoffs(tree: ScenarioTree, claim) -> dict:
+def _leaf_payoffs(tree: ScenarioTree, claim) -> list:
     if isinstance(claim, dict):
         missing = [leaf for leaf in tree.leaf_ids if leaf not in claim]
         if missing:
@@ -755,15 +745,15 @@ def _leaf_payoffs(tree: ScenarioTree, claim) -> dict:
         extra = [k for k in claim if k not in leaves]
         if extra:
             raise InvalidParameterError(f"claim names non-leaf nodes {extra!r}")
-        payoffs = {leaf: float(claim[leaf]) for leaf in tree.leaf_ids}
+        payoffs = [float(claim[leaf]) for leaf in tree.leaf_ids]
     else:
         values = np.asarray(claim, dtype=float).reshape(-1)
         if values.size != len(tree.leaf_ids):
             raise InvalidParameterError(
                 f"claim has {values.size} entries for {len(tree.leaf_ids)} leaves"
             )
-        payoffs = dict(zip(tree.leaf_ids, values.tolist()))
-    bad = {k: v for k, v in payoffs.items() if not (math.isfinite(v) and v >= 0.0)}
+        payoffs = values.tolist()
+    bad = {k: v for k, v in zip(tree.leaf_ids, payoffs) if not (math.isfinite(v) and v >= 0.0)}
     if bad:
         raise InvalidParameterError(f"claim must be finite and nonnegative, got {bad!r}")
     return payoffs
@@ -786,14 +776,16 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
 
 
 def _superhedge_tree(tree: ScenarioTree, claim):
-    node_values, strategies = _leaf_payoffs(tree, claim), {}
+    offsets, levels = tree._offsets, tree._levels
+    values = [0.0] * levels[-2] + _leaf_payoffs(tree, claim)
+    strategies = [None] * levels[-2]
     for depth in reversed(range(tree.horizon)):
-        level = tree.level_ids(depth)[::-1]
-        markets = [node_market(tree, n) for n in level]
-        payoffs = [np.array([node_values[k] for k in tree.children(n)]) for n in level]
+        level = range(levels[depth], levels[depth + 1])[::-1]
+        markets = [tree._markets[i] for i in level]
+        payoffs = [np.array(values[offsets[i]:offsets[i + 1]]) for i in level]
         reports = yield from _recertified(markets, (yield from _superhedge_reports(markets, payoffs)))
-        for node_id, report in zip(level, reports):
+        for i, report in zip(level, reports):
             # The cost of a nonnegative claim is nonnegative; clip LP noise.
-            node_values[node_id] = max(float(report.primal_value), 0.0)
-            strategies[node_id] = report.strategy
-    return TreeHedge(float(node_values[tree.root_id]), node_values, strategies)
+            values[i] = max(float(report.primal_value), 0.0)
+            strategies[i] = report.strategy
+    return TreeHedge(values[0], dict(zip(tree._bfs, values)), dict(zip(tree.internal_ids(), strategies)))

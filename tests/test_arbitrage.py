@@ -22,7 +22,7 @@ from na1lab.arbitrage import (
 )
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.lp import UNBOUNDED, solve_lp
-from na1lab.market import generated_cone, preset_constraints, wealth
+from na1lab.market import DiscreteMarket, generated_cone, preset_constraints, wealth
 
 
 def esmm_oracle_one_asset(market):
@@ -100,6 +100,24 @@ class TestFindClassicalArbitrage:
             else:
                 assert cert.objective <= 1e-9
         assert found > 0  # the sweep must exercise both verdicts
+
+    @pytest.mark.parametrize("strategy, message", [
+        (3.0, "violates the constraint polyhedron"),
+        (0.5, "has a negative state gain"),
+        (0.0, "has no strictly positive gain"),
+    ])
+    def test_search_answer_is_reverified(self, monkeypatch, strategy, message):
+        """The search LP's strategy is checked in numpy before it becomes a
+        certificate: one outside the allowed set, one losing in a state and
+        one gaining nowhere are refused."""
+        def search(market, offsets, tol):
+            yield from ()
+            return 1.0, np.array([strategy])
+
+        monkeypatch.setattr(na1lab.arbitrage, "_arbitrage_search", search)
+        box = preset_constraints("box", dim=1, lower=[1.0], upper=[1.0])
+        with pytest.raises(NumericError, match=message):
+            find_classical_arbitrage(make_market([[0.5], [-0.5]], constraints=box))
 
 
 class TestRelativeArbitrage:
@@ -399,6 +417,33 @@ class TestEsmm:
             np.exp(np.array([700.0, 700.0, -700.0]) - logsumexp([700.0, 700.0, -700.0])),
             rtol=1e-12,
         )
+
+    def test_failed_slack_is_refused(self, monkeypatch):
+        """A measure whose certified expected-gain slack exceeds the
+        tolerance is refused; the search converged, so only the slack is
+        named."""
+        def gains(markets, weights):
+            yield from ()
+            return [1.0] * len(markets)
+
+        monkeypatch.setattr(na1lab.arbitrage, "_certified_gains", gains)
+        with pytest.raises(NumericError, match=r"expected-gain slack 1\.000e\+00$"):
+            construct_esmm(interval_market([-0.5, 0.2, 0.8]))
+
+    def test_stalled_search_is_named(self):
+        """Draws 5 and 19 of this corpus, with probabilities skewed over six
+        decades, stall the exponential-moment search; the slack failure names
+        the stalled search and its residual."""
+        rng = np.random.default_rng(5)
+        draws = [random_market_any(rng, d_max=4, n_max=12) for _ in range(20)]
+        for m, slack in ((draws[5], "1.059e+00"), (draws[19], "9.110e-01")):
+            probs = m.probs * np.logspace(0, -6, m.n_states)
+            skewed = DiscreteMarket(probs / probs.sum(), m.returns, m.constraints)
+            with pytest.raises(NumericError) as caught:
+                construct_esmm(skewed)
+            assert str(caught.value).startswith(f"supermartingale verification failed: "
+                                                f"expected-gain slack {slack}; the "
+                                                f"exponential-moment search stalled at residual ")
 
     def test_random_markets_certified(self):
         rng = np.random.default_rng(63)

@@ -128,5 +128,6 @@ def _solve_lp_callers():
 
 
 def test_no_lp_outside_the_rounds_but_the_wealth_grid():
-    """Every other LP of the package is a block of an LP task's round."""
-    assert _solve_lp_callers() == {("tree.py", "default_wealth_grid")}
+    """Every LP of the package, the wealth grid's included, is a block of an
+    LP task's round."""
+    assert _solve_lp_callers() == set()

@@ -12,12 +12,15 @@ Oracles:
   brute-force inner maximization.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from na1lab.errors import InvalidParameterError, PreconditionError
+import na1lab.lp
+from na1lab.arbitrage import check_na1
+from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.hedging import (
     DEFLATOR_BUMP,
     Claim,
@@ -113,6 +116,23 @@ class TestSuperhedge:
         assert report.dual_deflator[0] == pytest.approx(DEFLATOR_BUMP)
         assert report.dual_deflator[1] == pytest.approx(1.0, abs=1e-7)
         assert not report.attainable
+
+    @pytest.mark.parametrize("perturb, message", [
+        (lambda r: dataclasses.replace(r, x=r.x - [0.1, 0.0]), "fails to dominate the claim"),
+        (lambda r: dataclasses.replace(r, marginals_ub=2.0 * r.marginals_ub), "duality gap"),
+    ])
+    def test_lp_answer_is_checked_on_its_own(self, monkeypatch, perturb, message):
+        """The position must dominate the claim in every state, and the
+        deflator read off the multipliers must price the claim at the LP
+        value: a capital lowered by 0.1, or multipliers doubled, are
+        refused."""
+        market = two_state_fixture()
+        check_na1(market)  # held, so the super-hedging LP is the only one
+        solve = na1lab.lp._solve_stacked
+        monkeypatch.setattr(na1lab.lp, "_solve_stacked",
+                            lambda blocks: [perturb(result) for result in solve(blocks)])
+        with pytest.raises(NumericError, match=message):
+            superhedge(market, Claim(np.array([0.0, 1.5])))
 
     def test_replicable_claim_is_attainable(self):
         market = two_state_fixture()

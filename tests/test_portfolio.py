@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,17 @@ class TestUtilitySpec:
 
 
 class TestMaximizeUtility:
+    def test_stalled_solver_is_refused(self, monkeypatch):
+        """An optimum whose certified residual misses the tolerance is
+        refused with that residual."""
+        solve = na1lab.portfolio.minimize_convex
+        monkeypatch.setattr(
+            na1lab.portfolio, "minimize_convex",
+            lambda *args, **kwargs: [dataclasses.replace(result, residual=1.0)
+                                     for result in solve(*args, **kwargs)])
+        with pytest.raises(NumericError, match=r"stalled at stationarity residual 1\.000e\+00"):
+            maximize_utility(interval_market([-0.5, 0.8], probs=[0.4, 0.6]), UtilitySpec.log())
+
     def test_log_interior_matches_bisection(self):
         m = interval_market([-0.5, 0.8], probs=[0.4, 0.6])
         opt = maximize_utility(m, UtilitySpec.log(), tol=1e-10)

@@ -802,6 +802,44 @@ class TestNumeraireProcess:
         with pytest.raises(NumericError, match="one-step ratios"):
             numeraire_process(tree)
 
+    def test_supermartingale_violation_is_refused(self, monkeypatch):
+        """Certified expected-gain bounds above the tolerance at the nodes
+        refuse the numeraire deflator."""
+        import na1lab.tree
+
+        certified = na1lab.tree._certified_gains
+
+        def inflated(markets, weights):
+            gains = yield from certified(markets, weights)
+            return [gain + 1e-6 for gain in gains]
+
+        monkeypatch.setattr(na1lab.tree, "_certified_gains", inflated)
+        with pytest.raises(NumericError, match="fails supermartingale certification by 1.000e-06"):
+            numeraire_process(iid_tree(two_state_market(), horizon=2))
+
+    def test_policy_validate_rejects_a_strategy_off_the_return_span(self):
+        twin = make_market([[0.8, 0.8], [-0.4, -0.4]],
+                           constraints=ConstraintSet(2, np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                                                     np.array([1.0, 1.0])))
+        tree = iid_tree(twin, horizon=1)
+        wealth = dict.fromkeys(tree.bfs_ids(), 1.0)
+        bad = PolicyProcess({"root": np.array([0.5, -0.5])}, wealth)
+        with pytest.raises(NumericError, match="leaves the return span"):
+            bad.validate(tree)
+
+    def test_policy_validate_rejects_missing_wealth(self):
+        tree = iid_tree(two_state_market(), horizon=1)
+        bad = PolicyProcess({"root": np.zeros(1)}, {"root": 1.0})
+        with pytest.raises(NumericError, match="no wealth recorded at node 'root/0'"):
+            bad.validate(tree)
+
+    def test_policy_validate_rejects_nonpositive_wealth(self):
+        tree = iid_tree(two_state_market(), horizon=1)
+        bad = PolicyProcess({"root": np.zeros(1)}, {"root": 1.0, "root/0": 1.0, "root/1": 0.0})
+        bad.validate(tree)
+        with pytest.raises(NumericError, match="wealth at node 'root/1' is 0.0, not positive"):
+            bad.validate(tree, require_positive_wealth=True)
+
     def test_policy_validate_rejects_forbidden_strategy(self):
         tree = iid_tree(two_state_market(box=0.5), horizon=1)
         bad = PolicyProcess({"root": np.array([3.0])}, {"root": 1.0})
