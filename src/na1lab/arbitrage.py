@@ -223,23 +223,18 @@ def _verify_gain_certificate(market, strategy, gains):
         raise NumericError("arbitrage certificate has no strictly positive gain")
 
 
-def _cached(markets, notion: str, tol: float, decide):
-    """Task: certificates of ``notion`` at ``tol`` for ``markets``, decided
-    once per market by the task ``decide(market, tol)`` (:func:`_memoized`)."""
-    key = (notion, float(tol))
-    return _memoized([(m, key) for m in markets], lambda market, _: decide(market, tol))
-
-
-def _memoized(entries, decide):
-    """Task: the answers of ``entries``, pairs ``(market, key)``, each decided
-    once per market by the task ``decide(market, key)``, the tasks of the
-    pairs not yet held gathered, and held in ``market.certificates``
-    (markets are immutable) from the round its own task ends.  An entry is
-    None while a task decides it: a task needing it waits, yielding no
-    blocks, and one that ends undecided clears it."""
+def _memoized(markets, keys, decide):
+    """Task: the answers of ``markets`` under ``keys``, a ``(notion,
+    argument)`` per market, each decided once per market by the task
+    ``decide(market, argument)``, the tasks of the keys not yet held
+    gathered, and held in ``market.certificates`` (markets are immutable)
+    from the round its own task ends.  An entry is None while a task
+    decides it: a task needing it waits, yielding no blocks, and one that
+    ends undecided clears it."""
     def held(market, key):
-        market.certificates[key] = yield from decide(market, key)
+        market.certificates[key] = yield from decide(market, key[1])
 
+    entries = list(zip(markets, keys))
     while True:
         fresh = list({(id(m), key): (m, key) for m, key in entries if key not in m.certificates}.values())
         for market, key in fresh:
@@ -259,9 +254,10 @@ def _memoized(entries, decide):
 def _with_na1(markets, *tasks, tol: float = GAIN_TOL):
     """Task: the NA1 certificates of ``markets`` at ``tol`` and the answers of
     ``tasks`` (held as :func:`~na1lab.lp.gather` holds them; None where NA1
-    fails), the one gate of work that needs NA1: while NA1 is undecided the
-    tasks run alongside its LPs and are closed in the round it fails or its
-    decision ends in an error; once it is decided, they run where it holds."""
+    fails), the one gate of work that needs NA1 and the one place NA1 is
+    asked: while NA1 is undecided the tasks run alongside its LPs and are
+    closed in the round it fails or its decision ends in an error; once it
+    is decided, they run where it holds (:func:`_gated` refuses the rest)."""
     key = ("na1", float(tol))
 
     def while_na1_may_hold(task):
@@ -283,6 +279,23 @@ def _with_na1(markets, *tasks, tol: float = GAIN_TOL):
     return (certs, *answers)
 
 
+def _refuse(certs, context: str, labels=None) -> None:
+    """The one refusal of ``context``, work that needs NA1, where an NA1
+    certificate of ``certs`` fails; ``labels`` (node ids) name those."""
+    failing = [i for i, cert in enumerate(certs) if not cert.holds]
+    if failing:
+        named = "" if labels is None else f"; failing nodes: {[labels[i] for i in failing]!r}"
+        raise PreconditionError(f"{context} requires no scalable arbitrage{named}")
+
+
+def _gated(markets, context: str, task, labels=None):
+    """Task: ``task``'s answer behind :func:`_with_na1`, ``context`` refused
+    where NA1 fails (:func:`_refuse`)."""
+    certs, answer = yield from _with_na1(markets, task)
+    _refuse(certs, context, labels)
+    return read(answer)
+
+
 def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> ArbitrageCertificate:
     """Search the allowed polyhedron for a classical arbitrage.
 
@@ -295,7 +308,7 @@ def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> A
 
 
 def _classical(market: DiscreteMarket, tol: float = GAIN_TOL):
-    return _cached([market], "classical", tol, _search_classical)
+    return _memoized([market], [("classical", float(tol))], _search_classical)
 
 
 def _search_classical(market: DiscreteMarket, tol: float):
@@ -366,7 +379,7 @@ def check_na1(market: DiscreteMarket, tol: float = GAIN_TOL) -> Na1Certificate:
 
 
 def _check_na1_all(markets, tol: float = GAIN_TOL):
-    return _cached(markets, "na1", tol, _decide_na1)
+    return _memoized(markets, [("na1", float(tol))] * len(markets), _decide_na1)
 
 
 def _cone_spans(markets):
@@ -374,8 +387,8 @@ def _cone_spans(markets):
     by its allowed set, in the return span's coordinates, held in
     ``market.certificates``.  Only a cone with rows (the allowed rows with
     zero offset) takes an LP.  Callers gate it on NA1 (:func:`_with_na1`)."""
-    return _cached(markets, "cone_span", ZERO_OFFSET_TOL,
-                   lambda m, tol: cone_span(generated_cone(m.allowed, tol=tol).normals @ m.span.basis))
+    return _memoized(markets, [("cone_span", ZERO_OFFSET_TOL)] * len(markets),
+                     lambda m, tol: cone_span(generated_cone(m.allowed, tol=tol).normals @ m.span.basis))
 
 
 def _decide_na1(market: DiscreteMarket, tol: float):
@@ -477,18 +490,15 @@ def _max_expected_gains(markets, weights):
     LPs stacked; each answer is held in ``market.certificates`` by the
     weights' bytes (:func:`_memoized`), so a (market, weights) pair is
     solved once."""
-    weights = [np.asarray(w, dtype=float) for w in weights]
-    entries = [(m, ("max_expected_gain", w.tobytes())) for m, w in zip(markets, weights)]
-    weight_of = {key: w for (_, key), w in zip(entries, weights)}
-
-    def decide(market, key):
-        w = weight_of[key]
+    def decide(market, raw):
+        w = np.frombuffer(raw)
         value = yield from _settle(market, [w @ (market.returns @ market.span.basis)], w, GAIN_TOL,
                                    lambda market, results: float(results[0].value),
                                    lambda market, ray: float("inf"))
         return 0.0 if value is None else value
 
-    return _memoized(entries, decide)
+    keys = [("max_expected_gain", np.asarray(w, dtype=float).tobytes()) for w in weights]
+    return _memoized(markets, keys, decide)
 
 
 def _dual_bound(market, weights, dual, limit: float) -> float:

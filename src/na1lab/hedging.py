@@ -14,7 +14,9 @@ the expected shortfall loss under a capital budget, by the one LP builder of
 piecewise-linear objectives (:func:`~na1lab.lp.deterministic_equivalent`),
 with minus the loss as the utility of terminal wealth; two price notions
 bracket the super-hedging value from below: the utility-indifference price
-and the numeraire-deflated expectation.
+and the numeraire-deflated expectation.  Each needs NA1 and none decides it:
+the hedging LPs share a round with NA1 behind :func:`~na1lab.arbitrage._gated`,
+and the kernels the prices call refuse a market without it.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, PreconditionError
-from .lp import deterministic_equivalent, read, require_optimal, run
+from .errors import InvalidParameterError, NumericError
+from .lp import deterministic_equivalent, require_optimal, run
 from .market import DiscreteMarket, _kept_rows
-from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _dual_bound, _with_na1, check_na1
+from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _dual_bound, _gated
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
 
 logger = logging.getLogger(__name__)
@@ -154,14 +156,6 @@ def _check_claim(market: DiscreteMarket, claim: Claim) -> np.ndarray:
     return claim.payoff
 
 
-def _require_na1(cert, what: str) -> None:
-    if cert.verdict != "na1_holds":
-        raise PreconditionError(
-            f"{what} requires the no-scalable-arbitrage condition; this market "
-            "admits an unboundedly leverageable strategy"
-        )
-
-
 def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
     """Cheapest capital whose terminal wealth dominates the claim state-wise.
 
@@ -184,9 +178,8 @@ def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
 
 def _hedged(market: DiscreteMarket, payoff):
     payoff = _check_claim(market, Claim(payoff))
-    [na1], reports = yield from _with_na1([market], _superhedge_reports([market], [payoff]))
-    _require_na1(na1, "super-hedging")
-    return (yield from _recertified([market], read(reports)))[0]
+    reports = yield from _gated([market], "super-hedging", _superhedge_reports([market], [payoff]))
+    return (yield from _recertified([market], reports))[0]
 
 
 def _superhedge_reports(markets, payoffs):
@@ -301,10 +294,10 @@ def shortfall_hedge(
     whose root wealth is the capital: a state's utility is minus its loss,
     ``min(0, min_k(slope_k * X + (-slope_k * payoff - intercept_k)))``, the
     risk is minus the optimum, and the strategy, in the return span, is the
-    positions over the capital.
+    positions over the capital.  NA1 and the LP share one round behind
+    :func:`~na1lab.arbitrage._gated`, which refuses a market without NA1.
     """
     payoff = _check_claim(market, claim)
-    _require_na1(check_na1(market), "shortfall hedging")
     if not (math.isfinite(v0) and v0 > 0.0):
         raise InvalidParameterError("the capital budget must be a positive number")
     slopes, intercepts = np.array(loss.pieces).T
@@ -312,10 +305,11 @@ def shortfall_hedge(
     tables[:, :-1, 0] = slopes
     tables[:, :-1, 1] = -slopes * payoff[:, None] - intercepts
     cs = market.constraints
-    wealth, [strategy], value = run(deterministic_equivalent(
+    task = deterministic_equivalent(
         np.zeros(market.n_states + 1, dtype=int), market.returns,
         [(market.span.basis, cs.normals, cs.offsets)], list(zip(market.probs, tables)),
-        (0.0, float(v0)), False, "shortfall hedging"))
+        (0.0, float(v0)), False, "shortfall hedging")
+    wealth, [strategy], value = run(_gated([market], "shortfall hedging", task))
     return float(wealth[0]), strategy, max(0.0, -float(value))
 
 
@@ -328,12 +322,12 @@ def indifference_price(
     the terminal wealth, and is indifferent when the achievable expected
     utility matches the claim-free optimum.  The right-hand side decreases in
     ``p``, so a bisection on [0, v) converges; the result is accurate to
-    1e-8 in the price.
+    1e-8 in the price.  NA1 and the LPs share rounds in :func:`maximize_utility`,
+    which refuses a market without NA1.
     """
     payoff = _check_claim(market, claim)
     if not (math.isfinite(v) and v > 0.0):
         raise InvalidParameterError("initial capital must be a positive number")
-    _require_na1(check_na1(market), "indifference pricing")
 
     def best_value(capital: float) -> float:
         specs = [u.compose_affine(capital, float(x)) for x in payoff]
@@ -367,10 +361,10 @@ def real_world_price(market: DiscreteMarket, claim: Claim) -> float:
     Under no scalable arbitrage this is the expectation of
     ``payoff / (1 + <rho, R>)`` with rho the numeraire position; it never
     exceeds the super-hedging value.  A state with zero numeraire wealth and
-    positive payoff prices at +inf.
+    positive payoff prices at +inf.  NA1 and the LPs share rounds in
+    :func:`numeraire_portfolio`, which refuses a market without NA1.
     """
     payoff = _check_claim(market, claim)
-    _require_na1(check_na1(market), "numeraire pricing")
     rho = numeraire_portfolio(market).strategy
     wealth = 1.0 + market.returns @ rho
     degenerate = wealth <= 0.0

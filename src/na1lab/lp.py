@@ -16,7 +16,8 @@ tasks in lockstep, so each *round* solves the blocks of all of them in one
 gathered task's :class:`~na1lab.errors.Na1LabError` is held until its
 answer is :func:`read`; any other exception ends every task at once.
 Each certificate is decided by its own task and held from the round it
-ends; work that needs NA1 passes one gate, :func:`~na1lab.arbitrage._with_na1`.
+ends; work that needs NA1 passes one gate, :func:`~na1lab.arbitrage._with_na1`,
+and is refused in one place, :func:`~na1lab.arbitrage._refuse`.
 
 The one LP of piecewise-linear objectives, :func:`deterministic_equivalent`,
 is the task of a scenario tree's deterministic equivalent; a one-period

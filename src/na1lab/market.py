@@ -21,7 +21,7 @@ almost surely a modelling error, so such markets are rejected up front.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _cone_spans, _dual_bound, _with_na1
+from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _cone_spans, _dual_bound, _refuse, _with_na1
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import _pad, deterministic_equivalent, gather, minimize_convex, read, run
 from .market import DiscreteMarket, wealth
@@ -298,17 +298,19 @@ def maximize_utility(
 def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
     """Task: :func:`maximize_utility` for several markets under their state
     weights (positive, summing to one) in place of their probabilities;
-    ``labels`` name the markets in errors.  Each optimum of one spec is held
-    in ``market.certificates`` under ``("optimum", u, weights)`` with its
-    tolerance, and serves every later call at that tolerance or a looser
-    one; a per-state list, which callers compose anew, is not held.  Only
-    the first entry of each distinct market and key not served is solved:
-    those markets pass one NA1 gate with the spans of their cones, a market
-    without NA1 is refused or escalated in batch order, and each problem is
-    then set up in the span of its allowed set (the return span less the
-    implicit equalities of its cone), from ``u = 0``.  The Newton problems
-    of one span dimension are one batch, and each residual is checked on
-    its own.  Errors are not held."""
+    ``labels``, node ids, name the markets in errors.  Each optimum of one
+    spec is held in ``market.certificates`` under ``("optimum", u,
+    weights)`` with its tolerance, and serves every later call at that
+    tolerance or a looser one; a per-state list, which callers compose
+    anew, is not held.  Only the first entry of each distinct market and
+    key not served is solved: those markets pass one NA1 gate with the
+    spans of their cones, a batch where NA1 fails is refused
+    (:func:`~na1lab.arbitrage._refuse`) or its markets without NA1
+    escalated in batch order, and each problem is then set up in the span
+    of its allowed set (the return span less the implicit equalities of its
+    cone), from ``u = 0``.  The Newton problems of one span dimension are
+    one batch, and each residual is checked on its own.  Errors are not
+    held."""
     held = isinstance(u, UtilitySpec)
     spec = u if held else tuple(u)
     if not held and not all(isinstance(s, UtilitySpec) for s in spec):
@@ -327,12 +329,10 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
         )
     fresh = [markets[i] for i in solved]
     certs, *spans = yield from _with_na1(fresh, *([_cone_spans(fresh)] if smooth else []))
+    if divergence_bound is None:
+        named = None if labels is None else [labels[i] for i in solved]
+        _refuse(certs, "expected-utility maximization", named)
     for i, market, evaluator, cert in zip(solved, fresh, evaluators, certs):
-        if not cert.holds and divergence_bound is None:
-            raise PreconditionError(
-                "scalable arbitrage exists, so expected utility has no maximizer; "
-                "remove the arbitrage or tighten the constraints"
-            )
         if not cert.holds:
             with _named(labels, i):
                 _escalate_along_ray(weights[i], market.returns, evaluator, cert.witness_ray,
@@ -386,13 +386,13 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
 
 @contextmanager
 def _named(labels, i):
-    """Prefix a ``NumericError`` of market ``i`` with its label."""
+    """Prefix a ``NumericError`` of market ``i`` with its label, a node id."""
     try:
         yield
     except NumericError as exc:
         if labels is None:
             raise
-        raise NumericError(f"optimization failed at {labels[i]}: {exc}") from exc
+        raise NumericError(f"optimization failed at node {labels[i]!r}: {exc}") from exc
 
 
 def _solve_batch(problems, weights, tol):

@@ -58,9 +58,9 @@ import numpy as np
 
 from . import arbitrage
 from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _max_expected_gains
-from .errors import InvalidParameterError, NumericError, PreconditionError
+from .errors import InvalidParameterError, NumericError
 from .hedging import _recertified, _superhedge_reports
-from .lp import deterministic_equivalent, read, run
+from .lp import deterministic_equivalent, run
 from .market import FEAS_TOL, PROB_TOL, ConstraintSet, DiscreteMarket, wealth
 from .portfolio import (
     GRADIENT_TOL,
@@ -461,19 +461,10 @@ def _with_na1(tree: ScenarioTree, *passes):
 
 
 def _gated(tree: ScenarioTree, context: str, task):
-    """Task: ``task``'s answer; a tree with scalable arbitrage is refused
-    (:func:`_with_na1`)."""
-    report, answer = yield from _with_na1(tree, task)
-    _refuse_arbitrage(report, context)
-    return read(answer)
-
-
-def _refuse_arbitrage(report: TreeNa1Report, context: str) -> None:
-    if not report.holds:
-        raise PreconditionError(
-            f"{context} requires no scalable arbitrage anywhere in the tree; "
-            f"failing nodes: {list(report.failing)!r}"
-        )
+    """Task: ``task``'s answer behind the node markets' NA1 gate; a tree with
+    scalable arbitrage is refused, naming its failing nodes
+    (:func:`~na1lab.arbitrage._gated`)."""
+    return arbitrage._gated(tree._markets, context, task, tree.internal_ids())
 
 
 # -- backward induction -------------------------------------------------------
@@ -498,8 +489,11 @@ class BackwardInductionResult:
 
 
 def _node_candidates(candidates, node_id) -> np.ndarray:
-    chosen = candidates[node_id] if isinstance(candidates, dict) else candidates
-    chosen = np.atleast_2d(np.asarray(chosen, dtype=float))
+    if isinstance(candidates, dict):
+        if node_id not in candidates:
+            raise InvalidParameterError(f"no candidate set for node {node_id!r}")
+        candidates = candidates[node_id]
+    chosen = np.atleast_2d(np.asarray(candidates, dtype=float))
     if chosen.shape[0] == 0:
         raise InvalidParameterError(f"empty candidate set at node {node_id!r}")
     return chosen
@@ -549,7 +543,7 @@ def _separable_backward(tree, u: UtilitySpec, candidates):
         weights = [markets[i].probs if is_log else t / t.sum() for i, t in zip(level, tilts)]
         if candidates is None:
             optima = yield from _maximize_all([markets[i] for i in level], weights, base, GRADIENT_TOL,
-                                              labels=[f"node {ids[i]!r}" for i in level])
+                                              labels=[ids[i] for i in level])
         for j, i in enumerate(level):
             market = markets[i]
             if candidates is None:
@@ -690,7 +684,7 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
 def _numeraire_process(tree: ScenarioTree):
     internal, markets = tree.internal_ids(), tree._markets
     optima = yield from _maximize_all(markets, [m.probs for m in markets], UtilitySpec.log(),
-                                      NUMERAIRE_GRADIENT_TOL, labels=[f"node {n!r}" for n in internal])
+                                      NUMERAIRE_GRADIENT_TOL, labels=internal)
     strategies = [optimum.strategy for optimum in optima]
     policy = PolicyProcess(dict(zip(internal, strategies)), _wealth_process(tree, strategies))
     policy.validate(tree, require_positive_wealth=True)

@@ -876,6 +876,18 @@ class TestExitCodes:
         rc, _ = run_command(tmp_path, "numeraire", scalable_doc())
         assert rc == 2
 
+    @pytest.mark.parametrize("command, doc, context", [
+        ("hedge", scalable_doc() | {"claim": [1.0, 1.0]}, "super-hedging"),
+        ("numeraire", scalable_doc(), "expected-utility maximization"),
+    ])
+    def test_refusal_names_its_context(self, tmp_path, capsys, command, doc, context):
+        """Without NA1 the kernel the command runs refuses it, in the one
+        wording of that refusal."""
+        rc, out = run_command(tmp_path, command, doc)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {context} requires no scalable arbitrage\n"
+        assert not out.exists()
+
     def test_bad_tolerance_exits_two(self, tmp_path):
         rc, _ = run_command(tmp_path, "analyze", market_doc(), "--tol-lp", "-1")
         assert rc == 2

@@ -131,3 +131,16 @@ def test_no_lp_outside_the_rounds_but_the_wealth_grid():
     """Every LP of the package, the wealth grid's included, is a block of an
     LP task's round."""
     assert _solve_lp_callers() == set()
+
+
+def test_no_module_asks_na1_outside_the_gate():
+    """No module of the package calls ``check_na1``: work that needs NA1
+    asks ``arbitrage._with_na1``, whose LPs share its rounds."""
+    calls = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "check_na1" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert calls == set()

@@ -13,11 +13,13 @@ Oracles:
 """
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import na1lab.hedging
 import na1lab.lp
 from na1lab.arbitrage import check_na1
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
@@ -142,6 +144,29 @@ class TestSuperhedge:
         assert abs(report.strategy[0] - 0.5) <= 1e-8
         assert report.attainable
         assert np.allclose(report.dual_deflator, [4.0 / 3.0, 2.0 / 3.0], atol=1e-7)
+
+    def test_failed_recertification_is_logged_and_not_attainable(self, monkeypatch, caplog):
+        """A lifted deflator whose certified gain bound lets a wealth ratio
+        exceed 1 + 1e-8 is still reported, with a warning, and makes a
+        replicable claim's report not attainable."""
+        payoff = 1.0 + 0.5 * two_state_fixture().returns[:, 0]
+        assert superhedge(two_state_fixture(), Claim(payoff)).attainable
+
+        def unit_bound(markets, weights):
+            return [1.0] * len(markets)
+            yield
+
+        monkeypatch.setattr(na1lab.hedging, "_certified_gains", unit_bound)
+        with caplog.at_level(logging.WARNING, logger="na1lab.hedging"):
+            report = superhedge(two_state_fixture(), Claim(payoff))
+        assert report.attainable is False
+        assert abs(report.primal_value - 1.0) <= 1e-9
+        assert "failed re-certification" in caplog.text
+
+    def test_refusal_names_super_hedging(self):
+        market = two_factor_atom_market(1.5, 1.0)
+        with pytest.raises(PreconditionError, match="^super-hedging requires no scalable arbitrage$"):
+            superhedge(market, Claim(np.ones(market.n_states)))
 
     def test_cash_claim_costs_face_value(self):
         market = two_state_fixture()
@@ -274,6 +299,28 @@ class TestShortfallHedge:
         ]
         assert risks[0] >= risks[1] - 1e-10
         assert risks[1] >= risks[2] - 1e-10
+
+    def test_na1_and_the_lp_share_one_call(self, linprog_calls):
+        """NA1 is decided behind the one gate, in the round of the shortfall
+        LP: one ``linprog`` call on a fresh market, none for NA1 again."""
+        market = two_state_fixture()
+        claim = Claim(np.array([0.0, 1.5]))
+        loss = PiecewiseLinearLoss.positive_part()
+        v, strategy, risk = shortfall_hedge(market, claim, loss, v0=0.375)
+        assert len(linprog_calls) == 1
+        assert abs(risk - 0.375) <= 1e-9
+        assert shortfall_hedge(market, claim, loss, v0=0.375) == (v, strategy, risk)
+        assert len(linprog_calls) == 2
+
+    def test_scalable_arbitrage_rejected_after_the_budget(self):
+        """Without NA1 the hedge is refused in its own words, but an invalid
+        capital is named first."""
+        market = two_factor_atom_market(1.5, 1.0)
+        claim, loss = Claim(np.ones(market.n_states)), PiecewiseLinearLoss.positive_part()
+        with pytest.raises(PreconditionError, match="^shortfall hedging requires no scalable arbitrage$"):
+            shortfall_hedge(market, claim, loss, v0=1.0)
+        with pytest.raises(InvalidParameterError, match="capital budget"):
+            shortfall_hedge(market, claim, loss, v0=0.0)
 
     def test_invalid_budget_rejected(self):
         market = two_state_fixture()

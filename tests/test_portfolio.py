@@ -125,6 +125,16 @@ class TestMaximizeUtility:
         with pytest.raises(NumericError, match=r"stalled at stationarity residual 1\.000e\+00"):
             maximize_utility(interval_market([-0.5, 0.8], probs=[0.4, 0.6]), UtilitySpec.log())
 
+    def test_iteration_cap_is_a_stall(self, monkeypatch):
+        """A solve cut by the Newton iteration cap is refused as a stall,
+        carrying its best strategy and value."""
+        monkeypatch.setattr(na1lab.lp, "NEWTON_ITERATIONS", 1)
+        market = random_bounded_market(np.random.default_rng(11))
+        with pytest.raises(NumericError, match="stalled at stationarity residual") as exc:
+            maximize_utility(market, UtilitySpec.log())
+        assert exc.value.best is not None and exc.value.best.shape == (market.n_assets,)
+        assert exc.value.value == pytest.approx(expected_utility(market, UtilitySpec.log(), exc.value.best))
+
     def test_log_interior_matches_bisection(self):
         m = interval_market([-0.5, 0.8], probs=[0.4, 0.6])
         opt = maximize_utility(m, UtilitySpec.log(), tol=1e-10)

@@ -554,6 +554,13 @@ class TestBackwardInductionSeparable:
         with pytest.raises(InvalidParameterError, match="candidate"):
             backward_induction(tree, UtilitySpec.log(), candidates=np.array([[5.0]]))
 
+    def test_menu_dict_missing_a_node_is_named(self):
+        """A per-node menu dict without an internal node is refused naming
+        that node, within the package's errors."""
+        tree = iid_tree(two_state_market(up=1.0, down=-0.5), horizon=2)
+        with pytest.raises(InvalidParameterError, match="'root/1'"):
+            backward_induction(tree, UtilitySpec.log(), candidates={"root": [[0.1]]})
+
     def test_log_consistency_across_node_values(self):
         """The root log value equals the path-probability-weighted sum of the
         node markets' one-period log optima."""
@@ -817,6 +824,20 @@ class TestNumeraireProcess:
         with pytest.raises(NumericError, match="fails supermartingale certification by 1.000e-06"):
             numeraire_process(iid_tree(two_state_market(), horizon=2))
 
+    def test_stalled_node_is_named(self, monkeypatch):
+        """A node optimum whose residual misses the tolerance is refused,
+        naming the first such node of the batch."""
+        import na1lab.portfolio
+
+        solve = na1lab.portfolio.minimize_convex
+        monkeypatch.setattr(
+            na1lab.portfolio, "minimize_convex",
+            lambda *args, **kwargs: [dataclasses.replace(result, residual=1.0)
+                                     for result in solve(*args, **kwargs)])
+        with pytest.raises(NumericError, match="^optimization failed at node 'root': utility "
+                                               "maximization stalled at stationarity residual"):
+            numeraire_process(iid_tree(two_state_market(up=1.0, down=-0.5), horizon=2))
+
     def test_policy_validate_rejects_a_strategy_off_the_return_span(self):
         twin = make_market([[0.8, 0.8], [-0.4, -0.4]],
                            constraints=ConstraintSet(2, np.array([[1.0, 1.0], [-1.0, -1.0]]),
@@ -848,6 +869,12 @@ class TestNumeraireProcess:
 
 
 class TestSuperhedgeTree:
+    def test_refusal_names_the_failing_node(self):
+        tree = mixed_na1_tree()
+        with pytest.raises(PreconditionError, match=r"^tree super-replication requires no scalable "
+                                                    r"arbitrage; failing nodes: \['m'\]$"):
+            superhedge_tree(tree, [1.0] * len(tree.leaf_ids))
+
     def test_one_period_matches_single_market(self):
         market = two_state_market()
         tree = iid_tree(market, horizon=1)
