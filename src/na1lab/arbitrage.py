@@ -297,9 +297,13 @@ def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> A
     Maximizes the expected gain over strategies in the allowed set (within
     the return span) whose gains are nonnegative in every state; an optimum
     above ``tol`` certifies an arbitrage.  The certificate is cached on the
-    market, one per tolerance; :func:`_classical` is the task.
+    market, one per tolerance; :func:`_classical` is the task.  NA1 at
+    ``tol`` is decided in the same LP calls and held on the market unread,
+    so a following :func:`check_na1` solves nothing (after an error it
+    decides again and raises it).
     """
-    return run(_classical(market, tol))[0]
+    classical, _ = run(gather(_classical(market, tol), _check_na1_all([market], tol)))
+    return read(classical)[0]
 
 
 def _classical(market: DiscreteMarket, tol: float = GAIN_TOL):
@@ -363,9 +367,9 @@ def check_na1(market: DiscreteMarket, tol: float = GAIN_TOL) -> Na1Certificate:
     :func:`_settle`, with the ``2d`` signed axes as costs and unit ray
     weights; :func:`max_expected_gain` shares it.
 
-    The certificate is cached on the market, one per tolerance;
-    :func:`_check_na1_all` is the task deciding several markets, their
-    support LPs stacked.
+    The certificate is cached on the market, one per tolerance, so after
+    :func:`find_classical_arbitrage` at ``tol`` this makes no LP; the task
+    :func:`_check_na1_all` decides several markets, their LPs stacked.
     """
     return run(_check_na1_all([market], tol))[0]
 

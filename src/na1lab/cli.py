@@ -29,6 +29,7 @@ debug).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -292,6 +293,7 @@ def _configure_logging() -> None:
         package_logger.addHandler(handler)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="na1lab",

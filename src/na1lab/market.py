@@ -282,7 +282,11 @@ class DiscreteMarket:
     @cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rounded return rows, sorted, and each one's first state."""
-        return np.unique(np.round(self.returns, DEDUP_DECIMALS), axis=0, return_index=True)
+        rounded = np.round(self.returns, DEDUP_DECIMALS)
+        order = np.lexsort(rounded.T[::-1]) if self.n_assets else np.arange(self.n_states)
+        rows = rounded[order]
+        first = np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])
+        return rows[first], order[first]
 
     @cached_property
     def support_points(self) -> np.ndarray:

@@ -862,6 +862,24 @@ class TestRunPlumbing:
         with pytest.raises(InvalidParameterError, match="seed"):
             RunConfig(command="analyze", input_path="x.json", seed=True)
 
+    def test_one_parser_serves_every_call(self, tmp_path):
+        """The parser is built once per process; a call with other options
+        in between leaves the next call's report bytes as they were."""
+        src = write_doc(tmp_path / "m.json", market_doc())
+        paths = [tmp_path / f"r{k}.json" for k in range(3)]
+        extras = ([], ["--seed", "5", "--tol-lp", "1e-6"], [])
+        for out, extra in zip(paths, extras):
+            assert main(["--command", "analyze", "--input", src, "--output", str(out), *extra]) == 0
+        assert paths[2].read_bytes() == paths[0].read_bytes()
+        assert paths[1].read_bytes() != paths[0].read_bytes()
+
+    def test_bad_command_exits_two_through_argparse(self, tmp_path):
+        src = write_doc(tmp_path / "m.json", market_doc())
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(["--command", "plot", "--input", src])
+            assert stop.value.code == 2
+
     def test_run_writes_through_config_object(self, tmp_path):
         src = write_doc(tmp_path / "m.json", market_doc())
         out = tmp_path / "r.json"

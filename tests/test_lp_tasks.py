@@ -175,11 +175,12 @@ class TestSharedCertificates:
         numeraire, the ESMM's slack and the hedge's deflator are certified
         by the weak-duality bounds of their optima's multipliers, which the
         market holds, so ``verify_numeraire`` reads the numeraire's: what is
-        left is the classical search, NA1 and the super-hedging LP.  Before
-        LP tasks (counted on that implementation) the same calls made
-        [8, 9, 9, 9, 9, 7, 3, 8, 8, 7, 7, 9] LPs, and with LP tasks but an
-        LP for each of those certificates [6, 6, 6, 6, 6, 5, 3, 6, 6, 5, 5,
-        6]."""
+        left is the classical search and NA1, which share one call, and the
+        super-hedging LP.  Before LP tasks (counted on that implementation)
+        the same calls made [8, 9, 9, 9, 9, 7, 3, 8, 8, 7, 7, 9] LPs, with
+        LP tasks but an LP for each of those certificates [6, 6, 6, 6, 6, 5,
+        3, 6, 6, 5, 5, 6], and with NA1 decided in a call of its own [3] *
+        12."""
         rng = np.random.default_rng(8)
         counts = []
         for _ in range(12):
@@ -198,7 +199,7 @@ class TestSharedCertificates:
                 except Na1LabError:
                     pass
             counts.append(len(linprog_calls))
-        assert counts == [3] * 12
+        assert counts == [2] * 12
 
 
 def one_asset(returns, constraints):
@@ -220,6 +221,36 @@ def wide_market():
     """NA1 holds with radius 2e6, past the support LPs' box: no gaining ray
     in the second round, so the whole LPs decide it in the third."""
     return one_asset([1e-7, -1e-7], preset_constraints("box", 1, lower=[2e6], upper=[2e6]))
+
+
+class TestClassicalSearch:
+    """``find_classical_arbitrage`` decides NA1 in its own LP rounds and
+    holds it on the market without reading it."""
+
+    @pytest.mark.parametrize("make, calls", [(easy_market, 1), (hard_market, 2), (wide_market, 3)])
+    def test_na1_shares_the_search_calls(self, linprog_calls, make, calls):
+        """NA1's one, two or three rounds carry the classical search in the
+        first, so a following ``check_na1`` makes no LP."""
+        market = make()
+        find_classical_arbitrage(market)
+        assert len(linprog_calls) == calls
+        linprog_calls.clear()
+        check_na1(market)
+        assert linprog_calls == []
+
+    def test_an_na1_error_is_not_held(self, monkeypatch):
+        """The search answers although NA1 ends in an error; the market then
+        holds no NA1 entry, and ``check_na1`` decides again and raises."""
+        def failing(market, tol):
+            raise NumericError("synthetic NA1 failure")
+            yield
+
+        monkeypatch.setattr(na1lab.arbitrage, "_decide_na1", failing)
+        market = easy_market()
+        assert find_classical_arbitrage(market).verdict == "no_arbitrage"
+        assert ("na1", na1lab.arbitrage.GAIN_TOL) not in market.certificates
+        with pytest.raises(NumericError, match="synthetic NA1 failure"):
+            check_na1(market)
 
 
 class TestNa1Gate:

@@ -35,6 +35,26 @@ class TestSupport:
         m = make_market(np.vstack([base, base + 1e-9]))
         assert support(m).shape == (2, 2)
 
+    def test_dedup_matches_numpy_unique(self):
+        """Rows, first states and the sign bits of zeros agree with
+        ``np.unique(..., axis=0, return_index=True)`` on draws with repeated
+        rows, signed zeros and entries that round to them."""
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            r = rng.choice([0.0, -0.0, 1e-13, -1e-13, 0.25, -0.5, 1e-12], size=(n, d))
+            r = np.where(rng.random((n, d)) < 0.3, rng.uniform(-0.9, 1.0, (n, d)), r)
+            r = np.where(rng.random(n)[:, None] < 0.4, r[rng.integers(0, n, n)], r)
+            rows, first = make_market(r)._distinct
+            expected_rows, expected_first = np.unique(np.round(r, 12), axis=0, return_index=True)
+            assert np.array_equal(first, expected_first)
+            assert np.array_equal(rows, expected_rows)
+            assert np.array_equal(np.signbit(rows), np.signbit(expected_rows))
+
+    def test_market_without_assets_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="need at least one support point"):
+            make_market(np.zeros((2, 0)))
+
     def test_original_values_returned(self):
         r = np.array([[0.1 + 1e-16], [0.1]])
         m = make_market(r)
