@@ -24,11 +24,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .lp import deterministic_equivalent, require_optimal, run
+from .lp import OPTIMAL, deterministic_equivalent, require_optimal, run
 from .market import DiscreteMarket, _kept_rows
 from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _dual_bound, _gated, _memoized
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
@@ -171,8 +172,11 @@ def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
     probabilities, form a deflator whose expected claim value matches the
     primal optimum (LP duality), and both readings plus their gap are
     reported; the budget multipliers re-certify the deflator (:func:`_recertified`).
-    NA1 and the super-hedging LP are :func:`_hedged`'s first round of LPs.
-    The report is held on the market by the payoff's bytes, read-only.
+    The LP is the band of one node of :func:`_superhedge_bands`, whose
+    trees take one round per band, one round for trees whose subtree LP
+    fits the budget (:func:`~na1lab.tree.superhedge_tree`); NA1 and it are
+    :func:`_hedged`'s first round of LPs.  The report is held on the
+    market by the payoff's bytes, read-only.
     """
     return run(_hedged(market, claim.payoff))
 
@@ -181,7 +185,7 @@ def _hedged(market: DiscreteMarket, payoff):
     payoff = _check_claim(market, Claim(payoff))
 
     def decide(market, raw):
-        reports = yield from _gated([market], "super-hedging", _superhedge_reports([market], [payoff]))
+        [reports] = yield from _gated([market], "super-hedging", _superhedge_bands([([market], payoff)]))
         [report] = yield from _recertified([market], reports)
         report.strategy.setflags(write=False)  # every later call shares it
         report.dual_deflator.setflags(write=False)
@@ -190,73 +194,117 @@ def _hedged(market: DiscreteMarket, payoff):
     return (yield from _memoized([market], [("superhedge", payoff.tobytes())], decide))[0]
 
 
-def _superhedge_reports(markets, payoffs):
-    """Task: super-hedging LPs of several markets and payoffs, stacked, each
-    with the state rows of :func:`_hedged_states` generated on demand, and
-    each checked on its own in every state: the position must dominate its
-    payoff and the lifted deflator's reading must match the LP value.  A
-    state without a row has a zero multiplier.  ``attainable`` does not yet
-    account for the re-certification of the lifted deflators, which
+def _superhedge_bands(bands):
+    """Task: the super-hedging LPs of ``bands``, one block each
+    (:func:`_band_block`), stacked, and per band the reports of its nodes,
+    each checked as a one-period hedge: its position must dominate its
+    payoff in every state and its lifted deflator's reading must match its
+    cost.  A band ``(markets, values)`` is a tree of one-period markets,
+    its internal nodes' markets and its leaves' payoffs, each breadth-first;
+    a market and a payoff are the band ``([market], payoff)``.  Prices are
+    monotone, so the block's optimum is every node's cheapest capital
+    dominating its children's.  Node ``k``'s multipliers over ``1 + mu_k``,
+    with ``mu_k`` the multiplier of its incoming state row (0 at the band's
+    root), are an optimal dual of its one-period LP with those children's
+    costs as payoff (complementary slackness); the checks read only them.
+    A state without a row has a zero multiplier.  ``attainable`` does not
+    yet account for the re-certification of the lifted deflators, which
     :func:`_recertified` adds from the budget multipliers held here."""
-    blocks, kept = [], [_hedged_states(m, payoff) for m, payoff in zip(markets, payoffs)]
-    for market, payoff, states in zip(markets, payoffs, kept):
-        d = market.n_assets
-        # Variables (v, y).  State rows: -v - <y, R> <= -payoff.
-        state_rows = np.hstack([-np.ones((states.size, 1)), -market.returns[states]])
-        # Budget rows, homogenized: <a, y> - b v <= 0.
-        cs = market.constraints
-        budget_rows = np.hstack([-cs.offsets[:, None], cs.normals])
-        cost = np.zeros(1 + d)
-        cost[0] = 1.0
-        blocks.append(dict(
-            cost=cost,
-            a_ub=np.vstack([state_rows, budget_rows]),
-            b_ub=np.concatenate([-payoff[states], np.zeros(len(budget_rows))]),
-            bounds=[(0.0, None)] + [(None, None)] * d,
-            lazy=np.arange(states.size + len(budget_rows)) < states.size,
-        ))
-    reports = []
-    for market, payoff, states, result in zip(markets, payoffs, kept, ((yield blocks) if blocks else [])):
+    bands = [(markets, np.asarray(values, dtype=float)) for markets, values in bands]
+    layouts = [_band_block(markets, values) for markets, values in bands]
+    results = (yield [block for block, *_ in layouts]) if layouts else []
+    out = []
+    for (markets, values), (_, kept, rows, first), result in zip(bands, layouts, results):
         require_optimal(result, "super-hedging")
-        d = market.n_assets
-        primal = float(result.value)
-        v_opt = float(result.x[0])
-        y_opt = result.x[1:]
-        strategy = y_opt / v_opt if v_opt > 0.0 else np.zeros(d)
+        n, width = len(markets), 1 + markets[0].n_assets
+        costs = np.concatenate([result.x[::width], values])
+        multipliers = np.maximum(-result.marginals_ub, 0.0)
+        scale = np.ones(n)
+        for k in range(n):
+            if first[k] < n:  # every state row kept, one per child node
+                scale[first[k] : first[k + 1]] += multipliers[rows[k] : rows[k] + first[k + 1] - first[k]]
+        reports = []
+        for k, (market, states) in enumerate(zip(markets, kept)):
+            x, payoff = result.x[k * width : (k + 1) * width], costs[first[k] : first[k + 1]]
+            reports.append(_superhedge_report(market, payoff, states, float(x[0]), x[1:],
+                                              multipliers[rows[k] : rows[k + 1]] / scale[k]))
+        out.append(reports)
+    return out
 
-        residuals = v_opt + market.returns @ y_opt - payoff
-        if float(np.min(residuals)) < -RESIDUAL_TOL:
-            raise NumericError(
-                "super-hedging LP returned a position that fails to dominate the "
-                f"claim (worst residual {float(np.min(residuals)):.3e})"
-            )
 
-        multipliers = np.zeros(market.n_states)
-        multipliers[states] = np.maximum(-result.marginals_ub[: states.size], 0.0)
-        lifted = np.maximum(multipliers / market.probs, DEFLATOR_BUMP)
-        dual_value = float(market.probs @ (lifted * payoff))
-        gap = abs(primal - dual_value)
-        if gap > DUALITY_TOL * (1.0 + primal):
-            raise NumericError(
-                f"duality gap {gap:.3e} between the super-hedging value and its "
-                "deflator reading exceeds tolerance"
-            )
-        weights, budget = market.probs * lifted, np.maximum(-result.marginals_ub[states.size :], 0.0)
-        rows = market.admissible.offsets.size + np.arange(budget.size)  # R^T multipliers = A^T budget
-        _dual_bound(market, weights, (market.span.basis, rows, budget),
-                    1.0 + SUPERMARTINGALE_TOL - np.sum(weights))
-        replicates = float(np.max(np.abs(residuals))) <= RESIDUAL_TOL
-        attains = dual_value >= primal - DUALITY_TOL * (1.0 + primal)
-        reports.append(ValuationReport(
-            primal_value=primal,
-            strategy=strategy,
-            dual_value=dual_value,
-            dual_deflator=lifted,
-            gap=gap,
-            attainable=bool(replicates and attains),
-            lp_status=result.status,
-        ))
-    return reports
+def _band_block(markets, values):
+    """The LP block of a band (:func:`_superhedge_bands`), with each node's
+    kept states, its first row (and the end) and ``first``: the states of
+    node ``k`` are the band's nodes ``first[k]:first[k + 1]`` breadth-first,
+    its internal nodes then its leaves, so they are all internal nodes or
+    all leaves.  Variables ``(X_k, y_k)`` per node, ``X >= 0``, the cost
+    ``sum_k X_k``.  Node ``k``'s rows: one per kept state, ``X_c - X_k -
+    <y_k, R(omega)> <= 0`` for a state reaching an internal node ``c`` and
+    ``-X_k - <y_k, R(omega)> <= -V`` for one reaching a leaf of payoff
+    ``V``, then its budget rows, homogenized: ``<a, y_k> - b X_k <= 0``.
+    A node whose states reach leaves keeps those of :func:`_hedged_states`,
+    the others all of them.  The state rows of a band of one node are
+    lazy; a larger band is solved whole."""
+    n, width = len(markets), 1 + markets[0].n_assets
+    first = list(accumulate((m.n_states for m in markets), initial=1))
+    kept = [_hedged_states(m, values[first[k] - n : first[k + 1] - n]) if first[k] >= n
+            else np.arange(m.n_states) for k, m in enumerate(markets)]
+    rows = list(accumulate((s.size + m.constraints.offsets.size for m, s in zip(markets, kept)), initial=0))
+    a_ub, b_ub = np.zeros((rows[-1], n * width)), np.zeros(rows[-1])
+    for k, (market, states) in enumerate(zip(markets, kept)):
+        col, split, cs = k * width, rows[k] + states.size, market.constraints
+        a_ub[rows[k] : split, col] = -1.0
+        a_ub[rows[k] : split, col + 1 : col + width] = -market.returns[states]
+        if first[k] >= n:
+            b_ub[rows[k] : split] = -values[first[k] - n + states]
+        else:
+            a_ub[range(rows[k], split), (first[k] + states) * width] = 1.0
+        a_ub[split : rows[k + 1], col] = -cs.offsets
+        a_ub[split : rows[k + 1], col + 1 : col + width] = cs.normals
+    cost = np.zeros(n * width)
+    cost[::width] = 1.0
+    bounds = ([(0.0, None)] + [(None, None)] * (width - 1)) * n
+    lazy = np.arange(rows[-1]) < kept[0].size if n == 1 else None
+    return dict(cost=cost, a_ub=a_ub, b_ub=b_ub, bounds=bounds, lazy=lazy), kept, rows, first
+
+
+def _superhedge_report(market, payoff, states, primal, y_opt, multipliers) -> ValuationReport:
+    """The checked report of one node: capital ``primal``, position
+    ``y_opt``, and ``multipliers`` of its kept ``states``' rows, then of its
+    budget rows."""
+    d = market.n_assets
+    strategy = y_opt / primal if primal > 0.0 else np.zeros(d)
+    residuals = primal + market.returns @ y_opt - payoff
+    if float(np.min(residuals)) < -RESIDUAL_TOL:
+        raise NumericError(
+            "super-hedging LP returned a position that fails to dominate the "
+            f"claim (worst residual {float(np.min(residuals)):.3e})"
+        )
+    state_multipliers = np.zeros(market.n_states)
+    state_multipliers[states] = multipliers[: states.size]
+    lifted = np.maximum(state_multipliers / market.probs, DEFLATOR_BUMP)
+    dual_value = float(market.probs @ (lifted * payoff))
+    gap = abs(primal - dual_value)
+    if gap > DUALITY_TOL * (1.0 + primal):
+        raise NumericError(
+            f"duality gap {gap:.3e} between the super-hedging value and its "
+            "deflator reading exceeds tolerance"
+        )
+    weights, budget = market.probs * lifted, multipliers[states.size :]
+    rows = market.admissible.offsets.size + np.arange(budget.size)  # R^T multipliers = A^T budget
+    _dual_bound(market, weights, (market.span.basis, rows, budget),
+                1.0 + SUPERMARTINGALE_TOL - np.sum(weights))
+    replicates = float(np.max(np.abs(residuals))) <= RESIDUAL_TOL
+    attains = dual_value >= primal - DUALITY_TOL * (1.0 + primal)
+    return ValuationReport(
+        primal_value=primal,
+        strategy=strategy,
+        dual_value=dual_value,
+        dual_deflator=lifted,
+        gap=gap,
+        attainable=bool(replicates and attains),
+        lp_status=OPTIMAL,
+    )
 
 
 def _hedged_states(market: DiscreteMarket, payoff) -> np.ndarray:

@@ -47,7 +47,8 @@ UNBOUNDED = "unbounded"
 BIG_BOUND = 1e6
 
 #: Most entries (rows times columns) of the dense constraint matrix of one
-#: stacked LP, which grows with the square of the number of blocks.
+#: stacked LP, which grows with the square of the number of blocks; a tree's
+#: super-hedging bands grow while their largest subtree LP stays within it.
 STACK_ENTRIES = 1 << 20
 
 #: Blocks with more lazy rows than this generate them; smaller blocks are

@@ -240,6 +240,8 @@ class DiscreteMarket:
             )
         if probs.size == 0:
             raise InvalidParameterError("market needs at least one state")
+        if returns.shape[1] == 0:
+            raise InvalidParameterError("market needs at least one asset")
         if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(returns))):
             raise InvalidParameterError("probabilities and returns must be finite")
         if np.any(probs <= 0):
@@ -283,7 +285,7 @@ class DiscreteMarket:
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rounded return rows, sorted, and each one's first state."""
         rounded = np.round(self.returns, DEDUP_DECIMALS)
-        order = np.lexsort(rounded.T[::-1]) if self.n_assets else np.arange(self.n_states)
+        order = np.lexsort(rounded.T[::-1])
         rows = rounded[order]
         first = np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])
         return rows[first], order[first]

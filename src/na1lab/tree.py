@@ -19,7 +19,8 @@ node markets:
   reciprocal is a positive process that turns every allowed wealth process
   into a supermartingale, certified node by node (``numeraire_process``),
 * cheapest super-replication composes backward, one homogenized hedging LP
-  per node (``superhedge_tree``).
+  per subtree of a band of levels, whose duals certify each node as its
+  own one-period LP would (``superhedge_tree``).
 
 The tree is held once as breadth-first arrays (:class:`ScenarioTree`):
 edge probabilities and returns, parents, each node's children as one range
@@ -38,9 +39,10 @@ which runs them alongside its LPs while it is undecided, each market's
 certificate held from the round it is decided, so independent LPs of
 different passes share a round.  The ``tree`` command thus solves in its
 first round the NA1 LPs with the cone spans of the node markets that
-have zero-offset rows, the deepest super-hedging level and the piecewise
-tree LP, and each later round the next super-hedging level, ``H`` rounds
-for horizon ``H``; the deflator checks and re-certifications are dual
+have zero-offset rows, the deepest super-hedging band and the piecewise
+tree LP, and each later round the next super-hedging band: one round per
+band, one round for trees whose subtree LP fits the budget
+(:func:`_bands`); the deflator checks and re-certifications are dual
 bounds, else LPs.  The utility problems of a pass are one solver batch
 (:func:`~na1lab.portfolio._maximize_all`): the log optima of all nodes, or
 the problems of one backward-induction level, one per distinct market and
@@ -56,10 +58,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import arbitrage
+from . import arbitrage, lp
 from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _max_expected_gains
 from .errors import InvalidParameterError, NumericError
-from .hedging import _recertified, _superhedge_reports
+from .hedging import _recertified, _superhedge_bands
 from .lp import deterministic_equivalent, run
 from .market import FEAS_TOL, PROB_TOL, ConstraintSet, DiscreteMarket, wealth
 from .portfolio import (
@@ -757,29 +759,68 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
     """Cheapest capital covering a nonnegative terminal claim from the root.
 
     Works backward: each node's cost is the one-period super-replication
-    price of the vector of its children's costs.  Every node's hedge is
-    checked as :func:`~na1lab.hedging.superhedge` checks it: dominance and
-    duality gap, then a re-certification of its lifted deflator, by its
-    dual bound or else by an LP.  Each round solves one level, the deepest
-    with the NA1 LPs, so a horizon ``H`` takes ``H`` rounds (one more per
-    level whose bounds miss).  ``claim`` maps leaf id to
-    payoff, or is a sequence in ``leaf_ids`` order.
-    :func:`_superhedge_tree` is the task.
+    price of the vector of its children's costs.  The levels are solved in
+    bands (:func:`_bands`), one LP per subtree of a band
+    (:func:`~na1lab.hedging._superhedge_bands`), whose duals certify every
+    node of it: each node's hedge is checked as
+    :func:`~na1lab.hedging.superhedge` checks it, dominance and duality
+    gap, then a re-certification of its lifted deflator, by its dual bound
+    or else by an LP.  Each round solves one band, the deepest with the NA1
+    LPs: one round per band, one round for trees whose subtree LP fits the
+    budget, ``lp.STACK_ENTRIES`` (one more per band whose bounds miss).
+    ``claim`` maps leaf id to payoff, or is a sequence in ``leaf_ids``
+    order.  :func:`_superhedge_tree` is the task.
     """
     return run(_gated(tree, "tree super-replication", _superhedge_tree(tree, claim)))
 
 
 def _superhedge_tree(tree: ScenarioTree, claim):
-    offsets, levels = tree._offsets, tree._levels
-    values = [0.0] * levels[-2] + _leaf_payoffs(tree, claim)
+    levels, markets = tree._levels, tree._markets
+    values = np.array([0.0] * levels[-2] + _leaf_payoffs(tree, claim))
     strategies = [None] * levels[-2]
-    for depth in reversed(range(tree.horizon)):
-        level = range(levels[depth], levels[depth + 1])[::-1]
-        markets = [tree._markets[i] for i in level]
-        payoffs = [np.array(values[offsets[i]:offsets[i + 1]]) for i in level]
-        reports = yield from _recertified(markets, (yield from _superhedge_reports(markets, payoffs)))
-        for i, report in zip(level, reports):
+    for lo, hi in _bands(tree):
+        subtrees = [_subtree(tree, root, hi - lo) for root in range(levels[lo], levels[lo + 1])]
+        bands = [([markets[i] for i in inner], values[leaves]) for inner, leaves in subtrees]
+        nodes = [i for inner, _ in subtrees for i in inner]
+        reports = [r for band in (yield from _superhedge_bands(bands)) for r in band]
+        for i, report in zip(nodes, (yield from _recertified([markets[i] for i in nodes], reports))):
             # The cost of a nonnegative claim is nonnegative; clip LP noise.
             values[i] = max(float(report.primal_value), 0.0)
             strategies[i] = report.strategy
-    return TreeHedge(values[0], dict(zip(tree._bfs, values)), dict(zip(tree.internal_ids(), strategies)))
+    return TreeHedge(float(values[0]), dict(zip(tree._bfs, values.tolist())),
+                     dict(zip(tree.internal_ids(), strategies)))
+
+
+def _bands(tree: ScenarioTree) -> list:
+    """The internal levels ``lo:hi`` of each band, deepest first.  A band
+    grows upward from the leaves by whole levels while the LP of its largest
+    subtree (:func:`~na1lab.hedging._band_block`: per node, one column per
+    asset and one for its cost, one row per child and per budget row) keeps
+    at most ``lp.STACK_ENTRIES`` entries; a band has at least one level."""
+    offsets, levels = np.array(tree._offsets), tree._levels
+    budget = [tree.constraints[node_id].offsets.size for node_id in tree.internal_ids()]
+    own = np.diff(offsets)[: levels[-2]] + budget
+    width, bands, hi, below = 1 + tree.n_assets, [], tree.horizon, None
+    for depth in reversed(range(tree.horizon)):
+        level = slice(levels[depth], levels[depth + 1])
+        rows, nodes = own[level], np.ones(level.stop - level.start, dtype=int)
+        if below is not None:
+            kids = offsets[level] - level.stop  # the next level's children ranges
+            grown = rows + np.add.reduceat(below[0], kids), nodes + np.add.reduceat(below[1], kids)
+            if np.max(grown[0] * grown[1]) * width <= lp.STACK_ENTRIES:
+                rows, nodes = grown
+            else:
+                bands.append((depth + 1, hi))
+                hi = depth + 1
+        below = rows, nodes
+    return bands + [(0, hi)]
+
+
+def _subtree(tree: ScenarioTree, root: int, depth: int):
+    """Positions of ``root``'s subtree ``depth`` levels down, breadth-first:
+    its internal nodes as a list, then its leaves as a slice."""
+    inner, lo, hi = [], root, root + 1
+    for _ in range(depth):
+        inner.extend(range(lo, hi))
+        lo, hi = tree._offsets[lo], tree._offsets[hi]
+    return inner, slice(lo, hi)

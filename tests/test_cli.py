@@ -737,21 +737,22 @@ class TestTreeCommand:
         monkeypatch.setattr(na1lab.lp, "_solve_stacked", counted)
         return rounds
 
-    def test_claim_and_log_utility_take_three_lps(self, tmp_path, linprog_calls, monkeypatch):
-        """Horizon 3, each level with its own market: NA1 with the deepest
-        hedge level, then one round per level above it, three in all.  The
+    @pytest.mark.parametrize("horizon", [3, 4])
+    def test_claim_and_log_utility_take_one_lp(self, tmp_path, linprog_calls, monkeypatch, horizon):
+        """Each level with its own market: the whole tree is one band, so
+        NA1 and the tree's super-hedging LP share the one round.  The
         deflator checks and the re-certifications of the hedges' deflators
-        are the weak-duality bounds of their optima's multipliers; before,
-        the root's re-certification took a fourth round of its own."""
+        are the weak-duality bounds of their optima's multipliers; with one
+        round per level the tree took ``horizon`` rounds."""
         rounds = self.rounds(monkeypatch)
         box = {"halfspaces": [{"a": [-1.0], "b": 1.0}, {"a": [1.0], "b": 1.0}]}
         nodes, frontier = [{"id": "r", "constraints": "box"}], ["r"]
-        for depth in range(3):
+        for depth in range(horizon):
             children = []
             for parent in frontier:
                 for step, ret in (("u", 0.8), ("d", -0.4 + 0.05 * depth)):
                     node = {"id": parent + step, "parent": parent, "prob": 0.5, "returns": [ret]}
-                    nodes.append(node | ({"constraints": "box"} if depth < 2 else {}))
+                    nodes.append(node | ({"constraints": "box"} if depth < horizon - 1 else {}))
                     children.append(parent + step)
             frontier = children
         doc = {"constraint_sets": {"box": box}, "nodes": nodes, "utility": {"kind": "log"},
@@ -759,7 +760,7 @@ class TestTreeCommand:
         rc, out = run_command(tmp_path, "tree", doc)
         assert rc == 0
         assert json.loads(out.read_text())["hedge"] is not None
-        assert len(rounds) == len(linprog_calls) == 3
+        assert len(rounds) == len(linprog_calls) == 1
 
     def test_a_tree_without_na1_makes_only_na1s_lps(self, tmp_path, linprog_calls):
         """The passes run alongside NA1's rounds and stop when it fails."""
@@ -787,31 +788,31 @@ class TestTreeCommand:
         assert [sum("a_eq" in block for block in blocks) for blocks in rounds] == [1]
 
     def test_speculative_work_stays_held_without_na1(self, tmp_path, monkeypatch, caplog):
-        """The only node without NA1 sits at depth H - 1, so its
-        super-hedging LP runs in round 1, with NA1's.  Where NA1 fails, no
+        """The tree is one band, so its super-hedging LP, over node u
+        without NA1 too, runs in round 1, with NA1's.  Where NA1 fails, no
         error or warning of the passes may surface, not even a failure of
         that hedge."""
         import na1lab.tree
 
         claim = {"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0}
         bad = tree_doc(claim=claim, utility={"kind": "log"}, bad_middle=True)
-        levels = []
-        reports = na1lab.tree._superhedge_reports
+        bands = []
+        reports = na1lab.tree._superhedge_bands
 
-        def failing(markets, payoffs):
-            levels.append(len(markets))
-            yield from reports(markets, payoffs)
+        def failing(asked):
+            bands.append([len(markets) for markets, _ in asked])
+            yield from reports(asked)
             raise NumericError("synthetic hedge failure")
 
         for patched in (False, True):
             if patched:
-                monkeypatch.setattr(na1lab.tree, "_superhedge_reports", failing)
+                monkeypatch.setattr(na1lab.tree, "_superhedge_bands", failing)
             rc, out = run_command(tmp_path, "tree", bad)
             assert rc == 0
             report = json.loads(out.read_text())
             assert (report["na1"]["holds"], report["na1"]["failing"]) == (False, ["u"])
             assert [report[k] for k in ("numeraire", "deflator", "hedge", "optimal")] == [None] * 4
-        assert levels == [2]
+        assert bands == [[3]]
         assert not [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")]
         # with NA1 the same failure is read
         rc, _ = run_command(tmp_path, "tree", tree_doc(claim=claim, utility={"kind": "log"}))

@@ -309,7 +309,7 @@ class TestNa1Gate:
         """NA1 fails with the ray LP of the second round, which closes the
         hedge speculating alongside it."""
         events, speculative = self.spied(monkeypatch)
-        monkeypatch.setattr(na1lab.hedging, "_superhedge_reports", speculative)
+        monkeypatch.setattr(na1lab.hedging, "_superhedge_bands", speculative)
         with pytest.raises(PreconditionError, match="super-hedging"):
             lp.run(_hedged(hard_market(), [0.0, 1.0]))
         assert events == ["blocks", "round", "blocks", "round", "closed"]

@@ -52,7 +52,7 @@ class TestSupport:
             assert np.array_equal(np.signbit(rows), np.signbit(expected_rows))
 
     def test_market_without_assets_is_refused(self):
-        with pytest.raises(InvalidParameterError, match="need at least one support point"):
+        with pytest.raises(InvalidParameterError, match="market needs at least one asset"):
             make_market(np.zeros((2, 0)))
 
     def test_original_values_returned(self):

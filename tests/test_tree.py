@@ -940,6 +940,88 @@ class TestSuperhedgeTree:
             superhedge_tree(tree, [1.0, -0.5])
 
 
+def binomial_tree(horizon):
+    """Binomial tree with a box at every node, its down return rising with
+    the depth, so each level has its own market."""
+    box = preset_constraints("box", dim=1, lower=[1.0], upper=[1.0])
+    nodes, constraints, frontier = [TreeNode("r")], {}, ["r"]
+    for depth in range(horizon):
+        children = []
+        for parent in frontier:
+            constraints[parent] = box
+            for step, ret in (("u", 0.8), ("d", -0.4 + 0.05 * depth)):
+                nodes.append(TreeNode(parent + step, parent, 0.5, [ret]))
+                children.append(parent + step)
+        frontier = children
+    return ScenarioTree(tuple(nodes), constraints)
+
+
+class TestBands:
+    """The tree's super-hedging LPs are solved in bands of levels, one LP
+    per subtree of a band, whose duals certify every node of it."""
+
+    @staticmethod
+    def rounds(monkeypatch):
+        import na1lab.lp
+
+        rounds, solve = [], na1lab.lp._solve_stacked
+
+        def counted(blocks):
+            rounds.append(len(blocks))
+            return solve(blocks)
+
+        monkeypatch.setattr(na1lab.lp, "_solve_stacked", counted)
+        return rounds
+
+    @pytest.mark.parametrize("entries, bands", [(100, 2), (1, 4)])
+    def test_rounds_follow_the_bands(self, monkeypatch, entries, bands):
+        """Depth-2 subtrees of this tree take 72 entries and depth-3 ones
+        392, so a budget of 100 makes bands of two levels, and a budget of 1
+        one band per level."""
+        import na1lab.lp
+        from na1lab.tree import _bands
+
+        claim = np.random.default_rng(30).uniform(0.0, 2.0, 16)
+        tree = binomial_tree(4)
+        assert global_na1(tree).holds
+        rounds = self.rounds(monkeypatch)
+        whole = superhedge_tree(tree, claim)
+        assert len(_bands(tree)) == len(rounds) == 1
+        monkeypatch.setattr(na1lab.lp, "STACK_ENTRIES", entries)
+        rounds.clear()
+        banded = superhedge_tree(tree, claim)
+        assert len(_bands(tree)) == len(rounds) == bands
+        for node_id, value in whole.node_values.items():
+            assert banded.node_values[node_id] == pytest.approx(value, rel=1e-9, abs=1e-12)
+        for node_id, strategy in whole.strategies.items():
+            np.testing.assert_allclose(banded.strategies[node_id], strategy, atol=1e-7)
+
+    def test_scaled_multipliers_fail_their_node_gap(self, monkeypatch):
+        """The claim keeps every node's cost above 1, so scaling one node's
+        normalized multipliers by 1 + 1e-6 moves its deflator reading by
+        more than ``DUALITY_TOL``; every other node still passes."""
+        import na1lab.hedging
+
+        tree = binomial_tree(3)
+        claim = np.random.default_rng(31).uniform(1.0, 3.0, 8)
+        report = na1lab.hedging._superhedge_report
+        for node in range(len(tree.internal_ids())):
+            calls = []
+
+            def scaled(market, payoff, states, primal, y_opt, multipliers):
+                calls.append(primal)
+                if len(calls) == node + 1:
+                    multipliers = multipliers * (1.0 + 1e-6)
+                return report(market, payoff, states, primal, y_opt, multipliers)
+
+            monkeypatch.setattr(na1lab.hedging, "_superhedge_report", scaled)
+            with pytest.raises(NumericError, match="duality gap"):
+                superhedge_tree(tree, claim)
+            assert len(calls) == node + 1 and calls[-1] > 1.0
+        monkeypatch.setattr(na1lab.hedging, "_superhedge_report", report)
+        assert superhedge_tree(tree, claim).value > 1.0
+
+
 def fresh_market(tree, node_id):
     """The node's one-period market built anew, so no certificate cached on
     the tree's own market reaches it."""
