@@ -1,18 +1,18 @@
 """Super-hedging, shortfall hedging, and pricing of nonnegative claims.
 
 The cheapest initial capital whose terminal wealth dominates a claim in
-every state is a linear program once the position is homogenized: with
-``y = v * pi`` the bilinear budget constraint becomes ``A y <= v b``.  The
-LP multipliers on the state rows hand back a deflator certifying the same
-value from below, so every report carries a two-sided certificate.  A
-state row binds only at a vertex of the convex hull of the lifted points
-``(R(omega), payoff(omega))``, so a wide market in a low-dimensional
-return span keeps the rows of those vertices alone.
+every state is a linear program in the capital and the money positions.
+Its multipliers on the state rows hand back a deflator certifying the
+same value from below, so every report carries a two-sided certificate.
+A state row binds only at a vertex of the convex hull of the lifted
+points ``(R(omega), payoff(omega))``, so a wide market in a
+low-dimensional return span keeps the rows of those vertices alone.
 
 When full super-replication is too expensive, ``shortfall_hedge`` minimizes
-the expected shortfall loss under a capital budget, by the one LP builder of
-piecewise-linear objectives (:func:`~na1lab.lp.deterministic_equivalent`),
-with minus the loss as the utility of terminal wealth; two price notions
+the expected shortfall loss under a capital budget, a deterministic
+equivalent (:func:`~na1lab.lp.deterministic_equivalent`) with minus the
+loss as the utility of terminal wealth.  Both LPs are the tree LP of depth
+1, stated by its builder :func:`~na1lab.lp.tree_block`.  Two price notions
 bracket the super-hedging value from below: the utility-indifference price
 and the numeraire-deflated expectation.  Each needs NA1 and none decides it:
 the hedging LPs share a round with NA1 behind :func:`~na1lab.arbitrage._gated`,
@@ -29,7 +29,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .lp import OPTIMAL, deterministic_equivalent, require_optimal, run
+from .lp import OPTIMAL, deterministic_equivalent, require_optimal, run, tree_block
 from .market import DiscreteMarket, _kept_rows
 from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _dual_bound, _gated, _memoized
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
@@ -160,23 +160,20 @@ def _check_claim(market: DiscreteMarket, claim: Claim) -> np.ndarray:
 def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
     """Cheapest capital whose terminal wealth dominates the claim state-wise.
 
-    Solves min v over positions y with ``v + <y, R(omega)> >= payoff(omega)``
-    for every state and ``A y <= v b``; the returned strategy is ``y / v``.
-    On a market with more than ``lp.LAZY_ROWS`` states and a return span of
-    at most ``HULL_MAX_RANK - 1`` dimensions, the LP carries only the rows
-    of the states at the vertices of the hull of ``(R, payoff)``
-    (:func:`_hedged_states`), the others being implied, so it settles in
-    one round unless more than ``lp.LAZY_ROWS`` of them remain; the
-    position is still checked against the claim in every state.  The
-    state multipliers, zero on the states without a row, divided by the
+    The LP is the band of one node of :func:`_superhedge_bands`, and the
+    strategy is its positions over its capital.  On a market with more
+    than ``lp.LAZY_ROWS`` states and a return span of at most
+    ``HULL_MAX_RANK - 1`` dimensions, the LP carries only the rows of the
+    states at the vertices of the hull of ``(R, payoff)``
+    (:func:`_hedged_states`), the others being implied; the position is
+    still checked against the claim in every state.  The state
+    multipliers, zero on the states without a row, divided by the
     probabilities, form a deflator whose expected claim value matches the
     primal optimum (LP duality), and both readings plus their gap are
-    reported; the budget multipliers re-certify the deflator (:func:`_recertified`).
-    The LP is the band of one node of :func:`_superhedge_bands`, whose
-    trees take one round per band, one round for trees whose subtree LP
-    fits the budget (:func:`~na1lab.tree.superhedge_tree`); NA1 and it are
-    :func:`_hedged`'s first round of LPs.  The report is held on the
-    market by the payoff's bytes, read-only.
+    reported; the budget multipliers re-certify the deflator
+    (:func:`_recertified`).  NA1 and the LP are :func:`_hedged`'s first
+    round of LPs.  The report is held on the market by the payoff's bytes,
+    read-only.
     """
     return run(_hedged(market, claim.payoff))
 
@@ -195,77 +192,49 @@ def _hedged(market: DiscreteMarket, payoff):
 
 
 def _superhedge_bands(bands):
-    """Task: the super-hedging LPs of ``bands``, one block each
-    (:func:`_band_block`), stacked, and per band the reports of its nodes,
-    each checked as a one-period hedge: its position must dominate its
-    payoff in every state and its lifted deflator's reading must match its
-    cost.  A band ``(markets, values)`` is a tree of one-period markets,
-    its internal nodes' markets and its leaves' payoffs, each breadth-first;
-    a market and a payoff are the band ``([market], payoff)``.  Prices are
-    monotone, so the block's optimum is every node's cheapest capital
-    dominating its children's.  Node ``k``'s multipliers over ``1 + mu_k``,
-    with ``mu_k`` the multiplier of its incoming state row (0 at the band's
-    root), are an optimal dual of its one-period LP with those children's
-    costs as payoff (complementary slackness); the checks read only them.
-    A state without a row has a zero multiplier.  ``attainable`` does not
-    yet account for the re-certification of the lifted deflators, which
+    """Task: the super-hedging LPs of ``bands``, stacked, and per band the
+    checked reports of its nodes.  A band ``(markets, values)`` is a tree of
+    one-period markets, its internal nodes' markets and its leaves' payoffs,
+    each breadth-first; a market and a payoff are the band ``([market],
+    payoff)``.  Its block is the LP of :func:`~na1lab.lp.tree_block` in asset
+    coordinates, with the payoffs as ``values``, ``X >= 0`` and the cost
+    ``sum_k X_k``: prices are monotone, so its optimum is every node's
+    cheapest capital dominating its children's.  A node whose states reach
+    leaves keeps the rows of :func:`_hedged_states`, lazy in a band of one
+    node.  Node ``k``'s multipliers over ``1 + mu_k``, ``mu_k`` the multiplier
+    of its incoming edge row (0 at the band's root), are an optimal dual of
+    its one-period LP with its children's costs as payoff (complementary
+    slackness), by which alone :func:`_superhedge_report` checks it;
+    ``attainable`` does not yet account for the re-certification that
     :func:`_recertified` adds from the budget multipliers held here."""
-    bands = [(markets, np.asarray(values, dtype=float)) for markets, values in bands]
-    layouts = [_band_block(markets, values) for markets, values in bands]
+    layouts = []
+    for markets, values in bands:
+        values, n, eye = np.asarray(values, dtype=float), len(markets), np.eye(markets[0].n_assets)
+        first = list(accumulate((m.n_states for m in markets), initial=1))
+        kept = [_hedged_states(m, values[first[k] - n : first[k + 1] - n]) if first[k] >= n
+                else np.arange(m.n_states) for k, m in enumerate(markets)]
+        a_ub, b_ub, edges, cols, rows = tree_block(
+            [(m.returns[s], eye, m.constraints.normals, m.constraints.offsets)
+             for m, s in zip(markets, kept)],
+            np.concatenate([values[first[k] - n + s] for k, s in enumerate(kept) if first[k] >= n]))
+        cost = np.zeros(cols[-1])
+        cost[cols[:-1]] = 1.0
+        block = dict(cost=cost, a_ub=a_ub, b_ub=b_ub,
+                     bounds=([(0.0, None)] + [(None, None)] * len(eye)) * n,
+                     lazy=np.arange(rows[-1]) < kept[0].size if n == 1 else None)
+        layouts.append((block, markets, values, first, kept, edges, rows))
     results = (yield [block for block, *_ in layouts]) if layouts else []
     out = []
-    for (markets, values), (_, kept, rows, first), result in zip(bands, layouts, results):
+    for (_, markets, values, first, kept, edges, rows), result in zip(layouts, results):
         require_optimal(result, "super-hedging")
-        n, width = len(markets), 1 + markets[0].n_assets
-        costs = np.concatenate([result.x[::width], values])
+        nodes = result.x.reshape(len(markets), -1)  # (X_k, y_k) per node
+        costs = np.concatenate([nodes[:, 0], values])
         multipliers = np.maximum(-result.marginals_ub, 0.0)
-        scale = np.ones(n)
-        for k in range(n):
-            if first[k] < n:  # every state row kept, one per child node
-                scale[first[k] : first[k + 1]] += multipliers[rows[k] : rows[k] + first[k + 1] - first[k]]
-        reports = []
-        for k, (market, states) in enumerate(zip(markets, kept)):
-            x, payoff = result.x[k * width : (k + 1) * width], costs[first[k] : first[k + 1]]
-            reports.append(_superhedge_report(market, payoff, states, float(x[0]), x[1:],
-                                              multipliers[rows[k] : rows[k + 1]] / scale[k]))
-        out.append(reports)
+        scale = np.concatenate([[1.0], 1.0 + multipliers[edges]])  # an edge row into each non-root
+        out.append([_superhedge_report(m, costs[first[k] : first[k + 1]], states, float(node[0]),
+                                       node[1:], multipliers[rows[k] : rows[k + 1]] / scale[k])
+                    for k, (m, states, node) in enumerate(zip(markets, kept, nodes))])
     return out
-
-
-def _band_block(markets, values):
-    """The LP block of a band (:func:`_superhedge_bands`), with each node's
-    kept states, its first row (and the end) and ``first``: the states of
-    node ``k`` are the band's nodes ``first[k]:first[k + 1]`` breadth-first,
-    its internal nodes then its leaves, so they are all internal nodes or
-    all leaves.  Variables ``(X_k, y_k)`` per node, ``X >= 0``, the cost
-    ``sum_k X_k``.  Node ``k``'s rows: one per kept state, ``X_c - X_k -
-    <y_k, R(omega)> <= 0`` for a state reaching an internal node ``c`` and
-    ``-X_k - <y_k, R(omega)> <= -V`` for one reaching a leaf of payoff
-    ``V``, then its budget rows, homogenized: ``<a, y_k> - b X_k <= 0``.
-    A node whose states reach leaves keeps those of :func:`_hedged_states`,
-    the others all of them.  The state rows of a band of one node are
-    lazy; a larger band is solved whole."""
-    n, width = len(markets), 1 + markets[0].n_assets
-    first = list(accumulate((m.n_states for m in markets), initial=1))
-    kept = [_hedged_states(m, values[first[k] - n : first[k + 1] - n]) if first[k] >= n
-            else np.arange(m.n_states) for k, m in enumerate(markets)]
-    rows = list(accumulate((s.size + m.constraints.offsets.size for m, s in zip(markets, kept)), initial=0))
-    a_ub, b_ub = np.zeros((rows[-1], n * width)), np.zeros(rows[-1])
-    for k, (market, states) in enumerate(zip(markets, kept)):
-        col, split, cs = k * width, rows[k] + states.size, market.constraints
-        a_ub[rows[k] : split, col] = -1.0
-        a_ub[rows[k] : split, col + 1 : col + width] = -market.returns[states]
-        if first[k] >= n:
-            b_ub[rows[k] : split] = -values[first[k] - n + states]
-        else:
-            a_ub[range(rows[k], split), (first[k] + states) * width] = 1.0
-        a_ub[split : rows[k + 1], col] = -cs.offsets
-        a_ub[split : rows[k + 1], col + 1 : col + width] = cs.normals
-    cost = np.zeros(n * width)
-    cost[::width] = 1.0
-    bounds = ([(0.0, None)] + [(None, None)] * (width - 1)) * n
-    lazy = np.arange(rows[-1]) < kept[0].size if n == 1 else None
-    return dict(cost=cost, a_ub=a_ub, b_ub=b_ub, bounds=bounds, lazy=lazy), kept, rows, first
 
 
 def _superhedge_report(market, payoff, states, primal, y_opt, multipliers) -> ValuationReport:
@@ -346,11 +315,11 @@ def shortfall_hedge(
     expected loss of ``payoff - terminal wealth`` over capitals up to v0 and
     allowed positions.  With enough capital to super-replicate, the risk is
     zero (returned, not an error).  Wealth is not floored at zero.  The LP
-    is :func:`~na1lab.lp.deterministic_equivalent` on the tree of depth 1
-    whose root wealth is the capital: a state's utility is minus its loss,
-    ``min(0, min_k(slope_k * X + (-slope_k * payoff - intercept_k)))``, the
-    risk is minus the optimum, and the strategy, in the return span, is the
-    positions over the capital.  NA1 and the LP share one round behind
+    is the deterministic equivalent (:func:`~na1lab.lp.deterministic_equivalent`)
+    of the tree of depth 1 whose root wealth is the capital: a state's
+    utility is minus its loss, ``min(0, min_k(slope_k * W + (-slope_k *
+    payoff - intercept_k)))``, the risk is minus the optimum, and the
+    strategy lies in the return span.  NA1 and the LP share one round behind
     :func:`~na1lab.arbitrage._gated`, which refuses a market without NA1.
     The answer is held on the market by payoff, loss and capital, read-only.
     """
@@ -365,12 +334,11 @@ def shortfall_hedge(
 
     def decide(market, argument):
         task = deterministic_equivalent(
-            np.zeros(market.n_states + 1, dtype=int), market.returns,
-            [(market.span.basis, cs.normals, cs.offsets)], list(zip(market.probs, tables)),
-            (0.0, float(v0)), False, "shortfall hedging")
-        wealth, [strategy], value = yield from _gated([market], "shortfall hedging", task)
+            [(market.returns, market.span.basis, cs.normals, cs.offsets)],
+            list(zip(market.probs, tables)), (0.0, float(v0)), False, "shortfall hedging")
+        capital, [strategy], value = yield from _gated([market], "shortfall hedging", task)
         strategy.setflags(write=False)  # every later call shares it
-        return float(wealth[0]), strategy, max(0.0, -float(value))
+        return float(capital), strategy, max(0.0, -float(value))
 
     key = ("shortfall", (payoff.tobytes(), loss.pieces, float(v0)))
     return run(_memoized([market], [key], decide))[0]

@@ -19,17 +19,18 @@ Each certificate is decided by its own task and held from the round it
 ends; work that needs NA1 passes one gate, :func:`~na1lab.arbitrage._with_na1`,
 and is refused in one place, :func:`~na1lab.arbitrage._refuse`.
 
-The one LP of piecewise-linear objectives, :func:`deterministic_equivalent`,
-is the task of a scenario tree's deterministic equivalent; a one-period
-market is the tree of depth 1.  The one smooth convex solver,
-:func:`minimize_convex`, runs a batch of independent problems through one
-interior-point loop.
+Every scenario-tree LP, super-hedging's and the deterministic equivalent
+of piecewise-linear objectives (:func:`deterministic_equivalent`), is
+stated once, by its one builder :func:`tree_block`.  The one smooth convex
+solver, :func:`minimize_convex`, runs a batch of independent problems
+through one interior-point loop.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import null_space
@@ -416,80 +417,101 @@ def cone_span(rows: np.ndarray):
     return (null_space(rows[~strict]) if not np.all(strict) else np.eye(dim)), strict
 
 
-def deterministic_equivalent(parents, returns, nodes, leaves, root, floor: bool, context: str):
-    """Task: the most ``sum_l w_l min_j (c_j X_l + d_j)`` over the leaf
-    wealths ``X_l`` that trading on a scenario tree reaches, as one exact LP
-    block, the tree's deterministic equivalent (Birge & Louveaux,
-    *Introduction to Stochastic Programming*).  A one-period market is the
-    tree of depth 1.
+def tree_block(nodes, values=None, pieces=()):
+    """The one LP layout of a scenario tree, for super-hedging
+    (:func:`~na1lab.hedging._superhedge_bands`) and the deterministic
+    equivalent (:func:`deterministic_equivalent`) alike (King 2002, *Math.
+    Program.* 91:543-562; Birge & Louveaux, *Introduction to Stochastic
+    Programming*); a one-period market is the tree of depth 1.
 
-    Nodes are numbered breadth-first from the root 0: node ``k > 0`` has
-    parent ``parents[k]`` and edge returns ``returns[k - 1]``.  The parents
-    are the internal nodes; each has ``(basis, normals, offsets)`` in
-    ``nodes``, in order: the span basis ``B`` of its positions and its
-    constraints ``A pi <= b``.  Every other node is a leaf with ``(w,
-    pieces)`` in ``leaves``, in order, the pieces being rows ``(c_j, d_j)``.
-    The variables are a wealth ``X`` per node, positions ``y`` in span
-    coordinates per internal node and ``t`` per leaf; the rows ``X_k - X_p -
-    (R_k B_p) y_p = 0``, ``A_n B_n y_n - b_n X_n <= 0`` and ``t_l - c_j X_l
-    <= d_j``.  The root wealth lies within the bounds ``root``, and with
-    ``floor`` every other wealth is nonnegative.
+    ``nodes`` are the internal nodes breadth-first, each ``(returns, basis,
+    normals, offsets)``: the edge returns ``R_c`` of its kept children, the
+    basis ``B`` of its positions and its constraints ``A pi <= b``; the
+    children of node ``k`` follow those of node ``k - 1`` and are all
+    internal or all leaves.  ``values`` and ``pieces``, one per leaf, are
+    its value ``V_c`` and its table of pieces ``(c_j, d_j)``.  Columns:
+    ``(X_k, y_k)`` per internal node, its wealth and its positions in
+    ``B_k`` coordinates, then with ``pieces`` one ``t_c`` per leaf; a leaf
+    has no wealth column, its wealth is ``W_c = X_k + (R_c B_k) y_k``.
+    Rows of node ``k``: to each internal child the edge row ``X_c - X_k -
+    (R_c B_k) y_k <= 0``, or with ``values`` to each leaf ``-W_c <= -V_c``;
+    with ``pieces``, ``t_c - c_j W_c <= d_j`` per leaf child and piece;
+    then its budget rows ``A B_k y_k - b_k X_k <= 0``.
 
-    Returns the LP's node wealths, each internal node's fractions ``B y /
-    X`` (zero at zero wealth) and the optimum.  The leaf wealths are first
-    recomputed in numpy from the positions, and the objective there must
-    match the optimum within ``VALUE_TOL``, else :class:`NumericError`
+    Returns ``(a_ub, b_ub, edges, cols, rows)``: the rows, the mask of the
+    edge rows, each internal node's first column (then the first ``t``)
+    and each node's first row (then the end).
+    """
+    n = len(nodes)
+    first = list(accumulate((len(returns) for returns, *_ in nodes), initial=1))
+    cols = list(accumulate((1 + basis.shape[1] for _, basis, _, _ in nodes), initial=0))
+    tables = np.vstack([np.zeros((0, 2)), *pieces])
+    owner = np.repeat(np.arange(len(pieces)), [len(table) for table in pieces])
+    at = np.searchsorted(owner, [max(f - n, 0) for f in first]).tolist()  # first piece rows
+    sizes = [len(returns) * (first[k] < n or values is not None) + at[k + 1] - at[k] + offsets.size
+             for k, (returns, *_, offsets) in enumerate(nodes)]
+    rows = list(accumulate(sizes, initial=0))
+    a_ub = np.zeros((rows[-1], cols[-1] + len(pieces)))
+    b_ub, edges = np.zeros(rows[-1]), np.zeros(rows[-1], dtype=bool)
+    for k, (returns, basis, normals, offsets) in enumerate(nodes):
+        x, y, budget = cols[k], slice(cols[k] + 1, cols[k + 1]), rows[k + 1] - offsets.size
+        gains = returns @ basis
+        if first[k] < n or values is not None:
+            span = slice(rows[k], rows[k] + len(returns))
+            a_ub[span, x] = -1.0
+            a_ub[span, y] = -gains
+            if first[k] < n:
+                a_ub[range(span.start, span.stop), cols[first[k] : first[k + 1]]] = 1.0
+                edges[span] = True
+            else:
+                b_ub[span] = -values[first[k] - n : first[k + 1] - n]
+        if at[k + 1] > at[k]:
+            leaves, (slopes, intercepts) = owner[at[k] : at[k + 1]], tables[at[k] : at[k + 1]].T
+            span = slice(budget - leaves.size, budget)
+            a_ub[span, x] = -slopes
+            a_ub[span, y] = -slopes[:, None] * gains[leaves - (first[k] - n)]
+            a_ub[range(span.start, span.stop), cols[-1] + leaves] = 1.0
+            b_ub[span] = intercepts
+        a_ub[budget : rows[k + 1], x] = -offsets
+        a_ub[budget : rows[k + 1], y] = normals @ basis
+    return a_ub, b_ub, edges, cols, rows
+
+
+def deterministic_equivalent(nodes, leaves, root, floor: bool, context: str):
+    """Task: the most ``sum_l w_l min_j (c_j W_l + d_j)`` over the leaf
+    wealths ``W_l`` that trading on a scenario tree reaches, its
+    deterministic equivalent: the LP of :func:`tree_block` over ``nodes``
+    and the leaves' ``(w, pieces)`` in ``leaves``, the edge rows equalities,
+    the root wealth within the bounds ``root`` and, with ``floor``, every
+    other wealth nonnegative.  Returns the root wealth, each internal node's
+    fractions ``B y / X`` (zero at zero wealth) and the optimum, once the
+    objective at the leaf wealths that numpy recomputes from the positions
+    matches the optimum within ``VALUE_TOL``; else :class:`NumericError`
     names ``context``.
     """
-    n = len(parents)
-    internal = np.unique(parents[1:])
-    slot = np.zeros(n, dtype=int)
-    slot[internal] = np.arange(internal.size)
-    leaf_nodes = np.setdiff1d(np.arange(n), internal)
-    weights = np.array([w for w, _ in leaves], dtype=float)
-    counts = [len(table) for _, table in leaves]
-    pieces = np.vstack([table for _, table in leaves])
-    owner = np.repeat(np.arange(len(leaves)), counts)
-    y0 = n + np.cumsum([0] + [basis.shape[1] for basis, _, _ in nodes])
-    width = y0[-1] + len(leaves)
-    a_eq = np.zeros((n - 1, width))
-    for k in range(1, n):
-        p, j = parents[k], slot[parents[k]]
-        a_eq[k - 1, k], a_eq[k - 1, p] = 1.0, -1.0
-        a_eq[k - 1, y0[j] : y0[j + 1]] = -(returns[k - 1] @ nodes[j][0])
-    budget = sum(len(offsets) for _, _, offsets in nodes)
-    a_ub, b_ub = np.zeros((budget + len(pieces), width)), np.zeros(budget + len(pieces))
-    row = 0
-    for j, (basis, normals, offsets) in enumerate(nodes):
-        a_ub[row : row + len(offsets), internal[j]] = -offsets
-        a_ub[row : row + len(offsets), y0[j] : y0[j + 1]] = normals @ basis
-        row += len(offsets)
-    rows = np.arange(budget, budget + len(pieces))
-    a_ub[rows, y0[-1] + owner] = 1.0
-    a_ub[rows, leaf_nodes[owner]] = -pieces[:, 0]
-    b_ub[budget:] = pieces[:, 1]
-    cost = np.zeros(width)
-    cost[y0[-1] :] = weights
-    bounds = [(0.0, None) if floor else (None, None)] * n + [(None, None)] * (width - n)
-    bounds[0] = root
-    [res] = yield [dict(cost=cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(n - 1),
+    weights, tables = zip(*leaves)
+    a, b, edges, cols, _ = tree_block(nodes, np.zeros(len(leaves)) if floor else None, tables)
+    cost = np.concatenate([np.zeros(cols[-1]), weights])
+    bounds = [root] + [(None, None)] * (a.shape[1] - 1)
+    for k in cols[1:-1] if floor else ():
+        bounds[k] = (0.0, None)
+    [res] = yield [dict(cost=cost, a_ub=a[~edges], b_ub=b[~edges], a_eq=a[edges], b_eq=b[edges],
                         bounds=bounds, maximize=True)]
     require_optimal(res, context)
     x = res.x
-    positions = [basis @ x[y0[j] : y0[j + 1]] for j, (basis, _, _) in enumerate(nodes)]
-    wealth = [x[0]]
-    for k in range(1, n):
-        wealth.append(wealth[parents[k]] + returns[k - 1] @ positions[slot[parents[k]]])
-    at_leaves = pieces[:, 0] * np.array(wealth)[leaf_nodes][owner] + pieces[:, 1]
-    value = float(weights @ np.minimum.reduceat(at_leaves, np.cumsum([0] + counts[:-1])))
+    wealth, strategies = [x[0]], []
+    # Where wealth is floored, NA1 bounds the positions by the wealth, so at
+    # zero wealth they are zero too, and every strategy reaches zero wealth.
+    for k, (returns, basis, _, _) in enumerate(nodes):
+        pos = basis @ x[cols[k] + 1 : cols[k + 1]]
+        wealth.extend(wealth[k] + returns @ pos)  # breadth-first: the children come next
+        strategies.append(pos / x[cols[k]] if x[cols[k]] > 0.0 else np.zeros(pos.size))
+    value = float(sum(w * np.min(table[:, 0] * leaf + table[:, 1])
+                      for w, table, leaf in zip(weights, tables, wealth[len(nodes) :])))
     if abs(value - res.value) > VALUE_TOL * (1.0 + abs(res.value)):
         raise NumericError(f"{context}: the objective {value!r} of its positions differs "
                            f"from the LP optimum {res.value!r}")
-    # Where wealth is floored, NA1 bounds the positions by the wealth, so at
-    # zero wealth they are zero too, and every strategy reaches zero wealth.
-    strategies = [pos / x[k] if x[k] > 0.0 else np.zeros(pos.size)
-                  for pos, k in zip(positions, internal)]
-    return x[:n], strategies, res.value
+    return x[0], strategies, res.value
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Smooth utilities are maximized over the allowed polyhedron intersected with
 the return span by the package's one interior-point Newton method,
 :func:`~na1lab.lp.minimize_convex`, which stops on a bound for the
 certified quantity rather than on a step size.  Piecewise-linear utilities
-skip it entirely and go through one exact epigraph LP, the deterministic
-equivalent of :func:`~na1lab.lp.deterministic_equivalent` on the tree of
-depth 1, a block of the LP round.  Several markets are maximized together
+skip it entirely and go through one exact LP, the deterministic equivalent
+(:func:`~na1lab.lp.deterministic_equivalent`) of the tree of depth 1, a
+block of the LP round.  Several markets are maximized together
 (:func:`_maximize_all`) behind one NA1 gate: the Newton problems as one
 solver batch, the piecewise LPs as one stacked LP; each optimum is held
 on its market.
@@ -278,10 +278,8 @@ def maximize_utility(
     times the diameter of the allowed set, ``2 sqrt(d)`` times the NA1
     ``bound_radius``) is at most ``tol`` times ``1 + |strategy|``; for log
     utility that residual bounds the wealth-ratio LP value minus one.
-    Piecewise-linear utilities are solved exactly by one epigraph LP over
-    the state wealths, floored at 0 (:func:`~na1lab.lp.deterministic_equivalent`
-    on the tree of depth 1), whose optimum is checked against the utility
-    of the strategy it returns.
+    Piecewise-linear utilities are solved exactly by one LP with the state
+    wealths floored at 0 (:func:`_piecewise_optimum`).
 
     When scalable arbitrage exists the supremum is infinite, so the search
     refuses to start, unless ``divergence_bound`` is given: then the
@@ -479,16 +477,16 @@ def _escalate_along_ray(probs, returns, evaluator, ray, bound):
 
 
 def _piecewise_optimum(market, probs, evaluator, basis):
-    """Task: the exact optimum of a piecewise-linear utility, the tree of
-    depth 1 of :func:`~na1lab.lp.deterministic_equivalent`: each state's
-    wealth is floored at 0, which is admissibility.  The active rows are
-    read off the strategy."""
+    """Task: the exact optimum of a piecewise-linear utility, the
+    deterministic equivalent (:func:`~na1lab.lp.deterministic_equivalent`)
+    of the tree of depth 1 with each state's wealth floored at 0, which is
+    admissibility.  The active rows are read off the strategy."""
     n, cs = market.n_states, market.constraints
     tables = ([evaluator.specs[0].pieces()] * n if evaluator._homogeneous
               else [spec.pieces() for spec in evaluator.specs])
     _, [strategy], value = yield from deterministic_equivalent(
-        np.zeros(n + 1, dtype=int), market.returns, [(basis, cs.normals, cs.offsets)],
-        list(zip(probs, tables)), (1.0, 1.0), True, "piecewise-utility LP")
+        [(market.returns, basis, cs.normals, cs.offsets)], list(zip(probs, tables)),
+        (1.0, 1.0), True, "piecewise-utility LP")
     allowed = market.allowed
     slack = allowed.offsets - allowed.normals @ strategy
     active = np.flatnonzero(slack <= 1e-9 * (1.0 + np.abs(allowed.offsets)))

@@ -12,15 +12,15 @@ node markets:
   and power utilities the value function separates into a per-node constant
   plus (or times) the running wealth term, so a backward pass solves one
   wealth-independent problem per node; for concave piecewise-linear
-  utilities the whole tree is one LP over node wealths and money positions
-  (the scenario-tree deterministic equivalent, built by
-  :func:`~na1lab.lp.deterministic_equivalent` as for one period),
+  utilities the whole tree is one LP, its deterministic equivalent
+  (:func:`~na1lab.lp.deterministic_equivalent`, as for one period),
 * the wealth process of the per-node log optima prices everything: its
   reciprocal is a positive process that turns every allowed wealth process
   into a supermartingale, certified node by node (``numeraire_process``),
-* cheapest super-replication composes backward, one homogenized hedging LP
-  per subtree of a band of levels, whose duals certify each node as its
-  own one-period LP would (``superhedge_tree``).
+* cheapest super-replication composes backward, one hedging LP per
+  subtree of a band of levels, whose duals certify each node as its own
+  one-period LP would (``superhedge_tree``); both tree LPs are stated by
+  their one builder, :func:`~na1lab.lp.tree_block`.
 
 The tree is held once as breadth-first arrays (:class:`ScenarioTree`):
 edge probabilities and returns, parents, each node's children as one range
@@ -33,17 +33,16 @@ the end.  Nodes with equal content share one market (``node_market``), so
 its cached certificates, NA1 and its cone span first of all, and its
 utility optima serve every such node and later question.  Each pass is an
 LP task (:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs
-as one block-diagonal LP (:func:`~na1lab.lp._solve_stacked`).  The passes are
-gated on the node markets' NA1 by :func:`~na1lab.arbitrage._with_na1`,
+as one block-diagonal LP (:func:`~na1lab.lp._solve_stacked`).  The passes
+are gated on the node markets' NA1 by :func:`~na1lab.arbitrage._with_na1`,
 which runs them alongside its LPs while it is undecided, each market's
 certificate held from the round it is decided, so independent LPs of
 different passes share a round.  The ``tree`` command thus solves in its
-first round the NA1 LPs with the cone spans of the node markets that
-have zero-offset rows, the deepest super-hedging band and the piecewise
-tree LP, and each later round the next super-hedging band: one round per
-band, one round for trees whose subtree LP fits the budget
-(:func:`_bands`); the deflator checks and re-certifications are dual
-bounds, else LPs.  The utility problems of a pass are one solver batch
+first round the NA1 LPs with the cone spans of the node markets that have
+zero-offset rows, the deepest super-hedging band and the piecewise tree
+LP, and each later round the next super-hedging band (:func:`_bands`); the
+deflator checks and re-certifications are dual bounds, else LPs.  The
+utility problems of a pass are one solver batch
 (:func:`~na1lab.portfolio._maximize_all`): the log optima of all nodes, or
 the problems of one backward-induction level, one per distinct market and
 weights whose optimum the market does not yet hold.  Every node's result
@@ -573,19 +572,17 @@ def _separable_backward(tree, u: UtilitySpec, candidates):
 
 def _piecewise_backward(tree, u: UtilitySpec):
     """Task: one exact LP over the whole tree for concave piecewise-linear
-    utilities, :func:`~na1lab.lp.deterministic_equivalent` with root wealth
-    1, every wealth floored at 0, and each leaf weighted by its path
-    probability; the builder checks the LP optimum against the utility of
-    the wealths its positions reach.  The strategy at a node is ``B y / X``;
-    the policy is validated, and the node values are the conditional
+    utilities, the deterministic equivalent
+    (:func:`~na1lab.lp.deterministic_equivalent`) with root wealth 1, every
+    wealth floored at 0 and each leaf weighted by its path probability.
+    The policy is validated, and the node values are the conditional
     expected utilities of its wealth process.
     """
     offsets, markets = tree._offsets, tree._markets
     cut = len(markets)
     pieces = u.pieces()
     _, strategies, _ = yield from deterministic_equivalent(
-        tree._parents, tree._returns[1:],
-        [(m.span.basis, m.constraints.normals, m.constraints.offsets) for m in markets],
+        [(m.returns, m.span.basis, m.constraints.normals, m.constraints.offsets) for m in markets],
         [(tree.path_probability(leaf), pieces) for leaf in tree.leaf_ids],
         (1.0, 1.0), True, "piecewise-utility tree LP")
     policy = PolicyProcess(dict(zip(tree.internal_ids(), strategies)), _wealth_process(tree, strategies))
@@ -614,8 +611,7 @@ def backward_induction(
     ``candidates`` set restricts the strategies; ``candidates`` is a strategy
     array applied at every node, or a dict keyed by non-leaf node id).
     Concave piecewise-linear utilities are solved exactly by one LP over the
-    whole tree (:func:`~na1lab.lp.deterministic_equivalent`, whose optimum is
-    checked against the utility its positions reach); there
+    whole tree (:func:`_piecewise_backward`); there
     ``node_values[n]`` is the conditional expected terminal
     utility from node ``n`` at the wealth the optimal policy reaches there.
     Candidate menus apply to log and power utilities only, and those
@@ -762,14 +758,10 @@ def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
     price of the vector of its children's costs.  The levels are solved in
     bands (:func:`_bands`), one LP per subtree of a band
     (:func:`~na1lab.hedging._superhedge_bands`), whose duals certify every
-    node of it: each node's hedge is checked as
-    :func:`~na1lab.hedging.superhedge` checks it, dominance and duality
-    gap, then a re-certification of its lifted deflator, by its dual bound
-    or else by an LP.  Each round solves one band, the deepest with the NA1
-    LPs: one round per band, one round for trees whose subtree LP fits the
-    budget, ``lp.STACK_ENTRIES`` (one more per band whose bounds miss).
-    ``claim`` maps leaf id to payoff, or is a sequence in ``leaf_ids``
-    order.  :func:`_superhedge_tree` is the task.
+    node of it as :func:`~na1lab.hedging.superhedge` certifies a market.
+    Each round solves one band, the deepest with the NA1 LPs.  ``claim``
+    maps leaf id to payoff, or is a sequence in ``leaf_ids`` order.
+    :func:`_superhedge_tree` is the task.
     """
     return run(_gated(tree, "tree super-replication", _superhedge_tree(tree, claim)))
 
@@ -794,9 +786,9 @@ def _superhedge_tree(tree: ScenarioTree, claim):
 def _bands(tree: ScenarioTree) -> list:
     """The internal levels ``lo:hi`` of each band, deepest first.  A band
     grows upward from the leaves by whole levels while the LP of its largest
-    subtree (:func:`~na1lab.hedging._band_block`: per node, one column per
-    asset and one for its cost, one row per child and per budget row) keeps
-    at most ``lp.STACK_ENTRIES`` entries; a band has at least one level."""
+    subtree (:func:`~na1lab.lp.tree_block` with every state row kept)
+    keeps at most ``lp.STACK_ENTRIES`` entries; a band has at least one
+    level."""
     offsets, levels = np.array(tree._offsets), tree._levels
     budget = [tree.constraints[node_id].offsets.size for node_id in tree.internal_ids()]
     own = np.diff(offsets)[: levels[-2]] + budget

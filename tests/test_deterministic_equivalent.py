@@ -1,13 +1,14 @@
-"""The one deterministic-equivalent LP builder (``lp.deterministic_equivalent``)
-behind every piecewise-linear objective: the one-period utility optimum,
-the shortfall hedge and the scenario-tree utility optimum.
+"""The deterministic equivalent (``lp.deterministic_equivalent``), the tree
+LP of ``lp.tree_block`` behind every piecewise-linear objective: the
+one-period utility optimum, the shortfall hedge and the scenario-tree
+utility optimum.
 
 Independent oracles of its answers live with the callers: breakpoint
 enumeration and a strategy grid (``test_portfolio.py``), a dense grid of
 shortfall hedges (``test_hedging.py``) and policy enumeration on trees
-(``test_tree.py``).  Here: its LP is one block of the LP round, its value
-re-check catches a wrong optimum in every caller, and no LP outside
-``lp.py`` bypasses the rounds.
+(``test_tree.py``).  Here: its LP is one block of the LP round with no
+leaf-wealth columns, its value re-check catches a wrong optimum in every
+caller, and no LP outside ``lp.py`` bypasses the rounds.
 """
 
 import ast
@@ -25,7 +26,7 @@ from na1lab.hedging import Claim, PiecewiseLinearLoss, shortfall_hedge
 from na1lab.lp import run
 from na1lab.market import ConstraintSet, DiscreteMarket, preset_constraints
 from na1lab.portfolio import UtilitySpec, _maximize_all, maximize_utility
-from na1lab.tree import backward_induction, iid_tree
+from na1lab.tree import backward_induction, global_na1, iid_tree
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "na1lab"
 
@@ -108,6 +109,46 @@ def test_shortfall_strategy_lies_in_the_return_span():
     assert risk == pytest.approx(float(m.probs @ loss.value(claim.payoff - wealth)), abs=1e-9)
 
 
+def _span_market():
+    """Four states, three assets whose last two have equal returns: a return
+    span of two dimensions, in a box on it."""
+    returns = np.array([[0.3, -0.2], [-0.4, 0.5], [0.6, 0.2], [-0.2, -0.3]])
+    normals = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    box = ConstraintSet(3, np.vstack([normals, -normals]), np.ones(4))
+    m = make_market(returns[:, [0, 1, 1]], constraints=box)
+    assert m.span.basis.shape[1] == 2 and check_na1(m).holds
+    return m
+
+
+def test_depth_one_lps_have_no_leaf_wealth_columns(linprog_calls):
+    """The piecewise one-period optimum and the shortfall hedge are each one
+    LP with the root wealth, ``k`` span positions and one epigraph column
+    per state as columns, and no equality row: a state's wealth is written
+    through the root's columns."""
+    m = _span_market()
+    claim = Claim(np.array([0.5, 0.0, 1.2, 0.3]))
+    for solve in (lambda: maximize_utility(m, PIECEWISE),
+                  lambda: shortfall_hedge(m, claim, PiecewiseLinearLoss.positive_part(), v0=0.3)):
+        linprog_calls.clear()
+        solve()
+        [call] = linprog_calls
+        assert call["A_ub"].shape[1] == 1 + 2 + m.n_states
+        assert call["A_eq"] is None
+
+
+def test_tree_lp_has_one_equality_row_per_inner_edge(linprog_calls):
+    """On a depth-2 iid tree the piecewise LP's equality rows are the edges
+    into the internal nodes other than the root, one each; the edges into
+    the leaves carry no row of their own."""
+    m = _span_market()
+    tree = iid_tree(m, horizon=2)
+    assert global_na1(tree).holds
+    linprog_calls.clear()
+    backward_induction(tree, PIECEWISE)
+    [call] = linprog_calls
+    assert len(call["A_eq"]) == len(tree.internal_ids()) - 1 == m.n_states
+
+
 def _solve_lp_callers():
     """``(module file, enclosing function)`` of every call of ``solve_lp``
     in the package outside ``lp.py``."""
@@ -127,7 +168,7 @@ def _solve_lp_callers():
     return callers
 
 
-def test_no_lp_outside_the_rounds_but_the_wealth_grid():
+def test_no_lp_outside_the_rounds():
     """Every LP of the package, the wealth grid's included, is a block of an
     LP task's round."""
     assert _solve_lp_callers() == set()
