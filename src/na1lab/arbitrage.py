@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, InvalidParameterError, PreconditionError
-from .lp import BIG_BOUND, OPTIMAL, cone_span, gather, minimize_convex, read, require_optimal, run
+from .lp import (BIG_BOUND, OPTIMAL, VIOLATION_TOL, cone_span, gather, minimize_convex, read,
+                 require_optimal, run)
 from .market import Cone, DiscreteMarket, generated_cone
 
 logger = logging.getLogger(__name__)
@@ -180,7 +181,13 @@ def _gain_search(market: DiscreteMarket, weights, offsets, box: float, context: 
     nonnegative gains in every state and ``|pi_j| <= box``, as (optimum,
     strategy); (0.0, None) on a span of ``{0}``.  Gains are nonnegative when
     they are at every admissibility row's point, so that row carries
-    ``min(offset, 0)``, both bounds at once, and is generated on demand."""
+    ``min(offset, 0)``, both bounds at once, and is generated on demand.
+
+    The strategy is put on the zero-gain face the LP found: the gains within
+    ``VIOLATION_TOL * (1 + max |gain|)`` of zero, solver noise of either
+    sign, are removed by one least-squares step in the row space of their
+    returns, which keeps it in the return span.  A strategy gaining nowhere
+    is left as it is: it certifies nothing."""
     basis, d = market.span.basis, market.n_assets
     if not basis.shape[1]:
         return 0.0, None
@@ -192,7 +199,13 @@ def _gain_search(market: DiscreteMarket, weights, offsets, box: float, context: 
         maximize=True,
         lazy=np.concatenate([states, np.zeros(2 * d, dtype=bool)]),
     )]
-    return float(require_optimal(result, context).value), basis @ result.x
+    value, strategy = float(require_optimal(result, context).value), basis @ result.x
+    gains = np.abs(market.returns @ strategy)
+    flat = gains <= VIOLATION_TOL * (1.0 + np.max(gains))
+    if not flat.all():
+        face = market.returns[flat]
+        strategy = strategy - np.linalg.lstsq(face, face @ strategy, rcond=None)[0]
+    return value, strategy
 
 
 def _tame_scale(direction: np.ndarray) -> float:
@@ -318,7 +331,8 @@ def _arbitrage(market: DiscreteMarket, reference, tol: float):
     """Task: the classical search (``reference`` None), or the relative one
     over the allowed set translated by ``-reference``: the expected-gain
     :func:`_gain_search` within ``|pi_j| <= BIG_BOUND``, whose optimum
-    above ``tol`` gives a strategy, tamed and re-verified in numpy."""
+    above ``tol`` gives a strategy on its zero-gain face, tamed and
+    re-verified in numpy."""
     shift = 0.0 if reference is None else market.allowed.normals @ reference
     offsets = market.allowed.offsets - shift
     objective, delta = yield from _gain_search(market, market.probs, offsets, BIG_BOUND, "arbitrage search")

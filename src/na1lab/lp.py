@@ -113,7 +113,8 @@ def solve_lp(
 
     ``bounds`` follows scipy's convention; ``None`` means every variable is
     free (scipy's default is x >= 0, which is almost never what this package
-    wants, so free is the default here).
+    wants, so free is the default here).  HiGHS runs without presolve;
+    presolve comes back on only to retry a solve that ends in status 4.
     """
     cost = np.asarray(cost, dtype=float)
     sign = -1.0 if maximize else 1.0
@@ -131,11 +132,15 @@ def solve_lp(
         scale = scale if scale > 0.0 else 1.0
     else:
         scale = 1.0
-    # HiGHS presolve occasionally gives up with "model_status Unknown" (status
-    # 4) on well-posed inputs; the plain solve handles those.
-    for options in (None, {"presolve": False}):
-        if options:
-            logger.debug("LP status 4 (%s); retrying with presolve off", res.message)
+    # Presolve is off: every answer the package reports is re-verified in
+    # numpy, so an LP only has to return an optimal vertex and its
+    # multipliers, and at these sizes presolve costs more than it saves.  A
+    # plain solve that ends in "model_status Unknown" (status 4), as on a
+    # stack mixing an infeasible and an unbounded block, is retried with
+    # presolve on, scipy's default.
+    for options in ({"presolve": False}, None):
+        if options is None:
+            logger.debug("LP status 4 (%s); retrying with presolve on", res.message)
         res = linprog(sign * cost / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                       bounds=bounds, method="highs", options=options)
         if res.status != 4:
@@ -612,12 +617,13 @@ def minimize_convex(
         # after a full step the iterate is near the central path, so the
         # target may drop faster
         target = np.where(t == 1.0, CENTERING**2, CENTERING) * comp / rows
-        kkt = hess + a_t @ (lam / slack * a)
+        weight = lam / slack
+        kkt = hess + a_t @ (weight * a)
         rhs = -(grad + a_t @ ((target + lam * gap) / slack))
         dx, singular = _newton_steps(kkt, rhs)
         # one refinement against the unformed matrix, which keeps the Hessian's
         # share that large row weights round away in kkt
-        dx += _newton_steps(kkt, rhs - hess @ dx - a_t @ (lam / slack * (a @ dx)))[0]
+        dx += _newton_steps(kkt, rhs - hess @ dx - a_t @ (weight * (a @ dx)))[0]
         ds = -gap - a @ dx
         target = target * real
         dlam = (target - lam * slack - lam * ds) / slack
@@ -633,37 +639,44 @@ def minimize_convex(
         halted = t[:, 0, 0] <= 1e-12
         trying = ~halted
         while trying.any():
-            # the open problems, gathered as views while every problem is open
+            # the open problems' arrays, gathered only once some have left
             pick = np.flatnonzero(trying)
-            at = slice(None) if len(pick) == len(trying) else pick
-            x_new = x[at] + t[at] * dx[at]
-            lam_new = lam[at] + t[at] * dlam[at]
+            every = len(pick) == len(trying)
+            here = x, t, dx, lam, dlam, slack, ds, a, a_t, b, outside, target, before
+            x_, t_, dx_, lam_, dlam_, slack_, ds_, a_, a_t_, b_, outside_, target_, before_ = (
+                here if every else [v[pick] for v in here])
+            x_new = x_ + t_ * dx_
+            lam_new = lam_ + t_ * dlam_
             # an iterate inside every row takes numpy's slacks; a problem that
             # has been inside refuses a step out, one that has not keeps its
             # stepped slacks
-            stepped = slack[at] + t[at] * ds[at]
-            slack_new = b[at] - a[at] @ x_new
+            stepped = slack_ + t_ * ds_
+            slack_new = b_ - a_ @ x_new
             entered = (slack_new > 0.0).all(axis=1, keepdims=True)
             slack_new = np.where(entered, slack_new, stepped)
-            gap_new = np.where(entered, 0.0, a[at] @ x_new + stepped - b[at])
-            valid = entered | (outside[at] & (stepped > 0.0).all(axis=1, keepdims=True))
+            gap_new = np.where(entered, 0.0, a_ @ x_new + stepped - b_)
+            valid = entered | (outside_ & (stepped > 0.0).all(axis=1, keepdims=True))
             valid = valid[:, 0, 0]
             if not valid.all():
-                pick = at = pick[valid]
-                x_new, slack_new, gap_new, lam_new = (
-                    v[valid] for v in (x_new, slack_new, gap_new, lam_new))
+                every, pick = False, pick[valid]
+                x_new, slack_new, gap_new, lam_new, t_, a_t_, target_, before_ = (
+                    v[valid] for v in (x_new, slack_new, gap_new, lam_new, t_, a_t_, target_, before_))
             if len(pick):
-                grad_new, hess_new = derivatives(x_new, at if len(index) == batch else index[at])
-                dual_new = grad_new + a_t[at] @ lam_new
+                live = slice(None) if every else pick
+                grad_new, hess_new = derivatives(x_new, live if len(index) == batch else index[live])
+                dual_new = grad_new + a_t_ @ lam_new
                 after = _norms(np.concatenate(
-                    [dual_new, lam_new * slack_new - target[at], gap_new], axis=1))
-                ok = (after <= (1.0 - 0.01 * t[at]) * before[at])[:, 0, 0]
+                    [dual_new, lam_new * slack_new - target_, gap_new], axis=1))
+                ok = (after <= (1.0 - 0.01 * t_) * before_)[:, 0, 0]
                 new = x_new, slack_new, gap_new, lam_new, grad_new, hess_new, dual_new
+                if every and ok.all():  # the whole batch stepped: its new arrays
+                    x, slack, gap, lam, grad, hess, dual = new
+                    break
                 if not ok.all():
-                    at, new = pick[ok], [v[ok] for v in new]
+                    pick, new = pick[ok], [v[ok] for v in new]
                 for old, fresh in zip((x, slack, gap, lam, grad, hess, dual), new):
-                    old[at] = fresh
-                trying[pick[ok]] = False
+                    old[pick] = fresh
+                trying[pick] = False
             t[trying] *= 0.5  # the steps not taken
             halted |= trying & (t[:, 0, 0] <= 1e-12)
             trying &= ~halted

@@ -23,8 +23,73 @@ from na1lab.arbitrage import (
     relative_arbitrage,
 )
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
+from na1lab.io import parse_market
 from na1lab.lp import BIG_BOUND, UNBOUNDED, solve_lp
 from na1lab.market import DiscreteMarket, generated_cone, preset_constraints, wealth
+
+
+#: small_markets slot 147 of the benchmark generator at seed 0 (22 states, 6
+#: assets, no short sales): its classical search ends on a face of zero gains
+#: in several states, which the LP reports with noise of either sign.
+SLOT_147 = {
+    "probs": [
+        0.04296942459818409, 0.024278392806797826, 0.058108040031604725,
+        0.03140245347206753, 0.05107434410452931, 0.05430840395668969,
+        0.04956174442238433, 0.05258918635283975, 0.0368716196117913,
+        0.05276298519994944, 0.033075538739980904, 0.060071806410780776,
+        0.053600327274447225, 0.038722964139848534, 0.06508068723087751,
+        0.035626388625741884, 0.05918240482490198, 0.027668029985477103,
+        0.06480369610440244, 0.027650443046177118, 0.03618649928788689,
+        0.04440461977263951,
+    ],
+    "returns": [
+        [1.4075366212220195, -0.5303521336832092, 0.42593404614035857,
+         1.333376774234023, 1.0658914290294104, 0.03427375509006003],
+        [-0.024309599296060358, 0.04787731264299799, 1.4337506329623948,
+         -0.6034170009468537, -0.02988839823761813, -0.46481421362318215],
+        [-0.7171777235819452, -0.47381045761553015, 1.2896292404552545,
+         -0.31561321920119045, -0.8005410429849176, 0.24588742976386346],
+        [0.6484253765610678, 0.06660611646414061, 0.3168612250012085,
+         1.1974195484180514, 0.15362640275441797, 0.08503534631910348],
+        [1.1335516193595243, -0.5565141841307186, -0.8631938253792486,
+         0.9591320080209255, 0.9123209844899486, -0.16385914948700342],
+        [1.4919981039208943, -0.5511991824697879, -0.7308561127286803,
+         -0.2588860485548655, 0.8049733379358336, 0.11504454665235031],
+        [0.7035664480034219, 1.2223681650283056, -0.5877468609243267,
+         -0.598726672476067, -0.10682763715337806, -0.8530205826794329],
+        [0.8978854507000177, 1.4440324351649338, -0.044754619549836394,
+         0.5346722531250739, 0.7955335783764707, 0.6655169736295378],
+        [-0.8460394639778172, 0.5881314874285285, 0.010362619539030837,
+         -0.7675512456072543, -0.05464907997489343, 1.3889140230961892],
+        [-0.7827264704097023, 1.1613284145533505, 0.615091343573508,
+         1.3665418629278334, 1.1016358583897645, -0.8141133021462128],
+        [0.5989310633237729, 1.1181228982571536, -0.8325364529961486,
+         1.053973266926198, 1.4928860516248483, 0.39775548664612226],
+        [0.918375279876077, -0.43723149117618526, 0.809440802927848,
+         -0.1866580380821855, 1.3153272898550634, 0.5525439592314915],
+        [-0.3876144271783346, -0.6363648339160366, -0.241012440472001,
+         0.6227101276945389, 1.3349551577786243, -0.45645825046116034],
+        [-0.40085741608945524, 0.6293669648457366, -0.8696253143689815,
+         0.5513377223549406, 0.25650434812067047, 1.3434811598840612],
+        [-0.015150933526092647, 0.9591229726154177, 0.7379199072069099,
+         0.6140837284168305, -0.3452124882140478, 0.7339622428818063],
+        [-0.1282093525518344, 0.4525815906145262, -0.8536425606300188,
+         -0.5668805814106609, -0.3989261447370539, 1.4508881385786756],
+        [-0.07018861550963651, 0.8648043271331719, 0.3760477470839937,
+         0.744582795697167, 1.4115806028797286, 1.3511046855534046],
+        [-0.8597676993100872, 0.7217364045113209, -0.5163695380019202,
+         0.8741945233175273, -0.2909570086120242, 0.7535943855420891],
+        [0.07069055645740308, -0.030931377022439976, 0.023083220921456316,
+         -0.8419190079336608, 0.4857066105266946, 0.5398491525555459],
+        [1.1765171406081785, 0.9938389732517391, 1.0855975804354183,
+         -0.05025373723151538, -0.7181593226374791, -0.29076713100108886],
+        [0.5593512259895025, -0.4803816359774738, 0.8786390410647748,
+         0.7062331809957546, 1.1163428073900525, 1.16552151091531],
+        [1.353936311947189, 1.3860532018815999, 1.3053366799828034,
+         -0.5187537782364904, -0.6247987222708062, 1.0484308086774465],
+    ],
+    "constraints": {"halfspaces": [{"a": list(-row), "b": 0.0} for row in np.eye(6)]},
+}
 
 
 def esmm_oracle_one_asset(market):
@@ -107,19 +172,49 @@ class TestFindClassicalArbitrage:
         (3.0, "violates the constraint polyhedron"),
         (0.5, "has a negative state gain"),
         (0.0, "has no strictly positive gain"),
+        pytest.param((1.0, 1.0 - 4e-12), None, id="zero-gain-read-as-minus-2e-12"),
     ])
     def test_search_answer_is_reverified(self, monkeypatch, strategy, message):
-        """The search LP's strategy is checked in numpy before it becomes a
-        certificate: one outside the allowed set, one losing in a state and
-        one gaining nowhere are refused."""
-        def search(market, weights, offsets, box, context):
-            yield from ()
-            return 1.0, np.array([strategy])
+        """The search LP's strategy is put on its zero-gain face and checked
+        in numpy before it becomes a certificate: one outside the allowed
+        set, one losing 0.25 in a state (far outside the face's band) and one
+        gaining nowhere are refused; one whose zero gain reads -2e-12 is
+        moved onto its face and accepted.  A number ``t`` is the strategy
+        ``(t, 0)``, which gains ``0.5 t`` and ``-0.5 t``."""
+        box = preset_constraints("box", dim=2, lower=[1.0, 1.0], upper=[1.0, 1.0])
+        market = make_market([[0.5, 0.5], [-0.5, 0.5]], constraints=box)
+        theta = np.array((strategy, 0.0) if np.ndim(strategy) == 0 else strategy)
+        solve_stacked, rounds = na1lab.lp._solve_stacked, []
 
-        monkeypatch.setattr(na1lab.arbitrage, "_gain_search", search)
-        box = preset_constraints("box", dim=1, lower=[1.0], upper=[1.0])
-        with pytest.raises(NumericError, match=message):
-            find_classical_arbitrage(make_market([[0.5], [-0.5]], constraints=box))
+        def answered(blocks):  # the search is the first block of the first round
+            results = solve_stacked(blocks)
+            if not rounds:
+                results[0] = replace(results[0], x=market.span.basis.T @ theta)
+            rounds.append(blocks)
+            return results
+
+        monkeypatch.setattr(na1lab.lp, "_solve_stacked", answered)
+        if message is not None:
+            with pytest.raises(NumericError, match=message):
+                find_classical_arbitrage(market)
+            return
+        np.testing.assert_allclose(market.returns @ theta, [1.0 - 2e-12, -2e-12], rtol=1e-3)
+        cert = find_classical_arbitrage(market)
+        assert cert.found
+        np.testing.assert_allclose(cert.gains, [1.0, 0.0], atol=1e-11)
+        assert cert.gains.min() >= -1e-12
+
+    def test_certificate_lies_on_its_zero_gain_face(self):
+        """The LP's optimum of this market has zero gains in five states,
+        which HiGHS without presolve reports as low as -2.6e-12; on its face
+        the certificate verifies with every gain at least -1e-12."""
+        market, _ = parse_market(SLOT_147)
+        cert = find_classical_arbitrage(market)
+        assert cert.found
+        gains = market.returns @ cert.strategy
+        assert np.count_nonzero(np.abs(gains) <= 1e-9) >= 2
+        assert gains.min() >= -1e-12
+        assert market.allowed.contains(cert.strategy, tol=1e-9)
 
 
 class TestRelativeArbitrage:

@@ -1,6 +1,7 @@
-"""The LP wrapper: the presolve-off retry is taken and logged, stacked
-block-diagonal LPs give every block the result it gets on its own, and a
-cone's span takes an LP only when the cone has implicit equalities."""
+"""The LP wrapper: every LP runs without presolve and the presolve-on retry
+of status 4 is taken and logged, stacked block-diagonal LPs give every block
+the result it gets on its own, and a cone's span takes an LP only when the
+cone has implicit equalities."""
 
 import logging
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 
 import na1lab.lp
 from na1lab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _solve_stacked, solve_lp
+from test_cli import market_doc, run_command, scalable_doc, tree_doc
 
 
 def test_presolve_retry_is_logged(linprog_calls, monkeypatch, caplog):
@@ -28,11 +30,26 @@ def test_presolve_retry_is_logged(linprog_calls, monkeypatch, caplog):
         )
     assert result.status == OPTIMAL
     assert result.value == pytest.approx(2.0)
-    assert [call.get("options") for call in linprog_calls] == [None, {"presolve": False}]
+    assert [call.get("options") for call in linprog_calls] == [{"presolve": False}, None]
     [record] = [r for r in caplog.records if r.name == "na1lab.lp"]
     assert record.levelno == logging.DEBUG
-    assert "presolve off" in record.getMessage()
+    assert "presolve on" in record.getMessage()
     assert "model_status is Unknown" in record.getMessage()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("analyze", market_doc(claim=[0.0, 1.5])),
+    ("analyze", scalable_doc()),
+    ("tree", tree_doc(claim={"uu": 2.0, "ud": 0.5, "du": 0.5, "dd": 0.0}, utility={"kind": "log"})),
+    ("tree", tree_doc(utility={"kind": "log"}, bad_middle=True)),
+])
+def test_every_lp_runs_without_presolve(tmp_path, linprog_calls, command, doc):
+    """Commands whose LPs include the classical search, NA1, the witness ray,
+    super-hedging and a tree pass pass presolve off to every call."""
+    rc, _ = run_command(tmp_path, command, doc)
+    assert rc == 0
+    assert linprog_calls
+    assert all(call.get("options") == {"presolve": False} for call in linprog_calls)
 
 
 def random_block(rng, n, maximize):
@@ -74,8 +91,9 @@ def test_failed_stack_gives_every_block_its_own_status(linprog_calls):
     unbounded = dict(cost=[1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0], maximize=True)
     results = _solve_stacked([good, infeasible, unbounded, good])
     assert [r.status for r in results] == [OPTIMAL, INFEASIBLE, UNBOUNDED, OPTIMAL]
-    # the stacked LP, then one LP per block of the failed chunk
-    assert len(linprog_calls) == 5
+    # the stacked LP, its presolve-on retry of status 4, then one LP per
+    # block of the failed chunk
+    assert len(linprog_calls) == 6
     assert results[0].value == pytest.approx(solve_lp(**good).value, rel=1e-12)
 
 
@@ -86,9 +104,11 @@ def test_failed_stack_is_logged(caplog):
     unbounded = dict(cost=[1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0], maximize=True)
     with caplog.at_level(logging.DEBUG, logger="na1lab.lp"):
         _solve_stacked([good, infeasible, unbounded, good])
-    [record] = [r for r in caplog.records if r.name == "na1lab.lp"]
-    assert record.levelno == logging.DEBUG
-    assert record.getMessage() == "stacked LP of 4 blocks not optimal; solving them one by one"
+    retry, split = [r for r in caplog.records if r.name == "na1lab.lp"]
+    assert retry.levelno == split.levelno == logging.DEBUG
+    assert retry.getMessage().startswith("LP status 4 (")
+    assert retry.getMessage().endswith("); retrying with presolve on")
+    assert split.getMessage() == "stacked LP of 4 blocks not optimal; solving them one by one"
 
 
 def test_entry_budget_splits_the_stack(monkeypatch, linprog_calls):
