@@ -53,11 +53,9 @@ ZERO_OFFSET_TOL = 1e-12
 class ArbitrageCertificate:
     """Outcome of a classical (or relative) arbitrage search.
 
-    ``objective`` is the expected gain of the returned strategy when one was
-    found (after taming its scale), else the optimum of the search LP: the
-    best expected gain achievable with nonnegative state-wise gains.
-    ``reference`` is the benchmark strategy when the search was relative,
-    else None.
+    ``objective`` is the expected gain of the tamed strategy when one was
+    found, else the best expected gain with nonnegative state-wise gains.
+    ``reference`` is the benchmark strategy of a relative search, else None.
     """
 
     verdict: str
@@ -86,15 +84,14 @@ class ArbitrageCertificate:
 class Na1Certificate:
     """Outcome of a scalable-arbitrage search.
 
-    When the verdict is ``na1_holds``, ``bound_radius`` is the sup-norm radius
-    of the allowed polyhedron intersected with the return span, and
-    ``multipliers`` (one row per direction ``basis[0], ..., basis[d-1],
-    -basis[0], ..., -basis[d-1]``, one column per allowed halfspace) express
-    every direction as a nonnegative combination of the allowed normals in
-    span coordinates; ``radius_bound`` (+inf without them; not reported) is
-    the radius they prove in asset coordinates (:func:`_dual_bound`).  When
-    it is ``na1_fails``, ``witness_ray`` is a recession direction with
-    nonnegative gains, positive somewhere.
+    Under ``na1_holds``, ``bound_radius`` is the sup-norm radius of the allowed
+    polyhedron within the return span, and ``multipliers`` (one row per
+    direction ``basis[0], ..., basis[d-1], -basis[0], ..., -basis[d-1]``, one
+    column per allowed halfspace) write every direction as a nonnegative
+    combination of the allowed normals in span coordinates; ``radius_bound``
+    (+inf without them; not reported) is the radius they prove in asset
+    coordinates (:func:`_dual_bound`).  Under ``na1_fails``, ``witness_ray``
+    is a recession direction with nonnegative gains, positive somewhere.
     """
 
     verdict: str
@@ -121,13 +118,11 @@ class Na1Certificate:
 
 @dataclass(frozen=True, eq=False)
 class Esmm:
-    """Equivalent supermartingale measure on the market's states.
-
-    ``measure`` is the new probability vector q, ``density`` its ratio to the
-    market probabilities, ``strategy`` the exponential-moment minimizer that
-    generated it, and ``slack`` a certified bound on the maximum expected
-    gain under q over the allowed polyhedron (must be <= SUPERMARTINGALE_TOL).
-    """
+    """Equivalent supermartingale measure on the market's states: the
+    probabilities ``measure``, their ratio ``density`` to the market's, the
+    exponential-moment minimizer ``strategy`` that generated them, and
+    ``slack``, a certified bound on the largest expected gain under them over
+    the allowed polyhedron (at most ``SUPERMARTINGALE_TOL``)."""
 
     measure: np.ndarray
     density: np.ndarray
@@ -146,19 +141,17 @@ class Esmm:
 
 
 def _state_rows(market: DiscreteMarket) -> np.ndarray:
-    """Mask of the admissibility rows among the allowed rows, one per
-    distinct state or hull vertex; LPs over the allowed set generate them
-    on demand."""
+    """Mask of the admissibility rows among the allowed rows, the lazy rows
+    of LPs over the allowed set."""
     mask = np.zeros(market.allowed.offsets.size, dtype=bool)
     mask[: market.admissible.offsets.size] = True
     return mask
 
 
 def _allowed_lp(market: DiscreteMarket, cost, boxed: bool = True) -> dict:
-    """:func:`~na1lab.lp._solve_stacked` block of ``max cost . theta`` over
-    the allowed set in span coordinates, within ``|theta_j| <= BIG_BOUND``
-    and with the state rows generated on demand; unboxed, one LP with every
-    row, for an allowed set that is bounded but reaches past the box."""
+    """LP block of ``max cost . theta`` over the allowed set in span
+    coordinates, within ``|theta_j| <= BIG_BOUND`` with lazy state rows;
+    unboxed, with every row, for a set that reaches past the box."""
     block = dict(
         cost=cost,
         a_ub=market.allowed.normals @ market.span.basis,
@@ -179,15 +172,14 @@ def _gain_search(market: DiscreteMarket, weights, offsets, box: float, context: 
     """Task, the one gain-search LP: the largest ``weights @ (R pi)`` over
     ``pi`` in the return span with ``A pi <= offsets`` (the allowed normals),
     nonnegative gains in every state and ``|pi_j| <= box``, as (optimum,
-    strategy); (0.0, None) on a span of ``{0}``.  Gains are nonnegative when
-    they are at every admissibility row's point, so that row carries
-    ``min(offset, 0)``, both bounds at once, and is generated on demand.
+    strategy); (0.0, None) on a span of ``{0}``.  Each admissibility row,
+    lazy, carries ``min(offset, 0)``: both bounds at once.
 
-    The strategy is put on the zero-gain face the LP found: the gains within
-    ``VIOLATION_TOL * (1 + max |gain|)`` of zero, solver noise of either
-    sign, are removed by one least-squares step in the row space of their
-    returns, which keeps it in the return span.  A strategy gaining nowhere
-    is left as it is: it certifies nothing."""
+    The strategy is put on the LP's zero-gain face: gains within
+    ``VIOLATION_TOL * (1 + max |gain|)`` of zero, solver noise of either sign,
+    are removed by one least-squares step in the row space of their returns,
+    which keeps it in the return span.  A strategy gaining nowhere is kept.
+    """
     basis, d = market.span.basis, market.n_assets
     if not basis.shape[1]:
         return 0.0, None
@@ -209,12 +201,10 @@ def _gain_search(market: DiscreteMarket, weights, offsets, box: float, context: 
 
 
 def _tame_scale(direction: np.ndarray) -> float:
-    """Scale factor in (0, 1] that caps a certificate direction's sup-norm.
-
-    The search LP is free to run to its box, where recomputing ``R @ pi``
-    in floats leaves noise far above the certificate tolerances; scaled-down
-    copies of an arbitrage are still arbitrages, so certificates are tamed.
-    """
+    """Scale factor in (0, 1] that caps a certificate direction's sup-norm at
+    ``CERTIFICATE_SCALE``: at the search box, recomputing ``R @ pi`` leaves
+    noise far above the certificate tolerances, and a scaled-down arbitrage is
+    still one."""
     norm = float(np.max(np.abs(direction)))
     if norm <= CERTIFICATE_SCALE:
         return 1.0
@@ -234,11 +224,8 @@ def _verify_gain_certificate(market, strategy, gains):
 def _memoized(markets, keys, decide):
     """Task: the answers of ``markets`` under ``keys``, a ``(notion,
     argument)`` per market, each decided once per market by the task
-    ``decide(market, argument)``, the tasks of the keys not yet held
-    gathered, and held in ``market.certificates`` (markets are immutable)
-    from the round its own task ends.  An entry is None while a task
-    decides it: a task needing it waits, yielding no blocks, and one that
-    ends undecided clears it."""
+    ``decide(market, argument)``: the per-market memo of the execution
+    model in :mod:`na1lab.lp`."""
     def held(market, key):
         market.certificates[key] = yield from decide(market, key[1])
 
@@ -261,11 +248,8 @@ def _memoized(markets, keys, decide):
 
 def _with_na1(markets, *tasks, tol: float = GAIN_TOL):
     """Task: the NA1 certificates of ``markets`` at ``tol`` and the answers of
-    ``tasks`` (held as :func:`~na1lab.lp.gather` holds them; None where NA1
-    fails), the one gate of work that needs NA1 and the one place NA1 is
-    asked: while NA1 is undecided the tasks run alongside its LPs and are
-    closed in the round it fails or its decision ends in an error; once it
-    is decided, they run where it holds (:func:`_gated` refuses the rest)."""
+    ``tasks``, held as :func:`~na1lab.lp.gather` holds them, or None where
+    NA1 fails: the NA1 gate of the execution model in :mod:`na1lab.lp`."""
     key = ("na1", float(tol))
 
     def while_na1_may_hold(task):
@@ -309,11 +293,11 @@ def find_classical_arbitrage(market: DiscreteMarket, tol: float = GAIN_TOL) -> A
 
     Maximizes the expected gain over strategies in the allowed set (within
     the return span) whose gains are nonnegative in every state; an optimum
-    above ``tol`` certifies an arbitrage.  The certificate is cached on the
-    market, one per tolerance; :func:`_classical` is the task.  NA1 at
-    ``tol`` is decided in the same LP calls and held on the market unread,
-    so a following :func:`check_na1` solves nothing (after an error it
-    decides again and raises it).
+    above ``tol`` certifies an arbitrage, whose strategy is scaled to
+    sup-norm at most ``CERTIFICATE_SCALE`` and re-verified in numpy: in the
+    allowed set, no state gain below ``-1e-12`` and one above ``GAIN_TOL``,
+    else :class:`~na1lab.errors.NumericError`.  Task: :func:`_classical`,
+    one per tolerance, gathered with NA1 at ``tol``.
     """
     classical, _ = run(gather(_classical(market, tol), _check_na1_all([market], tol)))
     return read(classical)[0]
@@ -331,14 +315,16 @@ def _arbitrage(market: DiscreteMarket, reference, tol: float):
     """Task: the classical search (``reference`` None), or the relative one
     over the allowed set translated by ``-reference``: the expected-gain
     :func:`_gain_search` within ``|pi_j| <= BIG_BOUND``, whose optimum
-    above ``tol`` gives a strategy on its zero-gain face, tamed and
-    re-verified in numpy."""
+    above ``tol`` gives a strategy, tamed and re-verified in numpy."""
     shift = 0.0 if reference is None else market.allowed.normals @ reference
     offsets = market.allowed.offsets - shift
     objective, delta = yield from _gain_search(market, market.probs, offsets, BIG_BOUND, "arbitrage search")
     if delta is None or objective <= tol:
         return ArbitrageCertificate("no_arbitrage", None, None, objective, reference=reference, threshold=tol)
-    delta = delta * _tame_scale(delta)
+    scale = _tame_scale(delta)
+    if scale < 1.0:
+        logger.debug("arbitrage certificate tamed by a factor %.3e", scale)
+    delta = delta * scale
     gains = market.returns @ delta
     strategy = delta if reference is None else reference + delta
     _verify_gain_certificate(market, strategy, gains)
@@ -347,12 +333,10 @@ def _arbitrage(market: DiscreteMarket, reference, tol: float):
 
 
 def relative_arbitrage(market: DiscreteMarket, reference, tol: float = GAIN_TOL) -> ArbitrageCertificate:
-    """Search for an allowed strategy whose wealth dominates the reference's.
-
-    The search runs over the allowed polyhedron translated by ``-reference``;
-    the certificate's ``strategy`` is the dominating strategy itself and
-    ``gains`` the state-wise wealth differences.
-    """
+    """Search for an allowed strategy whose wealth dominates the reference's,
+    over the allowed polyhedron translated by ``-reference``; the
+    certificate's ``strategy`` is the dominating strategy and ``gains`` the
+    state-wise wealth differences."""
     reference = np.asarray(reference, dtype=float).reshape(-1)
     if reference.size != market.n_assets:
         raise InvalidParameterError("reference strategy has the wrong dimension")
@@ -362,28 +346,18 @@ def relative_arbitrage(market: DiscreteMarket, reference, tol: float = GAIN_TOL)
 
 
 def check_na1(market: DiscreteMarket, tol: float = GAIN_TOL) -> Na1Certificate:
-    """Decide whether scalable arbitrage is absent.
+    """Decide whether scalable arbitrage is absent (NA1).
 
     The allowed set ``{C theta <= b}`` (``C`` the allowed normals in span
     coordinates, ``b >= 0``) is bounded in the return span exactly when every
     signed coordinate direction ``c_k = +-basis[i]`` is a nonnegative
-    combination ``C^T lambda_k`` of its rows (Farkas).  The support LP
-    ``max c_k . theta`` over the allowed set, within ``|theta_j| <=
-    BIG_BOUND`` and with the state rows generated on demand, gives
-    ``lambda_k`` as its row multipliers (zero on rows never generated).
-    Numpy re-verifies them: residuals ``|C^T lambda_k - c_k|`` below
-    ``1 / sqrt(d)`` rule out any nonzero recession direction in the span.
-    With every optimum inside the box, each ``b . lambda_k`` is the support
-    value, and their maximum the sup-norm radius.  When the multipliers
-    fail or an optimum reaches the box, one more LP looks for the witness
-    ray; without one, the set is bounded but larger than the box, and its
-    support LPs are solved again whole, without the box.  This is
-    :func:`_settle`, with the ``2d`` signed axes as costs and unit ray
-    weights; :func:`max_expected_gain` shares it.
-
-    The certificate is cached on the market, one per tolerance, so after
-    :func:`find_classical_arbitrage` at ``tol`` this makes no LP; the task
-    :func:`_check_na1_all` decides several markets, their LPs stacked.
+    combination ``C^T lambda_k`` of its rows (Farkas).  ``na1_holds`` carries
+    the multipliers of the support LPs ``max c_k . theta``, accepted when numpy
+    finds every residual ``|C^T lambda_k - c_k|`` below ``1 / sqrt(d)``, and
+    the largest support value as ``bound_radius``.  ``na1_fails`` carries a
+    witness ray (:func:`_witness_ray`) whose total gain exceeds ``tol``.
+    Neither multipliers nor a ray raises :class:`~na1lab.errors.NumericError`.
+    Task: :func:`_check_na1_all`, one per tolerance.
     """
     return run(_check_na1_all([market], tol))[0]
 
@@ -394,9 +368,8 @@ def _check_na1_all(markets, tol: float = GAIN_TOL):
 
 def _cone_spans(markets):
     """Task: per market, :func:`~na1lab.lp.cone_span` of the cone generated
-    by its allowed set, in the return span's coordinates, held in
-    ``market.certificates``.  Only a cone with rows (the allowed rows with
-    zero offset) takes an LP.  Callers gate it on NA1 (:func:`_with_na1`)."""
+    by its allowed set, in the return span's coordinates.  Callers gate it
+    on NA1 (:func:`_with_na1`)."""
     return _memoized(markets, [("cone_span", ZERO_OFFSET_TOL)] * len(markets),
                      lambda m, tol: cone_span(generated_cone(m.allowed, tol=tol).normals @ m.span.basis))
 
@@ -422,15 +395,14 @@ def _decide_na1(market: DiscreteMarket, tol: float):
 
 
 def _settle(market, costs, weights, tol: float, settled, unbounded):
-    """Task: sup of linear functionals over the allowed set: one LP
-    :func:`_allowed_lp` per row of ``costs``, a functional in span
-    coordinates.  With every optimum inside the box, ``settled(market,
-    results)`` re-verifies them and returns the answer, or None.  Else one
-    recession-ray LP (:func:`_witness_ray`) with ``weights`` on the state
-    gains: a gaining ray makes the answer ``unbounded(market, ray)``, and
-    without one the set is bounded, maybe past the box, so the LPs are
-    solved again whole, and ``settled`` must accept them.  A span of
-    ``{0}`` has nothing to solve; its answer is None."""
+    """Task: sup of linear functionals over the allowed set, the rows of
+    ``costs`` in span coordinates (:func:`_allowed_lp`).  With every
+    optimum inside the box, ``settled(market, results)`` re-verifies them
+    and returns the answer, or None.  Else a recession ray of the set with
+    positive gain under ``weights`` (:func:`_witness_ray`) makes the answer
+    ``unbounded(market, ray)``; without one the set is bounded, and
+    ``settled`` must accept its optima without the box.  A span of ``{0}``
+    answers None."""
     if not market.span.basis.shape[1]:
         return None
     for boxed in (True, False):
@@ -472,26 +444,16 @@ def _witness_ray(market: DiscreteMarket, weights, tol: float):
 def max_expected_gain(market: DiscreteMarket, probs) -> float:
     """LP optimum of the weighted expected gain ``probs @ (R pi)`` over the
     allowed polyhedron intersected with the return span; +inf when it is
-    unbounded.
-
-    The weights need not sum to one: the wealth-ratio and deflator checks
-    of :mod:`na1lab.portfolio` are this LP under deflated probabilities.
-    It is one cost of :func:`_settle`, which :func:`check_na1` shares: the
-    LP runs within ``|theta_j| <= BIG_BOUND``, and an optimum on that box is
-    +inf only along a recession ray of positive weighted gain, checked with
-    numpy, and is otherwise solved again without the box.  Each answer is
-    cached on the market by the weights' bytes, so the same weights cost no
-    LP the second time.  :func:`_max_expected_gains` is the task solving
-    several LPs.
+    unbounded along a recession ray of positive weighted gain, checked in
+    numpy.  The weights need not sum to one: the wealth-ratio and deflator
+    checks of :mod:`na1lab.portfolio` are this LP under deflated
+    probabilities.  Task: :func:`_max_expected_gains`, by the weights.
     """
     return run(_max_expected_gains([market], [probs]))[0]
 
 
 def _max_expected_gains(markets, weights):
-    """Task: :func:`max_expected_gain` of each market under its weights, the
-    LPs stacked; each answer is held in ``market.certificates`` by the
-    weights' bytes (:func:`_memoized`), so a (market, weights) pair is
-    solved once."""
+    """Task: :func:`max_expected_gain` of each market under its weights."""
     def decide(market, raw):
         w = np.frombuffer(raw)
         value = yield from _settle(market, [w @ (market.returns @ market.span.basis)], w, GAIN_TOL,
@@ -538,16 +500,14 @@ def _certified_gains(markets, weights):
 def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
     """Build an equivalent supermartingale measure for an arbitrage-free market.
 
-    ``tol`` is the gain tolerance of the classical-arbitrage search that
-    runs first, as in :func:`find_classical_arbitrage`.  The construction
-    reweights states by ``exp(-|R|^2)``, minimizes the logarithm of the
+    Reweights states by ``exp(-|R|^2)``, minimizes the logarithm of the
     exponential moment of wealth over the cone generated by the allowed
-    polyhedron with :func:`~na1lab.lp.minimize_convex`, and normalizes
-    ``p * exp(-wealth - |R|^2)`` at the minimizer.  The gradient of that
-    objective is minus the expected return under the new measure, so the
-    minimizer's multipliers bound the expected-gain slack by weak duality
-    (:func:`_dual_bound`), else an LP does, to at most ``SUPERMARTINGALE_TOL``.
-    The classical search, NA1 and the cone's span are its LPs' first round.
+    polyhedron, and normalizes ``p * exp(-wealth - |R|^2)`` at the minimizer,
+    floored at ``1e-300``.  Its ``slack`` is certified by the minimizer's
+    multipliers (:func:`_dual_bound`) or by the LP; above
+    ``SUPERMARTINGALE_TOL`` it raises :class:`~na1lab.errors.NumericError`.  A
+    classical arbitrage at ``tol`` raises
+    :class:`~na1lab.errors.PreconditionError`.  Task: :func:`_esmm`.
     """
     return run(_esmm(market, tol))
 
@@ -574,7 +534,11 @@ def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
         strategy, dual = basis @ u, (basis @ span[0], cone[span[1]], lam)
     # extreme states can underflow to exactly zero in double precision; the
     # true mass is positive, so floor it at the smallest safe normal value
-    q = np.maximum(_normalized(log_aux - returns @ strategy), 1e-300)
+    weights = _normalized(log_aux - returns @ strategy)
+    if logger.isEnabledFor(logging.DEBUG) and np.any(weights < 1e-300):
+        logger.debug("esmm: %d state weights lifted to the 1e-300 floor",
+                     np.count_nonzero(weights < 1e-300))
+    q = np.maximum(weights, 1e-300)
     q = q / q.sum()
     _dual_bound(market, q, dual, SUPERMARTINGALE_TOL)
     [slack] = yield from _certified_gains([market], [q])
@@ -598,13 +562,10 @@ def _normalized(log_weights) -> np.ndarray:
 
 def _minimize_log_moment(log_weights, returns_r, cone_rows, diameter, span):
     """Minimize ``log sum exp(log_weights - returns_r @ u)`` over the cone
-    ``{u : cone_rows @ u <= 0}``, from ``u = 0``.
-
-    The search runs in the span of the cone (``span``, from
-    :func:`~na1lab.lp.cone_span`), where the rows that are not implicit
-    equalities have a strictly feasible point.  Returns u, their multipliers
-    and the solver's residual.
-    """
+    ``{u : cone_rows @ u <= 0}`` from ``u = 0``, in the cone's span ``span``
+    (:func:`~na1lab.lp.cone_span`), where the rows that are not implicit
+    equalities are strictly feasible.  Returns u, their multipliers and the
+    solver's residual."""
     reduce_basis, strict = span
     rows = cone_rows[strict] @ reduce_basis
     mat = returns_r @ reduce_basis

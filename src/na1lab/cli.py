@@ -18,12 +18,9 @@ tree       tree document -> per-node no-scalable-arbitrage report; when it
 
 Exit codes: 0 on success, 1 when the input fails to parse, 2 for domain or
 precondition violations, 3 for numerical failures.  Reports are canonical
-JSON (sorted keys, 17 significant digits), so a fixed input, seed and
-tolerance configuration always reproduces the same bytes.  The seed is
-recorded in the report; every current command is deterministic, the knob
-exists so future sampling-based commands stay reproducible.  Logging
-verbosity comes from the NA1LAB_LOG environment variable (error, info or
-debug).
+JSON (:func:`~na1lab.io.dumps_canonical`), so a fixed input reproduces the
+same bytes; the seed is only recorded, as every command is deterministic.
+``NA1LAB_LOG`` (error, info or debug) sets the logging level.
 """
 
 from __future__ import annotations
@@ -242,8 +239,6 @@ def _run_tree(config: RunConfig) -> dict:
     if claim is not None:
         report["hedge"] = lp.read(answers[1]).to_dict()
     if utility is not None:
-        # log and power optima need no LP, and log ones no solve: the
-        # numeraire pass left NA1 and the log optima on the node markets
         result = lp.read(answers[-1]) if piecewise else backward_induction(tree, utility)
         report["optimal"] = {
             "value": result.value,

@@ -1,30 +1,19 @@
 """Linear factor decompositions of one-period returns.
 
-Returns follow ``R = Q y`` where ``Q`` is a full-row-rank loading matrix and
-``y`` is a vector of independent scalar factors.  The first factor is special:
-it is nonnegative with unbounded upside (think of it as the "free profit"
-coordinate), while every other factor straddles zero.  Under that convention
-a surprising amount is decidable by pure linear algebra:
+Returns follow ``R = Q y``, ``Q`` a full-row-rank loading matrix and ``y``
+independent scalar factors: the first nonnegative with unbounded upside,
+every other straddling zero.  Linear algebra then decides worst-case
+positivity (``validate_positivity``), whether a portfolio isolates the
+nonnegative factor, an arbitrage ray (``arbitrage_ray``), whether the
+borrowing bound caps its scaling, which is NA1 (``na1_factor``), the best
+capped arbitrage (``max_arbitrage_strategy``), and for unit
+upper-triangular loadings the ray by one triangular solve
+(``alpha_recursion``, ``na1_triangular``).  The paper's other derivations
+(signed chains, back-substitution, quadrature) are test oracles.
 
-* whether every asset keeps its gross return nonnegative in the worst case
-  (``validate_positivity``),
-* whether some portfolio isolates the nonnegative factor, i.e. whether
-  arbitrage exists at all, and along which ray (``arbitrage_ray``),
-* whether arbitrage scaling is capped by the borrowing bound, which is
-  exactly the line between NA1 holding and failing (``na1_factor``),
-* the best-scaled arbitrage under the cap (``max_arbitrage_strategy``),
-* for unit upper-triangular loadings, the arbitrage ray coefficients by one
-  triangular solve (``alpha_recursion``) and the scalability verdict from
-  their sum (``na1_triangular``).
-
-Each quantity has one runtime route; the paper's other derivations (the
-signed-chain expansion, back-substitution, quadrature) are test oracles.
-
-``discretize`` bridges to the LP machinery: factor laws are replaced by
-quadrature atoms, the tensor product becomes a finite-state market, and the
-declared-support admissibility algebra is emitted as explicit halfspaces so
-the discrete strategy set matches the symbolic one rather than the (possibly
-narrower) sampled grid.
+``discretize`` turns a model into a finite-state market by quadrature,
+with the declared-support admissibility algebra as explicit halfspaces, so
+the strategy set is the model's, not the sampled grid's.
 """
 
 from __future__ import annotations
@@ -36,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
+from scipy import special
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidParameterError, NumericError, PreconditionError
@@ -210,6 +199,7 @@ class FactorDistribution:
         """
         if self.kind == "point_mass":
             return float(sum(w * func(v) for v, w in self.atoms))
+        from scipy import integrate  # here, as every import of na1lab would pay for it
         lo, hi = self.support()
         inner = [float(q) for q in self.quantile(np.array([0.05, 0.95]))]
         edges = [lo, *inner, hi]
@@ -308,11 +298,9 @@ class FactorModel:
 def from_standard_form(mean, common=None, idio: bool = True, borrow_limit: float = 1.0) -> FactorModel:
     """Assemble a model skeleton from a mean-plus-common-plus-idiosyncratic split.
 
-    The loading matrix becomes ``[mean | common | I]`` (identity block only
-    when ``idio``), matching returns written as a mean, common-factor swings,
-    and per-asset noise.  Supports beyond the first slot default to the whole
-    line and no distributions are attached; callers refine both via
-    ``dataclasses.replace``.
+    The loading matrix is ``[mean | common | I]`` (the identity only when
+    ``idio``).  Supports beyond the first default to the whole line and no
+    distributions are attached; refine both with ``dataclasses.replace``.
     """
     mean = np.asarray(mean, dtype=float).reshape(-1, 1)
     d = mean.shape[0]
@@ -381,11 +369,9 @@ def _is_unit_upper_triangular(q: np.ndarray, tol: float = 1e-12) -> bool:
 def validate_positivity(model: FactorModel) -> PositivityReport:
     """Check each asset's gross return stays nonnegative over the supports.
 
-    Asset ``i`` passes when its loading on the nonnegative factor is itself
-    nonnegative and the worst realization of the remaining factor terms stays
-    above total loss.  The worst case is one direct sum over the factors; the
-    back-substituted form for unit upper-triangular loadings is its test
-    oracle.
+    Asset ``i`` passes when its loading on the nonnegative factor is
+    nonnegative and the worst realization of the other factor terms stays
+    above total loss, one direct sum over the factors.
     """
     q = model.loadings
     ok, worst, notes = [], [], []
@@ -412,10 +398,9 @@ def validate_positivity(model: FactorModel) -> PositivityReport:
 def arbitrage_ray(model: FactorModel) -> np.ndarray | None:
     """Direction isolating the nonnegative factor, or None if unreachable.
 
-    Solves ``loadings.T @ g = e1`` in the least-squares sense; when the
-    residual vanishes every portfolio along ``g`` earns exactly the first
-    factor per unit of scale, so positive multiples of ``g`` are precisely
-    the candidate arbitrages.
+    Solves ``loadings.T @ g = e1`` by least squares; when the residual
+    vanishes, every portfolio along ``g`` earns exactly the first factor, so
+    positive multiples of ``g`` are the candidate arbitrages.
     """
     q = model.loadings
     e1 = np.zeros(model.n_factors)
@@ -428,12 +413,10 @@ def arbitrage_ray(model: FactorModel) -> np.ndarray | None:
 
 
 def na1_factor(model: FactorModel) -> bool:
-    """Whether arbitrage scaling is capped by the borrowing bound.
-
-    Requires the arbitrage ray to exist.  Along the ray the borrowing
-    constraint reads ``lam * sum(g) <= borrow_limit``; it caps the scale
-    exactly when the coefficient sum is positive.
-    """
+    """Whether arbitrage scaling is capped by the borrowing bound: along the
+    arbitrage ray ``g`` the cap reads ``lam * sum(g) <= borrow_limit``, which
+    binds exactly when ``sum(g)`` is positive.  Without a ray:
+    :class:`~na1lab.errors.PreconditionError`."""
     g = arbitrage_ray(model)
     if g is None:
         raise PreconditionError(
@@ -444,12 +427,10 @@ def na1_factor(model: FactorModel) -> bool:
 
 
 def max_arbitrage_strategy(model: FactorModel) -> np.ndarray:
-    """Largest arbitrage allowed by the borrowing cap.
-
-    Scales the arbitrage ray until the cap binds.  Fails when scaling is
-    unbounded (the cap never binds along the ray), in which case no maximal
-    arbitrage exists.
-    """
+    """Largest arbitrage allowed by the borrowing cap: the arbitrage ray
+    scaled until the cap binds.  Without a ray, or where the cap never binds
+    along it, no maximal arbitrage exists:
+    :class:`~na1lab.errors.PreconditionError`."""
     g = arbitrage_ray(model)
     if g is None:
         raise PreconditionError(
@@ -499,10 +480,9 @@ def alpha_recursion(q) -> np.ndarray:
     """First row of the inverse of a unit upper-triangular loading matrix.
 
     These coefficients span the arbitrage ray: a portfolio proportional to
-    them cancels every factor except the nonnegative first one.  One
-    triangular solve ``q^T alpha = e1``, which is the forward recursion
-    (coefficient ``k`` is minus the earlier coefficients dotted with column
-    ``k``); the signed-chain expansion of the paper is its test oracle.
+    them cancels every factor but the first.  One triangular solve ``q^T alpha
+    = e1``, the forward recursion; the paper's signed-chain expansion is its
+    test oracle.
     """
     q = _require_unit_upper_triangular(q)
     e1 = np.zeros(q.shape[0])
@@ -511,13 +491,10 @@ def alpha_recursion(q) -> np.ndarray:
 
 
 def na1_triangular(q) -> bool:
-    """Scalability verdict for unit upper-triangular loadings.
-
-    The paper's criterion, ``1 +`` the signed loading products over all
-    chains from index 1, groups those chains by endpoint into the
-    coefficient sum of :func:`alpha_recursion`; the verdict is positivity
-    of that sum, at cost ``O(d^2)``.
-    """
+    """Scalability verdict for unit upper-triangular loadings: the paper's
+    criterion, ``1 +`` the signed loading products over all chains from index
+    1, grouped by endpoint, is the coefficient sum of :func:`alpha_recursion`,
+    and NA1 holds when it is positive (cost ``O(d^2)``)."""
     return bool(float(alpha_recursion(q).sum()) > SIGN_TOL)
 
 
@@ -525,11 +502,8 @@ def na1_triangular(q) -> bool:
 
 
 def largest_two_dim_supports(gamma: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Widest second-factor support keeping both assets' prices nonnegative.
-
-    For loadings ``[[1, gamma], [0, 1]]`` the binding asset depends on the
-    sign and size of the cross-loading ``gamma``.
-    """
+    """Widest second-factor support keeping both assets' prices nonnegative
+    for loadings ``[[1, gamma], [0, 1]]``, by the sign and size of ``gamma``."""
     gamma = float(gamma)
     if gamma < 0.0:
         second = (-1.0, -1.0 / gamma)
@@ -554,12 +528,9 @@ def two_dim_model(
 
 
 def two_dim_admissibility(gamma: float, pi) -> bool:
-    """Whether a two-asset position keeps wealth nonnegative (widest supports).
-
-    Case split on the cross-loading: the long bound on the second position
-    comes from the asset whose worst case binds, the short bound from the
-    first factor's unbounded upside.
-    """
+    """Whether a two-asset position keeps wealth nonnegative (widest supports):
+    the long bound on the second position comes from the asset whose worst
+    case binds, the short bound from the first factor's unbounded upside."""
     gamma = float(gamma)
     pi = np.asarray(pi, dtype=float).reshape(-1)
     if pi.size != 2:
@@ -651,14 +622,12 @@ def discretize(
 ) -> DiscreteMarket:
     """Finite-state market from factor quadrature.
 
-    Each continuous factor is replaced by Gauss-Legendre nodes in quantile
-    space (point masses are kept exactly); the tensor product over the
-    independent factors becomes the state space, with probabilities
-    renormalized after tail truncation.  Returns below total loss are clipped
-    just above -1.  The constraint set is the declared-support admissibility
-    algebra plus the borrowing cap, so the strategy polyhedron reflects the
-    model rather than the sampled grid; truncation and clipping diagnostics
-    ride along in ``market.note``.
+    Each continuous factor becomes Gauss-Legendre nodes in quantile space
+    (point masses are kept exactly); the tensor product over the independent
+    factors is the state space, probabilities renormalized after tail
+    truncation, returns below total loss clipped just above -1.  The
+    constraints are the declared-support admissibility halfspaces plus the
+    borrowing cap; truncation and clipping diagnostics are ``market.note``.
     """
     if model.dists is None:
         raise InvalidParameterError("cannot discretize a model without distributions")

@@ -1,22 +1,13 @@
 """Super-hedging, shortfall hedging, and pricing of nonnegative claims.
 
-The cheapest initial capital whose terminal wealth dominates a claim in
-every state is a linear program in the capital and the money positions.
-Its multipliers on the state rows hand back a deflator certifying the
-same value from below, so every report carries a two-sided certificate.
-A state row binds only at a vertex of the convex hull of the lifted
-points ``(R(omega), payoff(omega))``, so a wide market in a
-low-dimensional return span keeps the rows of those vertices alone.
-
-When full super-replication is too expensive, ``shortfall_hedge`` minimizes
-the expected shortfall loss under a capital budget, a deterministic
-equivalent (:func:`~na1lab.lp.deterministic_equivalent`) with minus the
-loss as the utility of terminal wealth.  Both LPs are the tree LP of depth
-1, stated by its builder :func:`~na1lab.lp.tree_block`.  Two price notions
-bracket the super-hedging value from below: the utility-indifference price
-and the numeraire-deflated expectation.  Each needs NA1 and none decides it:
-the hedging LPs share a round with NA1 behind :func:`~na1lab.arbitrage._gated`,
-and the kernels the prices call refuse a market without it.
+The cheapest capital whose terminal wealth dominates a claim in every state
+is an LP in the capital and the money positions, and its state multipliers
+are a deflator certifying the same value from below.  ``shortfall_hedge``
+minimizes the expected shortfall loss under a capital budget, the
+deterministic equivalent with minus the loss as utility.  The
+utility-indifference price and the numeraire-deflated expectation bracket
+the super-hedging value from below.  Each needs NA1 and refuses a market
+without it.
 """
 
 from __future__ import annotations
@@ -78,12 +69,9 @@ class Claim:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearLoss:
-    """Convex nondecreasing loss, zero on the nonpositive half-line.
-
-    The loss is ``max(0, max_k(slope_k * x + intercept_k))``; each slope must
-    be nonnegative and each intercept nonpositive, which pins the value to
-    zero for x <= 0 and keeps the maximum convex and nondecreasing.
-    """
+    """Convex nondecreasing loss ``max(0, max_k(slope_k * x + intercept_k))``,
+    zero on the nonpositive half-line: slopes nonnegative, intercepts
+    nonpositive."""
 
     pieces: tuple = field(default=((1.0, 0.0),))
 
@@ -123,10 +111,10 @@ class ValuationReport:
     """Two-sided certificate for the super-hedging value of a claim.
 
     ``primal_value`` is the cheapest super-replicating capital, ``strategy``
-    the position reaching it, and ``dual_value`` the expectation of the claim
-    under ``dual_deflator``, a strictly positive deflator read off the LP
-    multipliers.  ``attainable`` records whether the hedge replicates the
-    claim exactly in every state and the deflator attains the supremum.
+    the position reaching it, and ``dual_value`` the expected claim under
+    ``dual_deflator``, a strictly positive deflator read off the multipliers.
+    ``attainable`` records whether the hedge replicates the claim in every
+    state and the deflator attains the supremum.
     """
 
     primal_value: float
@@ -160,20 +148,14 @@ def _check_claim(market: DiscreteMarket, claim: Claim) -> np.ndarray:
 def superhedge(market: DiscreteMarket, claim: Claim) -> ValuationReport:
     """Cheapest capital whose terminal wealth dominates the claim state-wise.
 
-    The LP is the band of one node of :func:`_superhedge_bands`, and the
-    strategy is its positions over its capital.  On a market with more
-    than ``lp.LAZY_ROWS`` states and a return span of at most
-    ``HULL_MAX_RANK - 1`` dimensions, the LP carries only the rows of the
-    states at the vertices of the hull of ``(R, payoff)``
-    (:func:`_hedged_states`), the others being implied; the position is
-    still checked against the claim in every state.  The state
-    multipliers, zero on the states without a row, divided by the
-    probabilities, form a deflator whose expected claim value matches the
-    primal optimum (LP duality), and both readings plus their gap are
-    reported; the budget multipliers re-certify the deflator
-    (:func:`_recertified`).  NA1 and the LP are :func:`_hedged`'s first
-    round of LPs.  The report is held on the market by the payoff's bytes,
-    read-only.
+    The LP is the band of one node of :func:`_superhedge_bands`; the strategy
+    is its positions over its capital, and must cover the claim in every state
+    within ``RESIDUAL_TOL``.  The state multipliers over the probabilities,
+    lifted to at least ``DEFLATOR_BUMP``, are a deflator whose expected claim
+    must match the capital within ``DUALITY_TOL``, else
+    :class:`~na1lab.errors.NumericError`.  A deflator failing re-certification
+    (:func:`_recertified`) leaves the report not attainable.  Without NA1:
+    :class:`~na1lab.errors.PreconditionError`.  Task: :func:`_hedged`.
     """
     return run(_hedged(market, claim.payoff))
 
@@ -192,21 +174,21 @@ def _hedged(market: DiscreteMarket, payoff):
 
 
 def _superhedge_bands(bands):
-    """Task: the super-hedging LPs of ``bands``, stacked, and per band the
-    checked reports of its nodes.  A band ``(markets, values)`` is a tree of
-    one-period markets, its internal nodes' markets and its leaves' payoffs,
-    each breadth-first; a market and a payoff are the band ``([market],
-    payoff)``.  Its block is the LP of :func:`~na1lab.lp.tree_block` in asset
-    coordinates, with the payoffs as ``values``, ``X >= 0`` and the cost
-    ``sum_k X_k``: prices are monotone, so its optimum is every node's
-    cheapest capital dominating its children's.  A node whose states reach
-    leaves keeps the rows of :func:`_hedged_states`, lazy in a band of one
-    node.  Node ``k``'s multipliers over ``1 + mu_k``, ``mu_k`` the multiplier
-    of its incoming edge row (0 at the band's root), are an optimal dual of
-    its one-period LP with its children's costs as payoff (complementary
-    slackness), by which alone :func:`_superhedge_report` checks it;
-    ``attainable`` does not yet account for the re-certification that
-    :func:`_recertified` adds from the budget multipliers held here."""
+    """Task: per band of ``bands``, the checked reports of its nodes.
+
+    A band ``(markets, values)`` is a tree of one-period markets, its internal
+    nodes' markets and its leaves' payoffs, each breadth-first; a market and a
+    payoff are the band ``([market], payoff)``.  Its LP is
+    :func:`~na1lab.lp.tree_block` in asset coordinates with the payoffs as
+    ``values``, ``X >= 0`` and the cost ``sum_k X_k``: prices are monotone, so
+    its optimum is every node's cheapest capital dominating its children's.
+    A node whose states reach leaves keeps the rows of :func:`_hedged_states`.
+    Node ``k``'s multipliers over ``1 + mu_k``, ``mu_k`` that of its incoming
+    edge row (0 at the root), are an optimal dual of its one-period LP with its
+    children's costs as payoff (complementary slackness), by which alone
+    :func:`_superhedge_report` checks it; ``attainable`` does not yet include
+    the re-certification of :func:`_recertified`.
+    """
     layouts = []
     for markets, values in bands:
         values, n, eye = np.asarray(values, dtype=float), len(markets), np.eye(markets[0].n_assets)
@@ -251,7 +233,11 @@ def _superhedge_report(market, payoff, states, primal, y_opt, multipliers) -> Va
         )
     state_multipliers = np.zeros(market.n_states)
     state_multipliers[states] = multipliers[: states.size]
-    lifted = np.maximum(state_multipliers / market.probs, DEFLATOR_BUMP)
+    deflator = state_multipliers / market.probs
+    if logger.isEnabledFor(logging.DEBUG) and np.any(deflator < DEFLATOR_BUMP):
+        logger.debug("super-hedging: %d deflator values lifted to DEFLATOR_BUMP",
+                     np.count_nonzero(deflator < DEFLATOR_BUMP))
+    lifted = np.maximum(deflator, DEFLATOR_BUMP)
     dual_value = float(market.probs @ (lifted * payoff))
     gap = abs(primal - dual_value)
     if gap > DUALITY_TOL * (1.0 + primal):
@@ -277,22 +263,20 @@ def _superhedge_report(market, payoff, states, primal, y_opt, multipliers) -> Va
 
 
 def _hedged_states(market: DiscreteMarket, payoff) -> np.ndarray:
-    """Sorted states whose rows the super-hedging LP carries.  The row of
+    """Sorted states whose rows the super-hedging LP carries: the row of
     state ``omega`` bounds ``payoff(omega) - <y, R(omega)>``, a linear
-    function of the lifted point ``(R(omega), payoff(omega))``, so only the
-    vertices of the lifted points' convex hull can bind; a market whose LP
-    would generate its state rows keeps just those when the lifted points
-    have at most ``HULL_MAX_RANK`` coordinates in the return span
+    function of the lifted point ``(R(omega), payoff(omega))``, so the
+    vertices of the lifted points' convex hull suffice
     (:func:`~na1lab.market._kept_rows`)."""
     lifted = np.column_stack([market.returns @ market.span.basis, payoff])
     return _kept_rows(lifted, market.n_states)
 
 
 def _recertified(markets, reports):
-    """Task: re-certify each report's lifted deflator by its budget
-    multipliers' weak-duality bound, else by its LP, those LPs stacked: one
-    that lets some allowed wealth ratio exceed ``1 + SUPERMARTINGALE_TOL`` is
-    logged and makes its report not attainable."""
+    """Task: re-certify each report's lifted deflator
+    (:func:`~na1lab.arbitrage._certified_gains`): one that lets some allowed
+    wealth ratio exceed ``1 + SUPERMARTINGALE_TOL`` is logged and makes its
+    report not attainable."""
     weights = [m.probs * r.dual_deflator for m, r in zip(markets, reports)]
     out = []
     for report, weight, gain in zip(reports, weights, (yield from _certified_gains(markets, weights))):
@@ -311,17 +295,14 @@ def shortfall_hedge(
 ):
     """Minimize expected shortfall loss under a capital budget.
 
-    Returns ``(v, strategy, risk)`` where risk is the least achievable
-    expected loss of ``payoff - terminal wealth`` over capitals up to v0 and
-    allowed positions.  With enough capital to super-replicate, the risk is
-    zero (returned, not an error).  Wealth is not floored at zero.  The LP
-    is the deterministic equivalent (:func:`~na1lab.lp.deterministic_equivalent`)
-    of the tree of depth 1 whose root wealth is the capital: a state's
-    utility is minus its loss, ``min(0, min_k(slope_k * W + (-slope_k *
-    payoff - intercept_k)))``, the risk is minus the optimum, and the
-    strategy lies in the return span.  NA1 and the LP share one round behind
-    :func:`~na1lab.arbitrage._gated`, which refuses a market without NA1.
-    The answer is held on the market by payoff, loss and capital, read-only.
+    Returns ``(v, strategy, risk)``, risk the least expected loss of ``payoff
+    - terminal wealth`` over capitals up to v0 and allowed positions, zero
+    when v0 super-replicates; wealth is not floored.  The LP is the
+    deterministic equivalent of the tree of depth 1 with the capital as root
+    wealth and a state's utility minus its loss, ``min(0, min_k(slope_k * W +
+    (-slope_k * payoff - intercept_k)))``.  Without NA1:
+    :class:`~na1lab.errors.PreconditionError`.  Held on the market by payoff,
+    loss and capital; the strategy is read-only.
     """
     payoff = _check_claim(market, claim)
     if not (math.isfinite(v0) and v0 > 0.0):
@@ -349,12 +330,10 @@ def indifference_price(
 ) -> float:
     """Price that equates optimal utility with and without the claim.
 
-    The buyer pays ``p`` out of capital ``v``, receives the claim on top of
-    the terminal wealth, and is indifferent when the achievable expected
-    utility matches the claim-free optimum.  The right-hand side decreases in
-    ``p``, so a bisection on [0, v) converges; the result is accurate to
-    1e-8 in the price.  NA1 and the LPs share rounds in :func:`maximize_utility`,
-    which refuses a market without NA1.
+    The buyer pays ``p`` out of capital ``v`` and receives the claim on top of
+    terminal wealth; the achievable expected utility decreases in ``p``, so a
+    bisection on [0, v) finds the price to ``PRICE_TOL``.  A market without
+    NA1 is refused by :func:`maximize_utility`.
     """
     payoff = _check_claim(market, claim)
     if not (math.isfinite(v) and v > 0.0):
@@ -387,14 +366,10 @@ def indifference_price(
 
 
 def real_world_price(market: DiscreteMarket, claim: Claim) -> float:
-    """Expected claim payoff deflated by the numeraire wealth.
-
-    Under no scalable arbitrage this is the expectation of
-    ``payoff / (1 + <rho, R>)`` with rho the numeraire position; it never
-    exceeds the super-hedging value.  A state with zero numeraire wealth and
-    positive payoff prices at +inf.  NA1 and the LPs share rounds in
-    :func:`numeraire_portfolio`, which refuses a market without NA1.
-    """
+    """Expected claim payoff deflated by the numeraire wealth,
+    ``E[payoff / (1 + <rho, R>)]``; it never exceeds the super-hedging value.
+    A state with zero numeraire wealth and positive payoff prices at +inf.  A
+    market without NA1 is refused by :func:`numeraire_portfolio`."""
     payoff = _check_claim(market, claim)
     rho = numeraire_portfolio(market).strategy
     wealth = 1.0 + market.returns @ rho

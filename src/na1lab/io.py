@@ -23,12 +23,8 @@ of the enclosing node object.  Structural problems raise
 :class:`~na1lab.errors.SchemaError` (with line and column for JSON syntax
 errors), and so does a non-finite number (JSON ``NaN`` anywhere, and
 ``Infinity`` anywhere but at a factor support's endpoint); value-domain
-problems surface from the constructors as InvalidParameterError.
-
-Reports serialize through :func:`dumps_canonical`: keys sorted, two-space
-indent, floats printed with 17 significant digits so parse and re-serialize
-reproduce the bytes exactly, non-finite numbers as the strings "inf", "-inf"
-and "nan".
+problems surface from the constructors as InvalidParameterError.  Reports
+serialize through :func:`dumps_canonical`.
 """
 
 from __future__ import annotations
@@ -67,7 +63,8 @@ def dumps_canonical(obj, indent: int = 2) -> str:
 
     Dict keys are sorted and must be strings; floats are printed with 17
     significant digits, which round-trips IEEE doubles exactly, so parsing the
-    output and serializing again reproduces the same bytes.
+    output and serializing again reproduces the same bytes; non-finite numbers
+    are the strings "inf", "-inf" and "nan".
     """
 
     def emit(value, depth):
@@ -237,6 +234,7 @@ def _parse_distribution(doc, where: str) -> FactorDistribution:
 
 
 def parse_factor_model(doc) -> FactorModel:
+    """Factor document -> factor model."""
     doc = _require_mapping(doc, "factor document")
     loadings = _float_matrix(_get(doc, "loadings", "factor document"), "loadings")
     raw_supports = _require_list(_get(doc, "supports", "factor document"), "supports")

@@ -1,29 +1,91 @@
-"""Thin wrapper around scipy's HiGHS linear-programming backend.
+"""The one LP wrapper and the one smooth convex solver, and the package's
+execution model.
 
-Every LP in the package goes through :func:`solve_lp` so that status handling
-and dual-multiplier conventions live in one place.  Problems are always passed
-to scipy in minimization form; ``maximize=True`` negates the cost and the
-reported optimum, nothing else.
+Every LP goes through :func:`solve_lp` (``linprog(method="highs")``), so
+status handling and multiplier conventions live in one place.
+:func:`tree_block` builds every scenario-tree LP, and
+:func:`minimize_convex` is the one smooth convex solver.  Other docstrings
+state what a function computes and name its task; how the work is
+scheduled is stated here only.
 
-LPs carry one row per state, yet only the few states on the boundary of the
-allowed set shape their optima, so :func:`_solve_stacked` generates the
-state rows of large LPs on demand, and solves independent LPs together.
+*Tasks and rounds.*  A kernel that needs LPs is a task: a generator that
+yields a list of blocks, each a dict of :func:`solve_lp` arguments
+(``results = yield blocks``), and returns its answer.  :func:`run` drives
+a task, one :func:`_solve_stacked` call per list yielded, a round.
+:func:`gather` runs tasks in lockstep, their blocks sharing each round; a
+task yielding no blocks waits a round.  A gathered task's
+:class:`~na1lab.errors.Na1LabError` is its answer until :func:`read`
+raises it; any other exception closes every task.  A public kernel runs a
+private task, which the CLI commands and tree passes gather instead:
+``analyze`` the classical search, NA1, the supermartingale measure and the
+hedge, and ``tree`` its passes behind the node markets' NA1 gate.
 
-A kernel that needs LPs is a *task*, a generator that yields its blocks
-(``results = yield blocks``) and returns its answer.  :func:`gather` runs
-tasks in lockstep, so each *round* solves the blocks of all of them in one
-:func:`_solve_stacked` call, and :func:`run` drives a top-level task.  A
-gathered task's :class:`~na1lab.errors.Na1LabError` is held until its
-answer is :func:`read`; any other exception ends every task at once.
-Each certificate is decided by its own task and held from the round it
-ends; work that needs NA1 passes one gate, :func:`~na1lab.arbitrage._with_na1`,
-and is refused in one place, :func:`~na1lab.arbitrage._refuse`.
+*Stacking.*  :func:`_solve_together` solves the blocks of a round as
+block-diagonal LPs, costs scaled to unit sup-norm, consecutive blocks
+sharing one HiGHS call while it keeps at most ``STACK_ENTRIES`` dense
+entries (:func:`_stack_chunks`); a stack that is not optimal is solved
+again block by block.  The last bits of a block's optimum depend on the
+blocks stacked with it.  Tree super-hedging solves its levels in bands
+(:func:`~na1lab.tree._bands`) whose largest subtree LP fits
+``STACK_ENTRIES``, one band per round, deepest first.
 
-Every scenario-tree LP, super-hedging's and the deterministic equivalent
-of piecewise-linear objectives (:func:`deterministic_equivalent`), is
-stated once, by its one builder :func:`tree_block`.  The one smooth convex
-solver, :func:`minimize_convex`, runs a batch of independent problems
-through one interior-point loop.
+*Row generation and hull rows.*  A block marks its per-state rows in the
+mask ``lazy``.  Past ``LAZY_ROWS`` of them it is solved by row generation
+(Kelley's cutting planes): from the rows of :func:`_seed_rows`, extreme
+along the signed axes and ``SEED_DIRECTIONS`` fixed directions per
+column, each round adds the deepest violated rows, ``ROWS_PER_COLUMN`` per
+column (:func:`_grown`), until none exceeds ``VIOLATION_TOL``.  Where the
+rows' points have at most ``market.HULL_MAX_RANK`` coordinates in the
+return span and would be generated, :func:`~na1lab.market._kept_rows`
+keeps only their convex hull's vertices, which cut out the same set: a
+market's admissibility rows past ``LAZY_ROWS / 2`` distinct states, as
+NA1's support LPs carry them twice, and super-hedging's lifted points
+``(R, payoff)`` (:func:`~na1lab.hedging._hedged_states`).  Certificate
+checks still read every state.
+
+*The per-market memo.*  A market is immutable, so
+:func:`~na1lab.arbitrage._memoized` decides each certificate once and
+holds it in ``market.certificates`` from the round its task ends, under
+``("na1", tol)``, ``("classical", tol)``, ``("cone_span", tol)``,
+``("max_expected_gain", weights)``, ``("superhedge", payoff)`` or
+``("shortfall", (payoff, pieces, capital))``, arrays by their bytes.  An
+entry is None while its task runs: a task needing it waits, and it is
+dropped if the task ends without an answer, so an error is raised afresh.
+``("gain_bound", weights)`` holds weak-duality bounds
+(:func:`~na1lab.arbitrage._dual_bound`), and ``("optimum", spec, weights)``
+a utility optimum with its tolerance, serving that tolerance or a looser
+one (:func:`~na1lab.portfolio._maximize_all`).  Tree nodes with equal
+content share one market (``ScenarioTree._markets``) and its entries.
+
+*The NA1 gate.*  :func:`~na1lab.arbitrage._with_na1` is the one place NA1
+is asked.  It gathers NA1's task with the gated tasks, which run
+speculatively alongside NA1's LPs while it is undecided and are closed in
+the round it fails or raises; their answers, errors included, are read
+only where it holds.  :func:`~na1lab.arbitrage._gated` refuses the rest
+by :func:`~na1lab.arbitrage._refuse`: "<context> requires no scalable
+arbitrage", naming failing tree nodes.  The classical search gathers NA1
+at its tolerance, so NA1 is decided in its LP calls.
+
+*Weak-duality certificates.*  The numeraire's log optimum, the
+supermartingale measure's minimizer and the super-hedge's budget rows
+leave the bound their multipliers prove on the market
+(:func:`~na1lab.arbitrage._dual_bound`);
+:func:`~na1lab.arbitrage._certified_gains` solves the expected-gain LP,
+in a later round, only where no bound is held.
+
+*Newton batches.*  :func:`minimize_convex` runs independent problems,
+padded to one shape, through one interior-point loop: each open problem
+tries its own step, steps that do not reduce its KKT residual are halved,
+and it leaves the batch at its own stop.
+:func:`~na1lab.portfolio._maximize_all` passes the markets of a call or
+tree pass through one NA1 gate and solves those not holding their optimum
+as one batch per span dimension: every node's log optimum for the
+numeraire process, a level at a time for backward induction.  Searches
+start at the zero strategy without an LP; the span of a flat allowed set
+(:func:`cone_span`) takes one where some row has zero offset.
+
+*Presolve.*  HiGHS runs without presolve, which is back on only to retry
+a solve ending in status 4 (:func:`solve_lp`).
 """
 
 from __future__ import annotations
@@ -48,8 +110,7 @@ UNBOUNDED = "unbounded"
 BIG_BOUND = 1e6
 
 #: Most entries (rows times columns) of the dense constraint matrix of one
-#: stacked LP, which grows with the square of the number of blocks; a tree's
-#: super-hedging bands grow while their largest subtree LP stays within it.
+#: stacked LP, which grows with the square of the number of blocks.
 STACK_ENTRIES = 1 << 20
 
 #: Blocks with more lazy rows than this generate them; smaller blocks are
@@ -86,13 +147,10 @@ VALUE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of one linear program.
-
-    ``marginals_ub`` are scipy's sensitivities of the minimized optimum with
-    respect to the upper-bound vector ``b_ub``; for a constraint ``a.x <= b``
-    of a minimization the nonnegative Lagrange multiplier is
-    ``-marginals_ub``.
-    """
+    """Outcome of one linear program.  ``marginals_ub`` are scipy's
+    sensitivities of the minimized optimum to ``b_ub``: the nonnegative
+    Lagrange multiplier of a row ``a.x <= b`` of a minimization is
+    ``-marginals_ub``."""
 
     status: str
     x: np.ndarray | None
@@ -111,10 +169,10 @@ def solve_lp(
 ) -> LpResult:
     """Solve ``min/max cost.x`` subject to ``a_ub x <= b_ub``, ``a_eq x = b_eq``.
 
-    ``bounds`` follows scipy's convention; ``None`` means every variable is
-    free (scipy's default is x >= 0, which is almost never what this package
-    wants, so free is the default here).  HiGHS runs without presolve;
-    presolve comes back on only to retry a solve that ends in status 4.
+    ``bounds`` follows scipy's convention, except that ``None`` leaves every
+    variable free, not ``x >= 0``.  ``maximize`` negates the cost and the
+    reported optimum.  Infeasible and unbounded LPs are results; any other
+    failure raises :class:`~na1lab.errors.NumericError`.
     """
     cost = np.asarray(cost, dtype=float)
     sign = -1.0 if maximize else 1.0
@@ -160,18 +218,11 @@ def solve_lp(
 
 
 def _solve_stacked(blocks) -> list[LpResult]:
-    """Solve independent LPs, each a dict of :func:`solve_lp` arguments; one
-    result per block, in order, each round solving all open blocks together.
-
-    A block may mark ``lazy`` rows of ``a_ub`` (a boolean mask, one per
-    state).  With more than ``LAZY_ROWS`` of them it is solved by row
-    generation (Kelley's cutting-plane method): from the rows of
-    :func:`_seed_rows` it gains violated lazy rows (:func:`_grown`) until
-    none is violated.  An optimum of a relaxation that satisfies every row
-    is an optimum of the whole LP, and its multipliers, padded with zeros,
-    are the whole LP's.  Such a block must stay bounded without its lazy
-    rows, by box rows or variable bounds.
-    """
+    """Solve independent LPs, each a dict of :func:`solve_lp` arguments
+    and an optional boolean mask ``lazy`` of its ``a_ub`` rows; one result
+    per block, in order.  A block with more than ``LAZY_ROWS`` lazy rows
+    must stay bounded without them, by box rows or variable bounds; its
+    multipliers are zero on the rows it never generated."""
     seeds: dict = {}  # blocks sharing one matrix and mask share their seeds
     kept = [_seed_rows(block, seeds) for block in blocks]
     results: list = [None] * len(blocks)
@@ -283,18 +334,10 @@ def _grown(block, kept, result):
 
 def _solve_together(blocks) -> list[LpResult]:
     """Solve independent LPs, each a dict of :func:`solve_lp` arguments, as
-    dense block-diagonal LPs; one result per block, in order.
-
-    Blocks are stacked while the constraint matrix of the stacked LP keeps
-    at most ``STACK_ENTRIES`` entries; a block larger than that is solved on
-    its own.  Each block's cost is scaled to unit sup-norm (and negated when
-    the block maximizes) and the objectives are summed.
-    The blocks share no variable and no row, so an optimum of the stacked LP
-    is an optimum of every block: each result carries its block's own
-    ``x``, its value under the block's cost and its multipliers, in the
-    conventions of :func:`solve_lp`.  A stacked LP that is infeasible or
-    unbounded does not say which block is, so that chunk is solved again
-    block by block.  A chunk of one block is :func:`solve_lp` itself.
+    dense block-diagonal LPs within ``STACK_ENTRIES``; one result per block,
+    in order, with its block's own ``x``, value and multipliers in the
+    conventions of :func:`solve_lp`.  The blocks share no variable and no
+    row, so an optimum of the stacked LP is an optimum of every block.
     """
     results: list = [None] * len(blocks)
     for chunk in _stack_chunks(blocks):
@@ -394,19 +437,14 @@ def is_feasible(a_ub: np.ndarray, b_ub: np.ndarray, dim: int) -> bool:
 
 
 def cone_span(rows: np.ndarray):
-    """Task: linear span of the cone ``{x : rows x <= 0}``.
-
-    One LP maximizes ``sum(t)`` subject to ``rows x + t <= 0`` and
-    ``0 <= t <= 1``.  Scaling ``x`` up shows that every ``t`` is 0 or 1 at the
-    optimum, and the rows with ``t = 0`` are the cone's implicit equalities;
-    the span is their null space.  Returns ``(basis, strict)``: an
-    orthonormal basis of the span and the mask of the rows that are not
-    implicit equalities, which some point of the span satisfies strictly.
-    No rows or no coordinates need no LP, and neither does a cone that
-    numpy finds ``x = -rows^T 1`` strictly inside, by a margin far above
-    float noise: every row is strict, so the span is the whole space, as
-    the LP would say.  A cone with an implicit equality takes the LP.
-    """
+    """Task: linear span of the cone ``{x : rows x <= 0}``, as ``(basis,
+    strict)``: an orthonormal basis of the span and the mask of the rows that
+    are not implicit equalities, which some point of the span satisfies
+    strictly.  The LP maximizes ``sum(t)`` subject to ``rows x + t <= 0`` and
+    ``0 <= t <= 1``; scaling ``x`` shows every ``t`` is 0 or 1 at the optimum,
+    and the rows with ``t = 0`` are the implicit equalities.  No LP is needed
+    without rows or coordinates, or where numpy finds ``x = -rows^T 1`` inside
+    every row by a margin far above float noise: the span is the whole space."""
     m, dim = rows.shape
     if m == 0 or dim == 0:
         return np.eye(dim), np.zeros(m, dtype=bool)
@@ -540,34 +578,26 @@ def minimize_convex(
     An infeasible-start primal-dual interior-point Newton method (Boyd &
     Vandenberghe, *Convex Optimization*, secs. 10.3 and 11.7; Nocedal &
     Wright, *Numerical Optimization*, ch. 19) on ``x``, the slacks ``s`` and
-    the multipliers ``lam``, one loop for the whole batch.  ``a_ub`` is
-    ``(B, m, n)`` and ``b_ub`` ``(B, m)``; a row with offset ``+inf`` is
-    padding, with no multiplier and no share of the complementarity term.
-    ``start`` ``(B, n)`` need not satisfy the rows: a row it satisfies
-    strictly starts at its slack ``b - a x``, any other at ``START_SLACK``,
-    and each step of length ``t`` scales the primal residual ``a x + s - b``
-    by ``1 - t``, so a full step removes it.  Once numpy finds an iterate
-    inside every row, its slacks are ``b - a x``, and its steps stay inside.
-    ``derivatives(x, live)`` returns the gradients ``(k, n, 1)`` and
-    Hessians ``(k, n, n)`` at the points ``x`` ``(k, n, 1)`` of the problems
-    ``live`` (indices, or ``slice(None)`` for all).  ``domain``, a pair ``(g,
-    h)`` of shapes ``(B, S, n)`` and ``(B, S)`` (``+inf`` pads ``h``), is the
-    open set ``{g x < h}`` where ``f_k`` is defined; ``start`` must lie in
-    it, and steps stay inside it, and inside the slacks' and multipliers'
-    bounds, by the fraction-to-boundary rule.  ``diameter`` and ``tol`` are
-    one per problem or shared.
+    the multipliers ``lam``.  ``a_ub`` is ``(B, m, n)`` and ``b_ub`` ``(B,
+    m)``; a row with offset ``+inf`` is padding, with no multiplier.  ``start``
+    ``(B, n)`` need not satisfy the rows: a full step removes the primal
+    residual ``a x + s - b``, and once numpy finds an iterate inside every row
+    its steps stay inside.  ``derivatives(x, live)`` returns the gradients
+    ``(k, n, 1)`` and Hessians ``(k, n, n)`` at the points ``x`` ``(k, n, 1)``
+    of the problems ``live`` (indices, or ``slice(None)``).  ``domain``, a pair
+    ``(g, h)`` of shapes ``(B, S, n)`` and ``(B, S)`` (``+inf`` pads ``h``), is
+    the open set ``{g x < h}`` where ``f_k`` is defined; ``start`` must lie in
+    it, and steps stay inside it by the fraction-to-boundary rule.
+    ``diameter`` and ``tol`` are one per problem or shared.
 
-    The residual is ``lam . s + diameter * |grad f + a^T lam|`` at an iterate
-    inside every row, and ``+inf`` outside.  For every feasible ``y`` within
-    ``diameter`` of ``x`` it bounds the first-order gain ``grad f(x) . (x -
-    y)``, hence also ``f(x) - min f`` when ``diameter`` bounds the feasible
-    set.  Each round of an iteration steps every open problem by its own
-    length, keeps the steps that reduce KKT residuals and halves the rest.  A
-    problem leaves the batch once its residual is at most ``tol * (1 + |x|)``,
-    when its Newton system is singular or a step no longer reduces its KKT
-    residual (float resolution), or after ``NEWTON_ITERATIONS``; the caller
-    compares the returned residual with its own threshold.  Vectors are
-    columns, so a batch of one does the arithmetic of a single problem.
+    The residual is ``lam . s + diameter * |grad f + a^T lam|`` inside every
+    row, ``+inf`` outside.  For every feasible ``y`` within ``diameter`` of
+    ``x`` it bounds ``grad f(x) . (x - y)``, hence ``f(x) - min f`` when
+    ``diameter`` bounds the feasible set.  A problem stops at residual ``tol *
+    (1 + |x|)``, when its Newton system is singular or a step no longer reduces
+    its KKT residual, or after ``NEWTON_ITERATIONS``; the caller compares the
+    residual with its own threshold.  Vectors are columns, so a batch of one
+    does the arithmetic of a single problem.
     """
     padded = ~np.isfinite(b_ub)[..., None]
     real, a = np.where(padded, 0.0, 1.0), np.where(padded, 0.0, a_ub)
@@ -587,7 +617,6 @@ def minimize_convex(
     mu = np.divide(_norms(grad), pull, out=np.ones_like(pull), where=pull > 0.0)
     lam = np.minimum(np.maximum(mu, 1e-8), 1.0) / slack * real
     rows = np.maximum(real.sum(axis=1, keepdims=True), 1.0)
-    # Each iteration, every problem in the batch steps or leaves it.
     index, iterations, t = np.arange(batch), 0, np.zeros((batch, 1, 1))
     halted, results = np.zeros(batch, dtype=bool), [None] * batch
     diameter, tol = (t + np.array(v, dtype=float).reshape(-1, 1, 1) for v in (diameter, tol))
@@ -677,7 +706,7 @@ def minimize_convex(
                 for old, fresh in zip((x, slack, gap, lam, grad, hess, dual), new):
                     old[pick] = fresh
                 trying[pick] = False
-            t[trying] *= 0.5  # the steps not taken
+            t[trying] *= 0.5
             halted |= trying & (t[:, 0, 0] <= 1e-12)
             trying &= ~halted
         for j in np.flatnonzero(halted):

@@ -1,21 +1,17 @@
 """One-period finite market model with convex polyhedral trading constraints.
 
-A market is a finite probability vector together with a matrix of simple
-returns (rows = states, columns = assets, entries >= -1) and a polyhedral
-constraint set on portfolio fractions.  The set of strategies a market
-actually permits is the intersection of two pieces:
+A market is a finite probability vector, a matrix of simple returns (rows
+= states, columns = assets, entries >= -1) and a polyhedral constraint set
+on portfolio fractions.  The strategies it permits are the intersection of
 
-* the admissibility polyhedron, one halfspace ``<-z, pi> <= 1`` per distinct
-  return row ``z`` (wealth cannot be driven below zero in any state); on a
-  wide market whose return span has at most ``HULL_MAX_RANK`` dimensions,
-  one per vertex of the convex hull of those rows, which cut out the same
-  set, and
+* the admissibility polyhedron, one halfspace ``<-z, pi> <= 1`` per
+  distinct return row ``z`` or per vertex of their convex hull (wealth
+  stays nonnegative in every state), and
 * the user-supplied constraint polyhedron (short-sale bans, borrowing caps,
   boxes, ...).
 
-Constraint sets must leave the orthogonal complement of the return span
-unrestricted: constraining directions that no return can distinguish is
-almost surely a modelling error, so such markets are rejected up front.
+Constraints on directions outside the return span, which no return can
+distinguish, are rejected as a modelling error.
 """
 
 from __future__ import annotations
@@ -61,11 +57,8 @@ FLAT_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Polyhedron ``{pi : normals @ pi <= offsets}`` in strategy space.
-
-    ``preset`` is a purely descriptive tag recording which factory built the
-    set, if any; the halfspaces are always authoritative.
-    """
+    """Polyhedron ``{pi : normals @ pi <= offsets}`` in strategy space;
+    ``preset`` is a descriptive tag naming the factory that built it, if any."""
 
     dim: int
     normals: np.ndarray
@@ -210,12 +203,9 @@ class Cone:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMarket:
-    """Finite-state one-period market with polyhedral constraints.
-
-    ``note`` is an optional descriptive record attached by builders (for
-    example the factor-model discretizer stores its truncation and clipping
-    diagnostics there); it carries no semantics of its own.
-    """
+    """Finite-state one-period market with polyhedral constraints; ``note`` is
+    a descriptive record of its builder, such as the factor discretizer's
+    diagnostics, with no semantics of its own."""
 
     probs: np.ndarray
     returns: np.ndarray
@@ -309,22 +299,15 @@ class DiscreteMarket:
 
     @cached_property
     def certificates(self) -> dict:
-        """Certificates computed for this market, keyed by (notion,
-        tolerance), and expected-gain LP answers, keyed by their weights.
-
-        The market is immutable, so each is computed once; the functions of
-        :mod:`na1lab.arbitrage` fill this in.
-        """
+        """Certificates computed for this market: the per-market memo of
+        the execution model in :mod:`na1lab.lp`."""
         return {}
 
 
 def support(market: DiscreteMarket) -> np.ndarray:
-    """Distinct return rows of the market (the support of the return vector).
-
-    Rows are deduplicated by exact comparison after rounding to 1e-12; the
-    original (unrounded) representative of each group is returned, in the
-    order of the states.
-    """
+    """Distinct return rows of the market (the support of the return vector):
+    rows equal after rounding to 1e-12 are one, represented by the first
+    (unrounded), in the order of the states."""
     return market.support_points
 
 
@@ -346,16 +329,11 @@ def span_and_projection(support_points) -> SubspaceBasis:
 def admissible_polyhedron(market: DiscreteMarket) -> ConstraintSet:
     """Halfspace description of strategies that keep wealth nonnegative.
 
-    One halfspace ``<-z, pi> <= 1`` per support point ``z``, in the order of
-    the states; intersecting with ``market.constraints`` yields the full
-    strategy polyhedron.  A row whose point is a convex combination of
-    others is implied by theirs, so a market whose LPs would generate their
-    state rows keeps only the rows of the vertices of the support's convex
-    hull when its return span has at most ``HULL_MAX_RANK`` dimensions: the
-    same set, with a few dozen rows where there were thousands, so its LPs
-    settle in one round.  Row generation starts past ``lp.LAZY_ROWS`` lazy
-    rows (read at call time); the hull is kept from half as many points on,
-    as NA1's stacked support LPs, one per signed axis, each carry them all.
+    One halfspace ``<-z, pi> <= 1`` per support point ``z``, in state order;
+    with ``market.constraints`` it makes the full strategy polyhedron.  Past
+    ``lp.LAZY_ROWS / 2`` support points in a return span of at most
+    ``HULL_MAX_RANK`` dimensions only the hull vertices' rows are kept
+    (:func:`_kept_rows`), which cut out the same set.
     """
     pts = market.support_points
     pts = pts[_kept_rows(pts @ market.span.basis, 2 * pts.shape[0])]
@@ -363,11 +341,10 @@ def admissible_polyhedron(market: DiscreteMarket) -> ConstraintSet:
 
 
 def _kept_rows(points: np.ndarray, lazy_rows: int) -> np.ndarray:
-    """Sorted indices of the ``points`` (rows) whose halfspaces an LP
-    carries, where it would carry ``lazy_rows`` lazy rows for them: the
-    vertices of their convex hull when those would be generated (more than
-    ``lp.LAZY_ROWS``, read at call time) and the points have at most
-    ``HULL_MAX_RANK`` coordinates; else every point."""
+    """Sorted indices of the ``points`` (rows) whose halfspaces an LP carries
+    in place of ``lazy_rows`` lazy rows: the vertices of their convex hull when
+    those rows exceed ``lp.LAZY_ROWS`` (read at call time) and the points have
+    at most ``HULL_MAX_RANK`` coordinates; else every point."""
     if lazy_rows > lp.LAZY_ROWS and points.shape[1] <= HULL_MAX_RANK:
         return _hull_vertices(points)
     return np.arange(points.shape[0])
@@ -404,12 +381,9 @@ def recession_cone(theta: ConstraintSet) -> Cone:
 
 
 def generated_cone(theta: ConstraintSet, tol: float = 1e-12) -> Cone:
-    """Smallest closed cone containing a polyhedron that includes the origin.
-
-    For ``{pi : A pi <= b}`` with ``b >= 0`` this is exactly the set cut out
-    by the rows with ``b = 0``: rows with positive offset vanish under
-    scaling, rows with zero offset survive unchanged.
-    """
+    """Smallest closed cone containing a polyhedron ``{pi : A pi <= b}`` with
+    ``b >= 0``: the rows with ``b = 0``, since rows with positive offset
+    vanish under scaling."""
     if np.any(theta.offsets < -tol):
         raise InvalidParameterError("generated_cone requires a set containing the origin")
     keep = theta.offsets <= tol

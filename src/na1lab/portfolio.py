@@ -1,15 +1,9 @@
 """Expected-utility maximization, the growth-optimal strategy, and deflators.
 
-Smooth utilities are maximized over the allowed polyhedron intersected with
-the return span by the package's one interior-point Newton method,
-:func:`~na1lab.lp.minimize_convex`, which stops on a bound for the
-certified quantity rather than on a step size.  Piecewise-linear utilities
-skip it entirely and go through one exact LP, the deterministic equivalent
-(:func:`~na1lab.lp.deterministic_equivalent`) of the tree of depth 1, a
-block of the LP round.  Several markets are maximized together
-(:func:`_maximize_all`) behind one NA1 gate: the Newton problems as one
-solver batch, the piecewise LPs as one stacked LP; each optimum is held
-on its market.
+Smooth utilities are maximized over the allowed polyhedron within the
+return span by the Newton method of :func:`~na1lab.lp.minimize_convex`,
+which stops on a bound for the certified quantity; piecewise-linear ones
+exactly, by the deterministic equivalent of the tree of depth 1.
 """
 
 from __future__ import annotations
@@ -41,10 +35,8 @@ class UtilitySpec:
     """Strictly increasing concave utility of wealth.
 
     ``scale`` and ``shift`` pre-compose the base function with an affine map,
-    so evaluation computes ``base(scale * x + shift)``; hedging and
-    multi-period code uses this to fold endowments into state-dependent
-    utilities without new machinery.  ``scale`` must stay positive to keep
-    the function increasing.
+    ``base(scale * x + shift)``, which folds endowments into state-dependent
+    utilities; ``scale`` must stay positive to keep the function increasing.
     """
 
     kind: str
@@ -148,11 +140,8 @@ class UtilitySpec:
         return out
 
     def pieces(self):
-        """Affine overestimators (c, d) with ``value(x) = min_j c_j x + d_j``.
-
-        Only defined for piecewise-linear specs; the scale/shift map is
-        folded into the coefficients.
-        """
+        """Affine overestimators (c, d) with ``value(x) = min_j c_j x + d_j``,
+        the scale/shift map folded in; piecewise-linear specs only."""
         if self.kind != "piecewise_linear":
             raise InvalidParameterError("pieces() is only defined for piecewise utilities")
         xs = np.asarray(self.knots_x)
@@ -210,19 +199,16 @@ class _UtilityEvaluator:
 class OptimalPortfolio:
     """Utility maximizer with solver telemetry.
 
-    ``gradient_norm`` is the solver's final stationarity residual:
-    complementarity plus the KKT gradient residual times the diameter bound
-    of the allowed set (zero by convention when the exact LP path was used);
-    for log utility it bounds the wealth-ratio LP value minus one.
-    ``iterations`` counts Newton iterations from the zero strategy.
-    ``active_constraints`` are indices of allowed-set rows binding at the
-    solution (multiplier above slack): admissibility rows first, one per
-    distinct state, or per vertex of the support's convex hull on a wide
-    market (see :func:`~na1lab.market.admissible_polyhedron`), then the
-    market's constraints; ``active_wealth_floors`` the states
-    whose utility argument is at most ``WEALTH_FLOOR``.  ``deflator`` is set
-    by ``numeraire_portfolio``: the deflator the certified numeraire
-    induces, with its wealth-ratio certificate.
+    ``gradient_norm`` is the final stationarity residual: complementarity plus
+    the KKT gradient residual times the diameter bound of the allowed set
+    (zero on the exact piecewise-linear path); for log utility it bounds the
+    wealth-ratio LP value minus one.  ``iterations`` counts Newton iterations
+    from the zero strategy.  ``active_constraints`` index the allowed rows
+    binding at the solution (multiplier above slack), admissibility rows first
+    (:func:`~na1lab.market.admissible_polyhedron`); ``active_wealth_floors``
+    the states whose utility argument is at most ``WEALTH_FLOOR``.
+    ``deflator``, set by ``numeraire_portfolio``, is the deflator the
+    certified numeraire induces.
     """
 
     strategy: np.ndarray
@@ -269,46 +255,31 @@ def maximize_utility(
 ) -> OptimalPortfolio:
     """Maximize expected utility of final wealth over the allowed polyhedron.
 
-    ``u`` is a single :class:`UtilitySpec` or one spec per state.  Smooth
-    utilities go through the interior-point Newton method of
-    :func:`~na1lab.lp.minimize_convex`, started at the zero strategy, where
-    wealth is 1 in every state; a spec whose argument is not positive there
-    (a negative ``shift`` at least ``scale``) is refused.  It stops once its
-    stationarity residual (complementarity plus the KKT gradient residual
-    times the diameter of the allowed set, ``2 sqrt(d)`` times the NA1
-    ``bound_radius``) is at most ``tol`` times ``1 + |strategy|``; for log
-    utility that residual bounds the wealth-ratio LP value minus one.
-    Piecewise-linear utilities are solved exactly by one LP with the state
-    wealths floored at 0 (:func:`_piecewise_optimum`).
-
-    When scalable arbitrage exists the supremum is infinite, so the search
-    refuses to start, unless ``divergence_bound`` is given: then the
-    objective is escalated along the NA1 certificate's witness ray, and a
-    :class:`~na1lab.errors.NumericError` carries the escalated value and the
-    best finite point.  Where NA1 is not yet decided, its LPs and, for a
-    smooth utility, that of the span of a flat allowed set are one round.
-    A spec's optimum is held on the market and serves every later call with
-    the same spec at ``tol`` or a looser tolerance (:func:`_maximize_all`).
+    ``u`` is a single :class:`UtilitySpec` or one spec per state.  A smooth
+    utility is maximized from the zero strategy, where wealth is 1; a spec
+    whose argument is not positive there raises
+    :class:`~na1lab.errors.InvalidParameterError`.  Its ``gradient_norm``,
+    with the diameter ``2 sqrt(d)`` times the NA1 ``bound_radius``, must be at
+    most ``tol * (1 + |strategy|)``, else :class:`~na1lab.errors.NumericError`.
+    A piecewise-linear utility is solved exactly, state wealths floored at 0.
+    Without NA1 the supremum is infinite: a
+    :class:`~na1lab.errors.PreconditionError`, or with ``divergence_bound``
+    a :class:`~na1lab.errors.NumericError` carrying the value escalated along
+    the witness ray and the best finite point.  A later call with the same
+    spec at ``tol`` or looser returns this optimum.  Task: :func:`_maximize_all`.
     """
     return run(_maximize_all([market], [market.probs], u, tol, divergence_bound))[0]
 
 
 def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
-    """Task: :func:`maximize_utility` for several markets under their state
-    weights (positive, summing to one) in place of their probabilities;
-    ``labels``, node ids, name the markets in errors.  Each optimum of one
-    spec is held in ``market.certificates`` under ``("optimum", u,
-    weights)`` with its tolerance, and serves every later call at that
-    tolerance or a looser one; a per-state list, which callers compose
-    anew, is not held.  Only the first entry of each distinct market and
-    key not served is solved: those markets pass one NA1 gate with the
-    spans of their cones, a batch where NA1 fails is refused
-    (:func:`~na1lab.arbitrage._refuse`) or its markets without NA1
-    escalated in batch order, and each problem is then set up in the span
-    of its allowed set (the return span less the implicit equalities of its
-    cone), from ``u = 0``.  The Newton problems of one span dimension are
-    one batch, and each residual is checked on its own.  Errors are not
-    held."""
+    """Task: :func:`maximize_utility` for several markets under state weights
+    (positive, summing to one) in place of their probabilities; ``labels``,
+    node ids, name the markets in errors.  The optimum of one spec is held on
+    the market; that of a per-state list, which callers compose anew, is not.
+    Each problem is solved in the span of its allowed set (the return span
+    less the implicit equalities of its cone) and its residual checked alone;
+    without NA1 the markets are refused (:func:`~na1lab.arbitrage._refuse`)
+    or escalated, in batch order."""
     held = isinstance(u, UtilitySpec)
     spec = u if held else tuple(u)
     if not held and not all(isinstance(s, UtilitySpec) for s in spec):
@@ -441,12 +412,9 @@ def _searched_rows(market, basis):
 
 def _escalate_along_ray(probs, returns, evaluator, ray, bound):
     """Push the objective from the zero strategy along a certified
-    scalable-arbitrage direction.
-
-    The gains along the ray are nonnegative and positive somewhere, so the
-    expected utility grows without bound; once float evaluation saturates,
-    the supremum (+inf) is reported as the escalated value.
-    """
+    scalable-arbitrage direction, whose gains are nonnegative and positive
+    somewhere; once float evaluation saturates, the supremum (+inf) is
+    reported as the escalated value."""
     gains = returns @ ray
     # The certified ray's gains are nonnegative up to solver noise; cap the
     # escalation before the noise, amplified by s, could touch the wealths.
@@ -478,9 +446,8 @@ def _escalate_along_ray(probs, returns, evaluator, ray, bound):
 
 def _piecewise_optimum(market, probs, evaluator, basis):
     """Task: the exact optimum of a piecewise-linear utility, the
-    deterministic equivalent (:func:`~na1lab.lp.deterministic_equivalent`)
-    of the tree of depth 1 with each state's wealth floored at 0, which is
-    admissibility.  The active rows are read off the strategy."""
+    deterministic equivalent (:func:`~na1lab.lp.deterministic_equivalent`) of
+    the tree of depth 1, each state's wealth floored at 0 (admissibility)."""
     n, cs = market.n_states, market.constraints
     tables = ([evaluator.specs[0].pieces()] * n if evaluator._homogeneous
               else [spec.pieces() for spec in evaluator.specs])
@@ -511,11 +478,10 @@ def numeraire_portfolio(market: DiscreteMarket, tol: float = NUMERAIRE_GRADIENT_
     """Growth-optimal strategy, with its wealth-ratio certificate.
 
     Maximizes expected log wealth to stationarity tolerance ``tol``
-    (:func:`maximize_utility`), then checks that no allowed strategy's
-    expected wealth ratio against it exceeds 1 + 1e-8, by the optimum's
-    multipliers, else by LP (:func:`verify_numeraire`); that value also
-    certifies the induced deflator, carried as ``deflator``.  A failed
-    certification is a :class:`~na1lab.errors.NumericError`.
+    (:func:`maximize_utility`) and certifies that no allowed strategy's
+    expected wealth ratio against it exceeds ``1 + SUPERMARTINGALE_TOL``
+    (:func:`verify_numeraire`), else :class:`~na1lab.errors.NumericError`;
+    that value also certifies ``deflator``, the deflator it induces.
     """
     opt = maximize_utility(market, UtilitySpec.log(), tol=tol)
     try:
@@ -529,10 +495,8 @@ def verify_numeraire(market: DiscreteMarket, rho) -> float:
     """Certified bound on sup E[(1 + <pi, R>) / (1 + <rho, R>)], pi allowed.
 
     The candidate is a numeraire exactly when the optimum is at most
-    1 + 1e-8 (taking pi = rho always attains 1).  A log optimum ``rho``
-    leaves its multipliers on the market, whose weak-duality bound is the
-    answer where it is within 1 + 1e-8, with no LP.  The bound is
-    :func:`verify_deflator` of ``Z = 1 / (1 + <rho, R>)``.
+    ``1 + SUPERMARTINGALE_TOL`` (taking pi = rho always attains 1).  The
+    bound is :func:`verify_deflator` of ``Z = 1 / (1 + <rho, R>)``.
     """
     w_rho = wealth(market, rho)
     if np.any(w_rho <= 0):
@@ -542,9 +506,9 @@ def verify_numeraire(market: DiscreteMarket, rho) -> float:
 
 def verify_deflator(market: DiscreteMarket, values) -> float:
     """Certified bound on sup E[Z (1 + <pi, R>)], pi allowed: the sum of the
-    weights ``probs * Z`` plus the dual bound held for them, else the LP
-    optimum :func:`~na1lab.arbitrage.max_expected_gain` under them, +inf
-    when unbounded."""
+    weights ``probs * Z`` plus the weak-duality bound held for them
+    (:func:`~na1lab.arbitrage._dual_bound`), else their LP optimum
+    :func:`~na1lab.arbitrage.max_expected_gain`, +inf when unbounded."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != market.n_states or np.any(values <= 0):
         raise InvalidParameterError("deflator values must be positive, one per state")
@@ -553,11 +517,10 @@ def verify_deflator(market: DiscreteMarket, values) -> float:
 
 
 def deflator_from_numeraire(market: DiscreteMarket, rho) -> Deflator:
-    """Deflator Z = 1 / (1 + <rho, R>) for a certified numeraire candidate.
-
-    The wealth-ratio bound of ``rho`` is the deflator bound of Z, from the
-    same weights, so one value certifies both (:func:`verify_numeraire`).
-    """
+    """Deflator Z = 1 / (1 + <rho, R>) of a numeraire candidate, certified by
+    the wealth-ratio bound of ``rho`` (:func:`verify_numeraire`), which is the
+    deflator bound of Z; above ``1 + SUPERMARTINGALE_TOL`` it raises
+    :class:`~na1lab.errors.PreconditionError`."""
     lp_value = verify_numeraire(market, rho)
     if lp_value > 1.0 + SUPERMARTINGALE_TOL:
         raise PreconditionError(

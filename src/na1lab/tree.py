@@ -2,51 +2,21 @@
 
 A scenario tree assigns each non-root node a branch probability and the
 return vector realized on the edge from its parent; each non-leaf node
-carries the constraint set governing the strategy chosen there for the
-coming period.  Every question about the tree reduces to its one-period
-node markets:
+carries the constraint set of the strategy chosen there.  Every question
+about the tree reduces to its one-period node markets:
 
-* no-scalable-arbitrage holds globally exactly when it holds at every node
-  (``global_na1``),
-* expected-utility maximization is exact (``backward_induction``): for log
-  and power utilities the value function separates into a per-node constant
-  plus (or times) the running wealth term, so a backward pass solves one
-  wealth-independent problem per node; for concave piecewise-linear
-  utilities the whole tree is one LP, its deterministic equivalent
-  (:func:`~na1lab.lp.deterministic_equivalent`, as for one period),
-* the wealth process of the per-node log optima prices everything: its
-  reciprocal is a positive process that turns every allowed wealth process
-  into a supermartingale, certified node by node (``numeraire_process``),
-* cheapest super-replication composes backward, one hedging LP per
-  subtree of a band of levels, whose duals certify each node as its own
-  one-period LP would (``superhedge_tree``); both tree LPs are stated by
-  their one builder, :func:`~na1lab.lp.tree_block`.
+* NA1 holds globally exactly when it holds at every node (``global_na1``),
+* expected-utility maximization is exact (``backward_induction``): log and
+  power values separate into a per-node constant plus (or times) a wealth
+  term, so each node solves one wealth-independent problem; a concave
+  piecewise-linear utility is the deterministic equivalent of the tree,
+* the reciprocal wealth of the per-node log optima deflates every allowed
+  wealth process to a supermartingale (``numeraire_process``),
+* cheapest super-replication composes backward, and the duals of the tree
+  LP certify each node as its one-period LP would (``superhedge_tree``).
 
-The tree is held once as breadth-first arrays (:class:`ScenarioTree`):
-edge probabilities and returns, parents, each node's children as one range
-and each depth as one range, so a pass walks levels and child ranges, and
-a node market is a slice of them.  The node markets are built once per
-tree, on first use, as one tuple in breadth-first order, and a pass
-addresses nodes by their position only: it reads that tuple and lists of
-node values and strategies, and builds the dicts of its public result at
-the end.  Nodes with equal content share one market (``node_market``), so
-its cached certificates, NA1 and its cone span first of all, and its
-utility optima serve every such node and later question.  Each pass is an
-LP task (:mod:`na1lab.lp`) whose rounds solve its independent per-node LPs
-as one block-diagonal LP (:func:`~na1lab.lp._solve_stacked`).  The passes
-are gated on the node markets' NA1 by :func:`~na1lab.arbitrage._with_na1`,
-which runs them alongside its LPs while it is undecided, each market's
-certificate held from the round it is decided, so independent LPs of
-different passes share a round.  The ``tree`` command thus solves in its
-first round the NA1 LPs with the cone spans of the node markets that have
-zero-offset rows, the deepest super-hedging band and the piecewise tree
-LP, and each later round the next super-hedging band (:func:`_bands`); the
-deflator checks and re-certifications are dual bounds, else LPs.  The
-utility problems of a pass are one solver batch
-(:func:`~na1lab.portfolio._maximize_all`): the log optima of all nodes, or
-the problems of one backward-induction level, one per distinct market and
-weights whose optimum the market does not yet hold.  Every node's result
-is still checked on its own.
+The tree and its node markets are held once, breadth-first
+(:class:`ScenarioTree`); nodes with equal content share a market.
 """
 
 from __future__ import annotations
@@ -77,13 +47,10 @@ RATIO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One tree node: identity, parent link, and the incoming edge data.
-
-    ``prob`` is the conditional probability of reaching this node from its
-    parent; ``returns`` the asset returns realized on that edge.  The root
-    has no incoming edge: ``parent`` and ``returns`` are None and ``prob``
-    must be 1.
-    """
+    """One tree node: identity, parent link, and the incoming edge data:
+    ``prob``, the conditional probability of reaching it from its parent, and
+    ``returns``, the asset returns on that edge.  The root's ``parent`` and
+    ``returns`` are None and its ``prob`` is 1."""
 
     node_id: object
     parent: object | None = None
@@ -96,16 +63,12 @@ class ScenarioTree:
     """Finite scenario tree with per-node strategy constraints.
 
     ``nodes`` must contain exactly one root; every leaf must sit at the same
-    depth.  ``constraints`` maps each non-leaf node id to the ConstraintSet
-    for the strategy chosen at that node.  Children keep the order in which
-    they appear in ``nodes``; leaf-order-sensitive inputs (claims) follow
-    ``leaf_ids``.
-
-    The structure is held once, breadth-first (``bfs_ids``): node ``i`` has
-    edge probability ``_probs[i]``, edge returns ``_returns[i]`` (the root's
-    are 1 and zeros) and parent ``_parents[i]`` (the root's is 0); its
-    children are the nodes ``_offsets[i]:_offsets[i + 1]``, and depth ``t``
-    is the nodes ``_levels[t]:_levels[t + 1]``, the last of them the leaves.
+    depth.  ``constraints`` maps each non-leaf node id to its ConstraintSet.
+    Children keep their order in ``nodes``; claims follow ``leaf_ids``.  Node
+    ``i`` of ``bfs_ids`` has edge probability ``_probs[i]``, edge returns
+    ``_returns[i]`` and parent ``_parents[i]`` (the root's: 1, zeros and 0);
+    its children are ``_offsets[i]:_offsets[i + 1]``, and depth ``t`` is
+    ``_levels[t]:_levels[t + 1]``.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -284,8 +247,7 @@ class ScenarioTree:
     @cached_property
     def _markets(self) -> tuple:
         """The internal nodes' markets in breadth-first order, built on first
-        use; nodes with equal content (the bytes of the probabilities, the
-        returns and the constraint normals and offsets) share one."""
+        use; nodes with equal content share one (:func:`node_market`)."""
         markets, by_content = [], {}
         for i, node_id in enumerate(self.internal_ids()):
             kids = slice(self._offsets[i], self._offsets[i + 1])
@@ -303,11 +265,9 @@ def node_market(tree: ScenarioTree, node_id) -> DiscreteMarket:
 
     States are the node's children with their branch probabilities and edge
     returns; the constraint set is the node's own.  The first call builds
-    the markets of every internal node, in breadth-first order, and holds
-    them on the tree as one tuple, so an invalid node market raises on the
-    first access to any node; nodes with equal content (the bytes of the
-    probabilities, the returns and the constraint normals and offsets)
-    share one market and the certificates cached on it.
+    every node market, so an invalid one raises on any node.  Nodes with equal
+    probabilities, returns and constraints share one market and its
+    certificates.
     """
     i = tree._at(node_id)
     if i >= tree._levels[-2]:
@@ -316,11 +276,8 @@ def node_market(tree: ScenarioTree, node_id) -> DiscreteMarket:
 
 
 def iid_tree(market: DiscreteMarket, horizon: int, root_id: str = "root") -> ScenarioTree:
-    """Tree repeating one market at every node for ``horizon`` periods.
-
-    Child ids extend the parent id with ``/k``; every non-leaf node carries
-    the market's constraint set.
-    """
+    """Tree repeating one market at every node for ``horizon`` periods; child
+    ids extend the parent id with ``/k``."""
     if horizon < 1:
         raise InvalidParameterError("horizon must be at least 1")
     nodes, constraints, frontier = [TreeNode(root_id)], {}, [root_id]
@@ -348,11 +305,8 @@ class PolicyProcess:
     wealth: dict
 
     def validate(self, tree: ScenarioTree, require_positive_wealth: bool = False) -> None:
-        """Check membership of every strategy in its node's allowed set.
-
-        Membership means the node's admissibility-plus-constraints polyhedron
-        and the span of the node's return support, both within a 1e-9 slack.
-        """
+        """Check that every strategy lies in its node's allowed polyhedron and
+        in the span of its return support, within ``FEAS_TOL``."""
         for node_id, market in zip(tree.internal_ids(), tree._markets):
             if node_id not in self.strategies:
                 raise NumericError(f"no strategy recorded at node {node_id!r}")
@@ -374,12 +328,10 @@ class PolicyProcess:
 
 @dataclass(frozen=True)
 class DeflatorProcess:
-    """Positive node process, 1 at the root, deflating allowed wealth.
-
-    The defining property (certified by ``verify_deflator_process``): at each
+    """Positive node process, 1 at the root, deflating allowed wealth: at each
     non-leaf node, every allowed strategy's deflated one-step wealth has
-    conditional expectation at most the node's own value.
-    """
+    conditional expectation at most the node's own value
+    (``verify_deflator_process``)."""
 
     values: dict
 
@@ -395,13 +347,10 @@ def _wealth_process(tree: ScenarioTree, strategies) -> dict:
 
 
 def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> float:
-    """Worst relative supermartingale violation across nodes (<= 0 is clean).
-
-    At each non-leaf node, the deflated expected one-step wealth is
-    maximized over the allowed polyhedron (or bounded by a dual bound held
-    for its weights), and should not exceed the node's own deflator value.
-    The LPs of all nodes are solved together as block-diagonal LPs.
-    """
+    """Worst relative supermartingale violation across nodes (<= 0 is clean):
+    per non-leaf node, the certified bound on the deflated expected one-step
+    wealth over the allowed polyhedron
+    (:func:`~na1lab.arbitrage._certified_gains`) less the node's value."""
     missing = [nid for nid in tree.bfs_ids() if nid not in process.values]
     if missing:
         raise InvalidParameterError(f"deflator process missing nodes {missing!r}")
@@ -442,11 +391,8 @@ class TreeNa1Report:
 def global_na1(tree: ScenarioTree) -> TreeNa1Report:
     """Check every node market for scalable arbitrage.
 
-    The tree admits no scalable arbitrage exactly when no single node does,
-    so the verdict is the conjunction; failing nodes keep their witness rays
-    in the per-node certificates.  The node markets are decided together,
-    their support LPs stacked, and each certificate is cached on its
-    market.
+    The verdict is the conjunction over the nodes; failing nodes keep their
+    witness rays in the per-node certificates.  Task: :func:`_with_na1`.
     """
     return run(_with_na1(tree))[0]
 
@@ -475,12 +421,12 @@ def _gated(tree: ScenarioTree, context: str, task):
 class BackwardInductionResult:
     """Root value, per-node policy, and per-node continuation data.
 
-    For log utility ``node_values[n]`` is the additive continuation constant
-    (the value at node ``n`` with unit wealth); for power utility it is the
+    ``node_values[n]`` is, for log utility, the additive continuation constant
+    (the value at node ``n`` with unit wealth); for power utility the
     multiplicative one (``value = node_values[n] * x**gamma / gamma``); for
-    piecewise-linear utilities it is the conditional expected terminal
-    utility from node ``n`` at the wealth the optimal policy reaches there.
-    Every result is exact: ``diagnostics`` is ``{"utility_form", "exact"}``.
+    piecewise-linear utilities the conditional expected terminal utility at
+    the wealth the optimal policy reaches at ``n``.  ``diagnostics`` is
+    ``{"utility_form", "exact"}``.
     """
 
     value: float
@@ -521,16 +467,12 @@ def _best_candidate(weights, returns, candidates, base: UtilitySpec):
 def _separable_backward(tree, u: UtilitySpec, candidates):
     """Task: exact DP for log and power utilities.
 
-    Log values add a per-node constant; power values multiply one, so each
-    node solves a single wealth-independent one-period problem (with child
-    weights tilted by the continuation constants in the power case, on the
-    node market itself).  The utility's ``scale`` factor shifts (log) or
-    rescales (power) the optimal value without moving the optimizer, so the
-    per-node problems use the unit-scale utility and the root value is
-    adjusted at the end.  The problems of a tree level are one batch, and
-    an optimum held on its node market
-    (:func:`~na1lab.portfolio._maximize_all`), such as the numeraire pass's
-    log optimum, is not solved again.
+    Each node solves one wealth-independent one-period problem on its market,
+    its child weights tilted by the continuation constants for power utility.
+    The utility's ``scale`` shifts (log) or rescales (power) the value without
+    moving the optimizer, so nodes use the unit-scale utility and the root
+    value is adjusted at the end.  A level is one
+    :func:`~na1lab.portfolio._maximize_all`.
     """
     is_log = u.kind == "log"
     base = UtilitySpec.log() if is_log else UtilitySpec.power(u.gamma)
@@ -571,13 +513,11 @@ def _separable_backward(tree, u: UtilitySpec, candidates):
 
 
 def _piecewise_backward(tree, u: UtilitySpec):
-    """Task: one exact LP over the whole tree for concave piecewise-linear
-    utilities, the deterministic equivalent
-    (:func:`~na1lab.lp.deterministic_equivalent`) with root wealth 1, every
-    wealth floored at 0 and each leaf weighted by its path probability.
-    The policy is validated, and the node values are the conditional
-    expected utilities of its wealth process.
-    """
+    """Task: the deterministic equivalent
+    (:func:`~na1lab.lp.deterministic_equivalent`) of a concave
+    piecewise-linear utility over the tree, root wealth 1, every wealth
+    floored at 0 and each leaf weighted by its path probability.  The policy
+    is validated; node values are its conditional expected utilities."""
     offsets, markets = tree._offsets, tree._markets
     cut = len(markets)
     pieces = u.pieces()
@@ -605,18 +545,16 @@ def backward_induction(
 ) -> BackwardInductionResult:
     """Maximize expected terminal utility of wealth over the tree.
 
-    Log and power utilities separate across periods, so the dynamic program
-    is exact: each node contributes one wealth-independent one-period
-    problem (as ``maximize_utility`` solves it, or by enumeration when a finite
-    ``candidates`` set restricts the strategies; ``candidates`` is a strategy
-    array applied at every node, or a dict keyed by non-leaf node id).
-    Concave piecewise-linear utilities are solved exactly by one LP over the
-    whole tree (:func:`_piecewise_backward`); there
-    ``node_values[n]`` is the conditional expected terminal
-    utility from node ``n`` at the wealth the optimal policy reaches there.
-    Candidate menus apply to log and power utilities only, and those
-    utilities must have no wealth shift (a shift breaks the separation).
-    Refuses trees with scalable arbitrage.
+    Log and power utilities separate across periods, so the DP is exact: each
+    node contributes one wealth-independent one-period problem, solved as
+    ``maximize_utility`` solves it, or by enumeration over ``candidates``, a
+    strategy array for every node or a dict keyed by non-leaf node id.  A
+    piecewise-linear utility is solved exactly over the whole tree
+    (:func:`_piecewise_backward`).  Candidates with a piecewise-linear
+    utility, or a log or power utility with a wealth shift (it breaks the
+    separation), raise :class:`~na1lab.errors.InvalidParameterError`; a tree
+    with scalable arbitrage raises :class:`~na1lab.errors.PreconditionError`,
+    naming its failing nodes.
     """
     if u.kind == "piecewise_linear":
         if candidates is not None:
@@ -634,14 +572,11 @@ def backward_induction(
 def default_wealth_grid(tree: ScenarioTree, points: int = 257) -> np.ndarray:
     """Geometric wealth grid spanning the reachable range.
 
-    Interval propagation: per edge, the largest gain and the largest loss
-    over the node's allowed set in its return span bound the one-step
-    gain; they are the expected-gain LPs of the node market under the
-    weights ``+e_k`` and ``-e_k`` of the edge's child ``k``
-    (:func:`~na1lab.arbitrage.max_expected_gain`), one round for the whole
-    tree.  Products of the extreme gross returns bound terminal wealth.  The
-    lower end is floored at a tiny positive fraction so the geometric
-    spacing stays well defined.
+    Per edge, the largest gain and loss over the node's allowed set, the
+    expected-gain LPs (:func:`~na1lab.arbitrage.max_expected_gain`) under the
+    weights ``+e_k`` and ``-e_k`` of the edge's child ``k``, bound the
+    one-step gain; their products bound terminal wealth, the lower end
+    floored at a tiny positive fraction.
     """
     if points < 2:
         raise InvalidParameterError("a wealth grid needs at least two points")
@@ -666,15 +601,11 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
     """Per-node log-optimal strategies and the reciprocal-wealth deflator.
 
     The log optimum at each node makes every allowed wealth ratio a one-step
-    supermartingale; stitched along the tree, the inverse of its wealth
-    process deflates every allowed strategy's wealth.  The log optima of the
-    distinct node markets not yet holding one at the numeraire tolerance are
-    one solver batch, started at the zero strategy once NA1 is decided, and
-    held on the markets (:func:`~na1lab.portfolio._maximize_all`).  Each node is
-    certified under the one-step weights ``probs / (1 + R rho)`` of its
-    strategy ``rho``, which numpy ties to the deflator's values, by its log
-    optimum's dual bound, else by an LP that nodes with equal market and
-    strategy share.  :func:`_numeraire_process` is the task.
+    supermartingale, so the inverse of its wealth process deflates every
+    allowed wealth.  Each node is certified to ``SUPERMARTINGALE_TOL`` under
+    the one-step weights ``probs / (1 + R rho)`` of its strategy ``rho``,
+    which numpy ties to the deflator within ``RATIO_TOL``; a failure raises
+    :class:`~na1lab.errors.NumericError`.  Task: :func:`_numeraire_process`.
     """
     return run(_gated(tree, "the numeraire process", _numeraire_process(tree)))
 
@@ -708,10 +639,9 @@ def _numeraire_process(tree: ScenarioTree):
 class TreeHedge:
     """Cheapest super-replication of a terminal claim over the tree.
 
-    ``node_values`` gives the cost of covering the claim from each node on;
-    ``strategies`` the wealth fractions backing that cost at each non-leaf
-    node, so hedge capital compounds as ``x * (1 + <strategy, returns>)``
-    along each edge.
+    ``node_values`` gives the cost of covering the claim from each node on,
+    and ``strategies`` the wealth fractions backing it at each non-leaf node:
+    hedge capital compounds as ``x * (1 + <strategy, returns>)`` per edge.
     """
 
     value: float
@@ -754,14 +684,10 @@ def _leaf_payoffs(tree: ScenarioTree, claim) -> list:
 def superhedge_tree(tree: ScenarioTree, claim) -> TreeHedge:
     """Cheapest capital covering a nonnegative terminal claim from the root.
 
-    Works backward: each node's cost is the one-period super-replication
-    price of the vector of its children's costs.  The levels are solved in
-    bands (:func:`_bands`), one LP per subtree of a band
-    (:func:`~na1lab.hedging._superhedge_bands`), whose duals certify every
-    node of it as :func:`~na1lab.hedging.superhedge` certifies a market.
-    Each round solves one band, the deepest with the NA1 LPs.  ``claim``
-    maps leaf id to payoff, or is a sequence in ``leaf_ids`` order.
-    :func:`_superhedge_tree` is the task.
+    Each node's cost is the one-period super-replication price of its
+    children's costs, certified as :func:`~na1lab.hedging.superhedge`
+    certifies a market.  ``claim`` maps leaf id to payoff, or is a sequence in
+    ``leaf_ids`` order.  Task: :func:`_superhedge_tree`.
     """
     return run(_gated(tree, "tree super-replication", _superhedge_tree(tree, claim)))
 
@@ -784,11 +710,10 @@ def _superhedge_tree(tree: ScenarioTree, claim):
 
 
 def _bands(tree: ScenarioTree) -> list:
-    """The internal levels ``lo:hi`` of each band, deepest first.  A band
-    grows upward from the leaves by whole levels while the LP of its largest
-    subtree (:func:`~na1lab.lp.tree_block` with every state row kept)
-    keeps at most ``lp.STACK_ENTRIES`` entries; a band has at least one
-    level."""
+    """The internal levels ``lo:hi`` of each band, deepest first: a band
+    grows upward by whole levels while the LP of its largest subtree
+    (:func:`~na1lab.lp.tree_block`, every state row kept) keeps at most
+    ``lp.STACK_ENTRIES`` entries, and has at least one level."""
     offsets, levels = np.array(tree._offsets), tree._levels
     budget = [tree.constraints[node_id].offsets.size for node_id in tree.internal_ids()]
     own = np.diff(offsets)[: levels[-2]] + budget

@@ -16,6 +16,7 @@ from conftest import (
     two_factor_atom_market,
 )
 from na1lab.arbitrage import (
+    CERTIFICATE_SCALE,
     check_na1,
     construct_esmm,
     find_classical_arbitrage,
@@ -149,6 +150,16 @@ class TestFindClassicalArbitrage:
         m = make_market([[0.1], [0.3]], constraints=preset_constraints("no_short", 1))
         cert = find_classical_arbitrage(m)
         assert cert.found and np.all(cert.gains > 0)
+
+    def test_tamed_certificate_is_logged(self, caplog):
+        """A long position that never loses runs the search to its box; the
+        certificate is scaled down to ``CERTIFICATE_SCALE``, by a factor
+        logged at debug."""
+        m = make_market([[0.1], [0.3]], constraints=preset_constraints("no_short", 1))
+        with caplog.at_level(logging.DEBUG, logger="na1lab.arbitrage"):
+            cert = find_classical_arbitrage(m)
+        assert cert.strategy == pytest.approx([CERTIFICATE_SCALE])
+        assert "arbitrage certificate tamed by a factor 1.000e-04" in caplog.messages
 
     def test_certificate_soundness_sweep(self):
         rng = np.random.default_rng(42)
@@ -547,6 +558,16 @@ class TestEsmm:
         m = two_factor_atom_market(gamma=0.5, c=1.0)
         with pytest.raises(PreconditionError):
             construct_esmm(m)
+
+    def test_floored_state_weights_are_logged(self, caplog):
+        """The state with return 30 weighs ``exp(-900)`` at the optimum
+        ``u = 0``, which underflows; it is lifted to ``1e-300``, and the
+        count of lifted weights is logged at debug."""
+        m = make_market([[-0.5], [30.0]], constraints=preset_constraints("no_short", 1))
+        with caplog.at_level(logging.DEBUG, logger="na1lab.arbitrage"):
+            esmm = construct_esmm(m)
+        assert esmm.measure[1] == pytest.approx(1e-300)
+        assert "esmm: 1 state weights lifted to the 1e-300 floor" in caplog.messages
 
     def test_shifted_normalization_matches_logsumexp(self):
         """The max-shifted normalization of the ESMM's state weights agrees

@@ -15,6 +15,7 @@ Oracles used here:
 """
 
 import json
+import logging
 import math
 import os
 import shutil
@@ -957,6 +958,35 @@ class TestExitCodes:
         monkeypatch.setenv("NA1LAB_LOG", "debug")
         rc, _ = run_command(tmp_path, "analyze", market_doc())
         assert rc == 0
+
+    @pytest.mark.parametrize("doc, logged", [
+        (scalable_doc(), ["arbitrage certificate tamed by a factor"]),
+        ({**market_doc(claim=[1.0, 0.0]), "returns": [[-0.5], [30.0]]},
+         ["esmm: 1 state weights lifted to the 1e-300 floor",
+          "super-hedging: 1 deflator values lifted to DEFLATOR_BUMP"]),
+    ])
+    def test_debug_log_leaves_the_report_bytes(self, tmp_path, monkeypatch, capsys, doc, logged):
+        """``NA1LAB_LOG=debug`` logs the fallbacks an ``analyze`` run takes
+        (taming, the ESMM's floor, the lifted hedge deflator) and writes the
+        same report bytes as a run without it."""
+        package = logging.getLogger("na1lab")
+        level, handlers = package.level, package.handlers[:]
+        package.handlers.clear()  # a handler left by another test writes to its stderr
+        try:
+            monkeypatch.delenv("NA1LAB_LOG", raising=False)
+            rc, out = run_command(tmp_path, "analyze", doc)
+            assert rc == 0
+            quiet = out.read_bytes()
+            capsys.readouterr()
+            monkeypatch.setenv("NA1LAB_LOG", "debug")
+            rc, out = run_command(tmp_path, "analyze", doc)
+            assert rc == 0
+            assert out.read_bytes() == quiet
+            err = capsys.readouterr().err
+            assert all(message in err for message in logged)
+        finally:
+            package.setLevel(level)
+            package.handlers[:] = handlers
 
     def test_module_runs_without_a_runtime_warning(self):
         # the package must not import na1lab.cli itself, or ``-m`` re-runs a

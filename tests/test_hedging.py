@@ -119,6 +119,13 @@ class TestSuperhedge:
         assert report.dual_deflator[1] == pytest.approx(1.0, abs=1e-7)
         assert not report.attainable
 
+    def test_lifted_deflator_is_logged(self, caplog):
+        """The state multiplier that is zero is lifted to ``DEFLATOR_BUMP``,
+        and the count of lifted values is logged at debug."""
+        with caplog.at_level(logging.DEBUG, logger="na1lab.hedging"):
+            superhedge(two_state_fixture(), Claim(np.array([0.0, 1.5])))
+        assert "super-hedging: 1 deflator values lifted to DEFLATOR_BUMP" in caplog.messages
+
     @pytest.mark.parametrize("perturb, message", [
         (lambda r: dataclasses.replace(r, x=r.x - [0.1, 0.0]), "fails to dominate the claim"),
         (lambda r: dataclasses.replace(r, marginals_ub=2.0 * r.marginals_ub), "duality gap"),
