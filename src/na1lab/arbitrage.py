@@ -16,14 +16,14 @@ generated by the allowed polyhedron.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NumericError, InvalidParameterError, PreconditionError
-from .lp import (BIG_BOUND, OPTIMAL, VIOLATION_TOL, cone_span, gather, minimize_convex, read,
+from .lp import (BIG_BOUND, FEAS_TOL, OPTIMAL, cone_span, gather, minimize_convex, read,
                  require_optimal, run)
-from .market import Cone, DiscreteMarket, generated_cone
+from .market import ZERO_OFFSET_TOL, Cone, DiscreteMarket, generated_cone
 
 logger = logging.getLogger(__name__)
 
@@ -45,12 +45,36 @@ SUPERMARTINGALE_TOL = 1e-8
 #: the expected-gain slack, with room for the dual bound's radius and noise.
 MOMENT_TOL = 1e-2 * SUPERMARTINGALE_TOL
 
-#: Anything below this offset counts as a zero right-hand side.
-ZERO_OFFSET_TOL = 1e-12
+
+class _Report:
+    """The report rule of every result class: :meth:`to_dict` gives the
+    dataclass's fields, less those named in ``_unreported``, as plain JSON
+    data (:func:`_plain`)."""
+
+    _unreported = ()
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+                if f.name not in self._unreported}
+
+
+def _plain(value):
+    """``value`` as plain JSON data: arrays and tuples as lists, numpy
+    scalars as Python numbers, mapping keys as strings, a result as its
+    report."""
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True, eq=False)
-class ArbitrageCertificate:
+class ArbitrageCertificate(_Report):
     """Outcome of a classical (or relative) arbitrage search.
 
     ``objective`` is the expected gain of the tamed strategy when one was
@@ -69,19 +93,9 @@ class ArbitrageCertificate:
     def found(self) -> bool:
         return self.verdict == "arbitrage_found"
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "strategy": None if self.strategy is None else list(map(float, self.strategy)),
-            "gains": None if self.gains is None else list(map(float, self.gains)),
-            "objective": float(self.objective),
-            "reference": None if self.reference is None else list(map(float, self.reference)),
-            "threshold": float(self.threshold),
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class Na1Certificate:
+class Na1Certificate(_Report):
     """Outcome of a scalable-arbitrage search.
 
     Under ``na1_holds``, ``bound_radius`` is the sup-norm radius of the allowed
@@ -100,24 +114,15 @@ class Na1Certificate:
     threshold: float = GAIN_TOL
     multipliers: np.ndarray | None = None
     radius_bound: float = np.inf
+    _unreported = ("multipliers", "radius_bound")
 
     @property
     def holds(self) -> bool:
         return self.verdict == "na1_holds"
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness_ray": None
-            if self.witness_ray is None
-            else list(map(float, self.witness_ray)),
-            "bound_radius": None if self.bound_radius is None else float(self.bound_radius),
-            "threshold": float(self.threshold),
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class Esmm:
+class Esmm(_Report):
     """Equivalent supermartingale measure on the market's states: the
     probabilities ``measure``, their ratio ``density`` to the market's, the
     exponential-moment minimizer ``strategy`` that generated them, and
@@ -129,15 +134,6 @@ class Esmm:
     strategy: np.ndarray
     slack: float
     threshold: float = SUPERMARTINGALE_TOL
-
-    def to_dict(self) -> dict:
-        return {
-            "measure": list(map(float, self.measure)),
-            "density": list(map(float, self.density)),
-            "strategy": list(map(float, self.strategy)),
-            "slack": float(self.slack),
-            "threshold": float(self.threshold),
-        }
 
 
 def _state_rows(market: DiscreteMarket) -> np.ndarray:
@@ -176,7 +172,7 @@ def _gain_search(market: DiscreteMarket, weights, offsets, box: float, context: 
     lazy, carries ``min(offset, 0)``: both bounds at once.
 
     The strategy is put on the LP's zero-gain face: gains within
-    ``VIOLATION_TOL * (1 + max |gain|)`` of zero, solver noise of either sign,
+    ``FEAS_TOL * (1 + max |gain|)`` of zero, solver noise of either sign,
     are removed by one least-squares step in the row space of their returns,
     which keeps it in the return span.  A strategy gaining nowhere is kept.
     """
@@ -193,7 +189,7 @@ def _gain_search(market: DiscreteMarket, weights, offsets, box: float, context: 
     )]
     value, strategy = float(require_optimal(result, context).value), basis @ result.x
     gains = np.abs(market.returns @ strategy)
-    flat = gains <= VIOLATION_TOL * (1.0 + np.max(gains))
+    flat = gains <= FEAS_TOL * (1.0 + np.max(gains))
     if not flat.all():
         face = market.returns[flat]
         strategy = strategy - np.linalg.lstsq(face, face @ strategy, rcond=None)[0]
@@ -212,8 +208,7 @@ def _tame_scale(direction: np.ndarray) -> float:
 
 
 def _verify_gain_certificate(market, strategy, gains):
-    theta = market.allowed
-    if np.any(theta.normals @ strategy - theta.offsets > 1e-9 * (1.0 + np.abs(theta.offsets))):
+    if not market.allowed.contains(strategy):
         raise NumericError("arbitrage certificate violates the constraint polyhedron")
     if np.any(gains < -1e-12):
         raise NumericError("arbitrage certificate has a negative state gain")

@@ -57,7 +57,7 @@ from .portfolio import NUMERAIRE_GRADIENT_TOL, numeraire_portfolio
 from .tree import _numeraire_process, _piecewise_backward, _superhedge_tree, _with_na1
 from .tree import backward_induction
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("na1lab.cli")
 
 COMMANDS = ("analyze", "numeraire", "hedge", "factor", "tree")
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -198,13 +198,6 @@ def _run_factor(config: RunConfig) -> dict:
     return report
 
 
-def _policy_section(policy) -> dict:
-    return {
-        "strategies": dict(policy.strategies),
-        "wealth": dict(policy.wealth),
-    }
-
-
 def _run_tree(config: RunConfig) -> dict:
     tree, claim, utility = docio.parse_tree(docio.load_document(config.input_path))
     # solved alongside NA1, and read only where it holds, in this order
@@ -234,18 +227,13 @@ def _run_tree(config: RunConfig) -> dict:
         logger.info("scalable arbitrage at nodes %s; skipping valuations", na1.failing)
         return report
     policy, deflator = lp.read(answers[0])
-    report["numeraire"] = _policy_section(policy)
+    report["numeraire"] = policy.to_dict()
     report["deflator"] = dict(deflator.values)
     if claim is not None:
         report["hedge"] = lp.read(answers[1]).to_dict()
     if utility is not None:
         result = lp.read(answers[-1]) if piecewise else backward_induction(tree, utility)
-        report["optimal"] = {
-            "value": result.value,
-            "policy": _policy_section(result.policy),
-            "node_values": dict(result.node_values),
-            "diagnostics": dict(result.diagnostics),
-        }
+        report["optimal"] = result.to_dict()
     return report
 
 
@@ -282,7 +270,7 @@ def _configure_logging() -> None:
         )
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    package_logger = logging.getLogger(__name__.split(".")[0])
+    package_logger = logging.getLogger("na1lab")
     package_logger.setLevel(level)
     if not package_logger.handlers:
         package_logger.addHandler(handler)

@@ -29,10 +29,7 @@ from scipy import special
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidParameterError, NumericError, PreconditionError
-from .market import ConstraintSet, DiscreteMarket
-
-#: Relative singular-value cutoff below which the loading matrix is rank deficient.
-LOADING_RANK_TOL = 1e-10
+from .market import PROB_TOL, RANK_TOL, ConstraintSet, DiscreteMarket
 
 #: Max least-squares residual for "the first factor is reachable by a portfolio".
 RAY_RESIDUAL_TOL = 1e-10
@@ -81,7 +78,7 @@ class FactorDistribution:
                 raise InvalidParameterError("point_mass values must be finite")
             if np.any(weights <= 0):
                 raise InvalidParameterError("point_mass weights must be positive")
-            if abs(weights.sum() - 1.0) > 1e-9:
+            if abs(weights.sum() - 1.0) > PROB_TOL:
                 raise InvalidParameterError(
                     f"point_mass weights sum to {weights.sum()!r}, not 1"
                 )
@@ -233,7 +230,7 @@ class FactorModel:
         if not np.all(np.isfinite(q)):
             raise InvalidParameterError("loadings must be finite")
         svals = np.linalg.svd(q, compute_uv=False)
-        if q.shape[1] < q.shape[0] or svals[-1] <= LOADING_RANK_TOL * svals[0]:
+        if q.shape[1] < q.shape[0] or svals[-1] <= RANK_TOL * svals[0]:
             raise InvalidParameterError(
                 f"loadings are rank deficient: {q.shape[0]} assets need "
                 f"{q.shape[0]} independent factor directions, singular values "

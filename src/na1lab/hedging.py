@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidParameterError, NumericError
 from .lp import OPTIMAL, deterministic_equivalent, require_optimal, run, tree_block
 from .market import DiscreteMarket, _kept_rows
-from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _dual_bound, _gated, _memoized
+from .arbitrage import SUPERMARTINGALE_TOL, _Report, _certified_gains, _dual_bound, _gated, _memoized
 from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
 
 logger = logging.getLogger(__name__)
@@ -107,7 +107,7 @@ class PiecewiseLinearLoss:
 
 
 @dataclass(frozen=True, eq=False)
-class ValuationReport:
+class ValuationReport(_Report):
     """Two-sided certificate for the super-hedging value of a claim.
 
     ``primal_value`` is the cheapest super-replicating capital, ``strategy``
@@ -124,17 +124,6 @@ class ValuationReport:
     gap: float
     attainable: bool
     lp_status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "primal_value": float(self.primal_value),
-            "strategy": list(map(float, self.strategy)),
-            "dual_value": float(self.dual_value),
-            "dual_deflator": list(map(float, self.dual_deflator)),
-            "gap": float(self.gap),
-            "attainable": bool(self.attainable),
-            "lp_status": self.lp_status,
-        }
 
 
 def _check_claim(market: DiscreteMarket, claim: Claim) -> np.ndarray:

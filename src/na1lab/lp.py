@@ -34,7 +34,7 @@ mask ``lazy``.  Past ``LAZY_ROWS`` of them it is solved by row generation
 (Kelley's cutting planes): from the rows of :func:`_seed_rows`, extreme
 along the signed axes and ``SEED_DIRECTIONS`` fixed directions per
 column, each round adds the deepest violated rows, ``ROWS_PER_COLUMN`` per
-column (:func:`_grown`), until none exceeds ``VIOLATION_TOL``.  Where the
+column (:func:`_grown`), until none exceeds ``FEAS_TOL``.  Where the
 rows' points have at most ``market.HULL_MAX_RANK`` coordinates in the
 return span and would be generated, :func:`~na1lab.market._kept_rows`
 keeps only their convex hull's vertices, which cut out the same set: a
@@ -118,13 +118,16 @@ STACK_ENTRIES = 1 << 20
 #: (crossover measured on seeded random box markets, see CHANGES.md).
 LAZY_ROWS = 256
 
-#: Row generation: rows gained per round and column, fixed seed directions
-#: per column besides the signed axes (mid-range picks of a sweep in which
-#: no setting stood out, see CHANGES.md), and the violation ``a . x - b``
-#: that counts, relative to ``1 + |b|``.
+#: Row generation: rows gained per round and column, and fixed seed
+#: directions per column besides the signed axes (mid-range picks of a sweep
+#: in which no setting stood out, see CHANGES.md).
 ROWS_PER_COLUMN = 8
 SEED_DIRECTIONS = 4
-VIOLATION_TOL = 1e-9
+
+#: A row ``a . x <= b`` holds within ``FEAS_TOL * (1 + |b|)``: the
+#: membership test of a polyhedron, and the violation that counts in row
+#: generation.
+FEAS_TOL = 1e-9
 
 #: Newton iterations allowed to :func:`minimize_convex`.
 NEWTON_ITERATIONS = 200
@@ -323,7 +326,7 @@ def _grown(block, kept, result):
         return np.ones_like(kept)
     a, b = _rows(block, "a_ub", "b_ub")
     excess = a @ result.x - b
-    rows = np.flatnonzero(block["lazy"] & ~kept & (excess > VIOLATION_TOL * (1.0 + np.abs(b))))
+    rows = np.flatnonzero(block["lazy"] & ~kept & (excess > FEAS_TOL * (1.0 + np.abs(b))))
     if not rows.size:
         return None
     depth = excess[rows] / np.linalg.norm(a[rows], axis=1)

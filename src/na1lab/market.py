@@ -25,7 +25,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import lp
 from .errors import InfeasibleError, InvalidParameterError
-from .lp import is_feasible
+from .lp import FEAS_TOL, is_feasible
 
 logger = logging.getLogger(__name__)
 
@@ -38,9 +38,6 @@ RANK_TOL = 1e-10
 #: Tolerance for the requirement that constraint normals lie in the return span.
 SPAN_ALIGNMENT_TOL = 1e-10
 
-#: Default tolerance for feasibility / membership residuals.
-FEAS_TOL = 1e-9
-
 #: State (or branch) probabilities must sum to one within this.
 PROB_TOL = 1e-9
 
@@ -49,6 +46,9 @@ PROB_TOL = 1e-9
 #: super-hedged claim); qhull's cost grows steeply with the dimension: on
 #: 1,024 points 3.4 ms in 4-D, 29 ms in 5-D.
 HULL_MAX_RANK = 4
+
+#: Anything below this offset counts as a zero right-hand side.
+ZERO_OFFSET_TOL = 1e-12
 
 #: Support points off an affine hyperplane ``<w, z> = 1`` by at most this
 #: much relative to 1 count as lying on it.
@@ -172,11 +172,6 @@ class SubspaceBasis:
         """Orthogonal projection onto the span."""
         x = np.asarray(x, dtype=float)
         return (x @ self.basis) @ self.basis.T
-
-    def project_complement(self, x) -> np.ndarray:
-        """Orthogonal projection onto the orthogonal complement of the span."""
-        x = np.asarray(x, dtype=float)
-        return x - self.project(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +375,7 @@ def recession_cone(theta: ConstraintSet) -> Cone:
     return Cone(theta.dim, theta.normals)
 
 
-def generated_cone(theta: ConstraintSet, tol: float = 1e-12) -> Cone:
+def generated_cone(theta: ConstraintSet, tol: float = ZERO_OFFSET_TOL) -> Cone:
     """Smallest closed cone containing a polyhedron ``{pi : A pi <= b}`` with
     ``b >= 0``: the rows with ``b = 0``, since rows with positive offset
     vanish under scaling."""

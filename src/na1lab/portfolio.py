@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _cone_spans, _dual_bound, _refuse, _with_na1
+from .arbitrage import (SUPERMARTINGALE_TOL, _Report, _certified_gains, _cone_spans, _dual_bound,
+                        _refuse, _with_na1)
 from .errors import InvalidParameterError, NumericError, PreconditionError
-from .lp import _pad, deterministic_equivalent, gather, minimize_convex, read, run
+from .lp import FEAS_TOL, _pad, deterministic_equivalent, gather, minimize_convex, read, run
 from .market import DiscreteMarket, wealth
 
 #: States whose utility argument ends at or below this are reported as
@@ -119,15 +120,6 @@ class UtilitySpec:
         idx = np.clip(np.searchsorted(xs, arg, side="right") - 1, 0, slopes.size - 1)
         return self.scale * slopes[idx]
 
-    def lower_bound_at(self, x: float) -> float:
-        """Finite value at a positive wealth level."""
-        if x <= 0:
-            raise InvalidParameterError("lower_bound_at needs positive wealth")
-        val = float(self.value(np.array([x]))[0])
-        if not math.isfinite(val):
-            raise InvalidParameterError(f"utility is not finite at wealth {x}")
-        return val
-
     def _piecewise_value(self, arg):
         xs = np.asarray(self.knots_x)
         ys = np.asarray(self.knots_y)
@@ -196,7 +188,7 @@ class _UtilityEvaluator:
 
 
 @dataclass(frozen=True, eq=False)
-class OptimalPortfolio:
+class OptimalPortfolio(_Report):
     """Utility maximizer with solver telemetry.
 
     ``gradient_norm`` is the final stationarity residual: complementarity plus
@@ -218,32 +210,18 @@ class OptimalPortfolio:
     active_constraints: tuple[int, ...] = ()
     active_wealth_floors: tuple[int, ...] = ()
     deflator: Deflator | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": list(map(float, self.strategy)),
-            "value": float(self.value),
-            "gradient_norm": float(self.gradient_norm),
-            "iterations": int(self.iterations),
-            "active_constraints": list(self.active_constraints),
-            "active_wealth_floors": list(self.active_wealth_floors),
-        }
+    _unreported = ("deflator",)
 
 
 @dataclass(frozen=True, eq=False)
-class Deflator:
+class Deflator(_Report):
     """State-wise positive weights Z with E[Z (1 + <pi, R>)] <= 1 over the
-    allowed set; ``certificate`` bounds that expectation (:func:`verify_deflator`)."""
+    allowed set; ``certificate`` bounds that expectation (:func:`verify_deflator`),
+    and ``threshold`` is the bound it must stay within."""
 
     values: np.ndarray
     certificate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "values": list(map(float, self.values)),
-            "certificate": float(self.certificate),
-            "threshold": 1.0 + SUPERMARTINGALE_TOL,
-        }
+    threshold: float = field(default=1.0 + SUPERMARTINGALE_TOL, init=False)
 
 
 def maximize_utility(
@@ -456,7 +434,7 @@ def _piecewise_optimum(market, probs, evaluator, basis):
         (1.0, 1.0), True, "piecewise-utility LP")
     allowed = market.allowed
     slack = allowed.offsets - allowed.normals @ strategy
-    active = np.flatnonzero(slack <= 1e-9 * (1.0 + np.abs(allowed.offsets)))
+    active = np.flatnonzero(slack <= FEAS_TOL * (1.0 + np.abs(allowed.offsets)))
     return OptimalPortfolio(strategy, float(value), 0.0, 1, tuple(map(int, active)), ())
 
 

@@ -28,11 +28,11 @@ from functools import cached_property
 import numpy as np
 
 from . import arbitrage, lp
-from .arbitrage import SUPERMARTINGALE_TOL, _certified_gains, _max_expected_gains
+from .arbitrage import SUPERMARTINGALE_TOL, _Report, _certified_gains, _max_expected_gains
 from .errors import InvalidParameterError, NumericError
 from .hedging import _recertified, _superhedge_bands
-from .lp import deterministic_equivalent, run
-from .market import FEAS_TOL, PROB_TOL, ConstraintSet, DiscreteMarket, wealth
+from .lp import FEAS_TOL, deterministic_equivalent, run
+from .market import PROB_TOL, ConstraintSet, DiscreteMarket, wealth
 from .portfolio import (
     GRADIENT_TOL,
     NUMERAIRE_GRADIENT_TOL,
@@ -209,21 +209,12 @@ class ScenarioTree:
         i = self._at(node_id)
         return self._bfs[self._offsets[i]:self._offsets[i + 1]]
 
-    def is_leaf(self, node_id) -> bool:
-        return not self.children(node_id)
-
     def depth(self, node_id) -> int:
         return int(np.searchsorted(self._levels, self._at(node_id), side="right")) - 1
 
     def bfs_ids(self) -> tuple:
         """Node ids in breadth-first order (parents before children)."""
         return self._bfs
-
-    def level_ids(self, depth: int) -> tuple:
-        """Ids of the nodes at ``depth`` (0 to ``horizon``), breadth-first."""
-        if not 0 <= depth <= self.horizon:
-            raise InvalidParameterError(f"depth {depth!r} outside 0..{self.horizon}")
-        return self._bfs[self._levels[depth]:self._levels[depth + 1]]
 
     def internal_ids(self) -> tuple:
         """Non-leaf ids in breadth-first order; reverse for backward passes."""
@@ -294,7 +285,7 @@ def iid_tree(market: DiscreteMarket, horizon: int, root_id: str = "root") -> Sce
 
 
 @dataclass(frozen=True)
-class PolicyProcess:
+class PolicyProcess(_Report):
     """Strategy per non-leaf node plus the wealth reached at every node.
 
     ``wealth`` starts at 1 at the root and multiplies by one plus the chosen
@@ -311,7 +302,7 @@ class PolicyProcess:
             if node_id not in self.strategies:
                 raise NumericError(f"no strategy recorded at node {node_id!r}")
             pi = np.asarray(self.strategies[node_id], dtype=float)
-            if not market.allowed.contains(pi, tol=FEAS_TOL):
+            if not market.allowed.contains(pi):
                 raise NumericError(f"policy at node {node_id!r} leaves the allowed polyhedron")
             off_span = pi - market.span.project(pi)
             scale = 1.0 + float(np.max(np.abs(pi), initial=0.0))
@@ -371,7 +362,7 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
 
 
 @dataclass(frozen=True)
-class TreeNa1Report:
+class TreeNa1Report(_Report):
     """Per-node scalable-arbitrage certificates and the overall verdict."""
 
     holds: bool
@@ -379,13 +370,8 @@ class TreeNa1Report:
     failing: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "failing": [str(node_id) for node_id in self.failing],
-            "certificates": {
-                str(node_id): cert.to_dict() for node_id, cert in self.certificates.items()
-            },
-        }
+        # node ids are reported as strings, in ``failing`` as in the keys
+        return {**super().to_dict(), "failing": [str(node_id) for node_id in self.failing]}
 
 
 def global_na1(tree: ScenarioTree) -> TreeNa1Report:
@@ -418,7 +404,7 @@ def _gated(tree: ScenarioTree, context: str, task):
 
 
 @dataclass(frozen=True)
-class BackwardInductionResult:
+class BackwardInductionResult(_Report):
     """Root value, per-node policy, and per-node continuation data.
 
     ``node_values[n]`` is, for log utility, the additive continuation constant
@@ -447,7 +433,7 @@ def _node_candidates(candidates, node_id) -> np.ndarray:
 
 
 def _feasible_candidates(market: DiscreteMarket, chosen: np.ndarray, node_id) -> np.ndarray:
-    keep = [pi for pi in chosen if market.allowed.contains(pi, tol=FEAS_TOL)]
+    keep = [pi for pi in chosen if market.allowed.contains(pi)]
     if not keep:
         raise InvalidParameterError(
             f"no candidate strategy at node {node_id!r} lies in the allowed set"
@@ -636,7 +622,7 @@ def _numeraire_process(tree: ScenarioTree):
 
 
 @dataclass(frozen=True)
-class TreeHedge:
+class TreeHedge(_Report):
     """Cheapest super-replication of a terminal claim over the tree.
 
     ``node_values`` gives the cost of covering the claim from each node on,
@@ -647,15 +633,6 @@ class TreeHedge:
     value: float
     node_values: dict
     strategies: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "node_values": {str(k): float(v) for k, v in self.node_values.items()},
-            "strategies": {
-                str(k): [float(x) for x in v] for k, v in self.strategies.items()
-            },
-        }
 
 
 def _leaf_payoffs(tree: ScenarioTree, claim) -> list:

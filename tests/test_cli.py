@@ -98,6 +98,17 @@ def tree_doc(claim=None, utility=None, bad_middle=False, distinct=False):
     return doc
 
 
+@pytest.fixture
+def package_logger():
+    """The ``na1lab`` logger, its level and handlers restored afterwards:
+    ``NA1LAB_LOG`` binds a handler to the stderr of the test that set it."""
+    package = logging.getLogger("na1lab")
+    level, handlers = package.level, package.handlers[:]
+    yield package
+    package.setLevel(level)
+    package.handlers[:] = handlers
+
+
 def write_doc(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
@@ -954,7 +965,7 @@ class TestExitCodes:
         rc, _ = run_command(tmp_path, "analyze", market_doc())
         assert rc == 2
 
-    def test_valid_log_level_runs(self, tmp_path, monkeypatch):
+    def test_valid_log_level_runs(self, tmp_path, monkeypatch, package_logger):
         monkeypatch.setenv("NA1LAB_LOG", "debug")
         rc, _ = run_command(tmp_path, "analyze", market_doc())
         assert rc == 0
@@ -965,28 +976,37 @@ class TestExitCodes:
          ["esmm: 1 state weights lifted to the 1e-300 floor",
           "super-hedging: 1 deflator values lifted to DEFLATOR_BUMP"]),
     ])
-    def test_debug_log_leaves_the_report_bytes(self, tmp_path, monkeypatch, capsys, doc, logged):
+    def test_debug_log_leaves_the_report_bytes(self, tmp_path, monkeypatch, capsys, package_logger,
+                                               doc, logged):
         """``NA1LAB_LOG=debug`` logs the fallbacks an ``analyze`` run takes
         (taming, the ESMM's floor, the lifted hedge deflator) and writes the
         same report bytes as a run without it."""
-        package = logging.getLogger("na1lab")
-        level, handlers = package.level, package.handlers[:]
-        package.handlers.clear()  # a handler left by another test writes to its stderr
-        try:
-            monkeypatch.delenv("NA1LAB_LOG", raising=False)
-            rc, out = run_command(tmp_path, "analyze", doc)
-            assert rc == 0
-            quiet = out.read_bytes()
-            capsys.readouterr()
-            monkeypatch.setenv("NA1LAB_LOG", "debug")
-            rc, out = run_command(tmp_path, "analyze", doc)
-            assert rc == 0
-            assert out.read_bytes() == quiet
-            err = capsys.readouterr().err
-            assert all(message in err for message in logged)
-        finally:
-            package.setLevel(level)
-            package.handlers[:] = handlers
+        monkeypatch.delenv("NA1LAB_LOG", raising=False)
+        rc, out = run_command(tmp_path, "analyze", doc)
+        assert rc == 0
+        quiet = out.read_bytes()
+        capsys.readouterr()
+        monkeypatch.setenv("NA1LAB_LOG", "debug")
+        rc, out = run_command(tmp_path, "analyze", doc)
+        assert rc == 0
+        assert out.read_bytes() == quiet
+        err = capsys.readouterr().err
+        assert all(message in err for message in logged)
+
+    def test_module_form_sets_the_package_log_level(self, tmp_path):
+        """``python -m na1lab.cli`` configures the package's logger, not the
+        ``__main__`` module's, so the library's debug records reach stderr."""
+        src = write_doc(tmp_path / "input.json", scalable_doc())
+        proc = subprocess.run(
+            [sys.executable, "-m", "na1lab.cli", "--command", "analyze", "--input", src,
+             "--output", str(tmp_path / "report.json")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "NA1LAB_LOG": "debug"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "DEBUG na1lab.arbitrage: arbitrage certificate tamed by a factor" in proc.stderr
+        assert "INFO na1lab.cli: wrote" in proc.stderr
 
     def test_module_runs_without_a_runtime_warning(self):
         # the package must not import na1lab.cli itself, or ``-m`` re-runs a

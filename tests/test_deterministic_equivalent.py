@@ -99,7 +99,7 @@ def test_shortfall_strategy_lies_in_the_return_span():
     loss = PiecewiseLinearLoss(((1.0, 0.0), (2.0, -0.2)))
     v, strategy, risk = shortfall_hedge(m, claim, loss, v0=0.4)
     assert risk > 0.0
-    assert np.max(np.abs(m.span.project_complement(strategy))) <= 1e-12
+    assert np.max(np.abs(strategy - m.span.project(strategy))) <= 1e-12
     assert np.allclose(strategy[0], strategy[1], atol=1e-12)
     single = make_market(returns[:, :1], probs=[0.3, 0.4, 0.3],
                          constraints=ConstraintSet(1, np.array([[1.0], [-1.0]]),

@@ -74,7 +74,7 @@ class TestSpanAndProjection:
             x = rng.standard_normal(d)
             p = span.project(x)
             assert np.allclose(span.project(p), p, atol=1e-12)
-            q = span.project_complement(x)
+            q = x - span.project(x)
             assert np.allclose(p + q, x, atol=1e-12)
             assert abs(p @ q) < 1e-10
 
@@ -299,5 +299,6 @@ class TestWealth:
         m = make_market(returns)
         for _ in range(50):
             pi = rng.standard_normal(2)
-            shift = m.span.project_complement(rng.standard_normal(2))
+            x = rng.standard_normal(2)
+            shift = x - m.span.project(x)
             assert np.allclose(wealth(m, pi), wealth(m, pi + shift), atol=1e-10)

@@ -107,11 +107,6 @@ class TestUtilitySpec:
         from_pieces = np.min(pieces[:, 0][:, None] * xs[None, :] + pieces[:, 1][:, None], axis=0)
         assert np.allclose(direct, from_pieces)
 
-    def test_lower_bound_at_rejects_nonpositive(self):
-        with pytest.raises(InvalidParameterError):
-            UtilitySpec.log().lower_bound_at(0.0)
-        assert UtilitySpec.log().lower_bound_at(1.0) == 0.0
-
 
 class TestMaximizeUtility:
     def test_stalled_solver_is_refused(self, monkeypatch):
