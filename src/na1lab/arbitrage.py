@@ -460,15 +460,16 @@ def _max_expected_gains(markets, weights):
     return _memoized(markets, keys, decide)
 
 
-def _dual_bound(market, weights, dual, limit: float) -> float:
+def _dual_bound(market, weights, dual) -> float:
     """Weak-duality bound on :func:`max_expected_gain` under ``weights``, held
-    on the market by their bytes if at most ``limit``.  In ``dual = (coords,
-    rows, lam)``, ``lam >= 0`` are multipliers of allowed rows ``C theta <=
-    b`` and ``coords`` is orthonormal, projecting (``P``) onto a subspace
-    holding the allowed set, where ``w . R theta <= lam . b + |P (R^T w -
-    C^T lam)|_1 |theta|_inf``; NA1 multipliers (radius ``rho``, residuals
-    ``e_k``) prove ``|theta|_inf <= rho / (1 - max_k |e_k|_1)``, their
-    ``radius_bound``.  Without them, or ``dual``, the bound is +inf."""
+    on the market by their bytes if their sum plus it is at most ``1 +
+    SUPERMARTINGALE_TOL``.  In ``dual = (coords, rows, lam)``, ``lam >= 0``
+    are multipliers of allowed rows ``C theta <= b`` and ``coords`` is
+    orthonormal, projecting (``P``) onto a subspace holding the allowed set,
+    where ``w . R theta <= lam . b + |P (R^T w - C^T lam)|_1 |theta|_inf``;
+    NA1 multipliers (radius ``rho``, residuals ``e_k``) prove ``|theta|_inf
+    <= rho / (1 - max_k |e_k|_1)``, their ``radius_bound``.  Without them,
+    or ``dual``, the bound is +inf."""
     na1 = market.certificates.get(("na1", GAIN_TOL))
     if dual is None or na1 is None or na1.multipliers is None:
         return np.inf
@@ -476,7 +477,7 @@ def _dual_bound(market, weights, dual, limit: float) -> float:
     lam = np.maximum(lam, 0.0)
     residual = coords @ (coords.T @ (market.returns.T @ weights - allowed.normals[rows].T @ lam))
     bound = float(lam @ allowed.offsets[rows] + np.sum(np.abs(residual)) * na1.radius_bound)
-    if bound <= limit:
+    if np.sum(weights) + bound <= 1.0 + SUPERMARTINGALE_TOL:
         market.certificates.setdefault(("gain_bound", weights.tobytes()), bound)
     return bound
 
@@ -490,6 +491,13 @@ def _certified_gains(markets, weights):
     lps = [i for i, bound in enumerate(held) if bound is None]
     gains = iter((yield from _max_expected_gains([markets[i] for i in lps], [weights[i] for i in lps])))
     return [next(gains) if bound is None else bound for bound in held]
+
+
+def _deflator_bounds(markets, weights):
+    """Task: the one deflator bound, on sup E[Z (1 + <pi, R>)] over allowed
+    pi, per market: its weights ``probs * Z`` summed, plus :func:`_certified_gains`."""
+    gains = yield from _certified_gains(markets, weights)
+    return [float(np.sum(w) + gain) for w, gain in zip(weights, gains)]
 
 
 def construct_esmm(market: DiscreteMarket, tol: float = GAIN_TOL) -> Esmm:
@@ -535,7 +543,7 @@ def _esmm(market: DiscreteMarket, tol: float = GAIN_TOL):
                      np.count_nonzero(weights < 1e-300))
     q = np.maximum(weights, 1e-300)
     q = q / q.sum()
-    _dual_bound(market, q, dual, SUPERMARTINGALE_TOL)
+    _dual_bound(market, q, dual)
     [slack] = yield from _certified_gains([market], [q])
     if not slack <= SUPERMARTINGALE_TOL:
         stalled = (f"; the exponential-moment search stalled at residual {residual:.3e}"

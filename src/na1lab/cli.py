@@ -37,14 +37,7 @@ from pathlib import Path
 from . import io as docio
 from . import lp
 from .arbitrage import GAIN_TOL, _check_na1_all, _classical, _esmm
-from .errors import (
-    InfeasibleError,
-    InvalidParameterError,
-    Na1LabError,
-    NumericError,
-    PreconditionError,
-    SchemaError,
-)
+from .errors import InvalidParameterError, Na1LabError, PreconditionError, SchemaError
 from .factor import (
     _is_unit_upper_triangular,
     arbitrage_ray,
@@ -308,18 +301,9 @@ def main(argv=None) -> int:
             seed=args.seed,
         )
         return run(config)
-    except SchemaError as exc:
+    except Na1LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidParameterError, PreconditionError, InfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except Na1LabError as exc:  # pragma: no cover - future error classes
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

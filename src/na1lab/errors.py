@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all na1lab modules.
 
-The CLI maps these onto process exit codes: schema/parse problems exit 1,
-domain and precondition violations exit 2, numerical failures exit 3.
+Each class carries the CLI's process exit code: schema/parse problems exit
+1, domain and precondition violations exit 2, numerical failures exit 3.
 """
 
 from __future__ import annotations
@@ -10,9 +10,13 @@ from __future__ import annotations
 class Na1LabError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class SchemaError(Na1LabError, ValueError):
     """Malformed input document (JSON syntax or missing/invalid fields)."""
+
+    exit_code = 1
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         if line is not None:
@@ -40,6 +44,8 @@ class NumericError(Na1LabError):
     Carries optional diagnostics: ``best`` (best iterate found) and
     ``value`` (objective at that iterate).
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, best=None, value=None):
         super().__init__(message)

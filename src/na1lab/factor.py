@@ -533,13 +533,14 @@ def two_dim_admissibility(gamma: float, pi) -> bool:
     if pi.size != 2:
         raise InvalidParameterError("expected a two-asset position")
     p1, p2 = float(pi[0]), float(pi[1])
-    if p1 < 0.0:
-        return False
-    if 0.0 <= gamma < 1.0:
-        return -gamma * p1 <= p2 <= 1.0 - gamma * p1
-    if gamma >= 1.0:
-        return -gamma * p1 <= p2 <= gamma - gamma * p1
-    return gamma - gamma * p1 <= p2 <= 1.0 - gamma * p1
+    lower, upper = _two_dim_band(gamma, p1)
+    return p1 >= 0.0 and lower <= p2 <= upper
+
+
+def _two_dim_band(gamma: float, pi1):
+    """Band ``(lower, upper)`` of the second position at a first ``pi1 >= 0`` (number or array)."""
+    lower = -gamma * pi1 if gamma >= 0.0 else gamma - gamma * pi1
+    return lower, (gamma if gamma >= 1.0 else 1.0) - gamma * pi1
 
 
 # -- discretization ----------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import InvalidParameterError, NumericError
 from .lp import OPTIMAL, deterministic_equivalent, require_optimal, run, tree_block
 from .market import DiscreteMarket, _kept_rows
-from .arbitrage import SUPERMARTINGALE_TOL, _Report, _certified_gains, _dual_bound, _gated, _memoized
-from .portfolio import UtilitySpec, maximize_utility, numeraire_portfolio
+from .arbitrage import SUPERMARTINGALE_TOL, _Report, _deflator_bounds, _dual_bound, _gated, _memoized
+from .portfolio import GRADIENT_TOL, UtilitySpec, _maximize_all, _Utilities, numeraire_portfolio
 
 logger = logging.getLogger(__name__)
 
@@ -92,11 +92,6 @@ class PiecewiseLinearLoss:
         if not cleaned:
             raise InvalidParameterError("a loss needs at least one piece")
         object.__setattr__(self, "pieces", tuple(cleaned))
-
-    @classmethod
-    def positive_part(cls) -> "PiecewiseLinearLoss":
-        """The hinge loss max(x, 0)."""
-        return cls(((1.0, 0.0),))
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -236,8 +231,7 @@ def _superhedge_report(market, payoff, states, primal, y_opt, multipliers) -> Va
         )
     weights, budget = market.probs * lifted, multipliers[states.size :]
     rows = market.admissible.offsets.size + np.arange(budget.size)  # R^T multipliers = A^T budget
-    _dual_bound(market, weights, (market.span.basis, rows, budget),
-                1.0 + SUPERMARTINGALE_TOL - np.sum(weights))
+    _dual_bound(market, weights, (market.span.basis, rows, budget))
     replicates = float(np.max(np.abs(residuals))) <= RESIDUAL_TOL
     attains = dual_value >= primal - DUALITY_TOL * (1.0 + primal)
     return ValuationReport(
@@ -263,13 +257,13 @@ def _hedged_states(market: DiscreteMarket, payoff) -> np.ndarray:
 
 def _recertified(markets, reports):
     """Task: re-certify each report's lifted deflator
-    (:func:`~na1lab.arbitrage._certified_gains`): one that lets some allowed
+    (:func:`~na1lab.arbitrage._deflator_bounds`): one that lets some allowed
     wealth ratio exceed ``1 + SUPERMARTINGALE_TOL`` is logged and makes its
     report not attainable."""
     weights = [m.probs * r.dual_deflator for m, r in zip(markets, reports)]
     out = []
-    for report, weight, gain in zip(reports, weights, (yield from _certified_gains(markets, weights))):
-        if not float(np.sum(weight)) + gain <= 1.0 + SUPERMARTINGALE_TOL:
+    for report, bound in zip(reports, (yield from _deflator_bounds(markets, weights))):
+        if not bound <= 1.0 + SUPERMARTINGALE_TOL:
             logger.warning("lifted dual deflator failed re-certification; reporting it anyway")
             report = replace(report, attainable=False)
         out.append(report)
@@ -328,11 +322,11 @@ def indifference_price(
     if not (math.isfinite(v) and v > 0.0):
         raise InvalidParameterError("initial capital must be a positive number")
 
-    def best_value(capital: float) -> float:
-        specs = [u.compose_affine(capital, float(x)) for x in payoff]
-        return maximize_utility(market, specs).value
+    def best_value(capital: float, shift=payoff) -> float:
+        utilities = _Utilities(u, market.n_states, capital, shift)
+        return run(_maximize_all([market], [market.probs], utilities, GRADIENT_TOL))[0].value
 
-    baseline = maximize_utility(market, u.compose_affine(v, 0.0)).value
+    baseline = best_value(v, 0.0)
     slack = PRICE_TOL * (1.0 + abs(baseline))
     lo, hi = 0.0, v * (1.0 - 1e-12)
     if best_value(v - lo) < baseline - slack:

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import SchemaError
-from .factor import FactorDistribution, FactorModel
+from .factor import FactorDistribution, FactorModel, _two_dim_band
 from .market import ConstraintSet, DiscreteMarket
 from .portfolio import UtilitySpec
 from .tree import ScenarioTree, TreeNode
@@ -367,10 +367,7 @@ def arbitrage_line_rows(gamma: float, borrow_limit: float, steps: int = 200):
     pi1 = np.linspace(0.0, 1.2 * c / (1.0 - gamma), steps)
     arbitrage = -gamma * pi1
     borrowing = c - pi1
-    if gamma >= 0.0:
-        upper, lower = 1.0 - gamma * pi1, -gamma * pi1
-    else:
-        upper, lower = 1.0 - gamma * pi1, gamma - gamma * pi1
+    lower, upper = _two_dim_band(gamma, pi1)
     return pi1, arbitrage, borrowing, upper, lower
 
 

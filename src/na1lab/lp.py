@@ -71,7 +71,9 @@ supermartingale measure's minimizer and the super-hedge's budget rows
 leave the bound their multipliers prove on the market
 (:func:`~na1lab.arbitrage._dual_bound`);
 :func:`~na1lab.arbitrage._certified_gains` solves the expected-gain LP,
-in a later round, only where no bound is held.
+in a later round, only where no bound is held.  Every deflator is judged
+by the one bound :func:`~na1lab.arbitrage._deflator_bounds`, and the
+numeraire and the tree's pass share :func:`~na1lab.portfolio._numeraires`.
 
 *Newton batches.*  :func:`minimize_convex` runs independent problems,
 padded to one shape, through one interior-point loop: each open problem

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arbitrage import (SUPERMARTINGALE_TOL, _Report, _certified_gains, _cone_spans, _dual_bound,
+from .arbitrage import (SUPERMARTINGALE_TOL, _Report, _cone_spans, _deflator_bounds, _dual_bound,
                         _refuse, _with_na1)
 from .errors import InvalidParameterError, NumericError, PreconditionError
 from .lp import FEAS_TOL, _pad, deterministic_equivalent, gather, minimize_convex, read, run
@@ -145,46 +145,55 @@ class UtilitySpec:
         return np.column_stack([c, d])
 
 
-class _UtilityEvaluator:
-    """Per-state view of a single spec or a state-indexed list of specs."""
+class _Utilities:
+    """Per-state utilities ``specs[index](scales * w + shifts)``: ``u``, one
+    spec or one per state, composed with ``scale * x + shift`` (``shift``
+    may be one per state).  ``specs`` are its distinct specs without their
+    affine maps; ``spec`` is ``u`` composed, None if states differ."""
 
-    def __init__(self, u, n_states: int):
-        # power exponents; a log state's derivatives are those of gamma = 0
-        if isinstance(u, UtilitySpec):
-            self.specs = [u] * n_states
-            self.piecewise = u.kind == "piecewise_linear"
-            self.scales, self.shifts = np.full(n_states, u.scale), np.full(n_states, u.shift)
-            self.gammas = np.full(n_states, u.gamma if u.kind == "power" else 0.0)
-            self._homogeneous = True
-            return
-        specs = list(u)
-        if len(specs) != n_states:
-            raise InvalidParameterError(
-                f"need one utility per state ({n_states}), got {len(specs)}"
-            )
+    def __init__(self, u, n_states: int, scale: float = 1.0, shift=0.0):
+        single = isinstance(u, UtilitySpec)
+        specs = [u] if single else list(u)
         if not all(isinstance(s, UtilitySpec) for s in specs):
             raise InvalidParameterError("state utilities must be UtilitySpec instances")
-        kinds = {s.kind for s in specs}
+        if not single and len(specs) != n_states:
+            raise InvalidParameterError(f"need one utility per state ({n_states}), got {len(specs)}")
+        bases, at = {}, np.zeros(n_states, dtype=int) if single else slice(None)
+        self.index = np.array([bases.setdefault(replace(s, scale=1.0, shift=0.0), len(bases))
+                               for s in specs])[at]
+        self.specs = list(bases)
+        self.spec = u.compose_affine(scale, shift) if single and np.ndim(shift) == 0 else None
+        kinds = {s.kind for s in self.specs}
         if "piecewise_linear" in kinds and len(kinds) > 1:
-            raise InvalidParameterError(
-                "cannot mix piecewise-linear and smooth utilities across states"
-            )
-        self.specs = specs
+            raise InvalidParameterError("cannot mix piecewise-linear and smooth utilities across states")
         self.piecewise = kinds == {"piecewise_linear"}
-        self.scales = np.array([s.scale for s in specs])
-        self.shifts = np.array([s.shift for s in specs])
-        self.gammas = np.array([s.gamma if s.kind == "power" else 0.0 for s in specs])
-        self._homogeneous = all(s is specs[0] for s in specs)
+        scales, shifts = np.array([(s.scale, s.shift) for s in specs])[at].T
+        self.scales, self.shifts = scales * scale, scales * shift + shifts
+        # power exponents; a log state's derivatives are those of gamma = 0
+        self.gammas = np.array([s.gamma if s.kind == "power" else 0.0 for s in self.specs])[self.index]
+
+    def _each_spec(self, method: str, w) -> np.ndarray:
+        arg = self.scales * w + self.shifts
+        out = np.empty_like(arg)
+        for k, spec in enumerate(self.specs):
+            states = self.index == k
+            out[states] = getattr(spec, method)(arg[states])
+        return out
 
     def value(self, w) -> np.ndarray:
-        if self._homogeneous:
-            return self.specs[0].value(w)
-        return np.array([s.value(np.array([wi]))[0] for s, wi in zip(self.specs, w)])
+        return self._each_spec("value", w)
 
     def derivative(self, w) -> np.ndarray:
-        if self._homogeneous:
-            return self.specs[0].derivative(w)
-        return np.array([s.derivative(np.array([wi]))[0] for s, wi in zip(self.specs, w)])
+        return self.scales * self._each_spec("derivative", w)
+
+    def pieces(self) -> list:
+        """Each state's :meth:`UtilitySpec.pieces`, its affine map folded in."""
+        tables = {}
+        for k, spec in enumerate(self.specs):
+            (c, d), states = spec.pieces().T, np.flatnonzero(self.index == k)
+            folded = np.stack([np.outer(self.scales[states], c), np.outer(self.shifts[states], c) + d], -1)
+            tables.update(zip(states.tolist(), folded))
+        return [tables[i] for i in range(len(tables))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,29 +255,28 @@ def maximize_utility(
     the witness ray and the best finite point.  A later call with the same
     spec at ``tol`` or looser returns this optimum.  Task: :func:`_maximize_all`.
     """
+    u = u if isinstance(u, UtilitySpec) else _Utilities(u, market.n_states)
     return run(_maximize_all([market], [market.probs], u, tol, divergence_bound))[0]
 
 
 def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
     """Task: :func:`maximize_utility` for several markets under state weights
     (positive, summing to one) in place of their probabilities; ``labels``,
-    node ids, name the markets in errors.  The optimum of one spec is held on
-    the market; that of a per-state list, which callers compose anew, is not.
-    Each problem is solved in the span of its allowed set (the return span
-    less the implicit equalities of its cone) and its residual checked alone;
-    without NA1 the markets are refused (:func:`~na1lab.arbitrage._refuse`)
-    or escalated, in batch order."""
-    held = isinstance(u, UtilitySpec)
-    spec = u if held else tuple(u)
-    if not held and not all(isinstance(s, UtilitySpec) for s in spec):
-        raise InvalidParameterError("state utilities must be UtilitySpec instances")
+    node ids, name the markets in errors.  ``u`` is a spec, held on the
+    market with its optimum, or the :class:`_Utilities` of one market, held
+    only if it is one spec.  Each problem is solved in the span of its
+    allowed set (the return span less the implicit equalities of its cone)
+    and its residual checked alone; without NA1 the markets are refused
+    (:func:`~na1lab.arbitrage._refuse`) or escalated, in batch order."""
+    spec = u if isinstance(u, UtilitySpec) else u.spec
     keys = [("optimum", spec, w.tobytes()) for w in weights]
     stale = {}
     for i, (m, key) in enumerate(zip(markets, keys)):
-        if not held or m.certificates.get(key, (math.inf,))[0] > tol:
+        if spec is None or m.certificates.get(key, (math.inf,))[0] > tol:
             stale.setdefault((id(m), key), i)
     solved = list(stale.values())
-    evaluators = [_UtilityEvaluator(u, markets[i].n_states) for i in solved]
+    forms = {n: _Utilities(u, n) for n in {m.n_states for m in markets}} if spec is u else None
+    evaluators = [forms[markets[i].n_states] if spec is u else u for i in solved]
     smooth = not any(e.piecewise for e in evaluators)  # a piecewise LP needs no span
     if smooth and any(np.any(e.scales + e.shifts <= 0.0) for e in evaluators):
         raise InvalidParameterError(
@@ -319,15 +327,14 @@ def _maximize_all(markets, weights, u, tol, divergence_bound=None, labels=None):
             active_floor = tuple(int(k) for k in np.nonzero(arguments <= WEALTH_FLOOR)[0])
             out[i] = OptimalPortfolio(basis @ u_opt, value, result.residual, result.iterations,
                                       active_theta, active_floor)
-            if u == UtilitySpec.log():  # its multipliers bound the wealth ratios verify_numeraire weighs
+            if spec == UtilitySpec.log():  # its multipliers bound the wealth ratios verify_numeraire weighs
                 ratio = weights[i] * (1.0 / wealth(markets[i], out[i].strategy))
-                _dual_bound(markets[i], ratio, (basis, rows, result.multipliers),
-                            1.0 + SUPERMARTINGALE_TOL - float(np.sum(ratio)))
+                _dual_bound(markets[i], ratio, (basis, rows, result.multipliers))
     for i, optimum in out.items():
         optimum.strategy.setflags(write=False)  # every later call shares it
-        if held:
+        if spec is not None:
             markets[i].certificates[keys[i]] = (tol, optimum)
-    return [m.certificates[key][1] if held else out[stale[id(m), key]]
+    return [out[stale[id(m), key]] if spec is None else m.certificates[key][1]
             for m, key in zip(markets, keys)]
 
 
@@ -426,11 +433,9 @@ def _piecewise_optimum(market, probs, evaluator, basis):
     """Task: the exact optimum of a piecewise-linear utility, the
     deterministic equivalent (:func:`~na1lab.lp.deterministic_equivalent`) of
     the tree of depth 1, each state's wealth floored at 0 (admissibility)."""
-    n, cs = market.n_states, market.constraints
-    tables = ([evaluator.specs[0].pieces()] * n if evaluator._homogeneous
-              else [spec.pieces() for spec in evaluator.specs])
+    cs = market.constraints
     _, [strategy], value = yield from deterministic_equivalent(
-        [(market.returns, basis, cs.normals, cs.offsets)], list(zip(probs, tables)),
+        [(market.returns, basis, cs.normals, cs.offsets)], list(zip(probs, evaluator.pieces())),
         (1.0, 1.0), True, "piecewise-utility LP")
     allowed = market.allowed
     slack = allowed.offsets - allowed.normals @ strategy
@@ -440,16 +445,12 @@ def _piecewise_optimum(market, probs, evaluator, basis):
 
 def expected_utility(market: DiscreteMarket, u, pi) -> float:
     """E[U(1 + <pi, R>)]; -inf when some state's argument leaves the domain."""
-    evaluator = _UtilityEvaluator(u, market.n_states)
-    w = wealth(market, pi)
-    return float(market.probs @ evaluator.value(w))
+    return float(market.probs @ _Utilities(u, market.n_states).value(wealth(market, pi)))
 
 
 def expected_utility_gradient(market: DiscreteMarket, u, pi) -> np.ndarray:
     """Gradient of :func:`expected_utility` in the strategy, as a d-vector."""
-    evaluator = _UtilityEvaluator(u, market.n_states)
-    w = wealth(market, pi)
-    return market.returns.T @ (market.probs * evaluator.derivative(w))
+    return market.returns.T @ (market.probs * _Utilities(u, market.n_states).derivative(wealth(market, pi)))
 
 
 def numeraire_portfolio(market: DiscreteMarket, tol: float = NUMERAIRE_GRADIENT_TOL) -> OptimalPortfolio:
@@ -459,14 +460,31 @@ def numeraire_portfolio(market: DiscreteMarket, tol: float = NUMERAIRE_GRADIENT_
     (:func:`maximize_utility`) and certifies that no allowed strategy's
     expected wealth ratio against it exceeds ``1 + SUPERMARTINGALE_TOL``
     (:func:`verify_numeraire`), else :class:`~na1lab.errors.NumericError`;
-    that value also certifies ``deflator``, the deflator it induces.
+    that value certifies ``deflator`` too.  Task: :func:`_numeraires`.
     """
-    opt = maximize_utility(market, UtilitySpec.log(), tol=tol)
-    try:
-        deflator = deflator_from_numeraire(market, opt.strategy)
-    except PreconditionError as exc:
-        raise NumericError(f"wealth-ratio certification failed: {exc}") from exc
-    return replace(opt, deflator=deflator)
+    [optimum], [z], [bound] = run(_numeraires([market], tol))
+    return replace(optimum, deflator=Deflator(z, bound))
+
+
+def _numeraires(markets, tol: float, labels=None):
+    """Task: the log optima of :func:`numeraire_portfolio`, their deflators
+    ``Z = 1 / wealth`` and the bounds of :func:`~na1lab.arbitrage._deflator_bounds`
+    certifying them; ``labels``, node ids, name the markets in errors."""
+    optima = yield from _maximize_all(markets, [m.probs for m in markets], UtilitySpec.log(), tol,
+                                      labels=labels)
+    values = [1.0 / wealth(m, optimum.strategy) for m, optimum in zip(markets, optima)]
+    bounds = yield from _deflator_bounds(markets, [m.probs * z for m, z in zip(markets, values)])
+    for i, bound in enumerate(bounds):
+        node = "" if labels is None else f" at node {labels[i]!r}"
+        _refuse_numeraire(bound, NumericError, f"wealth-ratio certification failed{node}: ")
+    return optima, values, bounds
+
+
+def _refuse_numeraire(bound: float, error=PreconditionError, context: str = "") -> None:
+    """Raise ``error`` if a wealth-ratio bound exceeds ``1 + SUPERMARTINGALE_TOL``."""
+    if bound > 1.0 + SUPERMARTINGALE_TOL:
+        raise error(f"{context}wealth-ratio LP value {bound:.12g} exceeds 1 + "
+                    f"{SUPERMARTINGALE_TOL:g}; the candidate is not a numeraire")
 
 
 def verify_numeraire(market: DiscreteMarket, rho) -> float:
@@ -483,15 +501,12 @@ def verify_numeraire(market: DiscreteMarket, rho) -> float:
 
 
 def verify_deflator(market: DiscreteMarket, values) -> float:
-    """Certified bound on sup E[Z (1 + <pi, R>)], pi allowed: the sum of the
-    weights ``probs * Z`` plus the weak-duality bound held for them
-    (:func:`~na1lab.arbitrage._dual_bound`), else their LP optimum
-    :func:`~na1lab.arbitrage.max_expected_gain`, +inf when unbounded."""
+    """Certified bound on sup E[Z (1 + <pi, R>)], pi allowed:
+    :func:`~na1lab.arbitrage._deflator_bounds` of the weights ``probs * Z``."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != market.n_states or np.any(values <= 0):
         raise InvalidParameterError("deflator values must be positive, one per state")
-    weighted = market.probs * values
-    return float(np.sum(weighted) + run(_certified_gains([market], [weighted]))[0])
+    return run(_deflator_bounds([market], [market.probs * values]))[0]
 
 
 def deflator_from_numeraire(market: DiscreteMarket, rho) -> Deflator:
@@ -500,11 +515,7 @@ def deflator_from_numeraire(market: DiscreteMarket, rho) -> Deflator:
     deflator bound of Z; above ``1 + SUPERMARTINGALE_TOL`` it raises
     :class:`~na1lab.errors.PreconditionError`."""
     lp_value = verify_numeraire(market, rho)
-    if lp_value > 1.0 + SUPERMARTINGALE_TOL:
-        raise PreconditionError(
-            f"wealth-ratio LP value {lp_value:.12g} exceeds 1 + {SUPERMARTINGALE_TOL:g}; "
-            "the candidate is not a numeraire"
-        )
+    _refuse_numeraire(lp_value)
     return Deflator(values=1.0 / wealth(market, rho), certificate=float(lp_value))
 
 

@@ -28,17 +28,12 @@ from functools import cached_property
 import numpy as np
 
 from . import arbitrage, lp
-from .arbitrage import SUPERMARTINGALE_TOL, _Report, _certified_gains, _max_expected_gains
+from .arbitrage import _Report, _deflator_bounds, _max_expected_gains
 from .errors import InvalidParameterError, NumericError
 from .hedging import _recertified, _superhedge_bands
 from .lp import FEAS_TOL, deterministic_equivalent, run
-from .market import PROB_TOL, ConstraintSet, DiscreteMarket, wealth
-from .portfolio import (
-    GRADIENT_TOL,
-    NUMERAIRE_GRADIENT_TOL,
-    UtilitySpec,
-    _maximize_all,
-)
+from .market import PROB_TOL, ConstraintSet, DiscreteMarket
+from .portfolio import GRADIENT_TOL, NUMERAIRE_GRADIENT_TOL, UtilitySpec, _maximize_all, _numeraires
 
 #: The numeraire deflator's one-step ratios times the node's gross returns
 #: must be one within this.
@@ -220,13 +215,6 @@ class ScenarioTree:
         """Non-leaf ids in breadth-first order; reverse for backward passes."""
         return self._bfs[:self._levels[-2]]
 
-    def edge_returns(self, node_id) -> np.ndarray:
-        """Returns realized on the edge into ``node_id`` (root has none)."""
-        i = self._at(node_id)
-        if not i:
-            raise InvalidParameterError("the root has no incoming edge")
-        return self._returns[i]
-
     def path_probability(self, node_id) -> float:
         """Probability of reaching the node from the root."""
         prob, i = 1.0, self._at(node_id)
@@ -341,7 +329,7 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
     """Worst relative supermartingale violation across nodes (<= 0 is clean):
     per non-leaf node, the certified bound on the deflated expected one-step
     wealth over the allowed polyhedron
-    (:func:`~na1lab.arbitrage._certified_gains`) less the node's value."""
+    (:func:`~na1lab.arbitrage._deflator_bounds`) less the node's value."""
     missing = [nid for nid in tree.bfs_ids() if nid not in process.values]
     if missing:
         raise InvalidParameterError(f"deflator process missing nodes {missing!r}")
@@ -354,8 +342,7 @@ def verify_deflator_process(tree: ScenarioTree, process: DeflatorProcess) -> flo
     offsets, markets = tree._offsets, tree._markets
     weights = [market.probs * (values[offsets[i]:offsets[i + 1]] / values[i])
                for i, market in enumerate(markets)]
-    gains = run(_certified_gains(markets, weights))
-    return float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
+    return max(bound - 1.0 for bound in run(_deflator_bounds(markets, weights)))
 
 
 # -- global no-scalable-arbitrage ---------------------------------------------
@@ -588,7 +575,7 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
 
     The log optimum at each node makes every allowed wealth ratio a one-step
     supermartingale, so the inverse of its wealth process deflates every
-    allowed wealth.  Each node is certified to ``SUPERMARTINGALE_TOL`` under
+    allowed wealth.  Each node is certified as a market's numeraire is, under
     the one-step weights ``probs / (1 + R rho)`` of its strategy ``rho``,
     which numpy ties to the deflator within ``RATIO_TOL``; a failure raises
     :class:`~na1lab.errors.NumericError`.  Task: :func:`_numeraire_process`.
@@ -597,9 +584,8 @@ def numeraire_process(tree: ScenarioTree) -> tuple[PolicyProcess, DeflatorProces
 
 
 def _numeraire_process(tree: ScenarioTree):
-    internal, markets = tree.internal_ids(), tree._markets
-    optima = yield from _maximize_all(markets, [m.probs for m in markets], UtilitySpec.log(),
-                                      NUMERAIRE_GRADIENT_TOL, labels=internal)
+    internal = tree.internal_ids()
+    optima, _, _ = yield from _numeraires(tree._markets, NUMERAIRE_GRADIENT_TOL, internal)
     strategies = [optimum.strategy for optimum in optima]
     policy = PolicyProcess(dict(zip(internal, strategies)), _wealth_process(tree, strategies))
     policy.validate(tree, require_positive_wealth=True)
@@ -608,13 +594,6 @@ def _numeraire_process(tree: ScenarioTree):
                      for k, p in enumerate(tree._parents[1:].tolist(), 1)])
     if np.max(np.abs(ties - 1.0)) > RATIO_TOL:
         raise NumericError("numeraire deflator strays from the one-step ratios it is certified by")
-    weights = [m.probs * (1.0 / wealth(m, rho)) for m, rho in zip(markets, strategies)]
-    gains = yield from _certified_gains(markets, weights)
-    violation = float(max(np.sum(w) + gain - 1.0 for w, gain in zip(weights, gains)))
-    if violation > SUPERMARTINGALE_TOL:
-        raise NumericError(
-            f"numeraire deflator fails supermartingale certification by {violation:.3e}"
-        )
     return policy, DeflatorProcess(dict(zip(tree._bfs, inverse)))
 
 

@@ -294,7 +294,7 @@ def test_criterion_8_dynamic_program_matches_enumeration():
                 rolled, prob = 1.0, 1.0
                 for step in root_path(leaf):
                     parent = tree.node(step).parent
-                    rolled *= 1.0 + float(tree.edge_returns(step) @ pick[parent])
+                    rolled *= 1.0 + float(np.asarray(tree.node(step).returns, dtype=float) @ pick[parent])
                     prob *= tree.node(step).prob
                 total += prob * math.log(rolled)
             best = max(best, total)

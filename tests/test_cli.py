@@ -21,10 +21,12 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import na1lab.errors
 from na1lab.cli import RunConfig, main, run
 from na1lab.errors import InvalidParameterError, NumericError, SchemaError
 from na1lab.factor import FactorDistribution, two_dim_admissibility
@@ -959,6 +961,27 @@ class TestExitCodes:
         monkeypatch.setattr("na1lab.cli.numeraire_portfolio", explode)
         rc, _ = run_command(tmp_path, "numeraire", market_doc())
         assert rc == 3
+
+    def test_each_error_class_carries_the_readme_exit_code(self, tmp_path, monkeypatch, capsys):
+        """Every class of ``na1lab.errors`` has the README's exit code (1
+        malformed input, 2 domain or precondition violation, 3 numeric
+        failure), and the CLI prints its message and returns that code."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        assert ("`1` malformed input, `2` domain or precondition violation, `3` numeric failure"
+                in " ".join(readme.read_text(encoding="utf-8").split()))
+        codes = {"Na1LabError": 2, "SchemaError": 1, "InvalidParameterError": 2,
+                 "InfeasibleError": 2, "PreconditionError": 2, "NumericError": 3}
+        classes = {name: cls for name, cls in vars(na1lab.errors).items()
+                   if isinstance(cls, type) and issubclass(cls, na1lab.errors.Na1LabError)}
+        assert {name: cls.exit_code for name, cls in classes.items()} == codes
+        for cls in classes.values():
+            def fail(*args, **kwargs):
+                raise cls("synthetic failure")
+
+            monkeypatch.setattr("na1lab.cli.numeraire_portfolio", fail)
+            rc, _ = run_command(tmp_path, "numeraire", market_doc())
+            assert rc == cls.exit_code
+            assert capsys.readouterr().err == "error: synthetic failure\n"
 
     def test_invalid_log_level_exits_two(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NA1LAB_LOG", "chatty")

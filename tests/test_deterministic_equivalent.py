@@ -78,7 +78,7 @@ def test_value_check_catches_a_wrong_shortfall_optimum(tampered):
     m = random_bounded_market(np.random.default_rng(33))
     claim = Claim(np.linspace(0.5, 2.0, m.n_states))
     with pytest.raises(NumericError, match="shortfall hedging.*differs from the LP optimum"):
-        shortfall_hedge(m, claim, PiecewiseLinearLoss.positive_part(), v0=0.3)
+        shortfall_hedge(m, claim, PiecewiseLinearLoss(), v0=0.3)
 
 
 def test_value_check_catches_a_wrong_tree_optimum(tampered):
@@ -128,7 +128,7 @@ def test_depth_one_lps_have_no_leaf_wealth_columns(linprog_calls):
     m = _span_market()
     claim = Claim(np.array([0.5, 0.0, 1.2, 0.3]))
     for solve in (lambda: maximize_utility(m, PIECEWISE),
-                  lambda: shortfall_hedge(m, claim, PiecewiseLinearLoss.positive_part(), v0=0.3)):
+                  lambda: shortfall_hedge(m, claim, PiecewiseLinearLoss(), v0=0.3)):
         linprog_calls.clear()
         solve()
         [call] = linprog_calls

@@ -48,12 +48,14 @@ def fresh(market):
 @pytest.fixture
 def bounds(monkeypatch):
     """``(market, weights, bound, limit)`` of every dual bound computed from
-    now on."""
+    now on, ``limit`` the largest bound that keeps the sum of the weights
+    within ``1 + SUPERMARTINGALE_TOL``."""
     seen = []
 
-    def recorded(market, weights, dual, limit):
-        bound = DUAL_BOUND(market, weights, dual, limit)
-        seen.append((market, np.array(weights), bound, limit))
+    def recorded(market, weights, dual):
+        bound = DUAL_BOUND(market, weights, dual)
+        seen.append((market, np.array(weights), bound,
+                     1.0 + SUPERMARTINGALE_TOL - float(np.sum(weights))))
         return bound
 
     patch_dual_bound(monkeypatch, recorded)
@@ -64,9 +66,9 @@ def bounds(monkeypatch):
 def zeroed(monkeypatch):
     """Dual bounds computed with every multiplier zero."""
 
-    def without_multipliers(market, weights, dual, limit):
+    def without_multipliers(market, weights, dual):
         coords, rows, lam = dual
-        return DUAL_BOUND(market, weights, (coords, rows, np.zeros_like(lam)), limit)
+        return DUAL_BOUND(market, weights, (coords, rows, np.zeros_like(lam)))
 
     patch_dual_bound(monkeypatch, without_multipliers)
 

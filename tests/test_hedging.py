@@ -19,12 +19,14 @@ import math
 import numpy as np
 import pytest
 
+import na1lab.arbitrage
 import na1lab.hedging
 import na1lab.lp
 from na1lab.arbitrage import check_na1
 from na1lab.errors import InvalidParameterError, NumericError, PreconditionError
 from na1lab.hedging import (
     DEFLATOR_BUMP,
+    PRICE_TOL,
     Claim,
     PiecewiseLinearLoss,
     ValuationReport,
@@ -33,7 +35,8 @@ from na1lab.hedging import (
     shortfall_hedge,
     superhedge,
 )
-from na1lab.portfolio import UtilitySpec, verify_deflator
+from na1lab.market import DiscreteMarket, preset_constraints
+from na1lab.portfolio import UtilitySpec, maximize_utility, verify_deflator
 
 from conftest import interval_market, random_bounded_market, two_factor_atom_market
 
@@ -97,7 +100,7 @@ class TestClaimAndLoss:
             PiecewiseLinearLoss(((1.0, 0.5),))
 
     def test_hinge_loss_values(self):
-        loss = PiecewiseLinearLoss.positive_part()
+        loss = PiecewiseLinearLoss()
         assert np.allclose(loss.value([-2.0, 0.0, 1.5]), [0.0, 0.0, 1.5])
 
     def test_two_piece_loss_values(self):
@@ -163,7 +166,7 @@ class TestSuperhedge:
             return [1.0] * len(markets)
             yield
 
-        monkeypatch.setattr(na1lab.hedging, "_certified_gains", unit_bound)
+        monkeypatch.setattr(na1lab.arbitrage, "_certified_gains", unit_bound)
         with caplog.at_level(logging.WARNING, logger="na1lab.hedging"):
             report = superhedge(two_state_fixture(), Claim(payoff))
         assert report.attainable is False
@@ -253,7 +256,7 @@ class TestShortfallHedge:
         market = two_state_fixture()
         claim = Claim(np.array([0.0, 1.5]))
         v, strategy, risk = shortfall_hedge(
-            market, claim, PiecewiseLinearLoss.positive_part(), v0=0.375
+            market, claim, PiecewiseLinearLoss(), v0=0.375
         )
         assert abs(risk - 0.375) <= 1e-9
         assert v <= 0.375 + 1e-12
@@ -265,7 +268,7 @@ class TestShortfallHedge:
         market = two_state_fixture()
         claim = Claim(np.array([0.0, 1.5]))
         for loss in (
-            PiecewiseLinearLoss.positive_part(),
+            PiecewiseLinearLoss(),
             PiecewiseLinearLoss(((1.0, 0.0), (2.0, -0.2))),
         ):
             _, _, risk = shortfall_hedge(market, claim, loss, v0=0.375)
@@ -285,14 +288,14 @@ class TestShortfallHedge:
         market = two_state_fixture()
         claim = Claim(np.array([0.0, 1.5]))
         _, _, risk = shortfall_hedge(
-            market, claim, PiecewiseLinearLoss.positive_part(), v0=0.8
+            market, claim, PiecewiseLinearLoss(), v0=0.8
         )
         assert risk <= 1e-10
 
     def test_zero_claim_has_no_risk(self):
         market = two_state_fixture()
         _, _, risk = shortfall_hedge(
-            market, Claim(np.zeros(2)), PiecewiseLinearLoss.positive_part(), v0=0.1
+            market, Claim(np.zeros(2)), PiecewiseLinearLoss(), v0=0.1
         )
         assert risk <= 1e-12
 
@@ -300,7 +303,7 @@ class TestShortfallHedge:
         rng = np.random.default_rng(45)
         market = random_bounded_market(rng)
         claim = random_claim(rng, market.n_states)
-        loss = PiecewiseLinearLoss.positive_part()
+        loss = PiecewiseLinearLoss()
         risks = [
             shortfall_hedge(market, claim, loss, v0=v0)[2] for v0 in (0.1, 0.4, 1.6)
         ]
@@ -313,7 +316,7 @@ class TestShortfallHedge:
         call, whose answer the market holds."""
         market = two_state_fixture()
         claim = Claim(np.array([0.0, 1.5]))
-        loss = PiecewiseLinearLoss.positive_part()
+        loss = PiecewiseLinearLoss()
         v, strategy, risk = shortfall_hedge(market, claim, loss, v0=0.375)
         assert len(linprog_calls) == 1
         assert abs(risk - 0.375) <= 1e-9
@@ -324,7 +327,7 @@ class TestShortfallHedge:
         """Without NA1 the hedge is refused in its own words, but an invalid
         capital is named first."""
         market = two_factor_atom_market(1.5, 1.0)
-        claim, loss = Claim(np.ones(market.n_states)), PiecewiseLinearLoss.positive_part()
+        claim, loss = Claim(np.ones(market.n_states)), PiecewiseLinearLoss()
         with pytest.raises(PreconditionError, match="^shortfall hedging requires no scalable arbitrage$"):
             shortfall_hedge(market, claim, loss, v0=1.0)
         with pytest.raises(InvalidParameterError, match="capital budget"):
@@ -336,7 +339,7 @@ class TestShortfallHedge:
             shortfall_hedge(
                 market,
                 Claim(np.zeros(2)),
-                PiecewiseLinearLoss.positive_part(),
+                PiecewiseLinearLoss(),
                 v0=0.0,
             )
 
@@ -356,7 +359,7 @@ def test_a_repeated_call_answers_alike(linprog_calls):
 
         market = random_bounded_market(rng)
         claim = Claim(rng.uniform(0.0, 1.0, market.n_states))
-        loss = (PiecewiseLinearLoss.positive_part() if rng.uniform() < 0.5
+        loss = (PiecewiseLinearLoss() if rng.uniform() < 0.5
                 else PiecewiseLinearLoss(((1.0, 0.0), (2.0, -0.5))))
         v0 = float(rng.uniform(0.05, 2.0))
         answer = shortfall_hedge(market, claim, loss, v0)
@@ -449,6 +452,52 @@ class TestIndifferencePrice:
         market = two_state_fixture()
         with pytest.raises(InvalidParameterError):
             indifference_price(market, Claim(np.zeros(2)), UtilitySpec.log(), 0.0)
+
+
+def box_market_and_claim(n):
+    """``n`` states of two assets with returns U(-0.5, 0.8) in the unit box,
+    equally likely, and the claim ``max(R1 + R2, 0)``."""
+    returns = np.random.default_rng(0).uniform(-0.5, 0.8, size=(n, 2))
+    market = DiscreteMarket(np.full(n, 1.0 / n), returns,
+                            preset_constraints("box", 2, lower=[1.0, 1.0], upper=[1.0, 1.0]))
+    return market, Claim(np.maximum(returns.sum(axis=1), 0.0))
+
+
+class TestIndifferenceUtilities:
+    """The indifference price composes its utility with the capital and the
+    payoff once, as arrays, and prices as per-state specs would."""
+
+    def test_composes_the_utility_at_most_once(self, monkeypatch):
+        market, claim = box_market_and_claim(200)
+        calls = []
+        compose = UtilitySpec.compose_affine
+
+        def counted(self, scale, shift):
+            calls.append(shift)
+            return compose(self, scale, shift)
+
+        monkeypatch.setattr(UtilitySpec, "compose_affine", counted)
+        assert 0.0 < indifference_price(market, claim, UtilitySpec.log(), 1.0) < 1.0
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("u", [UtilitySpec.log(), UtilitySpec.power(0.5)])
+    def test_price_is_the_bisection_over_per_state_specs(self, u):
+        market, claim = box_market_and_claim(200)
+        price = indifference_price(market, claim, u, 1.0)
+        fresh = DiscreteMarket(market.probs, market.returns, market.constraints)
+
+        def best_value(capital):
+            return maximize_utility(fresh, [u.compose_affine(capital, x) for x in claim.payoff]).value
+
+        baseline = maximize_utility(fresh, u.compose_affine(1.0, 0.0)).value
+        lo, hi = 0.0, 1.0 - 1e-12
+        while hi - lo > PRICE_TOL:
+            mid = 0.5 * (lo + hi)
+            if best_value(1.0 - mid) >= baseline:
+                lo = mid
+            else:
+                hi = mid
+        assert price == 0.5 * (lo + hi)
 
 
 class TestRealWorldPrice:

@@ -597,3 +597,109 @@ class TestRelativeLogGap:
         m = interval_market([-1.0, 0.5])
         with pytest.raises(InvalidParameterError):
             relative_log_optimality_gap(m, np.array([1.0]), np.zeros(1))
+
+
+def state_values(specs, w):
+    """``UtilitySpec.value`` of each state's spec at its wealth, one call
+    per state: the oracle of the per-state form."""
+    return np.array([spec.value(np.array([wi]))[0] for spec, wi in zip(specs, w)])
+
+
+def state_derivatives(specs, w):
+    return np.array([spec.derivative(np.array([wi]))[0] for spec, wi in zip(specs, w)])
+
+
+def mixed_smooth_specs(rng, n):
+    """Log and power states, some composed with an affine map, some sharing
+    one spec object."""
+    shared = UtilitySpec.power(-1.0).compose_affine(1.5, 0.25)
+    specs = []
+    for _ in range(n):
+        pick = int(rng.integers(4))
+        base = (UtilitySpec.log(), UtilitySpec.power(0.5), UtilitySpec.power(0.3), shared)[pick]
+        specs.append(base if pick == 3 or rng.uniform() < 0.3
+                     else base.compose_affine(rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.5)))
+    return specs
+
+
+def piecewise_specs(rng, n):
+    """Concave piecewise-linear states with knots of their own, some
+    composed with an affine map, two states sharing one spec."""
+    specs = []
+    for _ in range(n):
+        k = int(rng.integers(2, 6))
+        xs = np.sort(rng.uniform(0.0, 3.0, k)) + np.arange(k) * 1e-3
+        slopes = np.sort(rng.uniform(0.1, 2.0, k - 1))[::-1]
+        ys = np.concatenate([[rng.uniform(-1.0, 1.0)], slopes * np.diff(xs)]).cumsum()
+        spec = UtilitySpec.piecewise_linear(xs, ys)
+        specs.append(spec if rng.uniform() < 0.5 else spec.compose_affine(rng.uniform(0.5, 2.0),
+                                                                           rng.uniform(-0.5, 0.5)))
+    specs[-1] = specs[0]
+    return specs
+
+
+class TestPerStateUtilities:
+    """One spec per state evaluates, bit for bit, as a loop of
+    ``UtilitySpec.value`` over the states, each spec called on its state
+    alone."""
+
+    @pytest.fixture
+    def values_seen(self, monkeypatch):
+        """``(w, out)`` of every per-state evaluation from now on."""
+        seen = []
+        value = na1lab.portfolio._Utilities.value
+
+        def recorded(self, w):
+            out = value(self, w)
+            seen.append((np.array(w), out))
+            return out
+
+        monkeypatch.setattr(na1lab.portfolio._Utilities, "value", recorded)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mixed_log_and_power_states(self, seed, values_seen):
+        rng = np.random.default_rng(seed)
+        m = random_bounded_market(rng, d_max=3, n_max=12)
+        specs = mixed_smooth_specs(rng, m.n_states)
+        opt = maximize_utility(m, specs)
+        w, out = values_seen[-1]  # the optimum's value
+        assert np.array_equal(out, state_values(specs, w))
+        assert opt.value == float(m.probs @ state_values(specs, w))
+        points = [opt.strategy, np.zeros(m.n_assets),
+                  *sample_feasible(rng, m.allowed.normals, m.allowed.offsets, m.n_assets, 3)]
+        for pi in points:
+            w = 1.0 + m.returns @ pi
+            assert expected_utility(m, specs, pi) == float(m.probs @ state_values(specs, w))
+            terms = m.returns.T * (m.probs * state_derivatives(specs, w))
+            scale = np.sum(np.abs(terms), axis=1)
+            assert np.all(np.abs(expected_utility_gradient(m, specs, pi) - terms.sum(axis=1))
+                          <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_piecewise_states_with_different_knots(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        m = random_bounded_market(rng, d_max=3, n_max=12)
+        specs = piecewise_specs(rng, m.n_states)
+        tables = na1lab.portfolio._Utilities(specs, m.n_states).pieces()
+        assert all(np.array_equal(table, spec.pieces()) for table, spec in zip(tables, specs))
+        opt = maximize_utility(m, specs)
+        w = 1.0 + m.returns @ opt.strategy
+        assert abs(opt.value - float(m.probs @ state_values(specs, w))) <= 1e-9 * (1.0 + abs(opt.value))
+        for pi in [opt.strategy, *sample_feasible(rng, m.allowed.normals, m.allowed.offsets,
+                                                  m.n_assets, 3)]:
+            w = 1.0 + m.returns @ pi
+            assert expected_utility(m, specs, pi) == float(m.probs @ state_values(specs, w))
+            terms = m.returns.T * (m.probs * state_derivatives(specs, w))
+            scale = np.sum(np.abs(terms), axis=1)
+            assert np.all(np.abs(expected_utility_gradient(m, specs, pi) - terms.sum(axis=1))
+                          <= 1e-14 * scale)
+
+    def test_malformed_state_lists_are_refused(self):
+        m = interval_market([-0.5, 0.5])
+        with pytest.raises(InvalidParameterError, match="cannot mix"):
+            maximize_utility(m, [UtilitySpec.log(), UtilitySpec.piecewise_linear([0, 1], [0, 1])])
+        with pytest.raises(InvalidParameterError, match=r"need one utility per state \(2\), got 3"):
+            expected_utility(m, [UtilitySpec.log()] * 3, np.zeros(1))
+        with pytest.raises(InvalidParameterError, match="UtilitySpec instances"):
+            maximize_utility(m, [UtilitySpec.log(), "log"])

@@ -87,7 +87,7 @@ def enumerate_policies(tree, candidate_sets, u):
     shape = tuple(len(m) for m in menus)
 
     def growth(parent, child):
-        factor = 1.0 + menus[axis[parent]] @ tree.edge_returns(child)
+        factor = 1.0 + menus[axis[parent]] @ np.asarray(tree.node(child).returns, dtype=float)
         index = [1] * len(shape)
         index[axis[parent]] = shape[axis[parent]]
         return factor.reshape(index)
@@ -112,7 +112,7 @@ def enumerate_policies_loop(tree, candidate_sets, u):
         for leaf in tree.leaf_ids:
             x = 1.0
             for parent, child in path_to_root(tree, leaf):
-                x *= 1.0 + float(tree.edge_returns(child) @ assign[parent])
+                x *= 1.0 + float(np.asarray(tree.node(child).returns, dtype=float) @ assign[parent])
             total += tree.path_probability(leaf) * float(u.value(np.array([x]))[0])
         best = max(best, total)
     return best
@@ -142,7 +142,7 @@ def stacked_cone_optimum(tree):
         for child in tree.children(n):
             cost[offsets[n] : offsets[n] + d] -= tree.path_probability(
                 child
-            ) * tree.edge_returns(child)
+            ) * np.asarray(tree.node(child).returns, dtype=float)
     res = linprog(
         cost,
         A_ub=np.vstack(rows),
@@ -282,10 +282,6 @@ def check_layout(tree):
         for node_id in level:
             assert tree.depth(node_id) == depth
             assert tree.children(node_id) == tuple(kids[node_id])
-    for node in tree.nodes:
-        if node.parent is not None:
-            want = np.asarray(node.returns, dtype=float).reshape(-1)
-            assert tree.edge_returns(node.node_id).tobytes() == want.tobytes()
 
 
 class TestConstruction:
@@ -586,7 +582,7 @@ class TestBackwardInductionSeparable:
             x = 1.0
             for parent, child in path_to_root(tree, leaf):
                 x *= 1.0 + float(
-                    tree.edge_returns(child) @ res.policy.strategies[parent]
+                    np.asarray(tree.node(child).returns, dtype=float) @ res.policy.strategies[parent]
                 )
             assert res.policy.wealth[leaf] == pytest.approx(x, rel=1e-12)
 
@@ -684,7 +680,7 @@ class TestBackwardInductionPiecewise:
         for leaf in tree.leaf_ids:
             x = 1.0
             for parent, child in path_to_root(tree, leaf):
-                x *= 1.0 + float(tree.edge_returns(child) @ res.policy.strategies[parent])
+                x *= 1.0 + float(np.asarray(tree.node(child).returns, dtype=float) @ res.policy.strategies[parent])
             assert res.policy.wealth[leaf] == pytest.approx(x, rel=1e-12)
             assert res.node_values[leaf] == pytest.approx(float(u.value(np.array([x]))[0]))
         for n in tree.internal_ids():
@@ -721,7 +717,7 @@ class TestBackwardInductionGrid:
                 )
                 kids = tree.children(node)
                 pick = kids[int(rng.integers(len(kids)))]
-                x *= 1.0 + float(tree.edge_returns(pick) @ pi)
+                x *= 1.0 + float(np.asarray(tree.node(pick).returns, dtype=float) @ pi)
                 node = pick
             assert grid[0] - 1e-9 <= max(x, grid[0]) and x <= grid[-1] + 1e-9
 
@@ -763,7 +759,7 @@ class TestNumeraireProcess:
                 node = tree.node(nid)
                 if node.parent is None:
                     continue
-                gain = float(tree.edge_returns(nid) @ strategies[node.parent])
+                gain = float(np.asarray(tree.node(nid).returns, dtype=float) @ strategies[node.parent])
                 wealth[nid] = wealth[node.parent] * (1.0 + gain)
             for nid in tree.internal_ids():
                 lhs = sum(
@@ -810,17 +806,20 @@ class TestNumeraireProcess:
 
     def test_supermartingale_violation_is_refused(self, monkeypatch):
         """Certified expected-gain bounds above the tolerance at the nodes
-        refuse the numeraire deflator."""
-        import na1lab.tree
+        refuse the numeraire deflator, with the one-period refusal naming
+        the first failing node."""
+        import na1lab.arbitrage
 
-        certified = na1lab.tree._certified_gains
+        certified = na1lab.arbitrage._certified_gains
 
         def inflated(markets, weights):
             gains = yield from certified(markets, weights)
             return [gain + 1e-6 for gain in gains]
 
-        monkeypatch.setattr(na1lab.tree, "_certified_gains", inflated)
-        with pytest.raises(NumericError, match="fails supermartingale certification by 1.000e-06"):
+        monkeypatch.setattr(na1lab.arbitrage, "_certified_gains", inflated)
+        with pytest.raises(NumericError, match=r"^wealth-ratio certification failed at node 'root': "
+                                               r"wealth-ratio LP value 1\.000001\d* exceeds 1 \+ 1e-08; "
+                                               r"the candidate is not a numeraire$"):
             numeraire_process(iid_tree(two_state_market(), horizon=2))
 
     def test_stalled_node_is_named(self, monkeypatch):
@@ -912,7 +911,7 @@ class TestSuperhedgeTree:
                 continue
             pi = hedge.strategies[node.parent]
             capital[nid] = capital[node.parent] * (
-                1.0 + float(tree.edge_returns(nid) @ pi)
+                1.0 + float(np.asarray(tree.node(nid).returns, dtype=float) @ pi)
             )
         for leaf in tree.leaf_ids:
             assert capital[leaf] >= payoff[leaf] - 1e-8
@@ -1027,7 +1026,7 @@ def fresh_market(tree, node_id):
     kids = tree.children(node_id)
     return DiscreteMarket(
         np.array([float(tree.node(k).prob) for k in kids]),
-        np.vstack([tree.edge_returns(k) for k in kids]),
+        np.vstack([np.asarray(tree.node(k).returns, dtype=float) for k in kids]),
         tree.constraints[node_id],
     )
 
